@@ -39,6 +39,7 @@ from .errors import (
     LatticeTooLarge,
     NoCandidateFound,
     NonConvergence,
+    NonFiniteOutput,
     RootInfeasible,
     SolverError,
     ZeroResidual,

@@ -6,8 +6,8 @@ Exit codes are a fixed function of the outcome:
 
     0  clean termination
     1  invalid configuration
-    2  root-finding infeasible, domain violation, or budget exhausted
-       before the discrepancy criterion
+    2  root-finding infeasible, domain violation, non-finite model output,
+       or budget exhausted before the discrepancy criterion
     3  a theorem hypothesis failed for the supplied constants
     4  no lattice candidate passed the measured-data test
     5  a verification check failed
@@ -50,7 +50,6 @@ from .operators import (
     ForwardModel,
     StabilityCertificate,
     apply_forward,
-    estimate_jacobian_norm,
     finite_difference_jacobian,
     jacobian_matrix,
     max_adjoint_defect,
@@ -177,7 +176,7 @@ def _solve_exit(trace, discrepancy_mode: bool) -> int:
     return 2
 
 
-def cmd_solve(cfg: RunConfig, threads: int, seed: int | None) -> int:
+def cmd_solve(cfg: RunConfig, seed: int | None) -> int:
     if cfg.mode not in ("exact", "noisy", "landweber"):
         raise ConfigInvalid(f"mode '{cfg.mode}' is not handled by 'solve'")
     prob = _get_problem(cfg)
@@ -210,14 +209,10 @@ def cmd_solve(cfg: RunConfig, threads: int, seed: int | None) -> int:
         if cfg.delta is not None and cfg.tau is not None:
             y_obs = make_noise(prob.y_exact, cfg.delta, noise_seed)
             stop, tau, delta = "discrepancy", cfg.tau, cfg.delta
-        scale = cfg.step_scale
-        if scale is None:
-            jn = estimate_jacobian_norm(prob.model, x0, iters=200, check=False)
-            scale = 0.9 / jn**2
         scfg = SolverConfig(q=cfg.q, max_iters=cfg.max_iters, tau=tau,
                             delta=delta or 0.0, stop_mode=stop,
                             domain_mode="warn")
-        trace = landweber_run(prob.model, y_obs, x0, scale, scfg,
+        trace = landweber_run(prob.model, y_obs, x0, cfg.step_scale, scfg,
                               x_dagger=prob.x_dagger)
 
     tf = TraceFile.from_trace(trace, _header(cfg, prob, cert, constants, trace))
@@ -228,7 +223,7 @@ def cmd_solve(cfg: RunConfig, threads: int, seed: int | None) -> int:
     return _solve_exit(trace, scfg.stop_mode == "discrepancy")
 
 
-def cmd_reconstruct(cfg: RunConfig, threads: int, seed: int | None) -> int:
+def cmd_reconstruct(cfg: RunConfig, seed: int | None) -> int:
     if cfg.mode not in ("reconstruct_exact", "reconstruct_noisy"):
         raise ConfigInvalid(f"mode '{cfg.mode}' is not handled by 'reconstruct'")
     prob = _get_problem(cfg)
@@ -242,7 +237,7 @@ def cmd_reconstruct(cfg: RunConfig, threads: int, seed: int | None) -> int:
         constants = compute_constants_exact(cert, cfg.q)
         x_hat, trace = reconstruct_exact(
             prob.model, q_op, box, cert, cfg.q, cfg.target_gamma, y_measured,
-            x_dagger=prob.x_dagger, tol_alpha=cfg.tol_alpha, threads=threads,
+            x_dagger=prob.x_dagger, tol_alpha=cfg.tol_alpha,
         )
     else:
         constants = compute_constants_noisy(cert, cfg.q, cfg.tau, delta=cfg.delta)
@@ -250,7 +245,6 @@ def cmd_reconstruct(cfg: RunConfig, threads: int, seed: int | None) -> int:
         x_hat, trace = reconstruct_noisy(
             prob.model, q_op, box, cert, cfg.q, cfg.tau, cfg.delta, y_delta,
             cfg.max_iters, x_dagger=prob.x_dagger, tol_alpha=cfg.tol_alpha,
-            threads=threads,
         )
 
     tf = TraceFile.from_trace(trace, _header(cfg, prob, cert, constants, trace))
@@ -288,7 +282,7 @@ def _verify_check(table: _Table, name: str, ok: bool, detail: str):
     table.add(name, "PASS" if ok else "FAIL", detail)
 
 
-def cmd_verify(cfg: RunConfig, threads: int, seed: int | None) -> int:
+def cmd_verify(cfg: RunConfig, seed: int | None) -> int:
     if cfg.mode != "verify":
         raise ConfigInvalid(f"mode '{cfg.mode}' is not handled by 'verify'")
     prob = _get_problem(cfg)
@@ -459,7 +453,7 @@ def _iterations_to(trace, threshold: float):
     return int(idx[0]) if idx.size else None
 
 
-def cmd_compare(cfg: RunConfig, threads: int, seed: int | None) -> int:
+def cmd_compare(cfg: RunConfig, seed: int | None) -> int:
     if cfg.mode not in ("exact", "noisy"):
         raise ConfigInvalid("compare requires mode 'exact' or 'noisy'")
     prob = _get_problem(cfg)
@@ -483,12 +477,7 @@ def cmd_compare(cfg: RunConfig, threads: int, seed: int | None) -> int:
             runner = run_noisy if noisy else run_exact
             trace = runner(wrapped, prob.x_dagger, y_obs, x0, scfg)
         else:
-            scale = cfg.step_scale
-            if scale is None:
-                jn = estimate_jacobian_norm(prob.model, x0, iters=200,
-                                            check=False)
-                scale = 0.9 / jn**2
-            trace = landweber_run(wrapped, y_obs, x0, scale, scfg,
+            trace = landweber_run(wrapped, y_obs, x0, cfg.step_scale, scfg,
                                   x_dagger=prob.x_dagger)
         iters = max(trace.iterations, 1)
         cost = (counts["forward"] + counts["jacobian"] + counts["adjoint"]) / iters
@@ -536,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="YAML config path")
         cmd.add_argument("--output", default=None,
                          help="override the config's output path")
-        cmd.add_argument("--threads", type=int, default=1)
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the config's noise seed")
     return parser
@@ -548,7 +536,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.output is not None:
             cfg.output_path = args.output
-        code = _COMMANDS[args.command](cfg, args.threads, args.seed)
+        code = _COMMANDS[args.command](cfg, args.seed)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

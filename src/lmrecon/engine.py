@@ -32,6 +32,7 @@ from .operators import (
     as_vector,
     check_domain,
     estimate_jacobian_norm,
+    require_finite,
     require_in_domain,
 )
 from .step import StepDiagnostics, lm_step
@@ -547,15 +548,17 @@ def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
     return trace
 
 
-def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float,
+def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
                   cfg: SolverConfig, x_dagger=None) -> IterationTrace:
     """Gradient-descent baseline: x <- x + step_scale * J^T (y - F(x)).
 
-    Produces a trace in the same format as the LM drivers (alpha and the
-    linearized-residual column stay unset).  Raises
-    :class:`DivergenceDetected` if the residual grows tenfold over its running
-    minimum, and :class:`ConditionViolated` if the step size violates
-    ``step_scale * ||J||^2 <= 1`` at the starting point.
+    ``step_scale=None`` takes ``0.9 / ||J(x0)||^2``.  Produces a trace in the
+    same format as the LM drivers (alpha and the linearized-residual column
+    stay unset).  Raises :class:`DivergenceDetected` if the residual grows
+    tenfold over its running minimum, :class:`ConditionViolated` if the step
+    size violates ``step_scale * ||J||^2 <= 1`` at the starting point (or is
+    left to the default while ``J(x0) = 0``), and :class:`NonFiniteOutput`
+    when the residual or ``J^T r`` holds NaN or inf.
     """
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
@@ -563,6 +566,10 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float,
     if truth:
         x_dagger = as_vector(x_dagger, model.dim_x, "x_dagger")
     jn = estimate_jacobian_norm(model, x, iters=200, check=False)
+    if step_scale is None:
+        if jn == 0.0:
+            raise ConditionViolated("J(x0) = 0: no default step size exists")
+        step_scale = 0.9 / jn**2
     if step_scale * jn**2 > 1.0 + 1e-9:
         raise ConditionViolated(
             f"step_scale * ||J||^2 = {step_scale * jn**2:.6g} exceeds 1"
@@ -597,7 +604,9 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float,
                 f"{min_residual:.6g} at step {k}"
             )
         r = y_obs - apply_forward(model, x, check=False)
+        require_finite(r, "residual y - F(x)")
         g = as_vector(model.jacobian_adjoint_apply(x, r), model.dim_x, "J* r")
+        require_finite(g, "gradient J* r")
         x_next = x + step_scale * g
         if cfg.domain_mode == "error":
             require_in_domain(model, x_next, "Landweber update")

@@ -17,6 +17,10 @@ class DomainViolation(SolverError):
     """A point lies outside the admissible ball of the forward model."""
 
 
+class NonFiniteOutput(SolverError):
+    """The forward map or its Jacobian returned NaN or inf."""
+
+
 class FactorizationFailure(SolverError):
     """The shifted Gram matrix is not SPD; usually alpha <= 0 or a broken adjoint."""
 

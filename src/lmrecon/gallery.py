@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,24 +69,27 @@ def _pair_arrays(box: CompactBox, samples: int, seed: int):
     return (np.vstack([first, gpts[gi]]), np.vstack([second, gpts[gj]]))
 
 
-def _chunk_maxima(model: ForwardModel, qmat: np.ndarray | None,
-                  pa: np.ndarray, pb: np.ndarray, eps: float):
-    exponent = (1.0 + eps) / 2.0
-    jac_bound = 0.0
-    lip = 0.0
-    holder = 0.0
-    fwd_lip = 0.0
-    recon = 0.0
-    for a, b in zip(pa, pb):
-        d = float(np.linalg.norm(a - b))
+def _pair_quantities(model: ForwardModel, qmat: np.ndarray | None,
+                     pa: np.ndarray, pb: np.ndarray):
+    """Per-pair norms behind every certificate inequality.
+
+    Returns ``(jac, d, jd, fd, qd)``.  ``jac`` holds ``||J(a)||`` and
+    ``||J(b)||`` for every pair (a, b).  The other four arrays run over the
+    pairs with a != b and hold ``||a - b||``, ``||J(a) - J(b)||``,
+    ``||F(a) - F(b)||`` and ``||Q(F(a) - F(b))||`` (Q is the identity when
+    ``qmat`` is None).  Raises :class:`DegenerateModel` when distinct
+    arguments share their data.
+    """
+    jac = np.empty((pa.shape[0], 2))
+    apart = np.empty((pa.shape[0], 4))
+    kept = 0
+    for i, (a, b) in enumerate(zip(pa, pb)):
         ja = jacobian_matrix(model, a)
         jb = jacobian_matrix(model, b)
-        jac_bound = max(jac_bound,
-                        float(np.linalg.norm(ja, 2)),
-                        float(np.linalg.norm(jb, 2)))
+        jac[i] = (np.linalg.norm(ja, 2), np.linalg.norm(jb, 2))
+        d = float(np.linalg.norm(a - b))
         if d == 0.0:
             continue
-        lip = max(lip, float(np.linalg.norm(ja - jb, 2)) / d)
         fa = as_vector(model.forward(a), model.dim_y, "F(x)")
         fb = as_vector(model.forward(b), model.dim_y, "F(x~)")
         fd = float(np.linalg.norm(fa - fb))
@@ -95,31 +97,26 @@ def _chunk_maxima(model: ForwardModel, qmat: np.ndarray | None,
             raise DegenerateModel(
                 f"F({a}) = F({b}) with distinct arguments: no stability on this box"
             )
-        holder = max(holder, (d / math.sqrt(2.0)) / fd**exponent)
-        fwd_lip = max(fwd_lip, fd / d)
         qd = fd if qmat is None else float(np.linalg.norm(qmat @ (fa - fb)))
         if qd == 0.0:
             raise DegenerateModel(
                 "measured data coincide for distinct arguments: "
                 "the measurement map loses injectivity on this box"
             )
-        recon = max(recon, 0.5 * d / qd)
-    return jac_bound, lip, holder, fwd_lip, recon
+        apart[kept] = (d, np.linalg.norm(ja - jb, 2), fd, qd)
+        kept += 1
+    return (jac.ravel(), *apart[:kept].T)
 
 
-def _scan_pairs(model, qmat, pa, pb, eps, threads):
-    if threads <= 1:
-        return _chunk_maxima(model, qmat, pa, pb, eps)
-    chunk = max(1, math.ceil(pa.shape[0] / threads))
-    bounds = [(s, min(s + chunk, pa.shape[0]))
-              for s in range(0, pa.shape[0], chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda se: _chunk_maxima(model, qmat, pa[se[0]:se[1]],
-                                     pb[se[0]:se[1]], eps),
-            bounds,
-        ))
-    return tuple(max(p[i] for p in parts) for i in range(5))
+def _peak(values: np.ndarray) -> float:
+    return float(np.max(values, initial=0.0))
+
+
+def _pow(values: np.ndarray, exponent: float) -> np.ndarray:
+    # Python's float pow rather than np.power: numpy's vectorized pow can
+    # differ from libm's in the last bit, and a certificate must not depend
+    # on which SIMD path the numpy build takes.
+    return np.array([v ** exponent for v in values.tolist()])
 
 
 def estimate_stability_constants(model: ForwardModel, box: CompactBox,
@@ -127,7 +124,7 @@ def estimate_stability_constants(model: ForwardModel, box: CompactBox,
                                  seed: int = 0,
                                  measurement: MeasurementOperator | None = None,
                                  rho_prime: float | None = None,
-                                 threads: int = 1) -> StabilityCertificate:
+                                 ) -> StabilityCertificate:
     """Sample-maximum estimate of every certificate constant, inflated by 5%.
 
     The measured-data constant uses the supplied measurement map (identity by
@@ -140,20 +137,19 @@ def estimate_stability_constants(model: ForwardModel, box: CompactBox,
         raise ValueError("eps must lie in (0, 1]")
     pa, pb = _pair_arrays(box, samples, seed)
     qmat = None if measurement is None else measurement.matrix
-    jac_bound, lip, holder, fwd_lip, recon = _scan_pairs(
-        model, qmat, pa, pb, eps, threads
-    )
+    jac, d, jd, fd, qd = _pair_quantities(model, qmat, pa, pb)
+    exponent = (1.0 + eps) / 2.0
     if rho_prime is None:
         inradius = 0.5 * float(np.min(box.upper - box.lower))
         rho_prime = 0.5 * inradius**2 if inradius > 0 else model.radius_sq
     return StabilityCertificate(
-        lip_deriv=INFLATION * max(lip, LIP_FLOOR),
-        jac_bound=INFLATION * jac_bound,
-        holder_const=INFLATION * holder,
+        lip_deriv=INFLATION * max(_peak(jd / d), LIP_FLOOR),
+        jac_bound=INFLATION * _peak(jac),
+        holder_const=INFLATION * _peak((d / math.sqrt(2.0)) / _pow(fd, exponent)),
         holder_eps=eps,
         domain_rho_prime=rho_prime,
-        forward_lip=INFLATION * fwd_lip,
-        recon_const=INFLATION * recon,
+        forward_lip=INFLATION * _peak(fd / d),
+        recon_const=INFLATION * _peak(0.5 * d / qd),
         q_norm=1.0 if measurement is None else measurement.operator_norm,
         provenance="oracle-estimated",
     )
@@ -171,38 +167,18 @@ def verify_certificate(model: ForwardModel, box: CompactBox,
     """
     pa, pb = _pair_arrays(box, samples, seed)
     qmat = None if measurement is None else measurement.matrix
+    jac, d, jd, fd, qd = _pair_quantities(model, qmat, pa, pb)
     exponent = (1.0 + cert.holder_eps) / 2.0
-    counts = {"jac_bound": 0, "lip_deriv": 0, "holder": 0,
-              "forward_lip": 0, "recon": 0}
-    worst = {key: 0.0 for key in counts}
-
-    def tally(key, ratio):
-        worst[key] = max(worst[key], ratio)
-        if ratio > 1.0 + REVERIFY_SLACK:
-            counts[key] += 1
-
-    for a, b in zip(pa, pb):
-        d = float(np.linalg.norm(a - b))
-        ja = jacobian_matrix(model, a)
-        jb = jacobian_matrix(model, b)
-        tally("jac_bound", float(np.linalg.norm(ja, 2)) / cert.jac_bound)
-        tally("jac_bound", float(np.linalg.norm(jb, 2)) / cert.jac_bound)
-        if d == 0.0:
-            continue
-        tally("lip_deriv",
-              float(np.linalg.norm(ja - jb, 2)) / (cert.lip_deriv * d))
-        fa = as_vector(model.forward(a), model.dim_y, "F(x)")
-        fb = as_vector(model.forward(b), model.dim_y, "F(x~)")
-        fd = float(np.linalg.norm(fa - fb))
-        if fd == 0.0:
-            raise DegenerateModel("F collapses a pair; stability fails")
-        tally("holder",
-              (d / math.sqrt(2.0)) / (cert.holder_const * fd**exponent))
-        tally("forward_lip", fd / (cert.forward_lip * d))
-        qd = fd if qmat is None else float(np.linalg.norm(qmat @ (fa - fb)))
-        if qd == 0.0:
-            raise DegenerateModel("measured data collapse a pair")
-        tally("recon", d / (2.0 * cert.recon_const * qd))
+    ratios = {
+        "jac_bound": jac / cert.jac_bound,
+        "lip_deriv": jd / (cert.lip_deriv * d),
+        "holder": (d / math.sqrt(2.0)) / (cert.holder_const * _pow(fd, exponent)),
+        "forward_lip": fd / (cert.forward_lip * d),
+        "recon": d / (2.0 * cert.recon_const * qd),
+    }
+    counts = {key: int(np.count_nonzero(r > 1.0 + REVERIFY_SLACK))
+              for key, r in ratios.items()}
+    worst = {key: _peak(r) for key, r in ratios.items()}
     ok = all(v == 0 for v in counts.values())
     return CertificateReport(ok=ok, violations=counts, worst_ratio=worst)
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainViolation
+from .errors import DimensionMismatch, DomainViolation, NonFiniteOutput
 
 Vector = np.ndarray
 
@@ -84,6 +84,12 @@ def require_in_domain(model: ForwardModel, x, what: str = "point") -> None:
             f"{what} outside admissible ball: 0.5*||x-center||^2 = {d2:.6g} "
             f"> radius_sq = {model.radius_sq:.6g}"
         )
+
+
+def require_finite(values, what: str) -> None:
+    """Raise :class:`NonFiniteOutput` unless every entry of ``values`` is finite."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteOutput(f"{what} is not finite: the model returned NaN or inf")
 
 
 def apply_forward(model: ForwardModel, x, check: bool = True) -> Vector:

@@ -5,15 +5,14 @@ Q, cover the compact search box with a lattice fine enough that some lattice
 point is provably close to the truth in measured-data distance, certify that
 point as the initial guess, then hand off to the local LM drivers.
 
-The lattice scan is embarrassingly parallel; the parallel path collects
-candidate hits per chunk and returns the smallest index, which reproduces the
-sequential first-hit semantics exactly.
+The lattice scan walks the points in index order and stops at the first one
+that passes the measured-data test, so the chosen initial guess is a fixed
+function of the lattice and the data.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,63 +215,36 @@ def build_lattice(box: CompactBox, r_cover: float,
     return Lattice(points=points, covering_radius=radius, spacing=spacing)
 
 
-def _first_hit(lattice: Lattice, measured_model: ForwardModel, y_obs,
-               threshold: float, start: int, stop: int):
-    for j in range(start, stop):
-        fx = apply_forward(measured_model, lattice.points[j], check=False)
-        if float(np.linalg.norm(fx - y_obs)) < threshold:
-            return j
-    return None
-
-
 def scan_for_initial_guess(lattice: Lattice, measured_model: ForwardModel,
-                           y_obs, threshold: float, threads: int = 1,
-                           details: bool = False):
+                           y_obs, threshold: float, details: bool = False):
     """First lattice point (in index order) within ``threshold`` of the data.
 
     Candidates are compared in measured-data space: the point ``x_j`` is
-    accepted iff ``||Q(F(x_j)) - y_obs|| < threshold``.  With ``threads > 1``
-    the lattice is split into chunks and the minimal satisfying index is
-    returned, preserving the sequential semantics bit for bit.
+    accepted iff ``||Q(F(x_j)) - y_obs|| < threshold``.  A point whose data
+    are not finite fails the test and is skipped.  With ``details`` the
+    result is ``(x0, index, points scanned)``.
     """
     y_obs = as_vector(y_obs, measured_model.dim_y, "y_obs")
-    size = lattice.size
-    hit = None
-    scanned = size
-    if threads <= 1:
-        hit = _first_hit(lattice, measured_model, y_obs, threshold, 0, size)
-        if hit is not None:
-            scanned = hit + 1
+    for hit, point in enumerate(lattice.points):
+        fx = apply_forward(measured_model, point, check=False)
+        if float(np.linalg.norm(fx - y_obs)) < threshold:
+            break
     else:
-        chunk = max(1, math.ceil(size / (4 * threads)))
-        bounds = [(s, min(s + chunk, size)) for s in range(0, size, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_first_hit, lattice, measured_model, y_obs,
-                            threshold, s, e)
-                for s, e in bounds
-            ]
-            hits = [f.result() for f in futures]
-        found = [h for h in hits if h is not None]
-        if found:
-            hit = min(found)
-            scanned = hit + 1
-    if hit is None:
         raise NoCandidateFound(
             f"no lattice point within threshold {threshold:.6g} of the data; "
             "the truth may lie outside the box, the constants may be wrong, "
             "or the noise exceeds the threshold margin"
         )
-    x0 = lattice.points[hit].copy()
+    x0 = point.copy()
     if details:
-        return x0, hit, scanned
+        return x0, hit, hit + 1
     return x0
 
 
 def reconstruct_exact(model: ForwardModel, q_op: MeasurementOperator,
                       box: CompactBox, cert: StabilityCertificate, q: float,
                       target_gamma: float, y_obs, x_dagger=None,
-                      tol_alpha: float = 1e-10, threads: int = 1,
+                      tol_alpha: float = 1e-10,
                       max_lattice_points: int = DEFAULT_LATTICE_CAP,
                       ) -> tuple[np.ndarray, IterationTrace]:
     """Full exact-data reconstruction: lattice scan, then LM to a target accuracy.
@@ -287,7 +259,7 @@ def reconstruct_exact(model: ForwardModel, q_op: MeasurementOperator,
     lattice = build_lattice(box, r_cover, max_points=max_lattice_points)
     threshold = tc.rho / (2.0 * cert.recon_const)
     x0, hit, scanned = scan_for_initial_guess(
-        lattice, measured, y_obs, threshold, threads=threads, details=True
+        lattice, measured, y_obs, threshold, details=True
     )
     budget = iterations_for_accuracy(target_gamma, tc, cert.holder_eps)
     cfg = SolverConfig(q=q, max_iters=budget, tol_alpha=tol_alpha,
@@ -306,7 +278,6 @@ def reconstruct_noisy(model: ForwardModel, q_op: MeasurementOperator,
                       box: CompactBox, cert: StabilityCertificate, q: float,
                       tau: float, delta: float, y_delta, max_iters: int,
                       x_dagger=None, tol_alpha: float = 1e-10,
-                      threads: int = 1,
                       max_lattice_points: int = DEFAULT_LATTICE_CAP,
                       ) -> tuple[np.ndarray, IterationTrace]:
     """Noisy-data reconstruction with discrepancy stopping.
@@ -323,7 +294,7 @@ def reconstruct_noisy(model: ForwardModel, q_op: MeasurementOperator,
     lattice = build_lattice(box, r_cover, max_points=max_lattice_points)
     threshold = tc.rho / (2.0 * cert.recon_const)
     x0, hit, scanned = scan_for_initial_guess(
-        lattice, measured, y_delta, threshold, threads=threads, details=True
+        lattice, measured, y_delta, threshold, details=True
     )
     cfg = SolverConfig(q=q, max_iters=max_iters, tau=tau, delta=delta,
                        tol_alpha=tol_alpha, stop_mode="discrepancy")

@@ -31,6 +31,7 @@ from .operators import (
     check_domain,
     estimate_jacobian_norm,
     jacobian_matrix,
+    require_finite,
     require_in_domain,
 )
 
@@ -222,18 +223,21 @@ def lm_step(model: ForwardModel, x, y_obs, q: float,
     the residual vanishes (the caller should declare convergence) and
     :class:`DomainViolation` when the update leaves the ball and
     ``domain_mode`` is ``"error"``; with ``"warn"`` the violation is recorded
-    in the diagnostics instead.
+    in the diagnostics instead.  Raises :class:`NonFiniteOutput` when the
+    residual or the Gram matrix holds NaN or inf.
     """
     if domain_mode not in ("error", "warn", "off"):
         raise ValueError("domain_mode must be 'error', 'warn' or 'off'")
     x = as_vector(x, model.dim_x, "x")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
     r = y_obs - apply_forward(model, x, check=(domain_mode == "error"))
+    require_finite(r, "residual y - F(x)")
     rnorm = float(np.linalg.norm(r))
     if rnorm == 0.0:
         raise ZeroResidual("residual is zero at the current iterate")
 
     gram = gram_matrix(model, x)
+    require_finite(gram, "Gram matrix J J*")
     alpha, z, iters, alpha_bound = _select_alpha(
         model, x, r, q, tol_alpha, jac_norm=jac_norm, gram=gram
     )

@@ -27,6 +27,19 @@ def linear_model(matrix, center=None, radius_sq=1e6) -> ForwardModel:
     )
 
 
+def non_finite_model(part: str) -> ForwardModel:
+    """F(x) = 2 x, except that ``part`` ("forward", "jacobian_apply" or
+    "jacobian_adjoint_apply") returns NaN."""
+    calls = {
+        "forward": lambda x: 2.0 * x,
+        "jacobian_apply": lambda x, v: 2.0 * v,
+        "jacobian_adjoint_apply": lambda x, w: 2.0 * w,
+    }
+    calls[part] = lambda *args: np.full(1, np.nan)
+    return ForwardModel(dim_x=1, dim_y=1, center=np.zeros(1), radius_sq=1e6,
+                        **calls)
+
+
 def sample_ball(center, rho_prime, rng, count=1):
     """Uniform points from the ball 0.5*||x - center||^2 <= rho_prime."""
     n = center.shape[0]

@@ -1,9 +1,12 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import non_finite_model
 from lmrecon import config as cfgmod
+from lmrecon import gallery
 from lmrecon.cli import main
 from lmrecon.engine import SolverConfig, run_exact
 from lmrecon.errors import ConfigInvalid
@@ -135,6 +138,20 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(path)])
         assert code == 2
 
+    def test_non_finite_model_output_exits_two(self, tmp_path, monkeypatch,
+                                               capsys):
+        prob = get_problem("scalar-linear")
+        broken = dataclasses.replace(prob, model=non_finite_model("forward"))
+        monkeypatch.setattr(gallery, "get_problem", lambda pid: broken)
+        code = main(["solve", "--config", str(write_config(tmp_path))])
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+
+    def test_threads_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["solve", "--config", str(write_config(tmp_path)),
+                  "--threads", "2"])
+
     def test_landweber_mode(self, tmp_path):
         path = write_config(tmp_path, mode="landweber", max_iters=10,
                             step_scale=0.1)
@@ -254,13 +271,13 @@ class TestCompareCommand:
 
 
 class TestDeterminism:
-    def test_trace_bytes_identical_across_runs_and_threads(self, tmp_path):
+    def test_trace_bytes_identical_across_runs(self, tmp_path):
         blobs = []
-        for name, threads in (("a", 1), ("b", 1), ("c", 4)):
+        for name in ("a", "b", "c"):
             out = tmp_path / f"{name}.trace"
             code = main(["reconstruct", "--config",
                          f"{PRESETS}/c11_determinism.yaml",
-                         "--output", str(out), "--threads", str(threads)])
+                         "--output", str(out)])
             assert code == 0
             text = out.read_bytes()
             # normalize the echoed output path, which legitimately differs

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import non_finite_model
 from lmrecon.engine import (
     SolverConfig,
     compute_constants_exact,
@@ -23,6 +24,7 @@ from lmrecon.errors import (
     ConditionViolated,
     ConfigInvalid,
     DivergenceDetected,
+    NonFiniteOutput,
 )
 from lmrecon.gallery import get_problem
 from lmrecon.operators import ForwardModel, StabilityCertificate
@@ -325,6 +327,34 @@ class TestLandweber:
         cfg = SolverConfig(q=0.5, max_iters=100, domain_mode="off")
         with pytest.raises(DivergenceDetected):
             landweber_run(model, np.array([50.0]), np.array([0.0]), 0.9, cfg)
+
+
+    @pytest.mark.parametrize("part", ["forward", "jacobian_adjoint_apply"])
+    def test_non_finite_output(self, part):
+        cfg = SolverConfig(q=0.5, max_iters=5)
+        with pytest.raises(NonFiniteOutput):
+            landweber_run(non_finite_model(part), np.array([1.0]),
+                          np.array([0.0]), 0.1, cfg)
+
+    def test_default_step_scale(self):
+        prob = get_problem("scalar-linear")
+        cfg = SolverConfig(q=0.5, max_iters=10)
+        default = landweber_run(prob.model, prob.y_exact, np.array([0.0]),
+                                None, cfg, x_dagger=prob.x_dagger)
+        explicit = landweber_run(prob.model, prob.y_exact, np.array([0.0]),
+                                 0.9 / 4.0, cfg, x_dagger=prob.x_dagger)
+        assert default.residuals().tolist() == explicit.residuals().tolist()
+
+    def test_default_step_scale_needs_nonzero_jacobian(self):
+        model = ForwardModel(
+            dim_x=1, dim_y=1, center=np.zeros(1), radius_sq=1e6,
+            forward=lambda x: x * x,
+            jacobian_apply=lambda x, v: 2.0 * x * v,
+            jacobian_adjoint_apply=lambda x, w: 2.0 * x * w,
+        )
+        cfg = SolverConfig(q=0.5, max_iters=5)
+        with pytest.raises(ConditionViolated):
+            landweber_run(model, np.array([1.0]), np.array([0.0]), None, cfg)
 
 
 class TestSolverConfigValidation:

@@ -6,6 +6,7 @@ import pytest
 from conftest import GALLERY_IDS, linear_model
 from lmrecon.errors import CertificationFailed, DegenerateModel
 from lmrecon.gallery import (
+    INFLATION,
     estimate_stability_constants,
     exp_decay,
     get_problem,
@@ -57,14 +58,35 @@ class TestEstimator:
         with pytest.raises(DegenerateModel):
             estimate_stability_constants(model, box, eps=1.0, samples=10000)
 
-    def test_threaded_estimation_matches_sequential(self):
-        prob = scalar_linear(2.0, 0.5)
-        a = estimate_stability_constants(prob.model, prob.default_box,
-                                         eps=1.0, samples=10000, seed=3)
-        b = estimate_stability_constants(prob.model, prob.default_box,
-                                         eps=1.0, samples=10000, seed=3,
-                                         threads=4)
-        assert a == b
+
+class TestClosedFormBounds:
+    """Raw oracle maxima against closed forms for F(x) = x + eta * x**2.
+
+    Re-verification shares the pair kernel with estimation, so it cannot
+    catch a fault in that kernel; these bounds come from the model alone.  On
+    [-1/2, 1/2]^n: J(x) = I + 2 eta diag(x), so ||J(x)|| <= 1 + eta and
+    Lip(J) = 2 eta, and F(a) - F(b) = (I + eta diag(a + b)) (a - b) gives
+    (1 - eta) ||a - b|| <= ||F(a) - F(b)|| <= (1 + eta) ||a - b||.
+    """
+
+    @pytest.mark.parametrize("pid, eta", [("quadratic-2d", 0.25),
+                                          ("quadratic-3d", 0.2)])
+    def test_raw_maxima_within_closed_forms(self, pid, eta, gallery_problems):
+        cert = gallery_problems[pid].certificate
+        bounds = {
+            "jac_bound": 1.0 + eta,
+            "lip_deriv": 2.0 * eta,
+            "forward_lip": 1.0 + eta,
+            "holder_const": 1.0 / (math.sqrt(2.0) * (1.0 - eta)),
+            "recon_const": 1.0 / (2.0 * (1.0 - eta)),
+        }
+        raw = {name: getattr(cert, name) / INFLATION for name in bounds}
+        for name, bound in bounds.items():
+            assert raw[name] <= bound * (1.0 + 1e-12), name
+        # The coarse grid holds the box corners and axis-aligned pairs, where
+        # the first two bounds are attained.
+        assert raw["jac_bound"] >= bounds["jac_bound"] * (1.0 - 1e-12)
+        assert raw["lip_deriv"] >= bounds["lip_deriv"] * (1.0 - 1e-12)
 
 
 class TestScalarLinear:

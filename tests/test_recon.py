@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import linear_model
 from lmrecon.engine import compute_constants_exact
 from lmrecon.errors import DimensionMismatch, LatticeTooLarge, NoCandidateFound
 from lmrecon.gallery import get_problem
 from lmrecon.operators import (
+    ForwardModel,
     apply_forward,
     finite_difference_jacobian,
     jacobian_matrix,
@@ -175,18 +178,57 @@ class TestScan:
         with pytest.raises(NoCandidateFound):
             scan_for_initial_guess(lat, prob.model, y, 0.0)
 
-    def test_parallel_matches_sequential(self):
-        prob = get_problem("exp-decay")
-        lat = build_lattice(prob.default_box, 0.02)
-        y = apply_forward(prob.model, prob.x_dagger, check=False)
-        seq, seq_hit, _ = scan_for_initial_guess(
-            lat, prob.model, y, 0.05, threads=1, details=True
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_first_hit_matches_brute_force(self, data):
+        n = data.draw(st.integers(1, 3), label="dim_x")
+        m = data.draw(st.integers(1, 3), label="dim_y")
+
+        def floats(count, lo, hi, label):
+            return np.array(data.draw(
+                st.lists(st.floats(lo, hi), min_size=count, max_size=count),
+                label=label,
+            ))
+
+        lower = floats(n, -2.0, 2.0, "lower")
+        box = CompactBox(lower, lower + floats(n, 0.0, 2.0, "extent"))
+        lat = build_lattice(box, data.draw(st.floats(0.15, 1.0), label="r_cover"))
+        a = floats(m * n, -2.0, 2.0, "A").reshape(m, n)
+        eta = data.draw(st.floats(0.0, 0.5), label="eta")
+        y = floats(m, -2.0, 2.0, "y")
+        model = ForwardModel(
+            dim_x=n, dim_y=m, center=np.zeros(n), radius_sq=np.inf,
+            forward=lambda x: a @ x + eta * (a @ x) ** 2,
+            jacobian_apply=lambda x, v: a @ v + 2.0 * eta * (a @ x) * (a @ v),
+            jacobian_adjoint_apply=lambda x, w: a.T @ (w + 2.0 * eta * (a @ x) * w),
         )
-        par, par_hit, _ = scan_for_initial_guess(
-            lat, prob.model, y, 0.05, threads=4, details=True
-        )
-        assert seq_hit == par_hit
-        assert np.array_equal(seq, par)
+
+        # Brute force over every point at once.  The threshold sits midway in
+        # a gap between sorted distances, so the last-bit differences between
+        # batched and per-point evaluation cannot move a point across it.
+        fx = lat.points @ a.T
+        dist = np.linalg.norm(fx + eta * fx**2 - y, axis=1)
+        levels = np.unique(dist)
+        gaps = np.flatnonzero(np.diff(levels) > 1e-9 * (1.0 + levels[1:]))
+        choice = data.draw(st.integers(-1, len(gaps)), label="threshold rank")
+        if choice == -1:
+            threshold = 0.5 * levels[0] if levels[0] > 1e-9 else 0.0
+        elif choice == len(gaps):
+            threshold = levels[-1] + 1.0
+        else:
+            g = gaps[choice]
+            threshold = 0.5 * (levels[g] + levels[g + 1])
+        hits = np.flatnonzero(dist < threshold)
+
+        if hits.size == 0:
+            with pytest.raises(NoCandidateFound):
+                scan_for_initial_guess(lat, model, y, threshold)
+            return
+        x0, hit, scanned = scan_for_initial_guess(lat, model, y, threshold,
+                                                  details=True)
+        assert hit == hits[0]
+        assert scanned == hit + 1
+        assert np.array_equal(x0, lat.points[hit])
 
 
 class TestScanGuarantees:
@@ -294,28 +336,3 @@ class TestReconstructNoisy:
         )
         assert trace.terminal == "budget_exhausted"
         assert trace.k_star is None
-
-    def test_determinism_across_threads(self, gallery_problems):
-        prob = gallery_problems["exp-decay"]
-        import dataclasses
-
-        cert = dataclasses.replace(
-            prob.certificate, lip_deriv=0.5, holder_const=0.81,
-            recon_const=2.0, provenance="user",
-        )
-        q_op = MeasurementOperator.identity(prob.model.dim_y)
-        rng = np.random.default_rng(7)
-        delta = 1e-3
-        u = rng.standard_normal(prob.model.dim_y)
-        y_delta = q_op(prob.y_exact) + delta * u / np.linalg.norm(u)
-        results = [
-            reconstruct_noisy(prob.model, q_op, prob.default_box, cert, 0.5,
-                              4.0, delta, y_delta, 100,
-                              x_dagger=prob.x_dagger, threads=t)
-            for t in (1, 4)
-        ]
-        (xa, ta), (xb, tb) = results
-        assert np.array_equal(xa, xb)
-        assert ta.recon.chosen_index == tb.recon.chosen_index
-        assert [r.residual for r in ta.records] == \
-            [r.residual for r in tb.records]

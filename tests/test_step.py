@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import linear_model
-from lmrecon.errors import FactorizationFailure, RootInfeasible, ZeroResidual
+from conftest import linear_model, non_finite_model
+from lmrecon.errors import (
+    FactorizationFailure,
+    NonFiniteOutput,
+    RootInfeasible,
+    ZeroResidual,
+)
 from lmrecon.gallery import get_problem
 from lmrecon.operators import ForwardModel, jacobian_matrix
 from lmrecon.step import (
@@ -163,6 +168,13 @@ def test_lm_step_zero_residual():
     model = linear_model([[2.0]])
     with pytest.raises(ZeroResidual):
         lm_step(model, [0.5], [1.0], 0.5)
+
+
+@pytest.mark.parametrize("part", ["forward", "jacobian_apply",
+                                  "jacobian_adjoint_apply"])
+def test_lm_step_non_finite_output(part):
+    with pytest.raises(NonFiniteOutput):
+        lm_step(non_finite_model(part), [0.0], [1.0], 0.5)
 
 
 def test_lm_step_identity_on_exp_decay():
