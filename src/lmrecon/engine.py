@@ -1,13 +1,14 @@
 """Iteration drivers and the convergence-theory constant calculators.
 
 ``run_exact`` and ``run_noisy`` drive the Levenberg-Marquardt update from
-:mod:`lmrecon.step`; every step's diagnostics land in an
-:class:`IterationTrace`.  The constant calculators evaluate, literally, the
-formulas that the convergence guarantees are stated in terms of, and each run
-carries a hypothesis report so that rate checks can distinguish "the theory
-applies and must hold" from "exploratory run, observe only".
+:mod:`lmrecon.step` through one iteration loop, ``_iterate``; every step's
+diagnostics land in an :class:`IterationTrace`.  The constant calculators
+evaluate, literally, the formulas that the convergence guarantees are stated
+in terms of, and each run carries a hypothesis report so that rate checks can
+distinguish "the theory applies and must hold" from "exploratory run, observe
+only".
 
-A plain Landweber driver is included as the comparison baseline.
+A plain Landweber driver, run by the same loop, is the comparison baseline.
 """
 
 from __future__ import annotations
@@ -158,7 +159,6 @@ class IterationTrace:
     records: list[TraceRecord]
     terminal: str
     k_star: int | None = None
-    x_initial: np.ndarray | None = None
     x_final: np.ndarray | None = None
     step_diagnostics: list[StepDiagnostics] = field(default_factory=list)
     hypothesis: HypothesisReport | None = None
@@ -359,32 +359,37 @@ def _omega_margin(model: ForwardModel, x, x_dagger, y_obs, q: float):
     return q * rnorm / lhs, lhs, rnorm
 
 
-def _check_x0(model: ForwardModel, x0, cfg: SolverConfig, trace_warnings):
-    if cfg.domain_mode == "error":
-        require_in_domain(model, x0, "x0")
-    elif cfg.domain_mode == "warn" and not check_domain(model, x0):
-        trace_warnings.append("x0 lies outside the admissible ball")
+def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
+             x_dagger=None, hypothesis: HypothesisReport | None = None,
+             rho: float | None = None, omega: float | None = None,
+             record_iterates: bool = False) -> IterationTrace:
+    """The one iteration loop behind every driver.
 
-
-def _run_lm(model: ForwardModel, x_dagger, y_obs, x0, cfg: SolverConfig,
-            rho: float | None, omega: float | None,
-            hypothesis: HypothesisReport,
-            discrepancy_threshold: float | None,
-            record_iterates: bool = False) -> IterationTrace:
-    """Shared LM loop for the exact and noisy drivers."""
+    ``step(x)`` returns ``(x_next, diag)``; ``diag`` is the step's
+    :class:`StepDiagnostics`, or None for steps that keep none.  The loop
+    owns the stopping rules, the terminals and the warnings.  The theory
+    bookkeeping (entry condition, omega-condition, gamma and
+    error-monotonicity flags) runs when the truth is known and a hypothesis
+    report is passed.
+    """
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
     truth = x_dagger is not None
     if truth:
         x_dagger = as_vector(x_dagger, model.dim_x, "x_dagger")
+    theory = truth and hypothesis is not None
+    threshold = cfg.tau * cfg.delta if cfg.stop_mode == "discrepancy" else None
 
     trace = IterationTrace(records=[], terminal="budget_exhausted",
-                           hypothesis=hypothesis, x_initial=x.copy(),
+                           hypothesis=hypothesis,
                            iterates=[x.copy()] if record_iterates else None)
-    _check_x0(model, x, cfg, trace.warnings)
+    if cfg.domain_mode == "error":
+        require_in_domain(model, x, "x0")
+    elif cfg.domain_mode == "warn" and not check_domain(model, x):
+        trace.warnings.append("x0 lies outside the admissible ball")
 
     gamma = 0.5 * float(np.sum((x - x_dagger) ** 2)) if truth else None
-    if truth and rho is not None:
+    if theory and rho is not None:
         ok = gamma <= rho
         hypothesis.x0_condition_ok = ok
         if not ok:
@@ -392,18 +397,23 @@ def _run_lm(model: ForwardModel, x_dagger, y_obs, x0, cfg: SolverConfig,
                 f"entry condition fails: gamma_0 = {gamma:.6g} > rho = {rho:.6g}"
             )
         hypothesis.armed = hypothesis.armed and ok
-    if truth:
+    if theory:
         trace.gamma_monotone = True
         trace.error_monotonicity_ok = True
         trace.omega_ok = True
 
-    residual = float(np.linalg.norm(y_obs - apply_forward(model, x, check=False)))
+    def residual_at(point) -> float:
+        r = y_obs - apply_forward(model, point, check=False)
+        require_finite(r, "residual y - F(x)")
+        return float(np.linalg.norm(r))
+
+    residual = residual_at(x)
     trace.records.append(TraceRecord(0, None, residual, gamma, None, None))
     floor = _FLOOR_EPS * (1.0 + float(np.linalg.norm(y_obs)))
 
     k = 0
     while True:
-        if discrepancy_threshold is not None and residual <= discrepancy_threshold:
+        if threshold is not None and residual <= threshold:
             trace.terminal = "discrepancy_stop"
             trace.k_star = k
             break
@@ -421,16 +431,14 @@ def _run_lm(model: ForwardModel, x_dagger, y_obs, x0, cfg: SolverConfig,
             break
         if k >= cfg.max_iters:
             trace.terminal = "budget_exhausted"
-            if discrepancy_threshold is not None:
+            if threshold is not None:
                 trace.warnings.append(
                     "iteration budget exhausted before the discrepancy criterion"
                 )
             break
 
         try:
-            x_next, diag = lm_step(model, x, y_obs, cfg.q,
-                                   tol_alpha=cfg.tol_alpha,
-                                   domain_mode=cfg.domain_mode)
+            x_next, diag = step(x)
         except RootInfeasible as exc:
             trace.terminal = "root_infeasible"
             trace.warnings.append(str(exc))
@@ -440,28 +448,28 @@ def _run_lm(model: ForwardModel, x_dagger, y_obs, x0, cfg: SolverConfig,
             trace.warnings.append(str(exc))
             break
 
-        if truth and omega is not None:
+        if theory and omega is not None:
             margin, lhs, rnorm = _omega_margin(model, x, x_dagger, y_obs, cfg.q)
             diag.omega_margin = margin
             if lhs > (cfg.q / omega) * rnorm * (1.0 + _REL_SLACK):
                 trace.omega_ok = False
 
         step_norm = float(np.linalg.norm(x_next - x))
-        residual_next = float(
-            np.linalg.norm(y_obs - apply_forward(model, x_next, check=False))
-        )
+        residual_next = residual_at(x_next)
         gamma_next = (0.5 * float(np.sum((x_next - x_dagger) ** 2))
                       if truth else None)
 
-        trace.records.append(TraceRecord(
-            k + 1, diag.alpha, residual_next, gamma_next, step_norm,
-            diag.mdp_prime_rel_err,
-        ))
-        trace.step_diagnostics.append(diag)
+        record = TraceRecord(k + 1, None, residual_next, gamma_next,
+                             step_norm, None)
+        if diag is not None:
+            record.alpha = diag.alpha
+            record.mdp_prime_rel_err = diag.mdp_prime_rel_err
+            trace.step_diagnostics.append(diag)
+        trace.records.append(record)
         if record_iterates:
             trace.iterates.append(x_next.copy())
 
-        if truth:
+        if theory:
             if gamma_next > gamma + _REL_SLACK * max(gamma, 1.0):
                 trace.gamma_monotone = False
                 trace.warnings.append(
@@ -479,6 +487,13 @@ def _run_lm(model: ForwardModel, x_dagger, y_obs, x0, cfg: SolverConfig,
 
     trace.x_final = x.copy()
     return trace
+
+
+def _lm_stepper(model: ForwardModel, y_obs, cfg: SolverConfig):
+    # ``lm_step`` is looked up at call time, so a profiler that wraps this
+    # module's global sees every step.
+    return lambda x: lm_step(model, x, y_obs, cfg.q, tol_alpha=cfg.tol_alpha,
+                             domain_mode=cfg.domain_mode)
 
 
 def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
@@ -503,9 +518,9 @@ def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
         hyp.armed = (tc.q_condition_ok and tc.rho_lt_rho_prime
                      and tc.cert_provenance == "oracle-estimated")
         rho = tc.rho
-    return _run_lm(model, x_dagger, y, x0, cfg, rho, omega=2.0,
-                   hypothesis=hyp, discrepancy_threshold=None,
-                   record_iterates=record_iterates)
+    return _iterate(model, y, x0, cfg, _lm_stepper(model, y, cfg),
+                    x_dagger=x_dagger, hypothesis=hyp, rho=rho, omega=2.0,
+                    record_iterates=record_iterates)
 
 
 def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
@@ -536,10 +551,9 @@ def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
                      and tc.cert_provenance == "oracle-estimated")
         rho = tc.rho
     omega = 1.0 / (1.0 - big_r) if big_r > 0 else None
-    trace = _run_lm(model, x_dagger, y_delta, x0, cfg, rho, omega=omega,
-                    hypothesis=hyp,
-                    discrepancy_threshold=cfg.tau * cfg.delta,
-                    record_iterates=record_iterates)
+    trace = _iterate(model, y_delta, x0, cfg, _lm_stepper(model, y_delta, cfg),
+                     x_dagger=x_dagger, hypothesis=hyp, rho=rho, omega=omega,
+                     record_iterates=record_iterates)
     if strict_budget and trace.terminal == "budget_exhausted":
         raise BudgetBeforeDiscrepancy(
             f"no iterate reached the discrepancy threshold within "
@@ -552,19 +566,19 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
                   cfg: SolverConfig, x_dagger=None) -> IterationTrace:
     """Gradient-descent baseline: x <- x + step_scale * J^T (y - F(x)).
 
-    ``step_scale=None`` takes ``0.9 / ||J(x0)||^2``.  Produces a trace in the
-    same format as the LM drivers (alpha and the linearized-residual column
-    stay unset).  Raises :class:`DivergenceDetected` if the residual grows
-    tenfold over its running minimum, :class:`ConditionViolated` if the step
-    size violates ``step_scale * ||J||^2 <= 1`` at the starting point (or is
-    left to the default while ``J(x0) = 0``), and :class:`NonFiniteOutput`
-    when the residual or ``J^T r`` holds NaN or inf.
+    ``step_scale=None`` takes ``0.9 / ||J(x0)||^2``.  Runs the LM drivers'
+    loop, so it shares their stopping rules, terminals and warnings, and its
+    trace has the same format (alpha and the linearized-residual column stay
+    unset).  An update that leaves the ball under ``domain_mode="error"``
+    ends the run with terminal ``domain_violation``.  Raises
+    :class:`DivergenceDetected` if the residual grows tenfold over its
+    running minimum, :class:`ConditionViolated` if the step size violates
+    ``step_scale * ||J||^2 <= 1`` at the starting point (or is left to the
+    default while ``J(x0) = 0``), and :class:`NonFiniteOutput` when the
+    residual or ``J^T r`` holds NaN or inf.
     """
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
-    truth = x_dagger is not None
-    if truth:
-        x_dagger = as_vector(x_dagger, model.dim_x, "x_dagger")
     jn = estimate_jacobian_norm(model, x, iters=200, check=False)
     if step_scale is None:
         if jn == 0.0:
@@ -575,53 +589,25 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
             f"step_scale * ||J||^2 = {step_scale * jn**2:.6g} exceeds 1"
         )
 
-    trace = IterationTrace(records=[], terminal="budget_exhausted",
-                           hypothesis=None, x_initial=x.copy())
-    _check_x0(model, x, cfg, trace.warnings)
-    threshold = (cfg.tau * cfg.delta if cfg.stop_mode == "discrepancy" else None)
-
-    gamma = 0.5 * float(np.sum((x - x_dagger) ** 2)) if truth else None
-    residual = float(np.linalg.norm(y_obs - apply_forward(model, x, check=False)))
-    trace.records.append(TraceRecord(0, None, residual, gamma, None, None))
-    min_residual = residual
-    floor = _FLOOR_EPS * (1.0 + float(np.linalg.norm(y_obs)))
-
+    min_residual = math.inf
     k = 0
-    while True:
-        if threshold is not None and residual <= threshold:
-            trace.terminal = "discrepancy_stop"
-            trace.k_star = k
-            break
-        if residual <= floor:
-            trace.terminal = "zero_residual"
-            break
-        if k >= cfg.max_iters:
-            trace.terminal = "budget_exhausted"
-            break
+
+    def step(x):
+        nonlocal min_residual, k
+        r = y_obs - apply_forward(model, x, check=False)
+        residual = float(np.linalg.norm(r))
+        min_residual = min(min_residual, residual)
         if residual > 10.0 * min_residual:
             raise DivergenceDetected(
                 f"residual {residual:.6g} grew 10x over its minimum "
                 f"{min_residual:.6g} at step {k}"
             )
-        r = y_obs - apply_forward(model, x, check=False)
-        require_finite(r, "residual y - F(x)")
+        k += 1
         g = as_vector(model.jacobian_adjoint_apply(x, r), model.dim_x, "J* r")
         require_finite(g, "gradient J* r")
         x_next = x + step_scale * g
         if cfg.domain_mode == "error":
             require_in_domain(model, x_next, "Landweber update")
-        residual_next = float(
-            np.linalg.norm(y_obs - apply_forward(model, x_next, check=False))
-        )
-        gamma_next = (0.5 * float(np.sum((x_next - x_dagger) ** 2))
-                      if truth else None)
-        trace.records.append(TraceRecord(
-            k + 1, None, residual_next, gamma_next,
-            float(np.linalg.norm(x_next - x)), None,
-        ))
-        x, residual, gamma = x_next, residual_next, gamma_next
-        min_residual = min(min_residual, residual)
-        k += 1
+        return x_next, None
 
-    trace.x_final = x.copy()
-    return trace
+    return _iterate(model, y_obs, x, cfg, step, x_dagger=x_dagger)

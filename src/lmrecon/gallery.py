@@ -16,8 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationFailed, DegenerateModel
-from .operators import ForwardModel, StabilityCertificate, as_vector, jacobian_matrix
+from .errors import CertificationFailed, DegenerateModel, NonFiniteOutput
+from .operators import (
+    ForwardModel,
+    StabilityCertificate,
+    as_vector,
+    jacobian_matrix,
+    require_finite,
+)
 from .recon import CompactBox, MeasurementOperator
 
 INFLATION = 1.05
@@ -78,33 +84,43 @@ def _pair_quantities(model: ForwardModel, qmat: np.ndarray | None,
     pairs with a != b and hold ``||a - b||``, ``||J(a) - J(b)||``,
     ``||F(a) - F(b)||`` and ``||Q(F(a) - F(b))||`` (Q is the identity when
     ``qmat`` is None).  Raises :class:`DegenerateModel` when distinct
-    arguments share their data.
+    arguments share their data, and :class:`NonFiniteOutput` when the model
+    returns NaN or inf.
     """
     jac = np.empty((pa.shape[0], 2))
     apart = np.empty((pa.shape[0], 4))
     kept = 0
-    for i, (a, b) in enumerate(zip(pa, pb)):
-        ja = jacobian_matrix(model, a)
-        jb = jacobian_matrix(model, b)
-        jac[i] = (np.linalg.norm(ja, 2), np.linalg.norm(jb, 2))
-        d = float(np.linalg.norm(a - b))
-        if d == 0.0:
-            continue
-        fa = as_vector(model.forward(a), model.dim_y, "F(x)")
-        fb = as_vector(model.forward(b), model.dim_y, "F(x~)")
-        fd = float(np.linalg.norm(fa - fb))
-        if fd == 0.0:
-            raise DegenerateModel(
-                f"F({a}) = F({b}) with distinct arguments: no stability on this box"
-            )
-        qd = fd if qmat is None else float(np.linalg.norm(qmat @ (fa - fb)))
-        if qd == 0.0:
-            raise DegenerateModel(
-                "measured data coincide for distinct arguments: "
-                "the measurement map loses injectivity on this box"
-            )
-        apart[kept] = (d, np.linalg.norm(ja - jb, 2), fd, qd)
-        kept += 1
+    try:
+        for i, (a, b) in enumerate(zip(pa, pb)):
+            ja = jacobian_matrix(model, a)
+            jb = jacobian_matrix(model, b)
+            jac[i] = (np.linalg.norm(ja, 2), np.linalg.norm(jb, 2))
+            d = float(np.linalg.norm(a - b))
+            if d == 0.0:
+                continue
+            fa = as_vector(model.forward(a), model.dim_y, "F(x)")
+            fb = as_vector(model.forward(b), model.dim_y, "F(x~)")
+            fd = float(np.linalg.norm(fa - fb))
+            if fd == 0.0:
+                raise DegenerateModel(
+                    f"F({a}) = F({b}) with distinct arguments: "
+                    "no stability on this box"
+                )
+            qd = fd if qmat is None else float(np.linalg.norm(qmat @ (fa - fb)))
+            if qd == 0.0:
+                raise DegenerateModel(
+                    "measured data coincide for distinct arguments: "
+                    "the measurement map loses injectivity on this box"
+                )
+            apart[kept] = (d, np.linalg.norm(ja - jb, 2), fd, qd)
+            kept += 1
+    except np.linalg.LinAlgError as exc:
+        # The SVD behind a spectral norm fails on a NaN or inf Jacobian.
+        raise NonFiniteOutput(
+            f"Jacobian norm failed ({exc}): the model returned NaN or inf"
+        ) from exc
+    require_finite(jac, "Jacobian norm")
+    require_finite(apart[:kept], "pair difference norms")
     return (jac.ravel(), *apart[:kept].T)
 
 

@@ -135,7 +135,6 @@ def morozov_value(model: ForwardModel, x, alpha: float, r,
 
 
 def _select_alpha(model: ForwardModel, x, r, q: float, tol_alpha: float,
-                  jac_norm: float | None = None,
                   gram: np.ndarray | None = None):
     """Bisection in log(alpha); returns (alpha, z, iterations, alpha_bound)."""
     if not 0.0 < q < 1.0:
@@ -146,8 +145,7 @@ def _select_alpha(model: ForwardModel, x, r, q: float, tol_alpha: float,
         raise ZeroResidual("residual is zero; nothing to regularize")
     if gram is None:
         gram = gram_matrix(model, x)
-    if jac_norm is None:
-        jac_norm = estimate_jacobian_norm(model, x, iters=100, check=False)
+    jac_norm = estimate_jacobian_norm(model, x, iters=100, check=False)
     target = q * rnorm
     alpha_bound = q / (1.0 - q) * jac_norm**2
 
@@ -206,17 +204,15 @@ def _select_alpha(model: ForwardModel, x, r, q: float, tol_alpha: float,
 
 
 def select_alpha(model: ForwardModel, x, r, q: float,
-                 tol_alpha: float = 1e-10,
-                 jac_norm: float | None = None) -> float:
+                 tol_alpha: float = 1e-10) -> float:
     """Regularization parameter with alpha*||(JJ^T+alpha I)^{-1} r|| = q*||r||."""
-    alpha, _, _, _ = _select_alpha(model, x, r, q, tol_alpha, jac_norm=jac_norm)
+    alpha, _, _, _ = _select_alpha(model, x, r, q, tol_alpha)
     return alpha
 
 
 def lm_step(model: ForwardModel, x, y_obs, q: float,
             tol_alpha: float = 1e-10,
-            domain_mode: str = "error",
-            jac_norm: float | None = None):
+            domain_mode: str = "error"):
     """One Levenberg-Marquardt update from ``x`` toward data ``y_obs``.
 
     Returns ``(x_next, StepDiagnostics)``.  Raises :class:`ZeroResidual` when
@@ -238,9 +234,8 @@ def lm_step(model: ForwardModel, x, y_obs, q: float,
 
     gram = gram_matrix(model, x)
     require_finite(gram, "Gram matrix J J*")
-    alpha, z, iters, alpha_bound = _select_alpha(
-        model, x, r, q, tol_alpha, jac_norm=jac_norm, gram=gram
-    )
+    alpha, z, iters, alpha_bound = _select_alpha(model, x, r, q, tol_alpha,
+                                                 gram=gram)
     s = as_vector(model.jacobian_adjoint_apply(x, z), model.dim_x, "J* z")
     x_next = x + s
     linearized = r - as_vector(model.jacobian_apply(x, s), model.dim_y, "J s")

@@ -27,15 +27,15 @@ def linear_model(matrix, center=None, radius_sq=1e6) -> ForwardModel:
     )
 
 
-def non_finite_model(part: str) -> ForwardModel:
+def non_finite_model(part: str, value: float = np.nan) -> ForwardModel:
     """F(x) = 2 x, except that ``part`` ("forward", "jacobian_apply" or
-    "jacobian_adjoint_apply") returns NaN."""
+    "jacobian_adjoint_apply") returns ``value`` (NaN by default)."""
     calls = {
         "forward": lambda x: 2.0 * x,
         "jacobian_apply": lambda x, v: 2.0 * v,
         "jacobian_adjoint_apply": lambda x, w: 2.0 * w,
     }
-    calls[part] = lambda *args: np.full(1, np.nan)
+    calls[part] = lambda *args: np.full(1, value)
     return ForwardModel(dim_x=1, dim_y=1, center=np.zeros(1), radius_sq=1e6,
                         **calls)
 

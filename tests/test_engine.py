@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import non_finite_model
+from conftest import linear_model, non_finite_model
 from lmrecon.engine import (
     SolverConfig,
     compute_constants_exact,
@@ -231,6 +231,12 @@ class TestRunExact:
         with pytest.raises(ConfigInvalid):
             run_exact(prob.model, None, prob.y_exact, np.array([0.0]), cfg)
 
+    def test_non_finite_start_raises_without_a_step(self):
+        cfg = SolverConfig(q=0.5, max_iters=0)
+        with pytest.raises(NonFiniteOutput):
+            run_exact(non_finite_model("forward"), None, np.array([1.0]),
+                      np.array([0.0]), cfg)
+
 
 class TestRunNoisy:
     def test_kstar_zero_when_data_good_enough(self):
@@ -344,6 +350,60 @@ class TestLandweber:
         explicit = landweber_run(prob.model, prob.y_exact, np.array([0.0]),
                                  0.9 / 4.0, cfg, x_dagger=prob.x_dagger)
         assert default.residuals().tolist() == explicit.residuals().tolist()
+
+    def test_non_finite_last_iterate(self):
+        # F turns NaN after the one step the budget allows.
+        model = ForwardModel(
+            dim_x=1, dim_y=1, center=np.zeros(1), radius_sq=1e6,
+            forward=lambda x: 2.0 * x if x[0] < 0.1 else np.full(1, np.nan),
+            jacobian_apply=lambda x, v: 2.0 * v,
+            jacobian_adjoint_apply=lambda x, w: 2.0 * w,
+        )
+        cfg = SolverConfig(q=0.5, max_iters=1)
+        with pytest.raises(NonFiniteOutput):
+            landweber_run(model, np.array([1.0]), np.array([0.0]), 0.1, cfg)
+
+    def test_floor_warning(self):
+        prob = get_problem("scalar-linear")
+        cfg = SolverConfig(q=0.5, max_iters=200)
+        trace = landweber_run(prob.model, prob.y_exact, np.array([0.0]),
+                              0.1, cfg)
+        assert trace.terminal == "zero_residual"
+        assert trace.records[-1].residual > 0.0
+        assert any("machine-precision floor" in w for w in trace.warnings)
+
+    def test_budget_before_discrepancy_warning(self):
+        prob = get_problem("scalar-linear")
+        cfg = SolverConfig(q=0.5, max_iters=2, tau=4.0, delta=1e-6,
+                           stop_mode="discrepancy")
+        trace = landweber_run(prob.model, prob.y_exact, np.array([0.0]),
+                              0.1, cfg)
+        assert trace.terminal == "budget_exhausted"
+        assert trace.k_star is None
+        assert trace.warnings == [
+            "iteration budget exhausted before the discrepancy criterion"
+        ]
+
+    def test_target_error_stopping(self):
+        prob = get_problem("scalar-linear")
+        cfg = SolverConfig(q=0.5, max_iters=100, stop_mode="target_error",
+                           target_gamma=1e-6)
+        trace = landweber_run(prob.model, prob.y_exact, np.array([0.0]),
+                              0.1, cfg, x_dagger=prob.x_dagger)
+        assert trace.terminal == "target_reached"
+        gams = trace.gammas()
+        assert gams[-1] <= 1e-6 < gams[-2]
+
+    def test_domain_violation_is_a_terminal(self):
+        # x1 = 0.2 * 2 * 1 = 0.4 leaves the ball 0.5 x^2 <= 0.01.
+        model = linear_model(2.0, radius_sq=0.01)
+        cfg = SolverConfig(q=0.5, max_iters=5, domain_mode="error")
+        trace = landweber_run(model, np.array([1.0]), np.array([0.0]),
+                              0.2, cfg)
+        assert trace.terminal == "domain_violation"
+        assert trace.iterations == 0
+        assert trace.x_final.tolist() == [0.0]
+        assert len(trace.warnings) == 1
 
     def test_default_step_scale_needs_nonzero_jacobian(self):
         model = ForwardModel(

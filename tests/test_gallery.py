@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GALLERY_IDS, linear_model
-from lmrecon.errors import CertificationFailed, DegenerateModel
+from conftest import GALLERY_IDS, linear_model, non_finite_model
+from lmrecon.errors import CertificationFailed, DegenerateModel, NonFiniteOutput
 from lmrecon.gallery import (
     INFLATION,
     estimate_stability_constants,
@@ -57,6 +57,22 @@ class TestEstimator:
         box = CompactBox(np.array([0.0]), np.array([1.0]))
         with pytest.raises(DegenerateModel):
             estimate_stability_constants(model, box, eps=1.0, samples=10000)
+
+    @pytest.mark.parametrize("part, value", [
+        ("jacobian_apply", np.nan),
+        ("jacobian_apply", np.inf),
+        ("forward", np.nan),
+    ])
+    def test_non_finite_output(self, part, value):
+        # Neither a numpy LinAlgError from the spectral norm nor a
+        # certificate built from NaN sample maxima may come out.
+        model = non_finite_model(part, value)
+        box = CompactBox(np.array([-1.0]), np.array([1.0]))
+        with pytest.raises(NonFiniteOutput):
+            estimate_stability_constants(model, box, eps=1.0, samples=10000)
+        cert = scalar_linear(2.0, 0.0).certificate
+        with pytest.raises(NonFiniteOutput):
+            verify_certificate(model, box, cert, samples=10000)
 
 
 class TestClosedFormBounds:
