@@ -348,9 +348,9 @@ def kstar_log_estimate(q_tilde: float, r0_norm: float, tau: float,
     ))
 
 
-def _omega_margin(model: ForwardModel, x, x_dagger, y_obs, q: float):
-    """Ratio q*||r|| / ||r - J(x)(x_dagger - x)|| at the current iterate."""
-    r = y_obs - apply_forward(model, x, check=False)
+def _omega_margin(model: ForwardModel, x, x_dagger, r, q: float):
+    """Ratio q*||r|| / ||r - J(x)(x_dagger - x)|| at the current iterate,
+    given its residual ``r = y - F(x)``."""
     jd = model.jacobian_apply(x, x_dagger - x)
     lhs = float(np.linalg.norm(r - jd))
     rnorm = float(np.linalg.norm(r))
@@ -402,12 +402,12 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
         trace.error_monotonicity_ok = True
         trace.omega_ok = True
 
-    def residual_at(point) -> float:
+    def residual_at(point):
         r = y_obs - apply_forward(model, point, check=False)
         require_finite(r, "residual y - F(x)")
-        return float(np.linalg.norm(r))
+        return r, float(np.linalg.norm(r))
 
-    residual = residual_at(x)
+    r, residual = residual_at(x)
     trace.records.append(TraceRecord(0, None, residual, gamma, None, None))
     floor = _FLOOR_EPS * (1.0 + float(np.linalg.norm(y_obs)))
 
@@ -449,13 +449,13 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
             break
 
         if theory and omega is not None:
-            margin, lhs, rnorm = _omega_margin(model, x, x_dagger, y_obs, cfg.q)
+            margin, lhs, rnorm = _omega_margin(model, x, x_dagger, r, cfg.q)
             diag.omega_margin = margin
             if lhs > (cfg.q / omega) * rnorm * (1.0 + _REL_SLACK):
                 trace.omega_ok = False
 
         step_norm = float(np.linalg.norm(x_next - x))
-        residual_next = residual_at(x_next)
+        r_next, residual_next = residual_at(x_next)
         gamma_next = (0.5 * float(np.sum((x_next - x_dagger) ** 2))
                       if truth else None)
 
@@ -482,7 +482,7 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
                     f"error-monotonicity inequality failed at step {k}"
                 )
 
-        x, residual, gamma = x_next, residual_next, gamma_next
+        x, r, residual, gamma = x_next, r_next, residual_next, gamma_next
         k += 1
 
     trace.x_final = x.copy()

@@ -22,11 +22,13 @@ class NonFiniteOutput(SolverError):
 
 
 class FactorizationFailure(SolverError):
-    """The shifted Gram matrix is not SPD; usually alpha <= 0 or a broken adjoint."""
+    """The shift alpha is not positive, or the Gram matrix J J* is asymmetric or
+    indefinite (an adjoint action inconsistent with the Jacobian)."""
 
 
 class RootInfeasible(SolverError):
-    """The Morozov target cannot be reached from below within the bracket."""
+    """The Morozov target is unreachable: the residual's part orthogonal to the
+    Jacobian range has norm at least q * ||r||."""
 
 
 class NonConvergence(SolverError):

@@ -88,7 +88,7 @@ def require_in_domain(model: ForwardModel, x, what: str = "point") -> None:
 
 def require_finite(values, what: str) -> None:
     """Raise :class:`NonFiniteOutput` unless every entry of ``values`` is finite."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NonFiniteOutput(f"{what} is not finite: the model returned NaN or inf")
 
 

@@ -5,10 +5,11 @@ The update solves the shifted normal system in data space,
     z = (J J^T + alpha I)^{-1} r,      x_next = x + J^T z,
 
 with ``alpha`` chosen so that ``alpha * ||z|| = q * ||r||`` (the discrepancy
-principle for the regularization parameter).  The data-space Gram matrix is
-small for the problems this library targets, so each candidate ``alpha`` costs
-one Cholesky factorization and the same solve serves both the root-finding
-objective and the final step.
+principle for the regularization parameter).  The data-space Gram matrix
+J J^T is small for the problems this library targets, so each step takes one
+eigendecomposition ``J J^T = U diag(lam) U^T``.  The Morozov function, its
+root, the ceiling ``alpha_bound``, the feasibility test and the solve for
+``z`` all follow from that one spectrum in closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     FactorizationFailure,
@@ -29,16 +29,13 @@ from .operators import (
     apply_forward,
     as_vector,
     check_domain,
-    estimate_jacobian_norm,
     jacobian_matrix,
     require_finite,
     require_in_domain,
 )
 
-# Geometric shrink applied to the lower bracket end per probe, and probe cap.
-BRACKET_SHRINK = 1e-2
-BRACKET_PROBES = 30
-BISECTION_MAX = 200
+# Cap on the Newton iterations of the shift selection.
+NEWTON_MAX = 100
 
 
 @dataclass
@@ -49,7 +46,9 @@ class StepDiagnostics:
     ``morozov_rhs = q * ||r||`` to the root-finder tolerance.  ``mdp_prime_lhs``
     is the linearized post-step residual ``||r - J s||``, which equals
     ``q * ||r||`` identically for the exact Morozov parameter.  ``alpha_bound``
-    is the ceiling ``q/(1-q) * ||J||^2``.  ``omega_margin`` is
+    is the ceiling ``q/(1-q) * ||J||^2``.  ``bracket_iters`` counts the
+    Newton iterations of the shift selection (0 when ``alpha_bound`` itself
+    meets the tolerance).  ``omega_margin`` is
     ``q * ||r|| / ||r - J (x_truth - x)||`` and is only populated by the
     drivers when a ground truth is available.
     """
@@ -82,46 +81,41 @@ def gram_matrix(model: ForwardModel, x) -> np.ndarray:
     return g
 
 
-def _factor_shifted(gram: np.ndarray, alpha: float):
-    if not alpha > 0:
-        raise FactorizationFailure(f"shift alpha = {alpha} must be positive")
+def _spectrum(model: ForwardModel, x, gram: np.ndarray | None):
+    """Eigenpairs ``(lam, u)`` of the Gram matrix, ascending, with eigenvalues
+    in the numerical null space (at most ``dim_y * eps * lam_max``) set to 0.
+
+    Raises :class:`NonFiniteOutput` on NaN or inf entries and
+    :class:`FactorizationFailure` when the matrix is asymmetric or indefinite,
+    both signs of an inconsistent adjoint action.
+    """
+    if gram is None:
+        gram = gram_matrix(model, x)
+    require_finite(gram, "Gram matrix J J*")
     asym = float(np.max(np.abs(gram - gram.T)))
     if asym > 1e-8 * (1.0 + float(np.max(np.abs(gram)))):
         raise FactorizationFailure(
             f"Gram matrix asymmetry {asym:.3e}: the adjoint action is inconsistent"
         )
-    shifted = gram + alpha * np.eye(gram.shape[0])
-    try:
-        return scipy.linalg.cho_factor(shifted, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+    lam, u = np.linalg.eigh(gram)
+    cutoff = gram.shape[0] * np.finfo(float).eps * max(float(lam[-1]), 0.0)
+    if lam[0] < -cutoff:
         raise FactorizationFailure(
-            f"shifted Gram matrix not SPD at alpha = {alpha}: {exc}"
-        ) from exc
+            f"Gram matrix has eigenvalue {lam[0]:.3e} < 0: "
+            "the adjoint action is inconsistent"
+        )
+    return np.where(lam > cutoff, lam, 0.0), u
 
 
 def solve_shifted_system(model: ForwardModel, x, alpha: float, r,
                          gram: np.ndarray | None = None) -> np.ndarray:
-    """Solve (J J^T + alpha I) z = r by SPD factorization of the Gram matrix.
-
-    A few rounds of iterative refinement keep the backward residual at the
-    1e-12 * ||r|| level.  When the shift nearly vanishes against a
-    rank-deficient Gram matrix the kernel component of z grows like 1/alpha
-    and rounding noise of size eps * ||gram|| * ||z|| becomes unavoidable; the
-    refinement then stops at that floor.
-    """
+    """Solve (J J^T + alpha I) z = r through the eigendecomposition of the
+    Gram matrix: ``z = U (U^T r / (lam + alpha))``."""
     r = as_vector(r, model.dim_y, "r")
-    if gram is None:
-        gram = gram_matrix(model, x)
-    factor = _factor_shifted(gram, alpha)
-    shifted = gram + alpha * np.eye(gram.shape[0])
-    z = scipy.linalg.cho_solve(factor, r)
-    rnorm = float(np.linalg.norm(r))
-    for _ in range(5):
-        defect = r - shifted @ z
-        if float(np.linalg.norm(defect)) <= 1e-13 * rnorm:
-            break
-        z = z + scipy.linalg.cho_solve(factor, defect)
-    return z
+    if not alpha > 0:
+        raise FactorizationFailure(f"shift alpha = {alpha} must be positive")
+    lam, u = _spectrum(model, x, gram)
+    return u @ ((u.T @ r) / (lam + alpha))
 
 
 def morozov_value(model: ForwardModel, x, alpha: float, r,
@@ -134,72 +128,54 @@ def morozov_value(model: ForwardModel, x, alpha: float, r,
     return alpha * float(np.linalg.norm(z))
 
 
-def _select_alpha(model: ForwardModel, x, r, q: float, tol_alpha: float,
-                  gram: np.ndarray | None = None):
-    """Bisection in log(alpha); returns (alpha, z, iterations, alpha_bound)."""
+def _select_alpha(model: ForwardModel, x, r, q: float, tol_alpha: float):
+    """Safeguarded Newton on the Morozov equation; returns
+    (alpha, z, Newton iterations, alpha_bound).
+
+    With ``c = U^T r``, ``phi(alpha) = ||alpha / (lam + alpha) * c||``.  The
+    root lies in ``(0, alpha_bound]``, ``alpha_bound = q/(1-q) * lam_max``,
+    and exists iff the part of ``r`` in the null space of J J^T has norm
+    below ``q * ||r||``.  In ``t = 1/alpha``, ``1/phi`` is increasing and
+    concave (the secular function of More 1978 for ``diag(1/lam)``), so
+    Newton steps on ``1/phi - 1/(q ||r||)`` from ``alpha_bound`` approach the
+    root from above without overshooting; a step that leaves the bracket
+    falls back to bisection.
+    """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     r = as_vector(r, model.dim_y, "r")
     rnorm = float(np.linalg.norm(r))
     if rnorm == 0.0:
         raise ZeroResidual("residual is zero; nothing to regularize")
-    if gram is None:
-        gram = gram_matrix(model, x)
-    jac_norm = estimate_jacobian_norm(model, x, iters=100, check=False)
+    lam, u = _spectrum(model, x, None)
+    c = u.T @ r
     target = q * rnorm
-    alpha_bound = q / (1.0 - q) * jac_norm**2
-
-    def phi(a: float) -> float:
-        z = solve_shifted_system(model, x, a, r, gram=gram)
-        return a * float(np.linalg.norm(z)), z
-
-    # Upper end: the classical ceiling, doubled for estimation slack.  The
-    # ceiling uses an estimated norm, so expand defensively if it falls short.
-    hi = 2.0 * alpha_bound if alpha_bound > 0 else 1.0
-    phi_hi, z_hi = phi(hi)
-    expansions = 0
-    while phi_hi < target and expansions < 60:
-        hi *= 10.0
-        phi_hi, z_hi = phi(hi)
-        expansions += 1
-    if phi_hi < target:
-        raise NonConvergence("could not bracket the Morozov target from above")
-    if abs(phi_hi - target) <= tol_alpha * target:
-        return hi, z_hi, 0, alpha_bound
-
-    # Lower end: shrink geometrically until phi drops below the target.  If it
-    # never does (or the shift becomes too small to factor against a
-    # rank-deficient Gram matrix), the target is unreachable: q||r|| does not
-    # exceed the norm of the residual component outside the Jacobian range.
-    lo = hi
-    phi_lo = phi_hi
-    for _ in range(BRACKET_PROBES):
-        lo *= BRACKET_SHRINK
-        try:
-            phi_lo, z_lo = phi(lo)
-        except FactorizationFailure:
-            break
-        if phi_lo < target:
-            break
-    if not phi_lo < target:
+    if float(np.linalg.norm(c[lam == 0.0])) >= target:
         raise RootInfeasible(
             "Morozov target q*||r|| unreachable: the residual has a dominant "
             "component orthogonal to the Jacobian range"
         )
-    if abs(phi_lo - target) <= tol_alpha * target:
-        return lo, z_lo, 0, alpha_bound
+    alpha_bound = q / (1.0 - q) * float(lam[-1])
 
-    for it in range(1, BISECTION_MAX + 1):
-        mid = float(np.sqrt(lo * hi))
-        phi_mid, z_mid = phi(mid)
-        if abs(phi_mid - target) <= tol_alpha * target:
-            return mid, z_mid, it, alpha_bound
-        if phi_mid < target:
-            lo = mid
+    lo, hi = 0.0, alpha_bound
+    alpha = alpha_bound
+    for it in range(NEWTON_MAX + 1):
+        w = alpha / (lam + alpha)
+        phi = float(np.linalg.norm(w * c))
+        if abs(phi - target) <= tol_alpha * target:
+            return alpha, u @ (c / (lam + alpha)), it, alpha_bound
+        if phi < target:
+            lo = alpha
         else:
-            hi = mid
+            hi = alpha
+        # d(1/phi)/dt = slope / phi**3 in t = 1/alpha
+        slope = float(np.sum(lam * c**2 * w**3))
+        alpha = 1.0 / (1.0 / alpha + phi**2 * (phi - target) / (target * slope))
+        if not lo < alpha < hi:
+            alpha = 0.5 * (lo + hi)
     raise NonConvergence(
-        f"alpha bisection did not meet tolerance {tol_alpha} in {BISECTION_MAX} steps"
+        f"Morozov Newton iteration did not meet tolerance {tol_alpha} "
+        f"in {NEWTON_MAX} steps"
     )
 
 
@@ -232,10 +208,7 @@ def lm_step(model: ForwardModel, x, y_obs, q: float,
     if rnorm == 0.0:
         raise ZeroResidual("residual is zero at the current iterate")
 
-    gram = gram_matrix(model, x)
-    require_finite(gram, "Gram matrix J J*")
-    alpha, z, iters, alpha_bound = _select_alpha(model, x, r, q, tol_alpha,
-                                                 gram=gram)
+    alpha, z, iters, alpha_bound = _select_alpha(model, x, r, q, tol_alpha)
     s = as_vector(model.jacobian_adjoint_apply(x, z), model.dim_x, "J* z")
     x_next = x + s
     linearized = r - as_vector(model.jacobian_apply(x, s), model.dim_y, "J s")

@@ -62,6 +62,7 @@ class TestEstimator:
         ("jacobian_apply", np.nan),
         ("jacobian_apply", np.inf),
         ("forward", np.nan),
+        ("forward", np.inf),
     ])
     def test_non_finite_output(self, part, value):
         # Neither a numpy LinAlgError from the spectral norm nor a

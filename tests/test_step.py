@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import linear_model, non_finite_model
+from lmrecon.cli import counting_model
 from lmrecon.errors import (
     FactorizationFailure,
     NonFiniteOutput,
@@ -75,6 +78,21 @@ def test_broken_adjoint_gives_asymmetric_gram():
     )
     with pytest.raises(FactorizationFailure):
         solve_shifted_system(model, [0.0, 0.0], 1.0, [1.0, 1.0])
+
+
+def test_sign_flipped_adjoint_gives_indefinite_gram():
+    # J* = -J^T keeps the Gram matrix symmetric but makes it negative definite
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    model = ForwardModel(
+        dim_x=2, dim_y=2, center=np.zeros(2), radius_sq=1e6,
+        forward=lambda x: a @ x,
+        jacobian_apply=lambda x, v: a @ v,
+        jacobian_adjoint_apply=lambda x, w: -a.T @ w,
+    )
+    with pytest.raises(FactorizationFailure):
+        solve_shifted_system(model, [0.0, 0.0], 1.0, [1.0, 1.0])
+    with pytest.raises(FactorizationFailure):
+        lm_step(model, [0.0, 0.0], [1.0, 1.0], 0.5)
 
 
 def test_morozov_scalar_value():
@@ -175,6 +193,94 @@ def test_lm_step_zero_residual():
 def test_lm_step_non_finite_output(part):
     with pytest.raises(NonFiniteOutput):
         lm_step(non_finite_model(part), [0.0], [1.0], 0.5)
+
+
+@pytest.mark.parametrize("part", ["jacobian_apply", "jacobian_adjoint_apply"])
+def test_spectral_kernel_non_finite_output(part):
+    model = non_finite_model(part)
+    with pytest.raises(NonFiniteOutput):
+        select_alpha(model, [0.0], [1.0], 0.5)
+    with pytest.raises(NonFiniteOutput):
+        solve_shifted_system(model, [0.0], 1.0, [1.0])
+
+
+def test_lm_step_model_calls():
+    # one forward evaluation for the residual; dim_y adjoint and dim_y
+    # Jacobian actions for the Gram matrix, plus one of each for the update
+    # and its linearized residual, whatever the shift selection does
+    a = np.random.default_rng(4).standard_normal((5, 2))
+    model, counts = counting_model(linear_model(a))
+    lm_step(model, [0.1, -0.2], a @ [1.0, 0.5], 0.5)
+    assert counts == {"forward": 1, "jacobian": 6, "adjoint": 6}
+
+
+@st.composite
+def linear_problems(draw):
+    """A x with prescribed singular values in [1/2, 2], possibly wide and
+    rank-deficient, plus orthonormal bases of range(A) and its complement."""
+    m = draw(st.integers(1, 8), label="dim_y")
+    n = draw(st.integers(1, 4), label="dim_x")
+    k = draw(st.integers(1, min(m, n)), label="rank")
+    sv = draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k),
+              label="singular values")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = u[:, :k] @ np.diag(sv) @ v[:, :k].T
+    return a, u[:, :k], u[:, k:], rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=linear_problems(), q=st.floats(0.05, 0.95),
+       null_share=st.floats(0.0, 0.9))
+def test_linear_step_properties(problem, q, null_share):
+    # residual with a null-space part of norm null_share * q * ||r||
+    a, range_basis, null_basis, rng = problem
+    x = rng.standard_normal(a.shape[1])
+    r = range_basis @ rng.standard_normal(range_basis.shape[1])
+    if null_basis.shape[1] > 0:
+        b = null_basis @ rng.standard_normal(null_basis.shape[1])
+        share = null_share * q
+        r = (np.sqrt(1.0 - share**2) * r / np.linalg.norm(r)
+             + share * b / np.linalg.norm(b))
+    y = a @ x + r
+    tol = 1e-10
+    x_next, diag = lm_step(linear_model(a), x, y, q, tol_alpha=tol)
+    rnorm = np.linalg.norm(r)
+    assert 0.0 < diag.alpha <= diag.alpha_bound
+    assert abs(diag.alpha_bound - q / (1.0 - q) * np.linalg.norm(a, 2) ** 2) \
+        <= 1e-12 * diag.alpha_bound
+    # Morozov equation, checked by an independent dense solve
+    m = a.shape[0]
+    z = np.linalg.solve(a @ a.T + diag.alpha * np.eye(m), r)
+    assert abs(diag.alpha * np.linalg.norm(z) - q * rnorm) <= 2 * tol * q * rnorm
+    # mdp' identity: the linearized residual equals q * ||r||
+    assert diag.mdp_prime_rel_err <= 2 * tol * q + 1e-13
+    # for a linear map the post-step residual ratio is exactly q
+    ratio = np.linalg.norm(y - a @ x_next) / rnorm
+    assert abs(ratio - q) <= 2 * tol * q + 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=linear_problems(), q=st.floats(0.05, 0.95),
+       null_share=st.floats(0.0, 1.0))
+def test_root_infeasible_iff_null_component_dominates(problem, q, null_share):
+    # the residual's part orthogonal to range(J) has norm null_share * ||r||;
+    # shares within 0.02 of q are left out as too close to the boundary
+    a, range_basis, null_basis, rng = problem
+    assume(null_basis.shape[1] > 0 and abs(null_share - q) >= 0.02)
+    range_part = range_basis @ rng.standard_normal(range_basis.shape[1])
+    null_part = null_basis @ rng.standard_normal(null_basis.shape[1])
+    r = (np.sqrt(1.0 - null_share**2) * range_part / np.linalg.norm(range_part)
+         + null_share * null_part / np.linalg.norm(null_part))
+    model = linear_model(a)
+    x = np.zeros(a.shape[1])
+    if null_share >= q:
+        with pytest.raises(RootInfeasible):
+            select_alpha(model, x, r, q)
+    else:
+        alpha = select_alpha(model, x, r, q)
+        assert abs(morozov_value(model, x, alpha, r) - q) <= 1e-9
 
 
 def test_lm_step_identity_on_exp_decay():
