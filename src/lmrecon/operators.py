@@ -112,12 +112,12 @@ def recenter(model: ForwardModel, center, radius_sq: float | None = None) -> For
 def jacobian_matrix(model: ForwardModel, x) -> np.ndarray:
     """Assemble the dense Jacobian by applying J(x) to the basis vectors."""
     x = as_vector(x, model.dim_x, "x")
-    cols = []
+    j = np.empty((model.dim_y, model.dim_x))
     for i in range(model.dim_x):
         e = np.zeros(model.dim_x)
         e[i] = 1.0
-        cols.append(as_vector(model.jacobian_apply(x, e), model.dim_y, "J e_i"))
-    return np.column_stack(cols)
+        j[:, i] = as_vector(model.jacobian_apply(x, e), model.dim_y, "J e_i")
+    return j
 
 
 def estimate_jacobian_norm(model: ForwardModel, x, iters: int = 100,

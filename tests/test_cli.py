@@ -3,12 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import non_finite_model
 from lmrecon import config as cfgmod
 from lmrecon import gallery
 from lmrecon.cli import main
-from lmrecon.engine import SolverConfig, run_exact
+from lmrecon.engine import SolverConfig, TraceRecord, run_exact
 from lmrecon.errors import ConfigInvalid
 from lmrecon.gallery import get_problem
 from lmrecon.tracefile import TraceFile, dumps, loads, read_trace
@@ -98,6 +100,98 @@ class TestTraceFile:
         text = dumps(tf, wall_time_s=1.234)
         assert "# wall_time_s: 1.234" in text
         assert loads(text) == tf
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# Footer keys of the trace format; a header line cannot use them.
+TRACE_KEYS = ("columns", "terminal", "k_star", "wall_time_s")
+
+
+@st.composite
+def trace_files(draw):
+    """TraceFiles as the writer produces them: single-line header values
+    without surrounding blanks, finite floats and unset cells."""
+    line = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+                   max_size=30).map(str.strip)
+    key = st.from_regex(r"[a-z][a-z0-9_.]{0,15}", fullmatch=True).filter(
+        lambda k: k not in TRACE_KEYS)
+    optional = st.none() | FINITE
+    rows = st.lists(st.builds(
+        TraceRecord, k=st.integers(0, 10**6), alpha=optional, residual=FINITE,
+        gamma=optional, step_norm=optional, mdp_prime_rel_err=optional),
+        max_size=20)
+    return TraceFile(header=draw(st.lists(st.tuples(key, line), max_size=8)),
+                     rows=draw(rows), terminal=draw(line),
+                     k_star=draw(st.none() | st.integers(0, 10**6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tf=trace_files())
+def test_trace_round_trip_is_byte_identical(tf):
+    text = dumps(tf)
+    assert loads(text) == tf
+    assert dumps(loads(text)) == text
+
+
+# Fields each mode requires (config._check_mode_requirements).
+MODE_NEEDS = {
+    "exact": ("max_iters",),
+    "noisy": ("tau", "delta", "max_iters"),
+    "reconstruct_exact": ("target_gamma",),
+    "reconstruct_noisy": ("tau", "delta", "max_iters"),
+    "landweber": ("max_iters",),
+    "verify": (),
+}
+
+
+@st.composite
+def boxes(draw):
+    lower = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4))
+    widths = draw(st.lists(st.floats(0.0, 1e6), min_size=len(lower),
+                           max_size=len(lower)))
+    return {"lower": lower, "upper": [lo + w for lo, w in zip(lower, widths)]}
+
+
+@st.composite
+def run_configs(draw):
+    """Every RunConfig that parse accepts, over all modes and fields."""
+    mode = draw(st.sampled_from(cfgmod.MODES))
+
+    def field(name, values):
+        return draw(values if name in MODE_NEEDS[mode] else st.none() | values)
+
+    matrix = st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(FINITE, min_size=n, max_size=n), min_size=1, max_size=3))
+    override = st.fixed_dictionaries({}, optional={
+        **{name: FINITE for name in cfgmod.CERT_FIELDS if name != "provenance"},
+        "provenance": st.sampled_from(("user", "oracle-estimated")),
+    })
+    return cfgmod.RunConfig(
+        problem_id=draw(st.text()),
+        mode=mode,
+        q=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        output_path=draw(st.text()),
+        eps=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        tau=field("tau", st.floats(1.0, exclude_min=True, allow_infinity=False)),
+        delta=field("delta", st.floats(0.0, allow_infinity=False)),
+        max_iters=field("max_iters", st.integers(0, 10**9)),
+        target_gamma=field("target_gamma", POSITIVE),
+        tol_alpha=draw(POSITIVE),
+        box=field("box", boxes()),
+        measurement=field("measurement",
+                          st.sampled_from(cfgmod.MEASUREMENT_PRESETS) | matrix),
+        noise_seed=draw(st.integers(-2**63, 2**63 - 1)),
+        constants_override=field("constants_override", override),
+        x0=field("x0", st.lists(FINITE, min_size=1, max_size=4)),
+        step_scale=field("step_scale", POSITIVE),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=run_configs())
+def test_config_round_trip(cfg):
+    assert cfgmod.parse_text(cfgmod.serialize(cfg)) == cfg
 
 
 class TestSolveCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from conftest import linear_model, non_finite_model
 from lmrecon.cli import counting_model
@@ -17,7 +18,6 @@ from lmrecon.gallery import get_problem
 from lmrecon.operators import ForwardModel, jacobian_matrix
 from lmrecon.step import (
     commutation_residual,
-    gram_matrix,
     lm_step,
     morozov_value,
     select_alpha,
@@ -123,9 +123,8 @@ def test_morozov_strictly_increasing():
     model = linear_model(a)
     r = rng.standard_normal(3)
     x = np.zeros(2)
-    gram = gram_matrix(model, x)
     alphas = np.sort(rng.uniform(1e-4, 1e4, 30))
-    values = [morozov_value(model, x, al, r, gram=gram) for al in alphas]
+    values = [morozov_value(model, x, al, r) for al in alphas]
     for lo, hi in zip(values, values[1:]):
         assert hi > lo - 1e-13
 
@@ -205,21 +204,19 @@ def test_spectral_kernel_non_finite_output(part):
 
 
 def test_lm_step_model_calls():
-    # one forward evaluation for the residual; dim_y adjoint and dim_y
-    # Jacobian actions for the Gram matrix, plus one of each for the update
-    # and its linearized residual, whatever the shift selection does
+    # one forward evaluation for the residual and dim_x Jacobian and dim_y
+    # adjoint actions for the dense factors of the Gram matrix, which the
+    # update and its linearized residual reuse, whatever the shift selection
+    # does
     a = np.random.default_rng(4).standard_normal((5, 2))
     model, counts = counting_model(linear_model(a))
     lm_step(model, [0.1, -0.2], a @ [1.0, 0.5], 0.5)
-    assert counts == {"forward": 1, "jacobian": 6, "adjoint": 6}
+    assert counts == {"forward": 1, "jacobian": 2, "adjoint": 5}
 
 
-@st.composite
-def linear_problems(draw):
-    """A x with prescribed singular values in [1/2, 2], possibly wide and
-    rank-deficient, plus orthonormal bases of range(A) and its complement."""
-    m = draw(st.integers(1, 8), label="dim_y")
-    n = draw(st.integers(1, 4), label="dim_x")
+def _linear_problem(draw, m, n):
+    """An m x n matrix A with prescribed singular values in [1/2, 2] and a
+    drawn rank, plus orthonormal bases of range(A) and its complement."""
     k = draw(st.integers(1, min(m, n)), label="rank")
     sv = draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k),
               label="singular values")
@@ -228,6 +225,31 @@ def linear_problems(draw):
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     a = u[:, :k] @ np.diag(sv) @ v[:, :k].T
     return a, u[:, :k], u[:, k:], rng
+
+
+@st.composite
+def linear_problems(draw):
+    """A x, possibly wide and rank-deficient (see :func:`_linear_problem`)."""
+    m = draw(st.integers(1, 8), label="dim_y")
+    n = draw(st.integers(1, 4), label="dim_x")
+    return _linear_problem(draw, m, n)
+
+
+@st.composite
+def tall_linear_problems(draw):
+    """A x with dim_x <= dim_y / 3, possibly rank-deficient: the Gram kernel
+    decomposes only its projection on range(A)."""
+    m = draw(st.integers(3, 40), label="dim_y")
+    n = draw(st.integers(1, m // 3), label="dim_x")
+    return _linear_problem(draw, m, n)
+
+
+def _mixed_residual(range_basis, null_basis, rng, null_share):
+    """Unit residual whose part orthogonal to range(A) has norm null_share."""
+    range_part = range_basis @ rng.standard_normal(range_basis.shape[1])
+    null_part = null_basis @ rng.standard_normal(null_basis.shape[1])
+    return (np.sqrt(1.0 - null_share**2) * range_part / np.linalg.norm(range_part)
+            + null_share * null_part / np.linalg.norm(null_part))
 
 
 @settings(max_examples=80, deadline=None)
@@ -281,6 +303,83 @@ def test_root_infeasible_iff_null_component_dominates(problem, q, null_share):
     else:
         alpha = select_alpha(model, x, r, q)
         assert abs(morozov_value(model, x, alpha, r) - q) <= 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=tall_linear_problems(), q=st.floats(0.05, 0.95),
+       null_share=st.floats(0.0, 0.9), log_alpha=st.floats(-3.0, 3.0))
+def test_tall_kernel_matches_full_decomposition(problem, q, null_share,
+                                                log_alpha):
+    # the residual's part orthogonal to range(A) has norm null_share * q
+    a, range_basis, null_basis, rng = problem
+    m = a.shape[0]
+    model = linear_model(a)
+    x = rng.standard_normal(a.shape[1])
+    r = _mixed_residual(range_basis, null_basis, rng, null_share * q)
+
+    alpha = 10.0**log_alpha
+    z = solve_shifted_system(model, x, alpha, r)
+    dense = np.linalg.solve(a @ a.T + alpha * np.eye(m), r)
+    assert np.linalg.norm(z - dense) <= 1e-10 * np.linalg.norm(dense)
+
+    # reference root of the Morozov equation on the full dim_y x dim_y
+    # spectrum: phi is increasing, phi(0+) = null_share * q ||r||, and phi
+    # reaches q ||r|| at the latest at the ceiling q/(1-q) lam_max
+    lam, u = np.linalg.eigh(a @ a.T)
+    c = u.T @ r
+    target = q * np.linalg.norm(r)
+    ceiling = q / (1.0 - q) * lam[-1]
+    reference = brentq(
+        lambda al: np.linalg.norm(al / (lam + al) * c) - target,
+        1e-12 * ceiling, 2.0 * ceiling, xtol=1e-300, rtol=1e-15)
+    chosen = select_alpha(model, x, r, q, tol_alpha=1e-13)
+    assert abs(chosen - reference) <= 1e-9 * reference
+    # the step's z carries the null-space part of r as well
+    _, diag = lm_step(model, x, a @ x + r, q, tol_alpha=1e-13)
+    assert abs(diag.alpha - reference) <= 1e-9 * reference
+    assert abs(diag.morozov_lhs - target) <= 1e-9 * target
+
+
+def _tall_model(adjoint):
+    """A 6 x 2 linear model whose adjoint action applies ``adjoint.T``."""
+    a = np.random.default_rng(11).standard_normal((6, 2))
+    model = ForwardModel(
+        dim_x=2, dim_y=6, center=np.zeros(2), radius_sq=1e6,
+        forward=lambda x: a @ x,
+        jacobian_apply=lambda x, v: a @ v,
+        jacobian_adjoint_apply=lambda x, w: adjoint(a).T @ w,
+    )
+    return model, a
+
+
+def _perturbed(a):
+    b = a.copy()
+    b[0, 1] += 0.5
+    return b
+
+
+@pytest.mark.parametrize("adjoint", [_perturbed, lambda a: -a],
+                         ids=["asymmetric", "sign-flipped"])
+def test_tall_inconsistent_adjoint_rejected(adjoint):
+    model, a = _tall_model(adjoint)
+    x = np.array([0.3, -0.1])
+    y = a @ [1.0, 0.5] + 0.01
+    r = y - a @ x
+    with pytest.raises(FactorizationFailure):
+        solve_shifted_system(model, x, 1.0, r)
+    with pytest.raises(FactorizationFailure):
+        select_alpha(model, x, r, 0.5)
+    with pytest.raises(FactorizationFailure):
+        lm_step(model, x, y, 0.5)
+
+
+def test_tall_scaled_adjoint_accepted():
+    # J* = 1.02 J^T keeps the Gram matrix symmetric positive semidefinite, so
+    # the step goes through and only the adjoint check can report the defect
+    model, a = _tall_model(lambda a: 1.02 * a)
+    x = np.array([0.3, -0.1])
+    _, diag = lm_step(model, x, a @ [1.0, 0.5] + 0.01, 0.5)
+    assert diag.alpha > 0.0
 
 
 def test_lm_step_identity_on_exp_decay():
