@@ -2,11 +2,13 @@
 
 ``run_exact`` and ``run_noisy`` drive the Levenberg-Marquardt update from
 :mod:`lmrecon.step` through one iteration loop, ``_iterate``; every step's
-diagnostics land in an :class:`IterationTrace`.  The constant calculators
-evaluate, literally, the formulas that the convergence guarantees are stated
-in terms of, and each run carries a hypothesis report so that rate checks can
-distinguish "the theory applies and must hold" from "exploratory run, observe
-only".
+diagnostics land in an :class:`IterationTrace`.  The loop evaluates F once
+per iterate and applies the admissible-ball policy to every update; the
+steps are functions of the iterate and its residual.  The constant
+calculators evaluate, literally, the formulas that the convergence
+guarantees are stated in terms of, and each run carries a hypothesis report
+so that rate checks can distinguish "the theory applies and must hold" from
+"exploratory run, observe only".
 
 A plain Landweber driver, run by the same loop, is the comparison baseline.
 """
@@ -32,7 +34,7 @@ from .operators import (
     apply_forward,
     as_vector,
     check_domain,
-    estimate_jacobian_norm,
+    jacobian_matrix,
     require_finite,
     require_in_domain,
 )
@@ -60,7 +62,8 @@ _FLOOR_EPS = 100.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run parameters: contraction factor q, stopping rule, budgets."""
+    """Run parameters: contraction factor q, stopping rule, budgets, and the
+    admissible-ball policy ``domain_mode`` ("error" or "warn")."""
 
     q: float
     max_iters: int
@@ -88,8 +91,8 @@ class SolverConfig:
         if self.stop_mode == "target_error":
             if self.target_gamma is None or not self.target_gamma > 0:
                 raise ConfigInvalid("target_error stopping requires target_gamma > 0")
-        if self.domain_mode not in ("error", "warn", "off"):
-            raise ConfigInvalid("domain_mode must be 'error', 'warn' or 'off'")
+        if self.domain_mode not in ("error", "warn"):
+            raise ConfigInvalid("domain_mode must be 'error' or 'warn'")
 
 
 @dataclass(frozen=True)
@@ -365,12 +368,17 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
              record_iterates: bool = False) -> IterationTrace:
     """The one iteration loop behind every driver.
 
-    ``step(x)`` returns ``(x_next, diag)``; ``diag`` is the step's
+    ``step(x, r)`` takes the iterate and its residual ``r = y - F(x)`` and
+    returns ``(x_next, diag)``; ``diag`` is the step's
     :class:`StepDiagnostics`, or None for steps that keep none.  The loop
-    owns the stopping rules, the terminals and the warnings.  The theory
-    bookkeeping (entry condition, omega-condition, gamma and
-    error-monotonicity flags) runs when the truth is known and a hypothesis
-    report is passed.
+    owns the stopping rules, the terminals and the warnings.  It is the only
+    code that evaluates F on an iterate (``residual_at``, once per iterate)
+    and the only code that applies ``cfg.domain_mode`` to an update: under
+    ``"error"`` an update outside the ball ends the run with terminal
+    ``domain_violation`` and is not recorded; under ``"warn"`` it adds a
+    warning and is recorded.  The theory bookkeeping (entry condition,
+    omega-condition, gamma and error-monotonicity flags) runs when the truth
+    is known and a hypothesis report is passed.
     """
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
@@ -385,7 +393,7 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
                            iterates=[x.copy()] if record_iterates else None)
     if cfg.domain_mode == "error":
         require_in_domain(model, x, "x0")
-    elif cfg.domain_mode == "warn" and not check_domain(model, x):
+    elif not check_domain(model, x):
         trace.warnings.append("x0 lies outside the admissible ball")
 
     gamma = 0.5 * float(np.sum((x - x_dagger) ** 2)) if truth else None
@@ -438,15 +446,18 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
             break
 
         try:
-            x_next, diag = step(x)
+            x_next, diag = step(x, r)
         except RootInfeasible as exc:
             trace.terminal = "root_infeasible"
             trace.warnings.append(str(exc))
             break
+        try:
+            require_in_domain(model, x_next, f"iterate {k + 1}")
         except DomainViolation as exc:
-            trace.terminal = "domain_violation"
             trace.warnings.append(str(exc))
-            break
+            if cfg.domain_mode == "error":
+                trace.terminal = "domain_violation"
+                break
 
         if theory and omega is not None:
             margin, lhs, rnorm = _omega_margin(model, x, x_dagger, r, cfg.q)
@@ -489,11 +500,10 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     return trace
 
 
-def _lm_stepper(model: ForwardModel, y_obs, cfg: SolverConfig):
+def _lm_stepper(model: ForwardModel, cfg: SolverConfig):
     # ``lm_step`` is looked up at call time, so a profiler that wraps this
     # module's global sees every step.
-    return lambda x: lm_step(model, x, y_obs, cfg.q, tol_alpha=cfg.tol_alpha,
-                             domain_mode=cfg.domain_mode)
+    return lambda x, r: lm_step(model, x, r, cfg.q, tol_alpha=cfg.tol_alpha)
 
 
 def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
@@ -518,7 +528,7 @@ def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
         hyp.armed = (tc.q_condition_ok and tc.rho_lt_rho_prime
                      and tc.cert_provenance == "oracle-estimated")
         rho = tc.rho
-    return _iterate(model, y, x0, cfg, _lm_stepper(model, y, cfg),
+    return _iterate(model, y, x0, cfg, _lm_stepper(model, cfg),
                     x_dagger=x_dagger, hypothesis=hyp, rho=rho, omega=2.0,
                     record_iterates=record_iterates)
 
@@ -551,7 +561,7 @@ def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
                      and tc.cert_provenance == "oracle-estimated")
         rho = tc.rho
     omega = 1.0 / (1.0 - big_r) if big_r > 0 else None
-    trace = _iterate(model, y_delta, x0, cfg, _lm_stepper(model, y_delta, cfg),
+    trace = _iterate(model, y_delta, x0, cfg, _lm_stepper(model, cfg),
                      x_dagger=x_dagger, hypothesis=hyp, rho=rho, omega=omega,
                      record_iterates=record_iterates)
     if strict_budget and trace.terminal == "budget_exhausted":
@@ -566,20 +576,22 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
                   cfg: SolverConfig, x_dagger=None) -> IterationTrace:
     """Gradient-descent baseline: x <- x + step_scale * J^T (y - F(x)).
 
-    ``step_scale=None`` takes ``0.9 / ||J(x0)||^2``.  Runs the LM drivers'
-    loop, so it shares their stopping rules, terminals and warnings, and its
-    trace has the same format (alpha and the linearized-residual column stay
-    unset).  An update that leaves the ball under ``domain_mode="error"``
-    ends the run with terminal ``domain_violation``.  Raises
+    ``step_scale=None`` takes ``0.9 / ||J(x0)||^2``, with the spectral norm
+    of the dense Jacobian.  Runs the LM drivers' loop, so it shares their
+    stopping rules, terminals, warnings and domain policy, and its trace has
+    the same format (alpha and the linearized-residual column stay unset);
+    the step uses the loop's residual and makes no forward call.  Raises
     :class:`DivergenceDetected` if the residual grows tenfold over its
     running minimum, :class:`ConditionViolated` if the step size violates
     ``step_scale * ||J||^2 <= 1`` at the starting point (or is left to the
     default while ``J(x0) = 0``), and :class:`NonFiniteOutput` when the
-    residual or ``J^T r`` holds NaN or inf.
+    residual, ``J(x0)`` or ``J^T r`` holds NaN or inf.
     """
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
-    jn = estimate_jacobian_norm(model, x, iters=200, check=False)
+    j0 = jacobian_matrix(model, x)
+    require_finite(j0, "Jacobian J(x0)")
+    jn = float(np.linalg.norm(j0, 2))
     if step_scale is None:
         if jn == 0.0:
             raise ConditionViolated("J(x0) = 0: no default step size exists")
@@ -592,9 +604,8 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
     min_residual = math.inf
     k = 0
 
-    def step(x):
+    def step(x, r):
         nonlocal min_residual, k
-        r = y_obs - apply_forward(model, x, check=False)
         residual = float(np.linalg.norm(r))
         min_residual = min(min_residual, residual)
         if residual > 10.0 * min_residual:
@@ -605,9 +616,6 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
         k += 1
         g = as_vector(model.jacobian_adjoint_apply(x, r), model.dim_x, "J* r")
         require_finite(g, "gradient J* r")
-        x_next = x + step_scale * g
-        if cfg.domain_mode == "error":
-            require_in_domain(model, x_next, "Landweber update")
-        return x_next, None
+        return x + step_scale * g, None
 
     return _iterate(model, y_obs, x, cfg, step, x_dagger=x_dagger)

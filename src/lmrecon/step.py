@@ -1,11 +1,14 @@
 """One Levenberg-Marquardt update with Morozov-selected shift.
 
-The update solves the shifted normal system in data space,
+The update is a function of the iterate ``x`` and its residual
+``r = y - F(x)``: it solves the shifted normal system in data space,
 
     z = (J J^T + alpha I)^{-1} r,      x_next = x + J^T z,
 
 with ``alpha`` chosen so that ``alpha * ||z|| = q * ||r||`` (the discrepancy
-principle for the regularization parameter).  Each step builds J densely
+principle for the regularization parameter).  The step never evaluates F and
+never checks the admissible ball; the iteration loop in
+:mod:`lmrecon.engine` does both, once per iterate.  Each step builds J densely
 from ``dim_x`` Jacobian actions and J* from ``dim_y`` adjoint actions, forms
 the data-space Gram matrix ``G = J J*`` by one product, and takes one
 eigendecomposition ``G = U diag(lam) U^T``: of G itself when
@@ -29,15 +32,7 @@ from .errors import (
     RootInfeasible,
     ZeroResidual,
 )
-from .operators import (
-    ForwardModel,
-    apply_forward,
-    as_vector,
-    check_domain,
-    jacobian_matrix,
-    require_finite,
-    require_in_domain,
-)
+from .operators import ForwardModel, as_vector, jacobian_matrix, require_finite
 
 # Cap on the Newton iterations of the shift selection.
 NEWTON_MAX = 100
@@ -55,7 +50,7 @@ class StepDiagnostics:
     Newton iterations of the shift selection (0 when ``alpha_bound`` itself
     meets the tolerance).  ``omega_margin`` is
     ``q * ||r|| / ||r - J (x_truth - x)||`` and is only populated by the
-    drivers when a ground truth is available.
+    drivers when a ground truth is available.  The ball check is the loop's.
     """
 
     alpha: float
@@ -66,7 +61,6 @@ class StepDiagnostics:
     alpha_bound: float
     bracket_iters: int
     omega_margin: float | None = None
-    domain_ok: bool = True
 
     @property
     def mdp_prime_rel_err(self) -> float:
@@ -230,49 +224,32 @@ def select_alpha(model: ForwardModel, x, r, q: float,
     return alpha
 
 
-def lm_step(model: ForwardModel, x, y_obs, q: float,
-            tol_alpha: float = 1e-10,
-            domain_mode: str = "error"):
-    """One Levenberg-Marquardt update from ``x`` toward data ``y_obs``.
+def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10):
+    """One Levenberg-Marquardt update from ``x``, given its residual
+    ``r = y - F(x)``.
 
-    Returns ``(x_next, StepDiagnostics)``.  Raises :class:`ZeroResidual` when
-    the residual vanishes (the caller should declare convergence) and
-    :class:`DomainViolation` when the update leaves the ball and
-    ``domain_mode`` is ``"error"``; with ``"warn"`` the violation is recorded
-    in the diagnostics instead.  Raises :class:`NonFiniteOutput` when the
-    residual or the Gram matrix holds NaN or inf.
+    Returns ``(x_next, StepDiagnostics)``.  Makes no forward call and applies
+    no domain policy; the caller owns both.  Raises :class:`ZeroResidual`
+    when ``r`` vanishes (the caller should declare convergence) and
+    :class:`NonFiniteOutput` when ``r`` or the Gram matrix holds NaN or inf.
     """
-    if domain_mode not in ("error", "warn", "off"):
-        raise ValueError("domain_mode must be 'error', 'warn' or 'off'")
     x = as_vector(x, model.dim_x, "x")
-    y_obs = as_vector(y_obs, model.dim_y, "y_obs")
-    r = y_obs - apply_forward(model, x, check=(domain_mode == "error"))
-    require_finite(r, "residual y - F(x)")
-    rnorm = float(np.linalg.norm(r))
-    if rnorm == 0.0:
-        raise ZeroResidual("residual is zero at the current iterate")
-
+    r = as_vector(r, model.dim_y, "r")
+    require_finite(r, "residual r")
     lam, u, j, j_adj = _spectrum(model, x)
     alpha, z, iters, alpha_bound = _select_alpha(lam, u, r, q, tol_alpha)
     s = j_adj @ z
-    x_next = x + s
-    linearized = r - j @ s
-
+    rnorm = float(np.linalg.norm(r))
     diag = StepDiagnostics(
         alpha=alpha,
         residual_norm=rnorm,
         morozov_lhs=alpha * float(np.linalg.norm(z)),
         morozov_rhs=q * rnorm,
-        mdp_prime_lhs=float(np.linalg.norm(linearized)),
+        mdp_prime_lhs=float(np.linalg.norm(r - j @ s)),
         alpha_bound=alpha_bound,
         bracket_iters=iters,
     )
-
-    if domain_mode != "off" and not check_domain(model, x_next):
-        diag.domain_ok = False
-        if domain_mode == "error":
-            require_in_domain(model, x_next, "LM update")
-    return x_next, diag
+    return x + s, diag
 
 
 def commutation_residual(model: ForwardModel, x, alpha: float, v) -> float:

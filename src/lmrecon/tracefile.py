@@ -5,7 +5,9 @@ theory constants, hypothesis report), one comma-delimited row per iteration
 (row 0 is the initial state), then '#'-prefixed footer lines carrying the
 terminal status and the stopping index.  Floats are printed with 17
 significant digits so that parsing reproduces them bit for bit; unset cells
-are empty.
+are empty.  A header value is written verbatim unless it holds a line break,
+has leading or trailing blanks, or starts with '"'; such a value is written
+as a JSON string literal, so every header value reads back unchanged.
 
 Wall-clock time is deliberately not part of the format: with fixed seeds a
 rerun must produce a byte-identical file.  Callers who want timing pass it
@@ -14,6 +16,7 @@ explicitly and the reader skips it.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from .engine import IterationTrace, TraceRecord
@@ -33,6 +36,14 @@ def _cell(value) -> str:
 
 def _parse_cell(text: str) -> float | None:
     return None if text == "" else float(text)
+
+
+def _quote(value: str) -> str:
+    """``value`` as it goes on a header line (see the module docstring)."""
+    if (value.startswith('"') or value != value.strip()
+            or "".join(value.splitlines()) != value):
+        return json.dumps(value)
+    return value
 
 
 @dataclass
@@ -83,7 +94,7 @@ def flatten_header(prefix: str, mapping: dict) -> dict:
 def dumps(tf: TraceFile, wall_time_s: float | None = None) -> str:
     lines = [f"# {_MAGIC}"]
     for key, value in tf.header:
-        lines.append(f"# {key}: {value}")
+        lines.append(f"# {key}: {_quote(value)}")
     lines.append(f"# columns: {','.join(COLUMNS)}")
     for row in tf.rows:
         lines.append(",".join((
@@ -128,7 +139,8 @@ def loads(text: str) -> TraceFile:
             elif seen_rows:
                 raise ValueError(f"line {lineno}: unexpected footer key {key!r}")
             else:
-                tf.header.append((key, value))
+                tf.header.append(
+                    (key, json.loads(value) if value.startswith('"') else value))
             continue
         cells = line.split(",")
         if len(cells) != len(COLUMNS):

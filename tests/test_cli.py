@@ -110,18 +110,20 @@ TRACE_KEYS = ("columns", "terminal", "k_star", "wall_time_s")
 
 @st.composite
 def trace_files(draw):
-    """TraceFiles as the writer produces them: single-line header values
-    without surrounding blanks, finite floats and unset cells."""
+    """TraceFiles with arbitrary header values (line breaks, surrounding
+    blanks and quotes included), finite floats and unset cells; the
+    terminal is a single-line token, as the drivers write it."""
     line = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E),
                    max_size=30).map(str.strip)
     key = st.from_regex(r"[a-z][a-z0-9_.]{0,15}", fullmatch=True).filter(
         lambda k: k not in TRACE_KEYS)
+    value = st.text(max_size=30) | line | line.map(lambda v: f'"{v}"')
     optional = st.none() | FINITE
     rows = st.lists(st.builds(
         TraceRecord, k=st.integers(0, 10**6), alpha=optional, residual=FINITE,
         gamma=optional, step_norm=optional, mdp_prime_rel_err=optional),
         max_size=20)
-    return TraceFile(header=draw(st.lists(st.tuples(key, line), max_size=8)),
+    return TraceFile(header=draw(st.lists(st.tuples(key, value), max_size=8)),
                      rows=draw(rows), terminal=draw(line),
                      k_star=draw(st.none() | st.integers(0, 10**6)))
 

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import linear_model, non_finite_model
+from lmrecon.cli import counting_model
 from lmrecon.engine import (
     SolverConfig,
     compute_constants_exact,
@@ -27,7 +31,7 @@ from lmrecon.errors import (
     NonFiniteOutput,
 )
 from lmrecon.gallery import get_problem
-from lmrecon.operators import ForwardModel, StabilityCertificate
+from lmrecon.operators import ForwardModel, StabilityCertificate, check_domain
 
 
 def unit_cert(eps=1.0, rho_prime=10.0, lip=1.0, jac=1.0, holder=1.0):
@@ -237,6 +241,18 @@ class TestRunExact:
             run_exact(non_finite_model("forward"), None, np.array([1.0]),
                       np.array([0.0]), cfg)
 
+    def test_non_finite_iterate(self):
+        # F turns NaN at x1 = 0.25, the first LM iterate from 0 toward 2 x = 1
+        model = ForwardModel(
+            dim_x=1, dim_y=1, center=np.zeros(1), radius_sq=1e6,
+            forward=lambda x: 2.0 * x if x[0] < 0.1 else np.full(1, np.nan),
+            jacobian_apply=lambda x, v: 2.0 * v,
+            jacobian_adjoint_apply=lambda x, w: 2.0 * w,
+        )
+        cfg = SolverConfig(q=0.5, max_iters=5)
+        with pytest.raises(NonFiniteOutput):
+            run_exact(model, None, np.array([1.0]), np.array([0.0]), cfg)
+
 
 class TestRunNoisy:
     def test_kstar_zero_when_data_good_enough(self):
@@ -330,7 +346,7 @@ class TestLandweber:
             jacobian_apply=lambda x, v: (1.0 + 30.0 * x**2) * v,
             jacobian_adjoint_apply=lambda x, w: (1.0 + 30.0 * x**2) * w,
         )
-        cfg = SolverConfig(q=0.5, max_iters=100, domain_mode="off")
+        cfg = SolverConfig(q=0.5, max_iters=100, domain_mode="warn")
         with pytest.raises(DivergenceDetected):
             landweber_run(model, np.array([50.0]), np.array([0.0]), 0.9, cfg)
 
@@ -456,3 +472,85 @@ def test_trace_determinism():
                 ra.mdp_prime_rel_err) == \
                (rb.k, rb.alpha, rb.residual, rb.gamma, rb.step_norm,
                 rb.mdp_prime_rel_err)
+
+
+@pytest.mark.parametrize("driver", ["exact", "noisy", "landweber"])
+def test_one_forward_call_per_iterate(driver, gallery_problems):
+    # the loop evaluates F once per iterate and the steps reuse its residual
+    prob = gallery_problems["quadratic-2d"]
+    model, counts = counting_model(prob.model)
+    args = (prob.y_exact, prob.default_x0)
+    if driver == "exact":
+        trace = run_exact(model, prob.x_dagger, *args,
+                          SolverConfig(q=0.5, max_iters=5))
+    elif driver == "noisy":
+        cfg = SolverConfig(q=0.5, max_iters=5, tau=2.0, delta=1e-12,
+                           stop_mode="discrepancy")
+        trace = run_noisy(model, prob.x_dagger, *args, cfg)
+    else:
+        trace = landweber_run(model, *args, 0.1,
+                              SolverConfig(q=0.5, max_iters=5),
+                              x_dagger=prob.x_dagger)
+    assert trace.iterations == 5
+    assert counts["forward"] == 1 + trace.iterations
+
+
+def _recording(model):
+    """``model`` with every point F is evaluated at appended to a list."""
+    points = []
+
+    def forward(x):
+        points.append(np.array(x))
+        return model.forward(x)
+
+    return dataclasses.replace(model, forward=forward), points
+
+
+@st.composite
+def small_ball_problems(draw):
+    """Exact data of a linear model A x whose ball around x0 = 0 is small
+    enough that the iterates toward a drawn truth may leave it."""
+    n = draw(st.integers(1, 3), label="dim_x")
+    m = draw(st.integers(1, 4), label="dim_y")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = rng.standard_normal((m, n))
+    radius_sq = draw(st.floats(1e-3, 1.0), label="radius_sq")
+    return linear_model(a, radius_sq=radius_sq), a @ rng.standard_normal(n)
+
+
+def _run(driver, model, y, domain_mode):
+    """The run from x0 = 0 and the points F was evaluated at."""
+    recorded, points = _recording(model)
+    cfg = SolverConfig(q=0.5, max_iters=8, domain_mode=domain_mode)
+    x0 = np.zeros(model.dim_x)
+    if driver == "lm":
+        trace = run_exact(recorded, None, y, x0, cfg)
+    else:
+        trace = landweber_run(recorded, y, x0, None, cfg)
+    return trace, points
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=small_ball_problems(), driver=st.sampled_from(["lm", "landweber"]))
+def test_domain_policy(problem, driver):
+    model, y = problem
+    # "warn": every iterate is recorded, with one warning per iterate outside
+    warned, points = _run(driver, model, y, "warn")
+    assert len(points) == warned.iterations + 1
+    outside = [not check_domain(model, p) for p in points]
+    assert not outside[0]
+    assert sum("outside admissible ball" in w
+               for w in warned.warnings) == sum(outside)
+    # "error": the same iterates up to the first one outside, which ends the
+    # run unrecorded
+    strict, kept = _run(driver, model, y, "error")
+    assert all(check_domain(model, p) for p in kept)
+    first = outside.index(True) if any(outside) else len(points)
+    assert len(kept) == first
+    assert all(np.array_equal(p, w) for p, w in zip(kept, points))
+    if first < len(points):
+        assert strict.terminal == "domain_violation"
+        assert strict.iterations == first - 1
+        assert np.array_equal(strict.x_final, points[first - 1])
+    else:
+        assert strict.terminal == warned.terminal

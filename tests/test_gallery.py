@@ -168,8 +168,8 @@ class TestQuadraticPerturbation:
             assert lhs <= prob.certificate.lip_deriv * np.linalg.norm(a - b) \
                 * (1.0 + 1e-12)
 
-    def test_zero_maps_to_zero(self):
-        prob = quadratic_perturbation(np.eye(2), 0.25)
+    def test_zero_maps_to_zero(self, gallery_problems):
+        prob = gallery_problems["quadratic-2d"]
         assert np.array_equal(
             apply_forward(prob.model, [0.0, 0.0], check=False), [0.0, 0.0]
         )

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import GALLERY_IDS, linear_model, sample_ball
 from lmrecon.errors import DimensionMismatch, DomainViolation
-from lmrecon.gallery import exp_decay, quadratic_perturbation
+from lmrecon.gallery import exp_decay
 from lmrecon.operators import (
     ForwardModel,
     StabilityCertificate,
@@ -114,8 +114,8 @@ def test_finite_difference_square_map():
     assert abs(fd[0, 0] - 6.0) <= 1e-6
 
 
-def test_finite_difference_matches_analytic_quadratic():
-    prob = quadratic_perturbation(np.eye(2), 0.25)
+def test_finite_difference_matches_analytic_quadratic(gallery_problems):
+    prob = gallery_problems["quadratic-2d"]
     rng = np.random.default_rng(5)
     x = sample_ball(prob.model.center, prob.model.radius_sq, rng)
     jac = jacobian_matrix(prob.model, x)

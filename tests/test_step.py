@@ -182,16 +182,21 @@ def test_lm_step_scalar_chain():
 
 
 def test_lm_step_zero_residual():
+    # y = 1 = F(0.5), so r = y - F(x) vanishes
     model = linear_model([[2.0]])
     with pytest.raises(ZeroResidual):
-        lm_step(model, [0.5], [1.0], 0.5)
+        lm_step(model, [0.5], [0.0], 0.5)
 
 
-@pytest.mark.parametrize("part", ["forward", "jacobian_apply",
-                                  "jacobian_adjoint_apply"])
+@pytest.mark.parametrize("part", ["jacobian_apply", "jacobian_adjoint_apply"])
 def test_lm_step_non_finite_output(part):
     with pytest.raises(NonFiniteOutput):
         lm_step(non_finite_model(part), [0.0], [1.0], 0.5)
+
+
+def test_lm_step_non_finite_residual():
+    with pytest.raises(NonFiniteOutput):
+        lm_step(linear_model([[2.0]]), [0.0], [np.nan], 0.5)
 
 
 @pytest.mark.parametrize("part", ["jacobian_apply", "jacobian_adjoint_apply"])
@@ -204,14 +209,14 @@ def test_spectral_kernel_non_finite_output(part):
 
 
 def test_lm_step_model_calls():
-    # one forward evaluation for the residual and dim_x Jacobian and dim_y
-    # adjoint actions for the dense factors of the Gram matrix, which the
-    # update and its linearized residual reuse, whatever the shift selection
-    # does
+    # no forward evaluation (the caller passes the residual) and dim_x
+    # Jacobian and dim_y adjoint actions for the dense factors of the Gram
+    # matrix, which the update and its linearized residual reuse, whatever
+    # the shift selection does
     a = np.random.default_rng(4).standard_normal((5, 2))
     model, counts = counting_model(linear_model(a))
-    lm_step(model, [0.1, -0.2], a @ [1.0, 0.5], 0.5)
-    assert counts == {"forward": 1, "jacobian": 2, "adjoint": 5}
+    lm_step(model, [0.1, -0.2], a @ [0.9, 0.7], 0.5)
+    assert counts == {"forward": 0, "jacobian": 2, "adjoint": 5}
 
 
 def _linear_problem(draw, m, n):
@@ -267,7 +272,7 @@ def test_linear_step_properties(problem, q, null_share):
              + share * b / np.linalg.norm(b))
     y = a @ x + r
     tol = 1e-10
-    x_next, diag = lm_step(linear_model(a), x, y, q, tol_alpha=tol)
+    x_next, diag = lm_step(linear_model(a), x, r, q, tol_alpha=tol)
     rnorm = np.linalg.norm(r)
     assert 0.0 < diag.alpha <= diag.alpha_bound
     assert abs(diag.alpha_bound - q / (1.0 - q) * np.linalg.norm(a, 2) ** 2) \
@@ -335,7 +340,7 @@ def test_tall_kernel_matches_full_decomposition(problem, q, null_share,
     chosen = select_alpha(model, x, r, q, tol_alpha=1e-13)
     assert abs(chosen - reference) <= 1e-9 * reference
     # the step's z carries the null-space part of r as well
-    _, diag = lm_step(model, x, a @ x + r, q, tol_alpha=1e-13)
+    _, diag = lm_step(model, x, r, q, tol_alpha=1e-13)
     assert abs(diag.alpha - reference) <= 1e-9 * reference
     assert abs(diag.morozov_lhs - target) <= 1e-9 * target
 
@@ -370,7 +375,7 @@ def test_tall_inconsistent_adjoint_rejected(adjoint):
     with pytest.raises(FactorizationFailure):
         select_alpha(model, x, r, 0.5)
     with pytest.raises(FactorizationFailure):
-        lm_step(model, x, y, 0.5)
+        lm_step(model, x, r, 0.5)
 
 
 def test_tall_scaled_adjoint_accepted():
@@ -378,7 +383,7 @@ def test_tall_scaled_adjoint_accepted():
     # the step goes through and only the adjoint check can report the defect
     model, a = _tall_model(lambda a: 1.02 * a)
     x = np.array([0.3, -0.1])
-    _, diag = lm_step(model, x, a @ [1.0, 0.5] + 0.01, 0.5)
+    _, diag = lm_step(model, x, a @ [1.0, 0.5] + 0.01 - a @ x, 0.5)
     assert diag.alpha > 0.0
 
 
@@ -386,7 +391,8 @@ def test_lm_step_identity_on_exp_decay():
     prob = get_problem("exp-decay")
     x = np.array([0.9, 1.1])
     y = prob.model.forward(prob.x_dagger)
-    _, diag = lm_step(prob.model, x, y, 0.5, tol_alpha=1e-10)
+    _, diag = lm_step(prob.model, x, y - prob.model.forward(x), 0.5,
+                      tol_alpha=1e-10)
     # Morozov parameter makes the linearized post-step residual exactly q*||r||
     assert abs(diag.mdp_prime_lhs / diag.residual_norm - 0.5) <= 1e-8
 
@@ -396,7 +402,7 @@ def test_lm_step_alpha_bound_dense_oracle():
     x = prob.default_x0.copy()
     y = prob.y_exact
     for _ in range(5):
-        x_next, diag = lm_step(prob.model, x, y, 0.5)
+        x_next, diag = lm_step(prob.model, x, y - prob.model.forward(x), 0.5)
         dense = float(np.linalg.norm(jacobian_matrix(prob.model, x), 2))
         assert diag.alpha <= 0.5 / 0.5 * dense**2 * (1.0 + 1e-8)
         x = x_next
