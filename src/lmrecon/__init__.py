@@ -27,7 +27,6 @@ from .engine import (
     tangential_cone_eta,
 )
 from .errors import (
-    BudgetBeforeDiscrepancy,
     CertificationFailed,
     ConditionViolated,
     ConfigInvalid,
@@ -75,13 +74,7 @@ from .recon import (
     reconstruct_noisy,
     scan_for_initial_guess,
 )
-from .step import (
-    StepDiagnostics,
-    lm_step,
-    morozov_value,
-    select_alpha,
-    solve_shifted_system,
-)
+from .step import StepDiagnostics, lm_step
 
 __version__ = "0.1.0"
 

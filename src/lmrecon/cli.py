@@ -109,6 +109,10 @@ def _resolve_certificate(prob, cfg: RunConfig) -> StabilityCertificate:
         cert = gallery.estimate_stability_constants(
             prob.model, prob.default_box, eps=cfg.eps, samples=10000, seed=303,
         )
+    if (cfg.mode.startswith("reconstruct")
+            and cfg.measurement not in (None, "identity")):
+        # the oracle certified F, not the Q o F that reconstruction runs on
+        cert = dataclasses.replace(cert, provenance="user")
     if cfg.constants_override:
         fields = dict(cfg.constants_override)
         fields.setdefault("provenance", "user")
@@ -132,10 +136,26 @@ def _resolve_measurement(cfg: RunConfig, dim_y: int) -> MeasurementOperator:
     return MeasurementOperator(matrix)
 
 
+def _check_dim(field: str, values: list, prob) -> None:
+    if len(values) != prob.model.dim_x:
+        raise ConfigInvalid(
+            f"config field '{field}': has dimension {len(values)}, "
+            f"problem '{prob.id}' has {prob.model.dim_x} unknowns"
+        )
+
+
 def _resolve_box(cfg: RunConfig, prob) -> CompactBox:
     if cfg.box is None:
         return prob.default_box
+    _check_dim("box", cfg.box["lower"], prob)
     return CompactBox(np.array(cfg.box["lower"]), np.array(cfg.box["upper"]))
+
+
+def _resolve_x0(cfg: RunConfig, prob) -> np.ndarray:
+    if cfg.x0 is None:
+        return prob.default_x0
+    _check_dim("x0", cfg.x0, prob)
+    return np.array(cfg.x0, dtype=float)
 
 
 def _get_problem(cfg: RunConfig):
@@ -181,7 +201,7 @@ def cmd_solve(cfg: RunConfig, seed: int | None) -> int:
         raise ConfigInvalid(f"mode '{cfg.mode}' is not handled by 'solve'")
     prob = _get_problem(cfg)
     cert = _resolve_certificate(prob, cfg)
-    x0 = np.array(cfg.x0, dtype=float) if cfg.x0 is not None else prob.default_x0
+    x0 = _resolve_x0(cfg, prob)
     noise_seed = cfg.noise_seed if seed is None else seed
 
     constants = None
@@ -457,7 +477,7 @@ def cmd_compare(cfg: RunConfig, seed: int | None) -> int:
     if cfg.mode not in ("exact", "noisy"):
         raise ConfigInvalid("compare requires mode 'exact' or 'noisy'")
     prob = _get_problem(cfg)
-    x0 = np.array(cfg.x0, dtype=float) if cfg.x0 is not None else prob.default_x0
+    x0 = _resolve_x0(cfg, prob)
     noise_seed = cfg.noise_seed if seed is None else seed
     noisy = cfg.mode == "noisy"
     y_obs = (make_noise(prob.y_exact, cfg.delta, noise_seed)

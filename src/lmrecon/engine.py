@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BudgetBeforeDiscrepancy,
     ConditionViolated,
     ConfigInvalid,
     DivergenceDetected,
@@ -535,16 +534,13 @@ def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
 
 def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
               tc: TheoryConstantsNoisy | None = None,
-              record_iterates: bool = False,
-              strict_budget: bool = False) -> IterationTrace:
+              record_iterates: bool = False) -> IterationTrace:
     """Drive the LM iteration on noisy data with discrepancy stopping.
 
     Stops at the first iterate whose residual is <= tau * delta and records
     that index as ``k_star`` (0 is allowed).  If the budget runs out first the
-    trace is still returned with terminal status ``budget_exhausted``; with
-    ``strict_budget`` that case raises :class:`BudgetBeforeDiscrepancy`
-    instead.  ``delta = 0`` degenerates to exact data with stopping
-    threshold 0.
+    trace is still returned, with terminal status ``budget_exhausted``.
+    ``delta = 0`` degenerates to exact data with stopping threshold 0.
     """
     if cfg.stop_mode != "discrepancy":
         raise ConfigInvalid("run_noisy requires stop_mode = 'discrepancy'")
@@ -561,15 +557,9 @@ def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
                      and tc.cert_provenance == "oracle-estimated")
         rho = tc.rho
     omega = 1.0 / (1.0 - big_r) if big_r > 0 else None
-    trace = _iterate(model, y_delta, x0, cfg, _lm_stepper(model, cfg),
-                     x_dagger=x_dagger, hypothesis=hyp, rho=rho, omega=omega,
-                     record_iterates=record_iterates)
-    if strict_budget and trace.terminal == "budget_exhausted":
-        raise BudgetBeforeDiscrepancy(
-            f"no iterate reached the discrepancy threshold within "
-            f"{cfg.max_iters} steps"
-        )
-    return trace
+    return _iterate(model, y_delta, x0, cfg, _lm_stepper(model, cfg),
+                    x_dagger=x_dagger, hypothesis=hyp, rho=rho, omega=omega,
+                    record_iterates=record_iterates)
 
 
 def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,

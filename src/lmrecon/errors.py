@@ -43,16 +43,12 @@ class ConditionViolated(SolverError):
     """A theorem hypothesis fails for the supplied constants (e.g. rho >= rho')."""
 
 
-class BudgetBeforeDiscrepancy(SolverError):
-    """The iteration budget ran out before the discrepancy criterion was met."""
-
-
 class NoCandidateFound(SolverError):
     """No lattice point satisfies the measured-data proximity test."""
 
 
 class LatticeTooLarge(SolverError):
-    """The covering lattice would exceed the configured point cap."""
+    """The covering lattice would exceed the point cap."""
 
 
 class DegenerateModel(SolverError):

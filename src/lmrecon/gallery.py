@@ -24,7 +24,7 @@ from .operators import (
     jacobian_matrix,
     require_finite,
 )
-from .recon import CompactBox, MeasurementOperator
+from .recon import CompactBox
 
 INFLATION = 1.05
 # Linear models have exactly zero Jacobian variation; the certificate still
@@ -75,20 +75,18 @@ def _pair_arrays(box: CompactBox, samples: int, seed: int):
     return (np.vstack([first, gpts[gi]]), np.vstack([second, gpts[gj]]))
 
 
-def _pair_quantities(model: ForwardModel, qmat: np.ndarray | None,
-                     pa: np.ndarray, pb: np.ndarray):
+def _pair_quantities(model: ForwardModel, pa: np.ndarray, pb: np.ndarray):
     """Per-pair norms behind every certificate inequality.
 
-    Returns ``(jac, d, jd, fd, qd)``.  ``jac`` holds ``||J(a)||`` and
-    ``||J(b)||`` for every pair (a, b).  The other four arrays run over the
-    pairs with a != b and hold ``||a - b||``, ``||J(a) - J(b)||``,
-    ``||F(a) - F(b)||`` and ``||Q(F(a) - F(b))||`` (Q is the identity when
-    ``qmat`` is None).  Raises :class:`DegenerateModel` when distinct
+    Returns ``(jac, d, jd, fd)``.  ``jac`` holds ``||J(a)||`` and
+    ``||J(b)||`` for every pair (a, b).  The other three arrays run over the
+    pairs with a != b and hold ``||a - b||``, ``||J(a) - J(b)||`` and
+    ``||F(a) - F(b)||``.  Raises :class:`DegenerateModel` when distinct
     arguments share their data, and :class:`NonFiniteOutput` when the model
     returns NaN or inf.
     """
     jac = np.empty((pa.shape[0], 2))
-    apart = np.empty((pa.shape[0], 4))
+    apart = np.empty((pa.shape[0], 3))
     kept = 0
     for i, (a, b) in enumerate(zip(pa, pb)):
         ja = jacobian_matrix(model, a)
@@ -107,13 +105,7 @@ def _pair_quantities(model: ForwardModel, qmat: np.ndarray | None,
                 f"F({a}) = F({b}) with distinct arguments: "
                 "no stability on this box"
             )
-        qd = fd if qmat is None else float(np.linalg.norm(qmat @ (fa - fb)))
-        if qd == 0.0:
-            raise DegenerateModel(
-                "measured data coincide for distinct arguments: "
-                "the measurement map loses injectivity on this box"
-            )
-        apart[kept] = (d, np.linalg.norm(ja - jb, 2), fd, qd)
+        apart[kept] = (d, np.linalg.norm(ja - jb, 2), fd)
         kept += 1
     require_finite(apart[:kept], "pair difference norms")
     return (jac.ravel(), *apart[:kept].T)
@@ -132,27 +124,24 @@ def _pow(values: np.ndarray, exponent: float) -> np.ndarray:
 
 def estimate_stability_constants(model: ForwardModel, box: CompactBox,
                                  eps: float, samples: int = 10000,
-                                 seed: int = 0,
-                                 measurement: MeasurementOperator | None = None,
-                                 rho_prime: float | None = None,
-                                 ) -> StabilityCertificate:
+                                 seed: int = 0) -> StabilityCertificate:
     """Sample-maximum estimate of every certificate constant, inflated by 5%.
 
-    The measured-data constant uses the supplied measurement map (identity by
-    default).  ``rho_prime`` defaults to the largest ball centered in the box
-    that the box still contains, so the certificate is valid on that ball.
+    The certificate is for ``model`` with the identity measurement
+    (``q_norm = 1``); to certify a measured model Q o F, pass
+    ``compose_measured_model(model, q_op)``.  ``domain_rho_prime`` is taken
+    from the largest ball centered in the box that the box still contains, so
+    the certificate is valid on that ball.
     """
     if samples < 10**4:
         raise ValueError("at least 10^4 sample pairs are required")
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     pa, pb = _pair_arrays(box, samples, seed)
-    qmat = None if measurement is None else measurement.matrix
-    jac, d, jd, fd, qd = _pair_quantities(model, qmat, pa, pb)
+    jac, d, jd, fd = _pair_quantities(model, pa, pb)
     exponent = (1.0 + eps) / 2.0
-    if rho_prime is None:
-        inradius = 0.5 * float(np.min(box.upper - box.lower))
-        rho_prime = 0.5 * inradius**2 if inradius > 0 else model.radius_sq
+    inradius = 0.5 * float(np.min(box.upper - box.lower))
+    rho_prime = 0.5 * inradius**2 if inradius > 0 else model.radius_sq
     return StabilityCertificate(
         lip_deriv=INFLATION * max(_peak(jd / d), LIP_FLOOR),
         jac_bound=INFLATION * _peak(jac),
@@ -160,32 +149,29 @@ def estimate_stability_constants(model: ForwardModel, box: CompactBox,
         holder_eps=eps,
         domain_rho_prime=rho_prime,
         forward_lip=INFLATION * _peak(fd / d),
-        recon_const=INFLATION * _peak(0.5 * d / qd),
-        q_norm=1.0 if measurement is None else measurement.operator_norm,
+        recon_const=INFLATION * _peak(0.5 * d / fd),
+        q_norm=1.0,
         provenance="oracle-estimated",
     )
 
 
 def verify_certificate(model: ForwardModel, box: CompactBox,
                        cert: StabilityCertificate, samples: int = 10000,
-                       seed: int = 1,
-                       measurement: MeasurementOperator | None = None,
-                       ) -> CertificateReport:
+                       seed: int = 1) -> CertificateReport:
     """Check every certificate inequality on a fresh sample of pairs.
 
     A pair violates an inequality when its ratio exceeds 1 + 1e-12 (the slack
     absorbs rounding in certificates that hold with equality).
     """
     pa, pb = _pair_arrays(box, samples, seed)
-    qmat = None if measurement is None else measurement.matrix
-    jac, d, jd, fd, qd = _pair_quantities(model, qmat, pa, pb)
+    jac, d, jd, fd = _pair_quantities(model, pa, pb)
     exponent = (1.0 + cert.holder_eps) / 2.0
     ratios = {
         "jac_bound": jac / cert.jac_bound,
         "lip_deriv": jd / (cert.lip_deriv * d),
         "holder": (d / math.sqrt(2.0)) / (cert.holder_const * _pow(fd, exponent)),
         "forward_lip": fd / (cert.forward_lip * d),
-        "recon": d / (2.0 * cert.recon_const * qd),
+        "recon": d / (2.0 * cert.recon_const * fd),
     }
     counts = {key: int(np.count_nonzero(r > 1.0 + REVERIFY_SLACK))
               for key, r in ratios.items()}
@@ -363,7 +349,7 @@ def sabotaged_adjoint_fixture() -> GalleryProblem:
     Not part of the shipped gallery; exists so the verification command can
     demonstrate that a broken adjoint is caught.
     """
-    good = exp_decay((0.0, 1.0, 2.0), (1.2, 0.7))
+    good = get_problem("exp-decay")
     broken_model = ForwardModel(
         dim_x=good.model.dim_x,
         dim_y=good.model.dim_y,
@@ -405,16 +391,15 @@ def gallery_ids() -> list[str]:
     return list(_BUILDERS)
 
 
-def get_problem(problem_id: str, fixtures: bool = True) -> GalleryProblem:
-    """Problem registry lookup; builds lazily and caches."""
+def get_problem(problem_id: str) -> GalleryProblem:
+    """Problem registry lookup, fault fixtures included; builds lazily and
+    caches."""
     if problem_id not in _CACHE:
-        if problem_id in _BUILDERS:
-            prob = _BUILDERS[problem_id]()
-        elif fixtures and problem_id in _FIXTURE_BUILDERS:
-            prob = _FIXTURE_BUILDERS[problem_id]()
-        else:
-            known = sorted([*_BUILDERS, *(_FIXTURE_BUILDERS if fixtures else {})])
+        builder = _BUILDERS.get(problem_id) or _FIXTURE_BUILDERS.get(problem_id)
+        if builder is None:
+            known = sorted([*_BUILDERS, *_FIXTURE_BUILDERS])
             raise KeyError(f"unknown problem '{problem_id}'; known: {known}")
+        prob = builder()
         if prob.id != problem_id:
             prob = dataclasses.replace(prob, id=problem_id)
         _CACHE[problem_id] = prob

@@ -179,13 +179,14 @@ def lattice_radius(cert: StabilityCertificate, rho: float) -> float:
     return min(hit_radius, math.sqrt(2.0 * rho))
 
 
-def build_lattice(box: CompactBox, r_cover: float,
-                  max_points: int = DEFAULT_LATTICE_CAP) -> Lattice:
+def build_lattice(box: CompactBox, r_cover: float) -> Lattice:
     """Uniform cell-centered grid whose half-cell diagonal is <= r_cover.
 
     Per-axis spacing is at most ``2 r_cover / sqrt(n)`` so the half-diagonal of
     each cell, and hence the covering radius, does not exceed ``r_cover``.
-    Degenerate axes (zero extent) contribute a single coordinate.
+    Degenerate axes (zero extent) contribute a single coordinate.  Raises
+    :class:`LatticeTooLarge` when the grid would exceed
+    ``DEFAULT_LATTICE_CAP`` points; the count is taken before any allocation.
     """
     if not r_cover > 0:
         raise ValueError("r_cover must be positive")
@@ -196,10 +197,10 @@ def build_lattice(box: CompactBox, r_cover: float,
         extent = up - lo
         counts.append(1 if extent == 0.0 else int(math.ceil(extent / h_max)))
     total = math.prod(counts)
-    if total > max_points:
+    if total > DEFAULT_LATTICE_CAP:
         raise LatticeTooLarge(
-            f"lattice would need {total} points (cap {max_points}); shrink the "
-            "box or relax the target accuracy"
+            f"lattice would need {total} points (cap {DEFAULT_LATTICE_CAP}); "
+            "shrink the box or relax the target accuracy"
         )
     axes = []
     spacings = []
@@ -245,7 +246,6 @@ def reconstruct_exact(model: ForwardModel, q_op: MeasurementOperator,
                       box: CompactBox, cert: StabilityCertificate, q: float,
                       target_gamma: float, y_obs, x_dagger=None,
                       tol_alpha: float = 1e-10,
-                      max_lattice_points: int = DEFAULT_LATTICE_CAP,
                       ) -> tuple[np.ndarray, IterationTrace]:
     """Full exact-data reconstruction: lattice scan, then LM to a target accuracy.
 
@@ -256,7 +256,7 @@ def reconstruct_exact(model: ForwardModel, q_op: MeasurementOperator,
     measured = compose_measured_model(model, q_op)
     tc = compute_constants_exact(cert, q)
     r_cover = lattice_radius(cert, tc.rho)
-    lattice = build_lattice(box, r_cover, max_points=max_lattice_points)
+    lattice = build_lattice(box, r_cover)
     threshold = tc.rho / (2.0 * cert.recon_const)
     x0, hit, scanned = scan_for_initial_guess(
         lattice, measured, y_obs, threshold, details=True
@@ -278,7 +278,6 @@ def reconstruct_noisy(model: ForwardModel, q_op: MeasurementOperator,
                       box: CompactBox, cert: StabilityCertificate, q: float,
                       tau: float, delta: float, y_delta, max_iters: int,
                       x_dagger=None, tol_alpha: float = 1e-10,
-                      max_lattice_points: int = DEFAULT_LATTICE_CAP,
                       ) -> tuple[np.ndarray, IterationTrace]:
     """Noisy-data reconstruction with discrepancy stopping.
 
@@ -291,7 +290,7 @@ def reconstruct_noisy(model: ForwardModel, q_op: MeasurementOperator,
     measured = compose_measured_model(model, q_op)
     tc = compute_constants_noisy(cert, q, tau, delta=delta)
     r_cover = lattice_radius(cert, tc.rho)
-    lattice = build_lattice(box, r_cover, max_points=max_lattice_points)
+    lattice = build_lattice(box, r_cover)
     threshold = tc.rho / (2.0 * cert.recon_const)
     x0, hit, scanned = scan_for_initial_guess(
         lattice, measured, y_delta, threshold, details=True

@@ -13,16 +13,18 @@ from ``dim_x`` Jacobian actions and J* from ``dim_y`` adjoint actions, forms
 the data-space Gram matrix ``G = J J*`` by one product, and takes one
 eigendecomposition ``G = U diag(lam) U^T``: of G itself when
 ``dim_y <= dim_x``, and of the ``dim_x x dim_x`` projection of G on range(J)
-when ``dim_y > dim_x``, where the rest of the spectrum is zero.  The Morozov
-function, its root, the ceiling ``alpha_bound``, the feasibility test and the
-solve for ``z`` all follow from that one spectrum in closed form, and the
-update ``J* z`` and its linearized residual reuse the dense factors.
+when ``dim_y > dim_x``, where the rest of the spectrum is zero.  That one
+spectrum is a :class:`Spectrum`; the Morozov function, its root, the ceiling
+``alpha_bound``, the feasibility test and the solve for ``z`` all follow from
+it in closed form, and the update ``J* z`` and its linearized residual reuse
+its dense factors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,11 +90,49 @@ def gram_matrix(model: ForwardModel, x):
     return j @ j_adj, j, j_adj
 
 
-def _spectrum(model: ForwardModel, x):
+class Spectrum(NamedTuple):
     """Eigenpairs ``(lam, u)`` of the Gram matrix ``G = J J*``, ascending,
-    with eigenvalues in the numerical null space (at most
-    ``dim_y * eps * lam_max``) set to 0; returns ``(lam, u, J, J*)`` with the
-    dense factors from :func:`gram_matrix`.
+    with the dense factors ``j`` (J) and ``j_adj`` (J*) they came from.
+
+    ``u`` has ``min(dim_y, dim_x)`` orthonormal columns.  When it has fewer
+    than ``dim_y``, G is exactly zero on the complement of their span;
+    :meth:`split` and :meth:`solve` account for that part of ``r``, so no
+    caller needs to know which case it has.
+    """
+
+    lam: np.ndarray
+    u: np.ndarray
+    j: np.ndarray
+    j_adj: np.ndarray
+
+    def split(self, r: np.ndarray):
+        """``(c, rest)``: the coordinates ``c = U^T r`` of ``r`` on the
+        eigenvectors and the part ``rest = r - U c`` outside their span, in
+        the null space of G (exactly 0.0 when ``u`` is square)."""
+        c = self.u.T @ r
+        if self.u.shape[1] == self.u.shape[0]:
+            return c, 0.0
+        return c, r - self.u @ c
+
+    def solve(self, alpha: float, r) -> np.ndarray:
+        """``z = (J J* + alpha I)^{-1} r = U (c / (lam + alpha)) + rest / alpha``."""
+        r = as_vector(r, self.j.shape[0], "r")
+        if not alpha > 0:
+            raise FactorizationFailure(f"shift alpha = {alpha} must be positive")
+        c, rest = self.split(r)
+        return self.u @ (c / (self.lam + alpha)) + rest / alpha
+
+    def phi(self, alpha: float, r) -> float:
+        """The Morozov function ``alpha * ||(J J* + alpha I)^{-1} r||``,
+        strictly increasing in alpha towards ``||r||``."""
+        return alpha * float(np.linalg.norm(self.solve(alpha, r)))
+
+
+def _spectrum(model: ForwardModel, x) -> Spectrum:
+    """The :class:`Spectrum` of the Gram matrix ``G = J J*`` at ``x``, with
+    eigenvalues in the numerical null space (at most
+    ``dim_y * eps * lam_max``) set to 0 and the dense factors from
+    :func:`gram_matrix`.
 
     Raises :class:`NonFiniteOutput` on NaN or inf entries and
     :class:`FactorizationFailure` when G is asymmetric or indefinite, both
@@ -102,8 +142,7 @@ def _spectrum(model: ForwardModel, x):
     orthonormal basis Q of range(J) from a reduced QR of J, only the
     ``dim_x x dim_x`` matrix ``Q^T G Q = W diag(lam) W^T`` is decomposed and
     ``u = Q W`` has ``dim_x`` columns.  The rest of the spectrum of a
-    symmetric G is exact zeros, on the complement of range(J) (see
-    :func:`_split`).
+    symmetric G is exact zeros, on the complement of range(J).
     """
     gram, j, j_adj = gram_matrix(model, x)
     require_finite(gram, "Gram matrix J J*")
@@ -125,47 +164,15 @@ def _spectrum(model: ForwardModel, x):
             f"Gram matrix has eigenvalue {lam[0]:.3e} < 0: "
             "the adjoint action is inconsistent"
         )
-    return np.where(lam > cutoff, lam, 0.0), u, j, j_adj
+    return Spectrum(np.where(lam > cutoff, lam, 0.0), u, j, j_adj)
 
 
-def _split(u: np.ndarray, r: np.ndarray):
-    """``(c, rest)``: the coordinates ``c = U^T r`` of ``r`` on the
-    eigenvectors and the part ``rest = r - U c`` outside their span, which
-    lies in the null space of the Gram matrix (exactly 0.0 when ``u`` is
-    square)."""
-    c = u.T @ r
-    if u.shape[1] == u.shape[0]:
-        return c, 0.0
-    return c, r - u @ c
-
-
-def solve_shifted_system(model: ForwardModel, x, alpha: float, r) -> np.ndarray:
-    """Solve (J J^T + alpha I) z = r through the eigendecomposition of the
-    Gram matrix: ``z = U (U^T r / (lam + alpha)) + rest / alpha``."""
-    r = as_vector(r, model.dim_y, "r")
-    if not alpha > 0:
-        raise FactorizationFailure(f"shift alpha = {alpha} must be positive")
-    lam, u, _, _ = _spectrum(model, x)
-    c, rest = _split(u, r)
-    return u @ (c / (lam + alpha)) + rest / alpha
-
-
-def morozov_value(model: ForwardModel, x, alpha: float, r) -> float:
-    """phi(alpha) = alpha * ||(J J^T + alpha I)^{-1} r||.
-
-    phi is strictly increasing in alpha and tends to ||r|| as alpha grows.
-    """
-    z = solve_shifted_system(model, x, alpha, r)
-    return alpha * float(np.linalg.norm(z))
-
-
-def _select_alpha(lam: np.ndarray, u: np.ndarray, r: np.ndarray, q: float,
-                  tol_alpha: float):
+def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float):
     """Safeguarded Newton on the Morozov equation for the Gram spectrum
-    ``(lam, u)`` from :func:`_spectrum`; returns
+    ``spec`` from :func:`_spectrum`; returns
     (alpha, z, Newton iterations, alpha_bound).
 
-    With ``(c, rest)`` from :func:`_split`,
+    With ``(c, rest) = spec.split(r)``,
     ``phi(alpha)^2 = ||alpha / (lam + alpha) * c||^2 + ||rest||^2``.  The
     root lies in ``(0, alpha_bound]``, ``alpha_bound = q/(1-q) * lam_max``,
     and exists iff the part of ``r`` in the null space of J J^T has norm
@@ -180,7 +187,8 @@ def _select_alpha(lam: np.ndarray, u: np.ndarray, r: np.ndarray, q: float,
     rnorm = float(np.linalg.norm(r))
     if rnorm == 0.0:
         raise ZeroResidual("residual is zero; nothing to regularize")
-    c, rest = _split(u, r)
+    lam, u = spec.lam, spec.u
+    c, rest = spec.split(r)
     rest_sq = float(np.dot(rest, rest))
     target = q * rnorm
     null = c[lam == 0.0]
@@ -215,15 +223,6 @@ def _select_alpha(lam: np.ndarray, u: np.ndarray, r: np.ndarray, q: float,
     )
 
 
-def select_alpha(model: ForwardModel, x, r, q: float,
-                 tol_alpha: float = 1e-10) -> float:
-    """Regularization parameter with alpha*||(JJ^T+alpha I)^{-1} r|| = q*||r||."""
-    r = as_vector(r, model.dim_y, "r")
-    lam, u, _, _ = _spectrum(model, x)
-    alpha, _, _, _ = _select_alpha(lam, u, r, q, tol_alpha)
-    return alpha
-
-
 def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10):
     """One Levenberg-Marquardt update from ``x``, given its residual
     ``r = y - F(x)``.
@@ -236,16 +235,16 @@ def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10):
     x = as_vector(x, model.dim_x, "x")
     r = as_vector(r, model.dim_y, "r")
     require_finite(r, "residual r")
-    lam, u, j, j_adj = _spectrum(model, x)
-    alpha, z, iters, alpha_bound = _select_alpha(lam, u, r, q, tol_alpha)
-    s = j_adj @ z
+    spec = _spectrum(model, x)
+    alpha, z, iters, alpha_bound = _select_alpha(spec, r, q, tol_alpha)
+    s = spec.j_adj @ z
     rnorm = float(np.linalg.norm(r))
     diag = StepDiagnostics(
         alpha=alpha,
         residual_norm=rnorm,
         morozov_lhs=alpha * float(np.linalg.norm(z)),
         morozov_rhs=q * rnorm,
-        mdp_prime_lhs=float(np.linalg.norm(r - j @ s)),
+        mdp_prime_lhs=float(np.linalg.norm(r - spec.j @ s)),
         alpha_bound=alpha_bound,
         bracket_iters=iters,
     )

@@ -10,8 +10,7 @@ has leading or trailing blanks, or starts with '"'; such a value is written
 as a JSON string literal, so every header value reads back unchanged.
 
 Wall-clock time is deliberately not part of the format: with fixed seeds a
-rerun must produce a byte-identical file.  Callers who want timing pass it
-explicitly and the reader skips it.
+rerun must produce a byte-identical file.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .engine import IterationTrace, TraceRecord
 
 COLUMNS = ("k", "alpha", "residual", "gamma", "step_norm", "mdp_prime_rel_err")
 _MAGIC = "lmrecon-trace v1"
-_SKIPPED_FOOTER_KEYS = ("wall_time_s",)
 
 
 def fmt_float(x: float) -> str:
@@ -91,7 +89,7 @@ def flatten_header(prefix: str, mapping: dict) -> dict:
     return out
 
 
-def dumps(tf: TraceFile, wall_time_s: float | None = None) -> str:
+def dumps(tf: TraceFile) -> str:
     lines = [f"# {_MAGIC}"]
     for key, value in tf.header:
         lines.append(f"# {key}: {_quote(value)}")
@@ -107,8 +105,6 @@ def dumps(tf: TraceFile, wall_time_s: float | None = None) -> str:
         )))
     lines.append(f"# terminal: {tf.terminal}")
     lines.append(f"# k_star: {'none' if tf.k_star is None else tf.k_star}")
-    if wall_time_s is not None:
-        lines.append(f"# wall_time_s: {wall_time_s:.3f}")
     return "\n".join(lines) + "\n"
 
 
@@ -134,8 +130,6 @@ def loads(text: str) -> TraceFile:
                 tf.terminal = value
             elif key == "k_star":
                 tf.k_star = None if value == "none" else int(value)
-            elif key in _SKIPPED_FOOTER_KEYS:
-                continue
             elif seen_rows:
                 raise ValueError(f"line {lineno}: unexpected footer key {key!r}")
             else:
@@ -159,9 +153,9 @@ def loads(text: str) -> TraceFile:
     return tf
 
 
-def write_trace(path, tf: TraceFile, wall_time_s: float | None = None) -> None:
+def write_trace(path, tf: TraceFile) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(tf, wall_time_s=wall_time_s))
+        fh.write(dumps(tf))
 
 
 def read_trace(path) -> TraceFile:

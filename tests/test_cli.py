@@ -95,17 +95,11 @@ class TestTraceFile:
             assert a.residual == b.residual
             assert a.gamma == b.gamma
 
-    def test_wall_time_line_is_skipped(self):
-        tf = TraceFile.from_trace(self.trace(), {})
-        text = dumps(tf, wall_time_s=1.234)
-        assert "# wall_time_s: 1.234" in text
-        assert loads(text) == tf
-
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # Footer keys of the trace format; a header line cannot use them.
-TRACE_KEYS = ("columns", "terminal", "k_star", "wall_time_s")
+TRACE_KEYS = ("columns", "terminal", "k_star")
 
 
 @st.composite
@@ -243,6 +237,12 @@ class TestSolveCommand:
         assert code == 2
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_x0_dimension_mismatch_exits_one(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, x0=[0.0, 0.0])
+        assert main([command, "--config", str(path)]) == 1
+        assert "config field 'x0'" in capsys.readouterr().err
+
     def test_threads_option_is_gone(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["solve", "--config", str(write_config(tmp_path)),
@@ -280,6 +280,37 @@ class TestReconstructCommand:
         )
         code = main(["reconstruct", "--config", str(path)])
         assert code == 4
+
+    def test_box_dimension_mismatch_exits_one(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, problem_id="quadratic-2d", mode="reconstruct_exact",
+            target_gamma=1e-10,
+            box={"lower": [-0.5, -0.5, -0.5], "upper": [0.5, 0.5, 0.5]},
+        )
+        assert main(["reconstruct", "--config", str(path)]) == 1
+        assert "config field 'box'" in capsys.readouterr().err
+
+    def _measured_header(self, tmp_path, **overrides):
+        path = write_config(
+            tmp_path, problem_id="quadratic-2d", mode="reconstruct_exact",
+            target_gamma=1e-10, **overrides,
+        )
+        assert main(["reconstruct", "--config", str(path)]) == 0
+        return dict(read_trace(tmp_path / "out.trace").header)
+
+    def test_non_identity_measurement_runs_on_user_constants(self, tmp_path):
+        # the oracle certified F, not Q o F: no guarantee may arm, unless an
+        # override states the provenance
+        header = self._measured_header(tmp_path, measurement="first-coordinate")
+        assert header["certificate.provenance"] == "user"
+        assert header["hypothesis.armed"] == "false"
+        header = self._measured_header(tmp_path, measurement="identity")
+        assert header["certificate.provenance"] == "oracle-estimated"
+        assert header["hypothesis.armed"] == "true"
+        header = self._measured_header(
+            tmp_path, measurement="first-coordinate",
+            constants_override={"provenance": "oracle-estimated"})
+        assert header["certificate.provenance"] == "oracle-estimated"
 
 
 class TestVerifyCommand:

@@ -24,7 +24,6 @@ from lmrecon.engine import (
     tangential_cone_eta,
 )
 from lmrecon.errors import (
-    BudgetBeforeDiscrepancy,
     ConditionViolated,
     ConfigInvalid,
     DivergenceDetected,
@@ -307,9 +306,6 @@ class TestRunNoisy:
                           np.array([0.0]), cfg)
         assert trace.terminal == "budget_exhausted"
         assert trace.k_star is None
-        with pytest.raises(BudgetBeforeDiscrepancy):
-            run_noisy(prob.model, prob.x_dagger, prob.y_exact,
-                      np.array([0.0]), cfg, strict_budget=True)
 
 
 class TestLandweber:

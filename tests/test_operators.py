@@ -5,7 +5,6 @@ import pytest
 
 from conftest import GALLERY_IDS, linear_model, sample_ball
 from lmrecon.errors import DimensionMismatch, DomainViolation
-from lmrecon.gallery import exp_decay
 from lmrecon.operators import (
     ForwardModel,
     StabilityCertificate,
@@ -32,8 +31,9 @@ def test_apply_forward_at_center_passes_domain_check():
     assert apply_forward(model, model.center)[0] == 2.0
 
 
-def test_apply_forward_exp_decay_closed_form():
-    prob = exp_decay((0.0, 1.0), (1.0, 1.0))
+def test_apply_forward_exp_decay_closed_form(gallery_problems):
+    # the model of exp_decay((0.0, 1.0), x_dagger) for any x_dagger
+    prob = gallery_problems["exp-decay-2pt"]
     out = apply_forward(prob.model, [1.0, 1.0])
     assert np.allclose(out, [1.0, math.exp(-1.0)], rtol=0, atol=1e-15)
 
@@ -87,8 +87,9 @@ def test_jacobian_norm_diagonal():
     assert abs(estimate_jacobian_norm(model, [0.0, 0.0], iters=100) - 3.0) <= 1e-8
 
 
-def test_jacobian_norm_exp_decay_vs_dense_svd():
-    prob = exp_decay((0.0, 1.0, 2.0), (1.0, 1.0))
+def test_jacobian_norm_exp_decay_vs_dense_svd(gallery_problems):
+    # the model of exp_decay((0.0, 1.0, 2.0), x_dagger) for any x_dagger
+    prob = gallery_problems["exp-decay"]
     x = np.array([1.0, 1.0])
     dense = float(np.linalg.svd(jacobian_matrix(prob.model, x),
                                 compute_uv=False)[0])

@@ -132,7 +132,7 @@ class TestBuildLattice:
     def test_cap(self):
         box = CompactBox(np.zeros(2), np.ones(2))
         with pytest.raises(LatticeTooLarge):
-            build_lattice(box, 1e-6, max_points=10**4)
+            build_lattice(box, 1e-6)
 
     def test_covering_property_sampled(self):
         box = CompactBox(np.array([-0.5, 0.25]), np.array([1.5, 0.75]))

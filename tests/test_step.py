@@ -16,18 +16,12 @@ from lmrecon.errors import (
 )
 from lmrecon.gallery import get_problem
 from lmrecon.operators import ForwardModel, jacobian_matrix
-from lmrecon.step import (
-    commutation_residual,
-    lm_step,
-    morozov_value,
-    select_alpha,
-    solve_shifted_system,
-)
+from lmrecon.step import _select_alpha, _spectrum, commutation_residual, lm_step
 
 
 def test_solve_shifted_scalar():
     model = linear_model([[2.0]])
-    z = solve_shifted_system(model, [0.0], 4.0, [1.0])
+    z = _spectrum(model, [0.0]).solve(4.0, [1.0])
     assert abs(z[0] - 0.125) <= 1e-15
 
 
@@ -35,13 +29,13 @@ def test_solve_shifted_dominant_alpha_limit():
     model = linear_model([[2.0, 1.0], [0.5, 3.0]])
     r = np.array([1.0, -2.0])
     alpha = 1e12
-    z = solve_shifted_system(model, [0.0, 0.0], alpha, r)
+    z = _spectrum(model, [0.0, 0.0]).solve(alpha, r)
     assert np.linalg.norm(z - r / alpha) <= 1e-6 * np.linalg.norm(r / alpha)
 
 
 def test_solve_shifted_diagonal():
     model = linear_model(np.diag([1.0, 3.0]))
-    z = solve_shifted_system(model, [0.0, 0.0], 1.0, [1.0, 1.0])
+    z = _spectrum(model, [0.0, 0.0]).solve(1.0, [1.0, 1.0])
     assert np.allclose(z, [0.5, 0.1], rtol=0, atol=1e-14)
 
 
@@ -54,7 +48,7 @@ def test_solve_shifted_residual_tolerance():
     model = linear_model(a)
     r = rng.standard_normal(4)
     for alpha in (1e-2, 1.0, 1e4):
-        z = solve_shifted_system(model, np.zeros(3), alpha, r)
+        z = _spectrum(model, np.zeros(3)).solve(alpha, r)
         defect = np.linalg.norm((a @ a.T + alpha * np.eye(4)) @ z - r)
         assert defect <= 1e-12 * np.linalg.norm(r)
 
@@ -62,9 +56,9 @@ def test_solve_shifted_residual_tolerance():
 def test_solve_shifted_rejects_nonpositive_alpha():
     model = linear_model([[2.0]])
     with pytest.raises(FactorizationFailure):
-        solve_shifted_system(model, [0.0], 0.0, [1.0])
+        _spectrum(model, [0.0]).solve(0.0, [1.0])
     with pytest.raises(FactorizationFailure):
-        solve_shifted_system(model, [0.0], -1.0, [1.0])
+        _spectrum(model, [0.0]).solve(-1.0, [1.0])
 
 
 def test_broken_adjoint_gives_asymmetric_gram():
@@ -77,7 +71,7 @@ def test_broken_adjoint_gives_asymmetric_gram():
         jacobian_adjoint_apply=lambda x, w: wrong.T @ w,
     )
     with pytest.raises(FactorizationFailure):
-        solve_shifted_system(model, [0.0, 0.0], 1.0, [1.0, 1.0])
+        _spectrum(model, [0.0, 0.0]).solve(1.0, [1.0, 1.0])
 
 
 def test_sign_flipped_adjoint_gives_indefinite_gram():
@@ -90,24 +84,24 @@ def test_sign_flipped_adjoint_gives_indefinite_gram():
         jacobian_adjoint_apply=lambda x, w: -a.T @ w,
     )
     with pytest.raises(FactorizationFailure):
-        solve_shifted_system(model, [0.0, 0.0], 1.0, [1.0, 1.0])
+        _spectrum(model, [0.0, 0.0]).solve(1.0, [1.0, 1.0])
     with pytest.raises(FactorizationFailure):
         lm_step(model, [0.0, 0.0], [1.0, 1.0], 0.5)
 
 
 def test_morozov_scalar_value():
     model = linear_model([[2.0]])
-    assert abs(morozov_value(model, [0.0], 4.0, [1.0]) - 0.5) <= 1e-14
+    assert abs(_spectrum(model, [0.0]).phi(4.0, [1.0]) - 0.5) <= 1e-14
 
 
 def test_morozov_large_alpha_limit():
     model = linear_model([[2.0]])
-    assert abs(morozov_value(model, [0.0], 1e12, [1.0]) - 1.0) <= 1e-6
+    assert abs(_spectrum(model, [0.0]).phi(1e12, [1.0]) - 1.0) <= 1e-6
 
 
 def test_morozov_diagonal_hand_value():
     model = linear_model(np.diag([1.0, 3.0]))
-    value = morozov_value(model, [0.0, 0.0], 1.0, [1.0, 1.0])
+    value = _spectrum(model, [0.0, 0.0]).phi(1.0, [1.0, 1.0])
     # hand evaluation: 1 * ||(1/2, 1/10)|| = sqrt(0.26); cross-check by a
     # brute-force dense solve
     hand = math.sqrt(0.26)
@@ -124,21 +118,22 @@ def test_morozov_strictly_increasing():
     r = rng.standard_normal(3)
     x = np.zeros(2)
     alphas = np.sort(rng.uniform(1e-4, 1e4, 30))
-    values = [morozov_value(model, x, al, r) for al in alphas]
+    spec = _spectrum(model, x)
+    values = [spec.phi(al, r) for al in alphas]
     for lo, hi in zip(values, values[1:]):
         assert hi > lo - 1e-13
 
 
 def test_select_alpha_scalar_closed_form():
     model = linear_model([[2.0]])
-    alpha = select_alpha(model, [0.0], [1.0], 0.5)
+    alpha = _select_alpha(_spectrum(model, [0.0]), [1.0], 0.5, 1e-10)[0]
     assert abs(alpha - 4.0) <= 1e-9
 
 
 def test_select_alpha_saturates_ceiling():
     # a = 1, q = 0.9: the root q a^2/(1-q) = 9 equals the classical ceiling.
     model = linear_model([[1.0]])
-    alpha = select_alpha(model, [0.0], [1.0], 0.9)
+    alpha = _select_alpha(_spectrum(model, [0.0]), [1.0], 0.9, 1e-10)[0]
     assert abs(alpha - 9.0) <= 1e-8
 
 
@@ -146,7 +141,7 @@ def test_select_alpha_diagonal_grid_oracle():
     model = linear_model(np.diag([1.0, 3.0]))
     r = np.array([1.0, 1.0])
     target = 0.5 * np.linalg.norm(r)
-    alpha = select_alpha(model, [0.0, 0.0], r, 0.5, tol_alpha=1e-12)
+    alpha = _select_alpha(_spectrum(model, [0.0, 0.0]), r, 0.5, 1e-12)[0]
 
     # independent oracle: closed-form phi on a dense grid
     grid = np.linspace(alpha * 0.5, alpha * 1.5, 10**6)
@@ -161,13 +156,13 @@ def test_select_alpha_root_infeasible():
     a = np.array([[1.0], [0.0]])
     model = linear_model(a)
     with pytest.raises(RootInfeasible):
-        select_alpha(model, [0.0], [0.0, 1.0], 0.5)
+        _select_alpha(_spectrum(model, [0.0]), [0.0, 1.0], 0.5, 1e-10)
 
 
 def test_select_alpha_zero_residual():
     model = linear_model([[2.0]])
     with pytest.raises(ZeroResidual):
-        select_alpha(model, [0.0], [0.0], 0.5)
+        _select_alpha(_spectrum(model, [0.0]), [0.0], 0.5, 1e-10)
 
 
 def test_lm_step_scalar_chain():
@@ -203,9 +198,9 @@ def test_lm_step_non_finite_residual():
 def test_spectral_kernel_non_finite_output(part):
     model = non_finite_model(part)
     with pytest.raises(NonFiniteOutput):
-        select_alpha(model, [0.0], [1.0], 0.5)
+        _select_alpha(_spectrum(model, [0.0]), [1.0], 0.5, 1e-10)
     with pytest.raises(NonFiniteOutput):
-        solve_shifted_system(model, [0.0], 1.0, [1.0])
+        _spectrum(model, [0.0]).solve(1.0, [1.0])
 
 
 def test_lm_step_model_calls():
@@ -300,14 +295,13 @@ def test_root_infeasible_iff_null_component_dominates(problem, q, null_share):
     null_part = null_basis @ rng.standard_normal(null_basis.shape[1])
     r = (np.sqrt(1.0 - null_share**2) * range_part / np.linalg.norm(range_part)
          + null_share * null_part / np.linalg.norm(null_part))
-    model = linear_model(a)
-    x = np.zeros(a.shape[1])
+    spec = _spectrum(linear_model(a), np.zeros(a.shape[1]))
     if null_share >= q:
         with pytest.raises(RootInfeasible):
-            select_alpha(model, x, r, q)
+            _select_alpha(spec, r, q, 1e-10)
     else:
-        alpha = select_alpha(model, x, r, q)
-        assert abs(morozov_value(model, x, alpha, r) - q) <= 1e-9
+        alpha = _select_alpha(spec, r, q, 1e-10)[0]
+        assert abs(spec.phi(alpha, r) - q) <= 1e-9
 
 
 @settings(max_examples=80, deadline=None)
@@ -323,7 +317,7 @@ def test_tall_kernel_matches_full_decomposition(problem, q, null_share,
     r = _mixed_residual(range_basis, null_basis, rng, null_share * q)
 
     alpha = 10.0**log_alpha
-    z = solve_shifted_system(model, x, alpha, r)
+    z = _spectrum(model, x).solve(alpha, r)
     dense = np.linalg.solve(a @ a.T + alpha * np.eye(m), r)
     assert np.linalg.norm(z - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -337,7 +331,7 @@ def test_tall_kernel_matches_full_decomposition(problem, q, null_share,
     reference = brentq(
         lambda al: np.linalg.norm(al / (lam + al) * c) - target,
         1e-12 * ceiling, 2.0 * ceiling, xtol=1e-300, rtol=1e-15)
-    chosen = select_alpha(model, x, r, q, tol_alpha=1e-13)
+    chosen = _select_alpha(_spectrum(model, x), r, q, 1e-13)[0]
     assert abs(chosen - reference) <= 1e-9 * reference
     # the step's z carries the null-space part of r as well
     _, diag = lm_step(model, x, r, q, tol_alpha=1e-13)
@@ -371,9 +365,9 @@ def test_tall_inconsistent_adjoint_rejected(adjoint):
     y = a @ [1.0, 0.5] + 0.01
     r = y - a @ x
     with pytest.raises(FactorizationFailure):
-        solve_shifted_system(model, x, 1.0, r)
+        _spectrum(model, x).solve(1.0, r)
     with pytest.raises(FactorizationFailure):
-        select_alpha(model, x, r, 0.5)
+        _select_alpha(_spectrum(model, x), r, 0.5, 1e-10)
     with pytest.raises(FactorizationFailure):
         lm_step(model, x, r, 0.5)
 
