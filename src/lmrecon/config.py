@@ -16,6 +16,7 @@ from .errors import ConfigInvalid
 
 MODES = ("exact", "noisy", "reconstruct_exact", "reconstruct_noisy",
          "landweber", "verify")
+RECONSTRUCT_MODES = ("reconstruct_exact", "reconstruct_noisy")
 MEASUREMENT_PRESETS = ("identity", "average", "first-coordinate")
 
 CERT_FIELDS = ("lip_deriv", "jac_bound", "holder_const", "holder_eps",
@@ -114,6 +115,9 @@ def parse(raw: dict) -> RunConfig:
     if "tol_alpha" in raw:
         cfg.tol_alpha = _check_number(raw["tol_alpha"], "tol_alpha")
         _expect(cfg.tol_alpha > 0, "tol_alpha", "must be positive")
+    for key in ("box", "measurement"):
+        _expect(raw.get(key) is None or cfg.mode in RECONSTRUCT_MODES, key,
+                f"not read in mode '{cfg.mode}'; only {RECONSTRUCT_MODES} use it")
     if raw.get("box") is not None:
         box = raw["box"]
         if not isinstance(box, dict) or set(box) != {"lower", "upper"}:

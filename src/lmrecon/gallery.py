@@ -5,7 +5,9 @@ stability certificate (closed-form where the model is linear, sampled
 otherwise) and a default search box.  The sampling oracle estimates every
 certificate constant as an inflated maximum over random pairs plus a coarse
 deterministic grid, and a fresh-seed re-verification pass guards against
-unlucky sampling.
+unlucky sampling.  Both passes share one pair kernel, an array pass over
+blocks of pairs; the sampled problems supply batched callables so that
+the kernel evaluates F and J once per block rather than once per point.
 """
 
 from __future__ import annotations
@@ -18,11 +20,14 @@ import numpy as np
 
 from .errors import CertificationFailed, DegenerateModel
 from .operators import (
+    STACK_BLOCK,
     ForwardModel,
     StabilityCertificate,
     as_vector,
-    jacobian_matrix,
+    forward_stack,
+    jacobian_stack,
     require_finite,
+    row_norms,
 )
 from .recon import CompactBox
 
@@ -75,38 +80,51 @@ def _pair_arrays(box: CompactBox, samples: int, seed: int):
     return (np.vstack([first, gpts[gi]]), np.vstack([second, gpts[gj]]))
 
 
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(stack, 2, axis=(1, 2))
+
+
 def _pair_quantities(model: ForwardModel, pa: np.ndarray, pb: np.ndarray):
     """Per-pair norms behind every certificate inequality.
 
     Returns ``(jac, d, jd, fd)``.  ``jac`` holds ``||J(a)||`` and
     ``||J(b)||`` for every pair (a, b).  The other three arrays run over the
     pairs with a != b and hold ``||a - b||``, ``||J(a) - J(b)||`` and
-    ``||F(a) - F(b)||``.  Raises :class:`DegenerateModel` when distinct
-    arguments share their data, and :class:`NonFiniteOutput` when the model
-    returns NaN or inf.
+    ``||F(a) - F(b)||``.  Raises :class:`DegenerateModel`, naming the first
+    such pair, when distinct arguments share their data, and
+    :class:`NonFiniteOutput` when the model returns NaN or inf.
+
+    One array pass per block of ``STACK_BLOCK`` pairs: F and J are stacked
+    through :func:`forward_stack` / :func:`jacobian_stack` and every norm is
+    taken by a batched call with the bits of the per-pair ``np.linalg.norm``,
+    so the results do not depend on the block size or on whether the model
+    has batched callables.
     """
     jac = np.empty((pa.shape[0], 2))
     apart = np.empty((pa.shape[0], 3))
     kept = 0
-    for i, (a, b) in enumerate(zip(pa, pb)):
-        ja = jacobian_matrix(model, a)
-        jb = jacobian_matrix(model, b)
+    for start in range(0, pa.shape[0], STACK_BLOCK):
+        a = pa[start:start + STACK_BLOCK]
+        b = pb[start:start + STACK_BLOCK]
+        ja, jb = jacobian_stack(model, a), jacobian_stack(model, b)
         require_finite((ja, jb), "Jacobian at a sample pair")
-        jac[i] = (np.linalg.norm(ja, 2), np.linalg.norm(jb, 2))
-        d = float(np.linalg.norm(a - b))
-        if d == 0.0:
-            continue
-        fa = as_vector(model.forward(a), model.dim_y, "F(x)")
-        fb = as_vector(model.forward(b), model.dim_y, "F(x~)")
+        jac[start:start + a.shape[0]] = np.column_stack(
+            (_spectral_norms(ja), _spectral_norms(jb)))
+        d = row_norms(a - b)
+        keep = d != 0.0
+        a, b = a[keep], b[keep]
+        fa, fb = forward_stack(model, a), forward_stack(model, b)
         require_finite((fa, fb), "forward value at a sample pair")
-        fd = float(np.linalg.norm(fa - fb))
-        if fd == 0.0:
+        fd = row_norms(fa - fb)
+        if not fd.all():
+            i = np.flatnonzero(fd == 0.0)[0]
             raise DegenerateModel(
-                f"F({a}) = F({b}) with distinct arguments: "
+                f"F({a[i]}) = F({b[i]}) with distinct arguments: "
                 "no stability on this box"
             )
-        apart[kept] = (d, np.linalg.norm(ja - jb, 2), fd)
-        kept += 1
+        apart[kept:kept + fd.shape[0]] = np.column_stack(
+            (d[keep], _spectral_norms(ja[keep] - jb[keep]), fd))
+        kept += fd.shape[0]
     require_finite(apart[:kept], "pair difference norms")
     return (jac.ravel(), *apart[:kept].T)
 
@@ -225,17 +243,14 @@ def scalar_linear(a: float, x_dagger: float) -> GalleryProblem:
     )
 
 
-def exp_decay(times, x_dagger, box: CompactBox | None = None,
-              samples: int = 10000, seed: int = 101) -> GalleryProblem:
-    """Two-parameter exponential decay F(x)_i = x1 * exp(-x2 * t_i)."""
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.shape[0] < 2 or np.unique(t).shape[0] < 2:
-        raise ValueError("need at least two distinct sample times")
-    x_dagger = as_vector(x_dagger, 2, "x_dagger")
-    if np.any(x_dagger <= 0):
-        raise ValueError("x_dagger must lie in the positive quadrant")
-    if box is None:
-        box = CompactBox(np.array([0.5, 0.5]), np.array([1.5, 1.5]))
+def _ball_of(box: CompactBox) -> dict:
+    """Center and ``radius_sq`` of the largest ball centered in ``box``."""
+    inradius = 0.5 * float(np.min(box.upper - box.lower))
+    return {"center": 0.5 * (box.lower + box.upper), "radius_sq": 0.5 * inradius**2}
+
+
+def _exp_decay_model(t: np.ndarray, box: CompactBox) -> ForwardModel:
+    """F(x)_i = x1 * exp(-x2 * t_i) on the ball of ``box``."""
 
     def forward(x):
         return x[0] * np.exp(-x[1] * t)
@@ -249,13 +264,62 @@ def exp_decay(times, x_dagger, box: CompactBox | None = None,
         return np.array([float(np.dot(e, w)),
                          float(np.dot(-x[0] * t * e, w))])
 
-    center = 0.5 * (box.lower + box.upper)
-    inradius = 0.5 * float(np.min(box.upper - box.lower))
-    model = ForwardModel(
-        dim_x=2, dim_y=t.shape[0],
-        center=center, radius_sq=0.5 * inradius**2,
+    def forward_batch(xs):
+        return xs[:, :1] * np.exp(-xs[:, 1:] * t)
+
+    def jacobian_batch(xs):
+        # the columns J e_1 and J e_2, rounded as japply rounds them
+        e = np.exp(-xs[:, 1:] * t)
+        return np.stack((e, e * (0.0 - xs[:, :1] * t)), axis=2)
+
+    return ForwardModel(
+        dim_x=2, dim_y=t.shape[0], **_ball_of(box),
         forward=forward, jacobian_apply=japply, jacobian_adjoint_apply=jadj,
+        forward_batch=forward_batch, jacobian_batch=jacobian_batch,
     )
+
+
+def _quadratic_model(a_mat: np.ndarray, eta: float, box: CompactBox) -> ForwardModel:
+    """F(x) = A x + eta * x**2 on the ball of ``box``."""
+    diag = np.arange(a_mat.shape[0])
+
+    def forward(x):
+        return a_mat @ x + eta * x * x
+
+    def japply(x, v):
+        return a_mat @ v + 2.0 * eta * x * v
+
+    def jadj(x, w):
+        return a_mat.T @ w + 2.0 * eta * x * w
+
+    def forward_batch(xs):
+        # one matrix-vector product per row: X @ A.T rounds differently
+        return (a_mat @ xs[:, :, None])[:, :, 0] + eta * xs * xs
+
+    def jacobian_batch(xs):
+        jac = np.repeat(a_mat[None], xs.shape[0], axis=0)
+        jac[:, diag, diag] += 2.0 * eta * xs
+        return jac
+
+    return ForwardModel(
+        dim_x=diag.shape[0], dim_y=diag.shape[0], **_ball_of(box),
+        forward=forward, jacobian_apply=japply, jacobian_adjoint_apply=jadj,
+        forward_batch=forward_batch, jacobian_batch=jacobian_batch,
+    )
+
+
+def exp_decay(times, x_dagger, box: CompactBox | None = None,
+              samples: int = 10000, seed: int = 101) -> GalleryProblem:
+    """Two-parameter exponential decay F(x)_i = x1 * exp(-x2 * t_i)."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.shape[0] < 2 or np.unique(t).shape[0] < 2:
+        raise ValueError("need at least two distinct sample times")
+    x_dagger = as_vector(x_dagger, 2, "x_dagger")
+    if np.any(x_dagger <= 0):
+        raise ValueError("x_dagger must lie in the positive quadrant")
+    if box is None:
+        box = CompactBox(np.array([0.5, 0.5]), np.array([1.5, 1.5]))
+    model = _exp_decay_model(t, box)
     cert = estimate_stability_constants(model, box, eps=1.0,
                                         samples=samples, seed=seed)
     report = verify_certificate(model, box, cert, samples=samples, seed=seed + 1)
@@ -271,7 +335,7 @@ def exp_decay(times, x_dagger, box: CompactBox | None = None,
         x_dagger=x_dagger,
         certificate=cert,
         default_box=box,
-        y_exact=forward(x_dagger),
+        y_exact=model.forward(x_dagger),
         default_x0=x_dagger + np.array([-0.1, 0.1]),
         notes=("genuinely nonlinear decay fit; satisfies the Jacobian and "
                "adjoint identities, used for composition and scan tests"),
@@ -301,22 +365,7 @@ def quadratic_perturbation(mat, eta: float, box: CompactBox | None = None,
         x_dagger = 0.25 * signs * (1.0 - 0.2 * np.arange(n))
     x_dagger = as_vector(x_dagger, n, "x_dagger")
 
-    def forward(x):
-        return a_mat @ x + eta * x * x
-
-    def japply(x, v):
-        return a_mat @ v + 2.0 * eta * x * v
-
-    def jadj(x, w):
-        return a_mat.T @ w + 2.0 * eta * x * w
-
-    center = 0.5 * (box.lower + box.upper)
-    inradius = 0.5 * float(np.min(box.upper - box.lower))
-    model = ForwardModel(
-        dim_x=n, dim_y=n,
-        center=center, radius_sq=0.5 * inradius**2,
-        forward=forward, jacobian_apply=japply, jacobian_adjoint_apply=jadj,
-    )
+    model = _quadratic_model(a_mat, eta, box)
     try:
         cert = estimate_stability_constants(model, box, eps=1.0,
                                             samples=samples, seed=seed)
@@ -336,7 +385,7 @@ def quadratic_perturbation(mat, eta: float, box: CompactBox | None = None,
         x_dagger=x_dagger,
         certificate=cert,
         default_box=box,
-        y_exact=forward(x_dagger),
+        y_exact=model.forward(x_dagger),
         default_x0=x_dagger + 0.06 * np.array([(-1.0) ** i for i in range(n)]),
         notes=("tunable nonlinearity with Lipschitz-stable inverse; the main "
                "vehicle for the convergence-rate and noisy-data guarantees"),
@@ -350,13 +399,9 @@ def sabotaged_adjoint_fixture() -> GalleryProblem:
     demonstrate that a broken adjoint is caught.
     """
     good = get_problem("exp-decay")
-    broken_model = ForwardModel(
-        dim_x=good.model.dim_x,
-        dim_y=good.model.dim_y,
-        center=good.model.center,
-        radius_sq=good.model.radius_sq,
-        forward=good.model.forward,
-        jacobian_apply=good.model.jacobian_apply,
+    # F and J are unchanged, so the batched callables carry over
+    broken_model = dataclasses.replace(
+        good.model,
         jacobian_adjoint_apply=lambda x, w: 1.02 * good.model.jacobian_adjoint_apply(x, w),
     )
     return GalleryProblem(

@@ -23,6 +23,11 @@ from .errors import DimensionMismatch, DomainViolation, NonFiniteOutput
 
 Vector = np.ndarray
 
+# Points (or sample pairs) per array pass in the batched loops: large enough
+# that per-block Python overhead vanishes, small enough that peak memory does
+# not grow with the sample count.
+STACK_BLOCK = 1024
+
 
 def as_vector(v, dim: int, name: str = "vector") -> Vector:
     """Coerce ``v`` to a float64 1-D array of length ``dim``."""
@@ -53,6 +58,18 @@ class ForwardModel:
         ``(x, v) -> J(x) v``, linear in ``v``.
     jacobian_adjoint_apply : callable
         ``(x, w) -> J(x)^T w``.
+    forward_batch : callable, optional
+        ``xs -> F`` at every row of a (k, dim_x) array, as a (k, dim_y) array.
+    jacobian_batch : callable, optional
+        ``xs -> J`` at every row of a (k, dim_x) array, as a
+        (k, dim_y, dim_x) array.
+
+    The two batched callables only make stacked evaluation faster: row ``i``
+    must equal ``forward(xs[i])`` and ``jacobian_matrix(model, xs[i])`` bit
+    for bit, so every result is the same with or without them.  Leave a
+    callable unset when the stacked arithmetic rounds differently; the
+    stacking helpers :func:`forward_stack` and :func:`jacobian_stack` then
+    evaluate point by point.
     """
 
     dim_x: int
@@ -62,6 +79,8 @@ class ForwardModel:
     forward: Callable[[Vector], Vector]
     jacobian_apply: Callable[[Vector, Vector], Vector]
     jacobian_adjoint_apply: Callable[[Vector, Vector], Vector]
+    forward_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    jacobian_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -118,6 +137,63 @@ def jacobian_matrix(model: ForwardModel, x) -> np.ndarray:
         e[i] = 1.0
         j[:, i] = as_vector(model.jacobian_apply(x, e), model.dim_y, "J e_i")
     return j
+
+
+def _as_points(model: ForwardModel, xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != model.dim_x:
+        raise DimensionMismatch(
+            f"points have shape {xs.shape}, expected (k, {model.dim_x})"
+        )
+    return xs
+
+
+def _as_stack(out, shape: tuple, name: str) -> np.ndarray:
+    arr = np.asarray(out, dtype=float)
+    if arr.shape != shape:
+        raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def forward_stack(model: ForwardModel, xs) -> np.ndarray:
+    """F at every row of the (k, dim_x) array ``xs``, as a (k, dim_y) array.
+
+    Uses ``model.forward_batch`` when the model has one and calls
+    ``model.forward`` point by point otherwise; no ball check.
+    """
+    xs = _as_points(model, xs)
+    if model.forward_batch is not None:
+        return _as_stack(model.forward_batch(xs), (xs.shape[0], model.dim_y),
+                         "batched F(x)")
+    out = np.empty((xs.shape[0], model.dim_y))
+    for i, x in enumerate(xs):
+        out[i] = as_vector(model.forward(x), model.dim_y, "F(x)")
+    return out
+
+
+def jacobian_stack(model: ForwardModel, xs) -> np.ndarray:
+    """J at every row of ``xs``, as a (k, dim_y, dim_x) array.
+
+    Uses ``model.jacobian_batch`` when the model has one and
+    :func:`jacobian_matrix` point by point otherwise.
+    """
+    xs = _as_points(model, xs)
+    shape = (xs.shape[0], model.dim_y, model.dim_x)
+    if model.jacobian_batch is not None:
+        return _as_stack(model.jacobian_batch(xs), shape, "batched J(x)")
+    out = np.empty(shape)
+    for i, x in enumerate(xs):
+        out[i] = jacobian_matrix(model, x)
+    return out
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a 2-D array.
+
+    Each entry has the bits of ``np.linalg.norm(row)``: both take the square
+    root of one dot product per row.
+    """
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
 def estimate_jacobian_norm(model: ForwardModel, x, iters: int = 100,

@@ -32,6 +32,8 @@ from .operators import (
     StabilityCertificate,
     apply_forward,
     as_vector,
+    forward_stack,
+    jacobian_stack,
     recenter,
 )
 
@@ -154,6 +156,17 @@ def compose_measured_model(model: ForwardModel,
         )
     mat = q_op.matrix
     mat_t = mat.T.copy()
+
+    def forward_batch(xs):
+        return (mat @ forward_stack(model, xs)[:, :, None])[:, :, 0]
+
+    def jacobian_batch(xs):
+        # Q times each Jacobian column, as jacobian_matrix forms it; the
+        # columns are copied contiguous because a strided product rounds
+        # differently
+        cols = np.swapaxes(jacobian_stack(model, xs), 1, 2).copy()[:, :, :, None]
+        return np.swapaxes((mat @ cols)[:, :, :, 0], 1, 2)
+
     return ForwardModel(
         dim_x=model.dim_x,
         dim_y=q_op.dim_out,
@@ -162,6 +175,8 @@ def compose_measured_model(model: ForwardModel,
         forward=lambda x: mat @ model.forward(x),
         jacobian_apply=lambda x, v: mat @ model.jacobian_apply(x, v),
         jacobian_adjoint_apply=lambda x, w: model.jacobian_adjoint_apply(x, mat_t @ w),
+        forward_batch=forward_batch,
+        jacobian_batch=jacobian_batch,
     )
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lmrecon.gallery import gallery_ids, get_problem
-from lmrecon.operators import ForwardModel
+from lmrecon.operators import ForwardModel, forward_stack, jacobian_matrix, jacobian_stack
 
 GALLERY_IDS = gallery_ids()
 
@@ -50,3 +50,13 @@ def sample_ball(center, rho_prime, rng, count=1):
         if float(np.dot(z, z)) <= radius * radius:
             out.append(center + z)
     return out if count > 1 else out[0]
+
+
+def assert_stacks_match_per_point(model: ForwardModel, xs) -> None:
+    """forward_stack / jacobian_stack equal the per-point forward and
+    jacobian_matrix exactly (no NaN is involved, so equal values are equal
+    bits up to the sign of zero)."""
+    assert np.array_equal(forward_stack(model, xs),
+                          np.array([model.forward(x) for x in xs]))
+    assert np.array_equal(jacobian_stack(model, xs),
+                          np.array([jacobian_matrix(model, x) for x in xs]))

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import non_finite_model
+from lmrecon import cli, gallery
 from lmrecon import config as cfgmod
-from lmrecon import gallery
 from lmrecon.cli import main
 from lmrecon.engine import SolverConfig, TraceRecord, run_exact
 from lmrecon.errors import ConfigInvalid
 from lmrecon.gallery import get_problem
+from lmrecon.operators import jacobian_matrix
 from lmrecon.tracefile import TraceFile, dumps, loads, read_trace
 
 PRESETS = str(Path(__file__).resolve().parent.parent / "presets")
@@ -37,7 +38,7 @@ def write_config(tmp_path, name="cfg.yaml", **overrides):
 class TestConfig:
     def test_round_trip(self):
         cfg = cfgmod.parse_text(
-            "problem_id: exp-decay\nmode: noisy\nq: 0.5\ntau: 4.0\n"
+            "problem_id: exp-decay\nmode: reconstruct_noisy\nq: 0.5\ntau: 4.0\n"
             "delta: 1.0e-3\nmax_iters: 50\noutput_path: out.trace\n"
             "box: {lower: [0.5, 0.5], upper: [1.5, 1.5]}\n"
             "constants_override: {lip_deriv: 0.5}\n"
@@ -64,6 +65,19 @@ class TestConfig:
                 "problem_id: x\nmode: noisy\nq: 0.5\noutput_path: o\n"
                 "max_iters: 5\ntau: 4.0\n"
             )
+
+    @pytest.mark.parametrize("mode", ["exact", "noisy", "landweber", "verify"])
+    @pytest.mark.parametrize("field, value", [
+        ("box", {"lower": [0.5, 0.5], "upper": [1.5, 1.5]}),
+        ("measurement", "average"),
+    ])
+    def test_reconstruct_only_keys_rejected(self, tmp_path, capsys, mode, field, value):
+        path = write_config(tmp_path, problem_id="exp-decay", mode=mode, tau=4.0,
+                            delta=1e-3, **{field: value})
+        with pytest.raises(ConfigInvalid, match=f"'{field}'.*'{mode}'"):
+            cfgmod.load_config(path)
+        assert main(["solve", "--config", str(path)]) == 1
+        assert f"config field '{field}'" in capsys.readouterr().err
 
     def test_bad_yaml(self):
         with pytest.raises(ConfigInvalid, match="not valid YAML"):
@@ -157,6 +171,10 @@ def run_configs(draw):
     def field(name, values):
         return draw(values if name in MODE_NEEDS[mode] else st.none() | values)
 
+    def reconstruct_field(name, values):
+        # parse rejects box and measurement outside the reconstruct modes
+        return field(name, values) if mode in cfgmod.RECONSTRUCT_MODES else None
+
     matrix = st.integers(1, 3).flatmap(lambda n: st.lists(
         st.lists(FINITE, min_size=n, max_size=n), min_size=1, max_size=3))
     override = st.fixed_dictionaries({}, optional={
@@ -174,9 +192,9 @@ def run_configs(draw):
         max_iters=field("max_iters", st.integers(0, 10**9)),
         target_gamma=field("target_gamma", POSITIVE),
         tol_alpha=draw(POSITIVE),
-        box=field("box", boxes()),
-        measurement=field("measurement",
-                          st.sampled_from(cfgmod.MEASUREMENT_PRESETS) | matrix),
+        box=reconstruct_field("box", boxes()),
+        measurement=reconstruct_field(
+            "measurement", st.sampled_from(cfgmod.MEASUREMENT_PRESETS) | matrix),
         noise_seed=draw(st.integers(-2**63, 2**63 - 1)),
         constants_override=field("constants_override", override),
         x0=field("x0", st.lists(FINITE, min_size=1, max_size=4)),
@@ -314,6 +332,28 @@ class TestReconstructCommand:
 
 
 class TestVerifyCommand:
+    def test_tangential_cone_sampler_matches_single_draws(self, monkeypatch,
+                                                          gallery_problems):
+        # the blocked sampler visits the pairs of one (2, n) draw at a time
+        monkeypatch.setattr(cli, "VERIFY_SAMPLES", 2500)
+        model = gallery_problems["exp-decay"].model
+        eta, rad = 0.3, 0.2
+        rng = np.random.default_rng(17)
+        worst, checked = 0.0, 0
+        while checked < 2500:
+            z = rng.uniform(-rad, rad, (2, model.dim_x))
+            if np.any(np.sum(z * z, axis=1) > rad * rad):
+                continue
+            x_a, x_b = model.center + z[0], model.center + z[1]
+            fa, fb = model.forward(x_a), model.forward(x_b)
+            rhs = eta * float(np.linalg.norm(fa - fb))
+            if rhs == 0.0:
+                continue
+            lhs = float(np.linalg.norm(fa - fb - jacobian_matrix(model, x_a) @ (x_a - x_b)))
+            worst = max(worst, lhs / rhs)
+            checked += 1
+        assert cli._tangential_cone_worst(model, eta, rad) == worst
+
     def test_quadratic_all_pass(self, tmp_path, capsys):
         out = tmp_path / "c04.report"
         code = main(["verify", "--config", f"{PRESETS}/c04_exact_rates.yaml",

@@ -1,12 +1,31 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import GALLERY_IDS, linear_model, non_finite_model
-from lmrecon.errors import CertificationFailed, DegenerateModel, NonFiniteOutput
+from conftest import (
+    GALLERY_IDS,
+    assert_stacks_match_per_point,
+    linear_model,
+    non_finite_model,
+)
+from lmrecon.errors import (
+    CertificationFailed,
+    DegenerateModel,
+    DimensionMismatch,
+    NonFiniteOutput,
+)
 from lmrecon.gallery import (
     INFLATION,
+    _exp_decay_model,
+    _pair_arrays,
+    _pair_quantities,
+    _quadratic_model,
     estimate_stability_constants,
     exp_decay,
     get_problem,
@@ -58,6 +77,23 @@ class TestEstimator:
         with pytest.raises(DegenerateModel):
             estimate_stability_constants(model, box, eps=1.0, samples=10000)
 
+    def test_degenerate_message_names_first_pair(self):
+        # F is constant on [0.8, 1], so the first pair with both points
+        # there is the first degenerate one
+        model = ForwardModel(
+            dim_x=1, dim_y=1, center=np.zeros(1), radius_sq=1e6,
+            forward=lambda x: np.minimum(x, 0.8),
+            jacobian_apply=lambda x, v: np.where(x < 0.8, v, 0.0),
+            jacobian_adjoint_apply=lambda x, w: np.where(x < 0.8, w, 0.0),
+        )
+        box = CompactBox(np.array([0.0]), np.array([1.0]))
+        pa, pb = _pair_arrays(box, 10000, 0)
+        first = np.flatnonzero((pa[:, 0] >= 0.8) & (pb[:, 0] >= 0.8))[0]
+        assert first > 0
+        with pytest.raises(DegenerateModel,
+                           match=re.escape(f"F({pa[first]}) = F({pb[first]})")):
+            estimate_stability_constants(model, box, eps=1.0, samples=10000)
+
     @pytest.mark.parametrize("part, value", [
         ("jacobian_apply", np.nan),
         ("jacobian_apply", np.inf),
@@ -74,6 +110,120 @@ class TestEstimator:
         cert = scalar_linear(2.0, 0.0).certificate
         with pytest.raises(NonFiniteOutput):
             verify_certificate(model, box, cert, samples=10000)
+
+
+# float.hex of every constant of the sampled gallery certificates; the
+# array-pass oracle must reproduce the per-pair loop it replaced bit for bit.
+GOLDEN_CERTIFICATES = {
+    "exp-decay": {
+        "lip_deriv": "0x1.3a6d358e40c6dp+1", "jac_bound": "0x1.bf5edaea021bfp+0",
+        "holder_const": "0x1.3c7d8e494f5a6p+2", "holder_eps": "0x1.0000000000000p+0",
+        "domain_rho_prime": "0x1.0000000000000p-3",
+        "forward_lip": "0x1.8789d5a2097b2p+0", "recon_const": "0x1.bf95c876fc786p+1",
+        "q_norm": "0x1.0000000000000p+0",
+    },
+    "exp-decay-2pt": {
+        "lip_deriv": "0x1.25fb0bd1298b3p+0", "jac_bound": "0x1.5fb97b3976d83p+0",
+        "holder_const": "0x1.66de39aa419f3p+2", "holder_eps": "0x1.0000000000000p+0",
+        "domain_rho_prime": "0x1.0000000000000p-3",
+        "forward_lip": "0x1.49bf1b930745bp+0", "recon_const": "0x1.fb841e5828ad4p+1",
+        "q_norm": "0x1.0000000000000p+0",
+    },
+    "quadratic-2d": {
+        "lip_deriv": "0x1.0cccccccccccep-1", "jac_bound": "0x1.5000000000000p+0",
+        "holder_const": "0x1.f4658be84dabdp-1", "holder_eps": "0x1.0000000000000p+0",
+        "domain_rho_prime": "0x1.0000000000000p-3",
+        "forward_lip": "0x1.4b09467e3ffe5p+0", "recon_const": "0x1.61d578e36afdap-1",
+        "q_norm": "0x1.0000000000000p+0",
+    },
+    "quadratic-3d": {
+        "lip_deriv": "0x1.ae147ae147ae0p-2", "jac_bound": "0x1.428f5c28f5c29p+0",
+        "holder_const": "0x1.ccd0dcad0abf6p-1", "holder_eps": "0x1.0000000000000p+0",
+        "domain_rho_prime": "0x1.0000000000000p-3",
+        "forward_lip": "0x1.3c8000e41a96bp+0", "recon_const": "0x1.45d895119c292p-1",
+        "q_norm": "0x1.0000000000000p+0",
+    },
+}
+
+
+@pytest.mark.parametrize("pid", sorted(GOLDEN_CERTIFICATES))
+def test_sampled_certificates_are_pinned(pid, gallery_problems):
+    cert = gallery_problems[pid].certificate
+    golden = GOLDEN_CERTIFICATES[pid]
+    assert {name: getattr(cert, name).hex() for name in golden} == golden
+
+
+class TestBatchedModels:
+    UNIT_BOX = CompactBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(times=st.lists(st.floats(0.0, 5.0), min_size=2, max_size=6, unique=True),
+           xs=st.integers(1, 40).flatmap(
+               lambda k: arrays(np.float64, (k, 2), elements=st.floats(-3.0, 3.0))))
+    def test_exp_decay_batches_match_per_point(self, times, xs):
+        assert_stacks_match_per_point(_exp_decay_model(np.array(times), self.UNIT_BOX), xs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), eta=st.floats(-1.0, 1.0))
+    def test_quadratic_batches_match_per_point(self, data, n, eta):
+        a_mat = data.draw(arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0)))
+        assume(not np.array_equal(a_mat, np.eye(n)))
+        assume(np.linalg.svd(a_mat, compute_uv=False)[-1] > 1e-3)
+        xs = data.draw(st.integers(1, 40).flatmap(
+            lambda k: arrays(np.float64, (k, n), elements=st.floats(-3.0, 3.0))))
+        box = CompactBox(np.full(n, -1.0), np.full(n, 1.0))
+        assert_stacks_match_per_point(_quadratic_model(a_mat, eta, box), xs)
+
+    @staticmethod
+    def _per_pair_loop(model, pa, pb):
+        """Reference: the pair quantities one pair at a time."""
+        jac, apart = [], []
+        for a, b in zip(pa, pb):
+            ja, jb = jacobian_matrix(model, a), jacobian_matrix(model, b)
+            jac += [np.linalg.norm(ja, 2), np.linalg.norm(jb, 2)]
+            d = float(np.linalg.norm(a - b))
+            if d != 0.0:
+                fd = float(np.linalg.norm(model.forward(a) - model.forward(b)))
+                apart.append((d, np.linalg.norm(ja - jb, 2), fd))
+        return (np.array(jac), *np.array(apart).T)
+
+    @pytest.mark.parametrize("pid", ["exp-decay", "quadratic-3d"])
+    def test_pair_quantities_match_per_pair_loop(self, pid, gallery_problems):
+        prob = gallery_problems[pid]
+        # more pairs than one block, so the block seams are covered too
+        pa, pb = _pair_arrays(prob.default_box, 2500, 7)
+        plain = dataclasses.replace(prob.model, forward_batch=None,
+                                    jacobian_batch=None)
+        want = self._per_pair_loop(prob.model, pa, pb)
+        for model in (prob.model, plain):
+            for got, ref in zip(_pair_quantities(model, pa, pb), want, strict=True):
+                assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("field, output", [
+        ("forward_batch", lambda xs: xs[:, :, None]),
+        ("jacobian_batch", lambda xs: xs),
+    ])
+    def test_wrong_batch_shape(self, field, output):
+        model = dataclasses.replace(linear_model([[2.0]]), **{field: output})
+        box = CompactBox(np.array([-1.0]), np.array([1.0]))
+        with pytest.raises(DimensionMismatch, match="batched"):
+            estimate_stability_constants(model, box, eps=1.0, samples=10000)
+
+    @pytest.mark.parametrize("field, shape", [
+        ("forward_batch", lambda k: (k, 1)),
+        ("jacobian_batch", lambda k: (k, 1, 1)),
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_batch_output(self, field, shape, value):
+        model = dataclasses.replace(
+            linear_model([[2.0]]),
+            **{field: lambda xs: np.full(shape(xs.shape[0]), value)})
+        box = CompactBox(np.array([-1.0]), np.array([1.0]))
+        with pytest.raises(NonFiniteOutput):
+            estimate_stability_constants(model, box, eps=1.0, samples=10000)
+        with pytest.raises(NonFiniteOutput):
+            verify_certificate(model, box, scalar_linear(2.0, 0.0).certificate,
+                               samples=10000)
 
 
 class TestClosedFormBounds:

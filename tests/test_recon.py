@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import linear_model
+from conftest import assert_stacks_match_per_point, linear_model
 from lmrecon.engine import compute_constants_exact
 from lmrecon.errors import DimensionMismatch, LatticeTooLarge, NoCandidateFound
 from lmrecon.gallery import get_problem
@@ -86,6 +88,17 @@ class TestComposition:
         model = linear_model(np.array([[2.0], [5.0]]))
         with pytest.raises(DimensionMismatch):
             compose_measured_model(model, MeasurementOperator.identity(3))
+
+    @pytest.mark.parametrize("pid", ["exp-decay", "quadratic-3d"])
+    def test_batches_match_per_point(self, pid, gallery_problems):
+        model = gallery_problems[pid].model
+        plain = dataclasses.replace(model, forward_batch=None, jacobian_batch=None)
+        rng = np.random.default_rng(5)
+        xs = model.center + rng.uniform(-0.5, 0.5, (300, model.dim_x))
+        for rows in (1, 2, 4):
+            q = MeasurementOperator(rng.standard_normal((rows, model.dim_y)))
+            for inner in (model, plain):
+                assert_stacks_match_per_point(compose_measured_model(inner, q), xs)
 
 
 class TestLatticeRadius:
