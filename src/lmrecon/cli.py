@@ -82,25 +82,24 @@ def make_noise(y: np.ndarray, delta: float, seed: int) -> np.ndarray:
 
 
 def counting_model(model: ForwardModel):
-    """Wrap a model so forward/Jacobian/adjoint evaluations are counted."""
+    """Wrap a model so forward/Jacobian/adjoint evaluations are counted.
+
+    The batched callables are dropped, so every evaluation goes through a
+    counted one.
+    """
     counts = {"forward": 0, "jacobian": 0, "adjoint": 0}
 
-    def fwd(x):
-        counts["forward"] += 1
-        return model.forward(x)
+    def counted(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+        return call
 
-    def jap(x, v):
-        counts["jacobian"] += 1
-        return model.jacobian_apply(x, v)
-
-    def jad(x, w):
-        counts["adjoint"] += 1
-        return model.jacobian_adjoint_apply(x, w)
-
-    wrapped = ForwardModel(
-        dim_x=model.dim_x, dim_y=model.dim_y, center=model.center,
-        radius_sq=model.radius_sq, forward=fwd, jacobian_apply=jap,
-        jacobian_adjoint_apply=jad,
+    wrapped = dataclasses.replace(
+        model, forward=counted("forward", model.forward),
+        jacobian_apply=counted("jacobian", model.jacobian_apply),
+        jacobian_adjoint_apply=counted("adjoint", model.jacobian_adjoint_apply),
+        forward_batch=None, jacobian_batch=None,
     )
     return wrapped, counts
 
@@ -183,7 +182,8 @@ def _header(cfg: RunConfig, prob, cert: StabilityCertificate,
     if constants is not None:
         head.update(flatten_header("constants", dataclasses.asdict(constants)))
     if trace is not None and trace.hypothesis is not None:
-        head.update(flatten_header("hypothesis", trace.hypothesis.as_dict()))
+        head.update(flatten_header("hypothesis",
+                                   dataclasses.asdict(trace.hypothesis)))
     if trace is not None and trace.recon is not None:
         head.update(flatten_header("recon", trace.recon.as_dict()))
     if trace is not None and trace.x_final is not None:
@@ -280,29 +280,12 @@ def cmd_reconstruct(cfg: RunConfig, seed: int | None) -> int:
     return _solve_exit(trace, cfg.mode == "reconstruct_noisy")
 
 
-class _Table:
-    """Pass/fail table for the verification command."""
-
-    def __init__(self):
-        self.rows: list[tuple[str, str, str]] = []
-
-    def add(self, name: str, status: str, detail: str = ""):
-        self.rows.append((name, status, detail))
-
-    def failed(self) -> bool:
-        return any(status == "FAIL" for _, status, _ in self.rows)
-
-    def render(self) -> str:
-        width = max(len(name) for name, _, _ in self.rows) + 2
-        lines = []
-        for name, status, detail in self.rows:
-            suffix = f" ({detail})" if detail else ""
-            lines.append(f"{name:<{width}}{status}{suffix}")
-        return "\n".join(lines) + "\n"
-
-
-def _verify_check(table: _Table, name: str, ok: bool, detail: str):
-    table.add(name, "PASS" if ok else "FAIL", detail)
+def _render(rows) -> str:
+    """The verification table: one ``name  STATUS (detail)`` line per
+    ``(name, status, detail)`` row."""
+    width = max(len(name) for name, _, _ in rows) + 2
+    return "".join(f"{name:<{width}}{status} ({detail})\n"
+                   for name, status, detail in rows)
 
 
 def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float:
@@ -341,25 +324,26 @@ def cmd_verify(cfg: RunConfig, seed: int | None) -> int:
     delta = cfg.delta if cfg.delta is not None else VERIFY_DEFAULTS["delta"]
     budget = cfg.max_iters if cfg.max_iters is not None else VERIFY_DEFAULTS["max_iters"]
     noise_seed = cfg.noise_seed if seed is None else seed
-    table = _Table()
+    rows = []
+
+    def check(name: str, ok: bool, detail: str):
+        rows.append((name, "PASS" if ok else "FAIL", detail))
 
     # Operator identities at representative points.
     points = [prob.default_x0, prob.x_dagger, model.center]
     defect = max_adjoint_defect(model, points, samples=100, seed=11)
-    _verify_check(table, "adjoint-consistency", defect <= 1e-10,
-                  f"max rel defect {defect:.3e}")
+    check("adjoint-consistency", defect <= 1e-10, f"max rel defect {defect:.3e}")
     fd_worst = 0.0
     for p in points:
         jac = jacobian_matrix(model, p)
         fd = finite_difference_jacobian(model, p, 1e-5, check=False)
         fd_worst = max(fd_worst, float(np.linalg.norm(fd - jac))
                        / (1.0 + float(np.linalg.norm(jac))))
-    _verify_check(table, "jacobian-finite-difference", fd_worst <= 1e-5,
-                  f"max rel defect {fd_worst:.3e}")
+    check("jacobian-finite-difference", fd_worst <= 1e-5,
+          f"max rel defect {fd_worst:.3e}")
     comm = commutation_residual(model, prob.default_x0, 1.0,
                                 np.ones(model.dim_x))
-    _verify_check(table, "commutation-identity", comm <= 1e-10,
-                  f"defect {comm:.3e}")
+    check("commutation-identity", comm <= 1e-10, f"defect {comm:.3e}")
 
     # Exact-data run.
     tc = compute_constants_exact(cert, cfg.q, strict=False)
@@ -370,41 +354,39 @@ def cmd_verify(cfg: RunConfig, seed: int | None) -> int:
     steps = trace.step_diagnostics
     if steps:
         worst_mdp = max(d.mdp_prime_rel_err for d in steps)
-        _verify_check(table, "mdp-prime-identity", worst_mdp <= 1e-8,
-                      f"max rel err {worst_mdp:.3e} over {len(steps)} steps")
+        check("mdp-prime-identity", worst_mdp <= 1e-8,
+              f"max rel err {worst_mdp:.3e} over {len(steps)} steps")
         worst_ceiling = 0.0
         for diag, x_k in zip(steps, trace.iterates):
             dense = float(np.linalg.norm(jacobian_matrix(model, x_k), 2))
             ceiling = cfg.q / (1.0 - cfg.q) * dense**2
             worst_ceiling = max(worst_ceiling, diag.alpha / ceiling)
-        _verify_check(table, "alpha-ceiling", worst_ceiling <= 1.0 + 1e-8,
-                      f"max alpha/bound {worst_ceiling:.12f}")
+        check("alpha-ceiling", worst_ceiling <= 1.0 + 1e-8,
+              f"max alpha/bound {worst_ceiling:.12f}")
     if prob.linear and trace.iterations >= 1:
         res = trace.residuals()
         dev = float(np.max(np.abs(res[1:] / res[:-1] - cfg.q)))
         # the ratio inherits the root-finder tolerance on the Morozov value
         ratio_tol = max(1e-12, 2.0 * cfg.tol_alpha * cfg.q)
-        _verify_check(table, "residual-ratio-q", dev <= ratio_tol,
-                      f"max dev {dev:.3e}")
+        check("residual-ratio-q", dev <= ratio_tol, f"max dev {dev:.3e}")
     else:
-        table.add("residual-ratio-q", "NOT ARMED", "nonlinear problem")
+        rows.append(("residual-ratio-q", "NOT ARMED", "nonlinear problem"))
     if trace.omega_ok:
-        _verify_check(table, "error-monotonicity",
-                      bool(trace.error_monotonicity_ok), "Lyapunov decrease")
-        _verify_check(table, "gamma-monotone", bool(trace.gamma_monotone),
-                      "0.5||x_k - x_truth||^2 non-increasing")
+        check("error-monotonicity",
+              bool(trace.error_monotonicity_ok), "Lyapunov decrease")
+        check("gamma-monotone", bool(trace.gamma_monotone),
+              "0.5||x_k - x_truth||^2 non-increasing")
     else:
-        table.add("error-monotonicity", "NOT ARMED", "omega-condition failed")
-        table.add("gamma-monotone", "NOT ARMED", "omega-condition failed")
+        rows.append(("error-monotonicity", "NOT ARMED", "omega-condition failed"))
+        rows.append(("gamma-monotone", "NOT ARMED", "omega-condition failed"))
     if trace.hypothesis.armed:
         gams = trace.gammas()
         bounds = np.array([rate_bound(k, tc, cert.holder_eps)
                            for k in range(len(gams))])
         worst = float(np.nanmax(gams / (bounds * (1.0 + 1e-9))))
-        _verify_check(table, "rate-bound-exact", worst <= 1.0,
-                      f"max gamma/bound {worst:.6f}")
+        check("rate-bound-exact", worst <= 1.0, f"max gamma/bound {worst:.6f}")
     else:
-        table.add("rate-bound-exact", "NOT ARMED", "hypothesis failed")
+        rows.append(("rate-bound-exact", "NOT ARMED", "hypothesis failed"))
 
     # Noisy-data run.
     tcn = compute_constants_noisy(cert, cfg.q, tau, delta=delta, strict=False)
@@ -417,23 +399,22 @@ def cmd_verify(cfg: RunConfig, seed: int | None) -> int:
         res = ntrace.residuals()
         sound = bool(np.all(res[:ntrace.k_star] > tau * delta)
                      and res[ntrace.k_star] <= tau * delta)
-        _verify_check(table, "discrepancy-soundness", sound,
-                      f"k_star={ntrace.k_star}")
+        check("discrepancy-soundness", sound, f"k_star={ntrace.k_star}")
     else:
-        table.add("discrepancy-soundness", "NOT ARMED",
-                  "budget exhausted before the stopping index")
+        rows.append(("discrepancy-soundness", "NOT ARMED",
+                     "budget exhausted before the stopping index"))
     if ntrace.hypothesis.armed and ntrace.hypothesis.x0_condition_ok and \
             ntrace.k_star is not None and delta > 0:
         bound = kstar_upper_bound(tcn, cert, cfg.q, tau, delta)
-        _verify_check(table, "kstar-bound", ntrace.k_star <= bound,
-                      f"k_star={ntrace.k_star} <= {bound}")
+        check("kstar-bound", ntrace.k_star <= bound,
+              f"k_star={ntrace.k_star} <= {bound}")
     else:
-        table.add("kstar-bound", "NOT ARMED", "hypothesis failed")
+        rows.append(("kstar-bound", "NOT ARMED", "hypothesis failed"))
     if ntrace.omega_ok:
-        _verify_check(table, "gamma-monotone-noisy", bool(ntrace.gamma_monotone),
-                      "up to the stopping index")
+        check("gamma-monotone-noisy", bool(ntrace.gamma_monotone),
+              "up to the stopping index")
     else:
-        table.add("gamma-monotone-noisy", "NOT ARMED", "omega-condition failed")
+        rows.append(("gamma-monotone-noisy", "NOT ARMED", "omega-condition failed"))
     e0 = float(np.linalg.norm(prob.default_x0 - prob.x_dagger))
     if (cert.holder_eps == 1.0 and 0.0 < cfg.q < nu_additional_bound(cert)
             and cert.lip_deriv * cert.holder_const / math.sqrt(2.0) * e0 < 1.0
@@ -443,12 +424,11 @@ def cmd_verify(cfg: RunConfig, seed: int | None) -> int:
         ratios = res[1:] / res[:-1] if len(res) > 1 else np.array([0.0])
         kbound = kstar_log_estimate(qt, float(res[0]), tau, delta)
         ok = bool(np.all(ratios <= qt + 1e-9)) and ntrace.k_star <= kbound
-        _verify_check(table, "qtilde-contraction", ok,
-                      f"q~={qt:.6f} max ratio {float(np.max(ratios)):.6f} "
-                      f"k_star={ntrace.k_star} <= {kbound}")
+        check("qtilde-contraction", ok,
+              f"q~={qt:.6f} max ratio {float(np.max(ratios)):.6f} "
+              f"k_star={ntrace.k_star} <= {kbound}")
     else:
-        table.add("qtilde-contraction", "NOT ARMED",
-                  "smallness condition not met")
+        rows.append(("qtilde-contraction", "NOT ARMED", "smallness condition not met"))
 
     # Tangential cone on a ball small enough for eta < 1.
     rho_tc = cert.domain_rho_prime
@@ -458,24 +438,24 @@ def cmd_verify(cfg: RunConfig, seed: int | None) -> int:
         rho_tc *= shrink
         eta = tangential_cone_eta(cert, rho_tc)
     worst_tcc = _tangential_cone_worst(model, eta, math.sqrt(2.0 * rho_tc))
-    _verify_check(table, "tangential-cone", worst_tcc <= 1.0,
-                  f"eta={eta:.4f} at rho'={rho_tc:.3e}, max lhs/rhs {worst_tcc:.4f}")
+    check("tangential-cone", worst_tcc <= 1.0,
+          f"eta={eta:.4f} at rho'={rho_tc:.3e}, max lhs/rhs {worst_tcc:.4f}")
 
     # Certificate re-verification on a fresh seed.
     if cert.provenance == "oracle-estimated":
         report = gallery.verify_certificate(model, prob.default_box, cert,
                                             samples=VERIFY_SAMPLES, seed=977)
-        _verify_check(table, "certificate-reverification", report.ok,
-                      f"violations {report.violations}")
+        check("certificate-reverification", report.ok,
+              f"violations {report.violations}")
     else:
-        table.add("certificate-reverification", "NOT ARMED",
-                  "user-supplied certificate")
+        rows.append(("certificate-reverification", "NOT ARMED",
+                     "user-supplied certificate"))
 
-    text = table.render()
+    text = _render(rows)
     print(text, end="")
     with open(cfg.output_path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    return 5 if table.failed() else 0
+    return 5 if any(status == "FAIL" for _, status, _ in rows) else 0
 
 
 def _iterations_to(trace, threshold: float):

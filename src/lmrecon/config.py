@@ -14,8 +14,29 @@ import yaml
 
 from .errors import ConfigInvalid
 
-MODES = ("exact", "noisy", "reconstruct_exact", "reconstruct_noisy",
-         "landweber", "verify")
+# mode -> (required keys, optional keys).  Any other key whose RunConfig
+# default is None is not read in that mode, and parse rejects it; eps,
+# tol_alpha and noise_seed always hold a value and are never rejected.
+MODE_KEYS = {
+    "exact": (("max_iters",),
+              ("eps", "constants_override", "tol_alpha", "target_gamma", "x0",
+               "step_scale")),
+    "noisy": (("tau", "delta", "max_iters"),
+              ("eps", "constants_override", "tol_alpha", "noise_seed", "x0",
+               "step_scale")),
+    "reconstruct_exact": (("target_gamma",),
+                          ("eps", "constants_override", "tol_alpha", "box",
+                           "measurement")),
+    "reconstruct_noisy": (("tau", "delta", "max_iters"),
+                          ("eps", "constants_override", "tol_alpha", "noise_seed",
+                           "box", "measurement")),
+    "landweber": (("max_iters",),
+                  ("eps", "constants_override", "tau", "delta", "noise_seed", "x0",
+                   "step_scale")),
+    "verify": ((), ("eps", "constants_override", "tau", "delta", "max_iters",
+                    "tol_alpha", "noise_seed")),
+}
+MODES = tuple(MODE_KEYS)
 RECONSTRUCT_MODES = ("reconstruct_exact", "reconstruct_noisy")
 MEASUREMENT_PRESETS = ("identity", "average", "first-coordinate")
 
@@ -93,6 +114,14 @@ def parse(raw: dict) -> RunConfig:
     _expect(cfg.mode in MODES, "mode", f"must be one of {MODES}")
     _expect(0.0 < cfg.q < 1.0, "q",
             f"value {cfg.q} violates the constraint 0 < q < 1")
+    required, optional = MODE_KEYS[cfg.mode]
+    for key, spec in RunConfig.__dataclass_fields__.items():
+        _expect(spec.default is not None or raw.get(key) is None
+                or key in required + optional, key,
+                f"not read in mode '{cfg.mode}'")
+    lone = [key for key in ("tau", "delta") if raw.get(key) is not None]
+    if cfg.mode == "landweber" and len(lone) == 1:
+        _fail(lone[0], "mode 'landweber' reads tau and delta only together")
 
     if "eps" in raw:
         cfg.eps = _check_number(raw["eps"], "eps")
@@ -115,9 +144,6 @@ def parse(raw: dict) -> RunConfig:
     if "tol_alpha" in raw:
         cfg.tol_alpha = _check_number(raw["tol_alpha"], "tol_alpha")
         _expect(cfg.tol_alpha > 0, "tol_alpha", "must be positive")
-    for key in ("box", "measurement"):
-        _expect(raw.get(key) is None or cfg.mode in RECONSTRUCT_MODES, key,
-                f"not read in mode '{cfg.mode}'; only {RECONSTRUCT_MODES} use it")
     if raw.get("box") is not None:
         box = raw["box"]
         if not isinstance(box, dict) or set(box) != {"lower", "upper"}:
@@ -170,22 +196,10 @@ def parse(raw: dict) -> RunConfig:
         cfg.step_scale = _check_number(raw["step_scale"], "step_scale")
         _expect(cfg.step_scale > 0, "step_scale", "must be positive")
 
-    _check_mode_requirements(cfg)
+    for key in required:
+        _expect(getattr(cfg, key) is not None, key,
+                f"required for mode '{cfg.mode}'")
     return cfg
-
-
-def _check_mode_requirements(cfg: RunConfig):
-    needs = {
-        "exact": ("max_iters",),
-        "noisy": ("tau", "delta", "max_iters"),
-        "reconstruct_exact": ("target_gamma",),
-        "reconstruct_noisy": ("tau", "delta", "max_iters"),
-        "landweber": ("max_iters",),
-        "verify": (),
-    }[cfg.mode]
-    for name in needs:
-        if getattr(cfg, name) is None:
-            _fail(name, f"required for mode '{cfg.mode}'")
 
 
 def parse_text(text: str) -> RunConfig:

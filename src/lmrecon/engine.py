@@ -16,7 +16,7 @@ A plain Landweber driver, run by the same loop, is the comparison baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,15 +38,6 @@ from .operators import (
     require_in_domain,
 )
 from .step import StepDiagnostics, lm_step
-
-TERMINALS = (
-    "budget_exhausted",
-    "zero_residual",
-    "discrepancy_stop",
-    "root_infeasible",
-    "domain_violation",
-    "target_reached",
-)
 
 STOP_MODES = ("fixed_budget", "target_error", "discrepancy")
 
@@ -129,17 +120,6 @@ class HypothesisReport:
     nu_additional_ok: bool | None = None
     cert_provenance: str | None = None
     armed: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "q_condition_ok": self.q_condition_ok,
-            "rho_lt_rho_prime": self.rho_lt_rho_prime,
-            "x0_condition_ok": self.x0_condition_ok,
-            "r_positive": self.r_positive,
-            "nu_additional_ok": self.nu_additional_ok,
-            "cert_provenance": self.cert_provenance,
-            "armed": self.armed,
-        }
 
 
 @dataclass
@@ -240,17 +220,15 @@ def compute_constants_noisy(cert: StabilityCertificate, q: float, tau: float,
             raise ConditionViolated(
                 f"rho = {rho:.6g} must be < rho' = {cert.domain_rho_prime:.6g}"
             )
-    kstar_bound = None
-    if delta is not None and delta > 0 and big_r > 0:
-        kstar_bound = int(math.floor(
-            jac**2 * rho / (q * (1.0 - q) * big_r * (tau * delta) ** 2)
-        ))
-    return TheoryConstantsNoisy(
-        rho=rho, R=big_r, kstar_bound=kstar_bound,
+    tc = TheoryConstantsNoisy(
+        rho=rho, R=big_r, kstar_bound=None,
         c_prime_coeff=q * (1.0 - q) * tau**2 * big_r / jac**2,
         rho_lt_rho_prime=rho_ok, cert_provenance=cert.provenance,
         nu_bound=nu_additional_bound(cert) if eps == 1.0 else None,
     )
+    if delta is not None and delta > 0 and big_r > 0:
+        tc = replace(tc, kstar_bound=kstar_upper_bound(tc, cert, q, tau, delta))
+    return tc
 
 
 def rate_bound(k: int, tc: TheoryConstantsExact, eps: float) -> float:
@@ -299,8 +277,7 @@ def nu_additional_bound(cert: StabilityCertificate) -> float:
     return s / (1.0 + s)
 
 
-def tangential_cone_eta(cert: StabilityCertificate,
-                        rho_prime: float | None = None) -> float:
+def tangential_cone_eta(cert: StabilityCertificate, rho_prime: float) -> float:
     """Linearization-error factor implied by the stability certificate.
 
     On a ball with parameter ``rho_prime`` the linearization error is bounded
@@ -308,8 +285,6 @@ def tangential_cone_eta(cert: StabilityCertificate,
     tangential cone condition.  Shrinks with the ball:
     eta = (L/2) * (2 sqrt(2 rho'))^(2 eps/(1+eps)) * (sqrt(2) C_F)^(2/(1+eps)).
     """
-    if rho_prime is None:
-        rho_prime = cert.domain_rho_prime
     eps = cert.holder_eps
     diam = 2.0 * math.sqrt(2.0 * rho_prime)
     return (cert.lip_deriv / 2.0
@@ -348,17 +323,6 @@ def kstar_log_estimate(q_tilde: float, r0_norm: float, tau: float,
     return int(math.ceil(
         1.0 + math.log(r0_norm / (tau * delta)) / math.log(1.0 / q_tilde)
     ))
-
-
-def _omega_margin(model: ForwardModel, x, x_dagger, r, q: float):
-    """Ratio q*||r|| / ||r - J(x)(x_dagger - x)|| at the current iterate,
-    given its residual ``r = y - F(x)``."""
-    jd = model.jacobian_apply(x, x_dagger - x)
-    lhs = float(np.linalg.norm(r - jd))
-    rnorm = float(np.linalg.norm(r))
-    if lhs == 0.0:
-        return math.inf, lhs, rnorm
-    return q * rnorm / lhs, lhs, rnorm
 
 
 def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
@@ -459,9 +423,9 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
                 break
 
         if theory and omega is not None:
-            margin, lhs, rnorm = _omega_margin(model, x, x_dagger, r, cfg.q)
-            diag.omega_margin = margin
-            if lhs > (cfg.q / omega) * rnorm * (1.0 + _REL_SLACK):
+            # omega-condition ||r - J(x)(x_dagger - x)|| <= (q/omega) ||r||
+            lhs = float(np.linalg.norm(r - model.jacobian_apply(x, x_dagger - x)))
+            if lhs > (cfg.q / omega) * residual * (1.0 + _REL_SLACK):
                 trace.omega_ok = False
 
         step_norm = float(np.linalg.norm(x_next - x))
@@ -533,8 +497,7 @@ def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
 
 
 def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
-              tc: TheoryConstantsNoisy | None = None,
-              record_iterates: bool = False) -> IterationTrace:
+              tc: TheoryConstantsNoisy | None = None) -> IterationTrace:
     """Drive the LM iteration on noisy data with discrepancy stopping.
 
     Stops at the first iterate whose residual is <= tau * delta and records
@@ -558,8 +521,7 @@ def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
         rho = tc.rho
     omega = 1.0 / (1.0 - big_r) if big_r > 0 else None
     return _iterate(model, y_delta, x0, cfg, _lm_stepper(model, cfg),
-                    x_dagger=x_dagger, hypothesis=hyp, rho=rho, omega=omega,
-                    record_iterates=record_iterates)
+                    x_dagger=x_dagger, hypothesis=hyp, rho=rho, omega=omega)
 
 
 def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,

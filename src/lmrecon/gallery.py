@@ -308,21 +308,19 @@ def _quadratic_model(a_mat: np.ndarray, eta: float, box: CompactBox) -> ForwardM
     )
 
 
-def exp_decay(times, x_dagger, box: CompactBox | None = None,
-              samples: int = 10000, seed: int = 101) -> GalleryProblem:
-    """Two-parameter exponential decay F(x)_i = x1 * exp(-x2 * t_i)."""
+def exp_decay(times, x_dagger) -> GalleryProblem:
+    """Two-parameter exponential decay F(x)_i = x1 * exp(-x2 * t_i) on the
+    box [0.5, 1.5]^2."""
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.shape[0] < 2 or np.unique(t).shape[0] < 2:
         raise ValueError("need at least two distinct sample times")
     x_dagger = as_vector(x_dagger, 2, "x_dagger")
     if np.any(x_dagger <= 0):
         raise ValueError("x_dagger must lie in the positive quadrant")
-    if box is None:
-        box = CompactBox(np.array([0.5, 0.5]), np.array([1.5, 1.5]))
+    box = CompactBox(np.array([0.5, 0.5]), np.array([1.5, 1.5]))
     model = _exp_decay_model(t, box)
-    cert = estimate_stability_constants(model, box, eps=1.0,
-                                        samples=samples, seed=seed)
-    report = verify_certificate(model, box, cert, samples=samples, seed=seed + 1)
+    cert = estimate_stability_constants(model, box, eps=1.0, seed=101)
+    report = verify_certificate(model, box, cert, seed=102)
     if not report.ok:
         raise CertificationFailed(
             f"exponential-decay certificate failed re-verification: {report.violations}"
@@ -342,10 +340,8 @@ def exp_decay(times, x_dagger, box: CompactBox | None = None,
     )
 
 
-def quadratic_perturbation(mat, eta: float, box: CompactBox | None = None,
-                           x_dagger=None, samples: int = 10000,
-                           seed: int = 202) -> GalleryProblem:
-    """F(x) = A x + eta * (x ** 2), componentwise square.
+def quadratic_perturbation(mat, eta: float) -> GalleryProblem:
+    """F(x) = A x + eta * (x ** 2), componentwise square, on [-0.5, 0.5]^n.
 
     With a well-conditioned A and moderate eta the map stays Lipschitz-stable
     on the default box, which is what the convergence-rate checks need.
@@ -358,19 +354,14 @@ def quadratic_perturbation(mat, eta: float, box: CompactBox | None = None,
     smin = float(np.linalg.svd(a_mat, compute_uv=False)[-1])
     if smin <= 0:
         raise ValueError("A must be invertible")
-    if box is None:
-        box = CompactBox(np.full(n, -0.5), np.full(n, 0.5))
-    if x_dagger is None:
-        signs = np.array([(-1.0) ** i for i in range(n)])
-        x_dagger = 0.25 * signs * (1.0 - 0.2 * np.arange(n))
-    x_dagger = as_vector(x_dagger, n, "x_dagger")
+    box = CompactBox(np.full(n, -0.5), np.full(n, 0.5))
+    signs = np.array([(-1.0) ** i for i in range(n)])
+    x_dagger = 0.25 * signs * (1.0 - 0.2 * np.arange(n))
 
     model = _quadratic_model(a_mat, eta, box)
     try:
-        cert = estimate_stability_constants(model, box, eps=1.0,
-                                            samples=samples, seed=seed)
-        report = verify_certificate(model, box, cert, samples=samples,
-                                    seed=seed + 1)
+        cert = estimate_stability_constants(model, box, eps=1.0, seed=202)
+        report = verify_certificate(model, box, cert, seed=203)
     except DegenerateModel as exc:
         raise CertificationFailed(
             f"eta = {eta} destroys injectivity on the box: {exc}"

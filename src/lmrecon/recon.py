@@ -1,9 +1,10 @@
 """Global reconstruction from finitely many measurements.
 
-The pipeline: compose the forward map with a finite-rank measurement operator
-Q, cover the compact search box with a lattice fine enough that some lattice
-point is provably close to the truth in measured-data distance, certify that
-point as the initial guess, then hand off to the local LM drivers.
+One pipeline serves exact and noisy data: compose the forward map with a
+finite-rank measurement operator Q, cover the compact search box with a
+lattice fine enough that some lattice point is provably close to the truth in
+measured-data distance, certify that point as the initial guess, then run
+local LM from it.  Only the constants and the stopping rule differ.
 
 The lattice scan walks the points in index order and stops at the first one
 that passes the measured-data test, so the chosen initial guess is a fixed
@@ -13,7 +14,7 @@ function of the lattice and the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,18 +43,17 @@ DEFAULT_LATTICE_CAP = 10**7
 
 @dataclass(frozen=True, eq=False)
 class MeasurementOperator:
-    """Finite-rank measurement map, realized as a dense matrix onto its range."""
+    """Finite-rank measurement map, realized as a dense matrix onto its range.
+
+    Its norm enters the reconstruction only through the certificate's
+    ``q_norm``; the operator itself stores the matrix alone.
+    """
 
     matrix: np.ndarray
-    operator_norm: float = field(init=False)
 
     def __post_init__(self):
-        mat = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(
-            self, "operator_norm",
-            float(np.linalg.svd(mat, compute_uv=False)[0]),
-        )
+        object.__setattr__(self, "matrix",
+                           np.atleast_2d(np.asarray(self.matrix, dtype=float)))
 
     @property
     def dim_in(self) -> int:
@@ -103,9 +103,9 @@ class CompactBox:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = as_vector(x, self.dim, "x")
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +114,6 @@ class Lattice:
 
     points: np.ndarray
     covering_radius: float
-    spacing: np.ndarray
 
     @property
     def size(self) -> int:
@@ -198,8 +197,9 @@ def build_lattice(box: CompactBox, r_cover: float) -> Lattice:
     """Uniform cell-centered grid whose half-cell diagonal is <= r_cover.
 
     Per-axis spacing is at most ``2 r_cover / sqrt(n)`` so the half-diagonal of
-    each cell, and hence the covering radius, does not exceed ``r_cover``.
-    Degenerate axes (zero extent) contribute a single coordinate.  Raises
+    each cell, the lattice's ``covering_radius``, does not exceed ``r_cover``;
+    the spacing itself is not kept.  Degenerate axes (zero extent) contribute
+    a single coordinate.  Raises
     :class:`LatticeTooLarge` when the grid would exceed
     ``DEFAULT_LATTICE_CAP`` points; the count is taken before any allocation.
     """
@@ -217,18 +217,13 @@ def build_lattice(box: CompactBox, r_cover: float) -> Lattice:
             f"lattice would need {total} points (cap {DEFAULT_LATTICE_CAP}); "
             "shrink the box or relax the target accuracy"
         )
-    axes = []
-    spacings = []
-    for (lo, up), cnt in zip(zip(box.lower, box.upper), counts):
-        extent = up - lo
-        h = extent / cnt if cnt > 0 else 0.0
-        spacings.append(h)
-        axes.append(lo + (np.arange(cnt) + 0.5) * h)
+    spacing = (box.upper - box.lower) / np.array(counts)
+    axes = [lo + (np.arange(cnt) + 0.5) * h
+            for lo, cnt, h in zip(box.lower, counts, spacing)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
-    spacing = np.array(spacings)
-    radius = 0.5 * float(np.linalg.norm(spacing))
-    return Lattice(points=points, covering_radius=radius, spacing=spacing)
+    return Lattice(points=points,
+                   covering_radius=0.5 * float(np.linalg.norm(spacing)))
 
 
 def scan_for_initial_guess(lattice: Lattice, measured_model: ForwardModel,
@@ -257,6 +252,32 @@ def scan_for_initial_guess(lattice: Lattice, measured_model: ForwardModel,
     return x0
 
 
+def _reconstruct(model: ForwardModel, q_op: MeasurementOperator,
+                 box: CompactBox, cert: StabilityCertificate, rho: float,
+                 budget: int, y_obs, run_local) -> IterationTrace:
+    """The global algorithm behind both reconstructions.
+
+    Composes Q o F, covers the box with a lattice of radius
+    ``lattice_radius(cert, rho)``, takes the first point within
+    ``rho / (2 C~)`` of ``y_obs``, re-centers the admissible ball there and
+    returns the trace of ``run_local(local_model, x0)`` with its
+    :class:`ReconSummary` attached.
+    """
+    measured = compose_measured_model(model, q_op)
+    lattice = build_lattice(box, lattice_radius(cert, rho))
+    threshold = rho / (2.0 * cert.recon_const)
+    x0, hit, scanned = scan_for_initial_guess(
+        lattice, measured, y_obs, threshold, details=True
+    )
+    trace = run_local(recenter(measured, x0, cert.domain_rho_prime), x0)
+    trace.recon = ReconSummary(
+        lattice_size=lattice.size, covering_radius=lattice.covering_radius,
+        scan_threshold=threshold, scanned=scanned, chosen_index=hit,
+        x0=x0, rho=rho, budget=budget,
+    )
+    return trace
+
+
 def reconstruct_exact(model: ForwardModel, q_op: MeasurementOperator,
                       box: CompactBox, cert: StabilityCertificate, q: float,
                       target_gamma: float, y_obs, x_dagger=None,
@@ -268,23 +289,13 @@ def reconstruct_exact(model: ForwardModel, q_op: MeasurementOperator,
     ball is re-centered at the scanned initial guess before the local
     iteration starts.
     """
-    measured = compose_measured_model(model, q_op)
     tc = compute_constants_exact(cert, q)
-    r_cover = lattice_radius(cert, tc.rho)
-    lattice = build_lattice(box, r_cover)
-    threshold = tc.rho / (2.0 * cert.recon_const)
-    x0, hit, scanned = scan_for_initial_guess(
-        lattice, measured, y_obs, threshold, details=True
-    )
     budget = iterations_for_accuracy(target_gamma, tc, cert.holder_eps)
     cfg = SolverConfig(q=q, max_iters=budget, tol_alpha=tol_alpha,
                        stop_mode="fixed_budget")
-    local = recenter(measured, x0, cert.domain_rho_prime)
-    trace = run_exact(local, x_dagger, y_obs, x0, cfg, tc)
-    trace.recon = ReconSummary(
-        lattice_size=lattice.size, covering_radius=lattice.covering_radius,
-        scan_threshold=threshold, scanned=scanned, chosen_index=hit,
-        x0=x0, rho=tc.rho, budget=budget,
+    trace = _reconstruct(
+        model, q_op, box, cert, tc.rho, budget, y_obs,
+        lambda local, x0: run_exact(local, x_dagger, y_obs, x0, cfg, tc),
     )
     return trace.x_final, trace
 
@@ -302,26 +313,17 @@ def reconstruct_noisy(model: ForwardModel, q_op: MeasurementOperator,
     ``max_iters`` before the discrepancy criterion; the budget-limited iterate
     is then returned with terminal status ``budget_exhausted``.
     """
-    measured = compose_measured_model(model, q_op)
     tc = compute_constants_noisy(cert, q, tau, delta=delta)
-    r_cover = lattice_radius(cert, tc.rho)
-    lattice = build_lattice(box, r_cover)
-    threshold = tc.rho / (2.0 * cert.recon_const)
-    x0, hit, scanned = scan_for_initial_guess(
-        lattice, measured, y_delta, threshold, details=True
-    )
     cfg = SolverConfig(q=q, max_iters=max_iters, tau=tau, delta=delta,
                        tol_alpha=tol_alpha, stop_mode="discrepancy")
-    local = recenter(measured, x0, cert.domain_rho_prime)
-    trace = run_noisy(local, x_dagger, y_delta, x0, cfg, tc)
+    trace = _reconstruct(
+        model, q_op, box, cert, tc.rho, max_iters, y_delta,
+        lambda local, x0: run_noisy(local, x_dagger, y_delta, x0, cfg, tc),
+    )
+    threshold = trace.recon.scan_threshold
     if delta >= threshold:
         trace.warnings.append(
             f"noise level {delta:.6g} is not small against the scan threshold "
             f"{threshold:.6g}; the hit guarantee does not apply"
         )
-    trace.recon = ReconSummary(
-        lattice_size=lattice.size, covering_radius=lattice.covering_radius,
-        scan_threshold=threshold, scanned=scanned, chosen_index=hit,
-        x0=x0, rho=tc.rho, budget=max_iters,
-    )
     return trace.x_final, trace

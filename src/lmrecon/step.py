@@ -50,9 +50,8 @@ class StepDiagnostics:
     ``q * ||r||`` identically for the exact Morozov parameter.  ``alpha_bound``
     is the ceiling ``q/(1-q) * ||J||^2``.  ``bracket_iters`` counts the
     Newton iterations of the shift selection (0 when ``alpha_bound`` itself
-    meets the tolerance).  ``omega_margin`` is
-    ``q * ||r|| / ||r - J (x_truth - x)||`` and is only populated by the
-    drivers when a ground truth is available.  The ball check is the loop's.
+    meets the tolerance).  Every field is set by :func:`lm_step`; the
+    omega-condition and the ball check are the loop's and leave no mark here.
     """
 
     alpha: float
@@ -62,7 +61,6 @@ class StepDiagnostics:
     mdp_prime_lhs: float
     alpha_bound: float
     bracket_iters: int
-    omega_margin: float | None = None
 
     @property
     def mdp_prime_rel_err(self) -> float:

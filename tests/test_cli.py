@@ -31,8 +31,32 @@ def write_config(tmp_path, name="cfg.yaml", **overrides):
     }
     base.update(overrides)
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(base, sort_keys=False))
+    path.write_text(yaml.safe_dump({k: v for k, v in base.items() if v is not None},
+                                   sort_keys=False))
     return path
+
+
+# Valid values for the keys that only some modes read.
+VALUES = {"tau": 4.0, "delta": 1e-3, "max_iters": 20, "target_gamma": 1e-10,
+          "x0": [1.0, 1.0], "step_scale": 0.1}
+# Keys a mode does not read, other than box and measurement outside the
+# reconstruct modes; landweber reads tau and delta only together, so either
+# one alone is rejected there.
+UNREAD = {
+    "exact": ("tau", "delta"),
+    "noisy": ("target_gamma",),
+    "reconstruct_exact": ("max_iters", "tau", "delta", "x0", "step_scale"),
+    "reconstruct_noisy": ("target_gamma", "x0", "step_scale"),
+    "landweber": ("target_gamma", "tau", "delta"),
+    "verify": ("target_gamma", "x0", "step_scale"),
+}
+
+
+def mode_config(tmp_path, mode, **extra):
+    """Config for exp-decay in ``mode`` with its required keys and ``extra``."""
+    required = {key: VALUES[key] for key in cfgmod.MODE_KEYS[mode][0]}
+    return write_config(tmp_path, problem_id="exp-decay", mode=mode,
+                        **{"max_iters": None, **required, **extra})
 
 
 class TestConfig:
@@ -72,12 +96,17 @@ class TestConfig:
         ("measurement", "average"),
     ])
     def test_reconstruct_only_keys_rejected(self, tmp_path, capsys, mode, field, value):
-        path = write_config(tmp_path, problem_id="exp-decay", mode=mode, tau=4.0,
-                            delta=1e-3, **{field: value})
+        path = mode_config(tmp_path, mode, **{field: value})
         with pytest.raises(ConfigInvalid, match=f"'{field}'.*'{mode}'"):
             cfgmod.load_config(path)
         assert main(["solve", "--config", str(path)]) == 1
         assert f"config field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, field", [
+        (mode, field) for mode, fields in UNREAD.items() for field in fields])
+    def test_unread_keys_rejected(self, tmp_path, capsys, mode, field):
+        self.test_reconstruct_only_keys_rejected(tmp_path, capsys, mode, field,
+                                                 VALUES[field])
 
     def test_bad_yaml(self):
         with pytest.raises(ConfigInvalid, match="not valid YAML"):
@@ -144,17 +173,6 @@ def test_trace_round_trip_is_byte_identical(tf):
     assert dumps(loads(text)) == text
 
 
-# Fields each mode requires (config._check_mode_requirements).
-MODE_NEEDS = {
-    "exact": ("max_iters",),
-    "noisy": ("tau", "delta", "max_iters"),
-    "reconstruct_exact": ("target_gamma",),
-    "reconstruct_noisy": ("tau", "delta", "max_iters"),
-    "landweber": ("max_iters",),
-    "verify": (),
-}
-
-
 @st.composite
 def boxes(draw):
     lower = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4))
@@ -167,13 +185,21 @@ def boxes(draw):
 def run_configs(draw):
     """Every RunConfig that parse accepts, over all modes and fields."""
     mode = draw(st.sampled_from(cfgmod.MODES))
+    required, optional = cfgmod.MODE_KEYS[mode]
 
     def field(name, values):
-        return draw(values if name in MODE_NEEDS[mode] else st.none() | values)
+        # parse rejects a key the mode does not read
+        if name in required:
+            return draw(values)
+        return draw(st.none() | values) if name in optional else None
 
-    def reconstruct_field(name, values):
-        # parse rejects box and measurement outside the reconstruct modes
-        return field(name, values) if mode in cfgmod.RECONSTRUCT_MODES else None
+    taus = st.floats(1.0, exclude_min=True, allow_infinity=False)
+    deltas = st.floats(0.0, allow_infinity=False)
+    if mode == "landweber":
+        # landweber reads tau and delta only together
+        tau, delta = draw(st.just((None, None)) | st.tuples(taus, deltas))
+    else:
+        tau, delta = field("tau", taus), field("delta", deltas)
 
     matrix = st.integers(1, 3).flatmap(lambda n: st.lists(
         st.lists(FINITE, min_size=n, max_size=n), min_size=1, max_size=3))
@@ -187,13 +213,13 @@ def run_configs(draw):
         q=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         output_path=draw(st.text()),
         eps=draw(st.floats(0.0, 1.0, exclude_min=True)),
-        tau=field("tau", st.floats(1.0, exclude_min=True, allow_infinity=False)),
-        delta=field("delta", st.floats(0.0, allow_infinity=False)),
+        tau=tau,
+        delta=delta,
         max_iters=field("max_iters", st.integers(0, 10**9)),
         target_gamma=field("target_gamma", POSITIVE),
         tol_alpha=draw(POSITIVE),
-        box=reconstruct_field("box", boxes()),
-        measurement=reconstruct_field(
+        box=field("box", boxes()),
+        measurement=field(
             "measurement", st.sampled_from(cfgmod.MEASUREMENT_PRESETS) | matrix),
         noise_seed=draw(st.integers(-2**63, 2**63 - 1)),
         constants_override=field("constants_override", override),
@@ -291,7 +317,7 @@ class TestReconstructCommand:
     def test_box_excluding_truth_exits_four(self, tmp_path):
         path = write_config(
             tmp_path, problem_id="exp-decay", mode="reconstruct_exact",
-            target_gamma=1e-10, measurement="identity",
+            max_iters=None, target_gamma=1e-10, measurement="identity",
             box={"lower": [0.5, 1.0], "upper": [1.0, 1.5]},
             constants_override={"lip_deriv": 0.5, "holder_const": 0.81,
                                 "recon_const": 2.0},
@@ -302,7 +328,7 @@ class TestReconstructCommand:
     def test_box_dimension_mismatch_exits_one(self, tmp_path, capsys):
         path = write_config(
             tmp_path, problem_id="quadratic-2d", mode="reconstruct_exact",
-            target_gamma=1e-10,
+            max_iters=None, target_gamma=1e-10,
             box={"lower": [-0.5, -0.5, -0.5], "upper": [0.5, 0.5, 0.5]},
         )
         assert main(["reconstruct", "--config", str(path)]) == 1
@@ -311,7 +337,7 @@ class TestReconstructCommand:
     def _measured_header(self, tmp_path, **overrides):
         path = write_config(
             tmp_path, problem_id="quadratic-2d", mode="reconstruct_exact",
-            target_gamma=1e-10, **overrides,
+            max_iters=None, target_gamma=1e-10, **overrides,
         )
         assert main(["reconstruct", "--config", str(path)]) == 0
         return dict(read_trace(tmp_path / "out.trace").header)
