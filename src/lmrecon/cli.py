@@ -5,7 +5,7 @@ primary artifact to the configured output path and prints a short summary.
 Exit codes are a fixed function of the outcome:
 
     0  clean termination
-    1  invalid configuration
+    1  invalid configuration, or a mode or key the command does not handle
     2  root-finding infeasible, domain violation, non-finite model output,
        or budget exhausted before the discrepancy criterion
     3  a theorem hypothesis failed for the supplied constants
@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import gallery
-from .config import RECONSTRUCT_MODES, RunConfig, load_config
+from .config import RunConfig, load_config
 from .engine import (
     SolverConfig,
     compute_constants_exact,
@@ -173,12 +173,7 @@ def _header(cfg: RunConfig, prob, cert: StabilityCertificate,
     echo = {k: v for k, v in dataclasses.asdict(cfg).items() if v is not None}
     head.update(flatten_header("config", echo))
     head["problem.x_dagger"] = list(map(float, prob.x_dagger))
-    head.update(flatten_header(
-        "certificate", {f: getattr(cert, f) for f in (
-            "lip_deriv", "jac_bound", "holder_const", "holder_eps",
-            "domain_rho_prime", "forward_lip", "recon_const", "q_norm",
-            "provenance")}
-    ))
+    head.update(flatten_header("certificate", dataclasses.asdict(cert)))
     if constants is not None:
         head.update(flatten_header("constants", dataclasses.asdict(constants)))
     if trace is not None and trace.hypothesis is not None:
@@ -191,70 +186,68 @@ def _header(cfg: RunConfig, prob, cert: StabilityCertificate,
     return head
 
 
-def _solve_exit(trace, discrepancy_mode: bool) -> int:
+def _exit(trace, cfg: RunConfig) -> int:
+    """0 for a clean terminal, and for an exhausted budget unless the run
+    stops by the discrepancy principle; 2 otherwise."""
     if trace.terminal in CLEAN_TERMINALS:
         return 0
-    if trace.terminal == "budget_exhausted":
-        return 2 if discrepancy_mode else 0
+    if trace.terminal == "budget_exhausted" and cfg.tau is None:
+        return 0
     return 2
 
 
-def cmd_solve(cfg: RunConfig, seed: int | None) -> int:
-    if cfg.mode not in ("exact", "noisy", "landweber"):
-        raise ConfigInvalid(f"mode '{cfg.mode}' is not handled by 'solve'")
-    prob = _get_problem(cfg)
+def _run(cfg: RunConfig, prob, model: ForwardModel, method: str):
+    """Run LM or Landweber (``method``) on ``model`` as ``cfg`` says.
+
+    The stopping rule is the discrepancy principle when tau is set, else the
+    accuracy target when target_gamma is set, else the budget.  Returns the
+    trace, the resolved certificate and the theory constants (None for
+    Landweber).
+    """
     cert = _resolve_certificate(prob, cfg)
     x0 = _resolve_x0(cfg, prob)
-    noise_seed = cfg.noise_seed if seed is None else seed
-
-    constants = None
-    if cfg.mode == "exact":
-        constants = compute_constants_exact(cert, cfg.q, strict=False)
+    if cfg.tau is not None:
+        stop = "discrepancy"
+        y_obs = make_noise(prob.y_exact, cfg.delta, cfg.noise_seed)
+    else:
         stop = "target_error" if cfg.target_gamma is not None else "fixed_budget"
-        scfg = SolverConfig(q=cfg.q, max_iters=cfg.max_iters,
-                            tol_alpha=cfg.tol_alpha, stop_mode=stop,
-                            target_gamma=cfg.target_gamma, domain_mode="warn")
-        trace = run_exact(prob.model, prob.x_dagger, prob.y_exact, x0, scfg,
-                          constants)
-    elif cfg.mode == "noisy":
+        y_obs = prob.y_exact
+    scfg = SolverConfig(q=cfg.q, max_iters=cfg.max_iters, tau=cfg.tau,
+                        delta=cfg.delta or 0.0, tol_alpha=cfg.tol_alpha,
+                        stop_mode=stop, target_gamma=cfg.target_gamma,
+                        domain_mode="warn")
+    if method == "landweber":
+        trace = landweber_run(model, y_obs, x0, cfg.step_scale, scfg,
+                              x_dagger=prob.x_dagger)
+        return trace, cert, None
+    if cfg.tau is not None:
         constants = compute_constants_noisy(cert, cfg.q, cfg.tau,
                                             delta=cfg.delta, strict=False)
-        y_delta = make_noise(prob.y_exact, cfg.delta, noise_seed)
-        scfg = SolverConfig(q=cfg.q, max_iters=cfg.max_iters, tau=cfg.tau,
-                            delta=cfg.delta, tol_alpha=cfg.tol_alpha,
-                            stop_mode="discrepancy", domain_mode="warn")
-        trace = run_noisy(prob.model, prob.x_dagger, y_delta, x0, scfg,
-                          constants)
+        trace = run_noisy(model, prob.x_dagger, y_obs, x0, scfg, constants)
     else:
-        y_obs = prob.y_exact
-        stop = "fixed_budget"
-        tau = delta = None
-        if cfg.delta is not None and cfg.tau is not None:
-            y_obs = make_noise(prob.y_exact, cfg.delta, noise_seed)
-            stop, tau, delta = "discrepancy", cfg.tau, cfg.delta
-        scfg = SolverConfig(q=cfg.q, max_iters=cfg.max_iters, tau=tau,
-                            delta=delta or 0.0, stop_mode=stop,
-                            domain_mode="warn")
-        trace = landweber_run(prob.model, y_obs, x0, cfg.step_scale, scfg,
-                              x_dagger=prob.x_dagger)
+        constants = compute_constants_exact(cert, cfg.q, strict=False)
+        trace = run_exact(model, prob.x_dagger, y_obs, x0, scfg, constants)
+    return trace, cert, constants
 
+
+def cmd_solve(cfg: RunConfig) -> int:
+    prob = _get_problem(cfg)
+    method = "landweber" if cfg.mode == "landweber" else "lm"
+    trace, cert, constants = _run(cfg, prob, prob.model, method)
     tf = TraceFile.from_trace(trace, _header(cfg, prob, cert, constants, trace))
     write_trace(cfg.output_path, tf)
     err = float(np.linalg.norm(trace.x_final - prob.x_dagger))
     print(f"{cfg.mode}: terminal={trace.terminal} iters={trace.iterations} "
           f"k_star={trace.k_star} final_error={err:.6e} -> {cfg.output_path}")
-    return _solve_exit(trace, scfg.stop_mode == "discrepancy")
+    return _exit(trace, cfg)
 
 
-def cmd_reconstruct(cfg: RunConfig, seed: int | None) -> int:
-    if cfg.mode not in RECONSTRUCT_MODES:
-        raise ConfigInvalid(f"mode '{cfg.mode}' is not handled by 'reconstruct'")
+def cmd_reconstruct(cfg: RunConfig) -> int:
     prob = _get_problem(cfg)
     cert = _resolve_certificate(prob, cfg)
     q_op = _resolve_measurement(cfg, prob.model.dim_y)
     box = _resolve_box(cfg, prob)
     y_measured = q_op(prob.y_exact)
-    noise_seed = cfg.noise_seed if seed is None else seed
 
     if cfg.mode == "reconstruct_exact":
         constants = compute_constants_exact(cert, cfg.q)
@@ -264,7 +257,7 @@ def cmd_reconstruct(cfg: RunConfig, seed: int | None) -> int:
         )
     else:
         constants = compute_constants_noisy(cert, cfg.q, cfg.tau, delta=cfg.delta)
-        y_delta = make_noise(y_measured, cfg.delta, noise_seed)
+        y_delta = make_noise(y_measured, cfg.delta, cfg.noise_seed)
         x_hat, trace = reconstruct_noisy(
             prob.model, q_op, box, cert, cfg.q, cfg.tau, cfg.delta, y_delta,
             cfg.max_iters, x_dagger=prob.x_dagger, tol_alpha=cfg.tol_alpha,
@@ -277,7 +270,7 @@ def cmd_reconstruct(cfg: RunConfig, seed: int | None) -> int:
     print(f"{cfg.mode}: lattice={rs.lattice_size} scanned={rs.scanned} "
           f"x0={np.array2string(rs.x0, precision=6)} terminal={trace.terminal} "
           f"k_star={trace.k_star} final_error={err:.6e} -> {cfg.output_path}")
-    return _solve_exit(trace, cfg.mode == "reconstruct_noisy")
+    return _exit(trace, cfg)
 
 
 def _render(rows) -> str:
@@ -314,16 +307,14 @@ def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float
     return worst
 
 
-def cmd_verify(cfg: RunConfig, seed: int | None) -> int:
-    if cfg.mode != "verify":
-        raise ConfigInvalid(f"mode '{cfg.mode}' is not handled by 'verify'")
+def cmd_verify(cfg: RunConfig) -> int:
+    cfg = dataclasses.replace(cfg, **{key: value for key, value
+                                      in VERIFY_DEFAULTS.items()
+                                      if getattr(cfg, key) is None})
     prob = _get_problem(cfg)
     cert = _resolve_certificate(prob, cfg)
     model = prob.model
-    tau = cfg.tau if cfg.tau is not None else VERIFY_DEFAULTS["tau"]
-    delta = cfg.delta if cfg.delta is not None else VERIFY_DEFAULTS["delta"]
-    budget = cfg.max_iters if cfg.max_iters is not None else VERIFY_DEFAULTS["max_iters"]
-    noise_seed = cfg.noise_seed if seed is None else seed
+    tau, delta = cfg.tau, cfg.delta
     rows = []
 
     def check(name: str, ok: bool, detail: str):
@@ -347,8 +338,8 @@ def cmd_verify(cfg: RunConfig, seed: int | None) -> int:
 
     # Exact-data run.
     tc = compute_constants_exact(cert, cfg.q, strict=False)
-    scfg = SolverConfig(q=cfg.q, max_iters=budget, tol_alpha=cfg.tol_alpha,
-                        domain_mode="warn")
+    scfg = SolverConfig(q=cfg.q, max_iters=cfg.max_iters,
+                        tol_alpha=cfg.tol_alpha, domain_mode="warn")
     trace = run_exact(model, prob.x_dagger, prob.y_exact, prob.default_x0,
                       scfg, tc, record_iterates=True)
     steps = trace.step_diagnostics
@@ -390,8 +381,8 @@ def cmd_verify(cfg: RunConfig, seed: int | None) -> int:
 
     # Noisy-data run.
     tcn = compute_constants_noisy(cert, cfg.q, tau, delta=delta, strict=False)
-    y_delta = make_noise(prob.y_exact, delta, noise_seed)
-    ncfg = SolverConfig(q=cfg.q, max_iters=max(budget, 200), tau=tau,
+    y_delta = make_noise(prob.y_exact, delta, cfg.noise_seed)
+    ncfg = SolverConfig(q=cfg.q, max_iters=max(cfg.max_iters, 200), tau=tau,
                         delta=delta, tol_alpha=cfg.tol_alpha,
                         stop_mode="discrepancy", domain_mode="warn")
     ntrace = run_noisy(model, prob.x_dagger, y_delta, prob.default_x0, ncfg, tcn)
@@ -464,32 +455,12 @@ def _iterations_to(trace, threshold: float):
     return int(idx[0]) if idx.size else None
 
 
-def cmd_compare(cfg: RunConfig, seed: int | None) -> int:
-    if cfg.mode not in ("exact", "noisy"):
-        raise ConfigInvalid("compare requires mode 'exact' or 'noisy'")
+def cmd_compare(cfg: RunConfig) -> int:
     prob = _get_problem(cfg)
-    x0 = _resolve_x0(cfg, prob)
-    noise_seed = cfg.noise_seed if seed is None else seed
-    noisy = cfg.mode == "noisy"
-    y_obs = (make_noise(prob.y_exact, cfg.delta, noise_seed)
-             if noisy else prob.y_exact)
-
     rows = []
     for method in ("lm", "landweber"):
         wrapped, counts = counting_model(prob.model)
-        if noisy:
-            scfg = SolverConfig(q=cfg.q, max_iters=cfg.max_iters, tau=cfg.tau,
-                                delta=cfg.delta, tol_alpha=cfg.tol_alpha,
-                                stop_mode="discrepancy", domain_mode="warn")
-        else:
-            scfg = SolverConfig(q=cfg.q, max_iters=cfg.max_iters,
-                                tol_alpha=cfg.tol_alpha, domain_mode="warn")
-        if method == "lm":
-            runner = run_noisy if noisy else run_exact
-            trace = runner(wrapped, prob.x_dagger, y_obs, x0, scfg)
-        else:
-            trace = landweber_run(wrapped, y_obs, x0, cfg.step_scale, scfg,
-                                  x_dagger=prob.x_dagger)
+        trace, _, _ = _run(cfg, prob, wrapped, method)
         iters = max(trace.iterations, 1)
         cost = (counts["forward"] + counts["jacobian"] + counts["adjoint"]) / iters
         rows.append((
@@ -523,6 +494,18 @@ _COMMANDS = {
     "compare": cmd_compare,
 }
 
+# command -> {mode it runs: keys that mode accepts (config.MODE_KEYS) but the
+# command never reads}.  compare reports iterations to fixed residual levels,
+# so it takes no accuracy target, and it runs on the problem's own certificate.
+COMMAND_MODES = {
+    "solve": {"exact": ("step_scale",), "noisy": ("step_scale",),
+              "landweber": ()},
+    "reconstruct": {"reconstruct_exact": (), "reconstruct_noisy": ()},
+    "verify": {"verify": ()},
+    "compare": {"exact": ("eps", "target_gamma", "constants_override"),
+                "noisy": ("eps", "constants_override")},
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -545,9 +528,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        unread = COMMAND_MODES[args.command].get(cfg.mode)
+        if unread is None:
+            raise ConfigInvalid(
+                f"mode '{cfg.mode}' is not handled by '{args.command}'")
+        for key in unread:
+            if getattr(cfg, key) != RunConfig.__dataclass_fields__[key].default:
+                raise ConfigInvalid(
+                    f"config field '{key}': not read by '{args.command}' "
+                    f"in mode '{cfg.mode}'")
         if args.output is not None:
             cfg.output_path = args.output
-        code = _COMMANDS[args.command](cfg, args.seed)
+        if args.seed is not None:
+            cfg.noise_seed = args.seed
+        code = _COMMANDS[args.command](cfg)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

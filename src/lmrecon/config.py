@@ -8,11 +8,12 @@ constraint.  ``parse(serialize(cfg))`` returns an equal config.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import yaml
 
 from .errors import ConfigInvalid
+from .operators import StabilityCertificate
 
 # mode -> (required keys, optional keys).  Any other key whose RunConfig
 # default is None is not read in that mode, and parse rejects it; eps,
@@ -37,12 +38,9 @@ MODE_KEYS = {
                     "tol_alpha", "noise_seed")),
 }
 MODES = tuple(MODE_KEYS)
-RECONSTRUCT_MODES = ("reconstruct_exact", "reconstruct_noisy")
 MEASUREMENT_PRESETS = ("identity", "average", "first-coordinate")
 
-CERT_FIELDS = ("lip_deriv", "jac_bound", "holder_const", "holder_eps",
-               "domain_rho_prime", "forward_lip", "recon_const", "q_norm",
-               "provenance")
+CERT_FIELDS = tuple(f.name for f in fields(StabilityCertificate))
 
 
 @dataclass

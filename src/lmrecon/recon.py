@@ -103,10 +103,6 @@ class CompactBox:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, x) -> bool:
-        x = as_vector(x, self.dim, "x")
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
 
 @dataclass(frozen=True, eq=False)
 class Lattice:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,10 @@ UNREAD = {
     "landweber": ("target_gamma", "tau", "delta"),
     "verify": ("target_gamma", "x0", "step_scale"),
 }
+
+# Non-default values for the keys that some command never reads.
+UNREAD_BY_COMMAND = {"step_scale": 0.1, "eps": 0.5, "target_gamma": 1e-10,
+                     "constants_override": {"lip_deriv": 0.5}}
 
 
 def mode_config(tmp_path, mode, **extra):
@@ -107,6 +112,26 @@ class TestConfig:
     def test_unread_keys_rejected(self, tmp_path, capsys, mode, field):
         self.test_reconstruct_only_keys_rejected(tmp_path, capsys, mode, field,
                                                  VALUES[field])
+
+    @pytest.mark.parametrize("command, mode, field", [
+        (command, mode, field) for command, modes in cli.COMMAND_MODES.items()
+        for mode, fields in modes.items() for field in fields])
+    def test_keys_a_command_does_not_read_rejected(self, tmp_path, capsys,
+                                                   command, mode, field):
+        path = mode_config(tmp_path, mode, **{field: UNREAD_BY_COMMAND[field]})
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert (f"config field '{field}': not read by '{command}' "
+                f"in mode '{mode}'") in err
+
+    @pytest.mark.parametrize("command, mode", [
+        (command, mode) for command, modes in cli.COMMAND_MODES.items()
+        for mode in cfgmod.MODES if mode not in modes])
+    def test_modes_a_command_does_not_run_rejected(self, tmp_path, capsys,
+                                                   command, mode):
+        assert main([command, "--config", str(mode_config(tmp_path, mode))]) == 1
+        assert (f"mode '{mode}' is not handled by '{command}'"
+                in capsys.readouterr().err)
 
     def test_bad_yaml(self):
         with pytest.raises(ConfigInvalid, match="not valid YAML"):
@@ -267,10 +292,27 @@ class TestSolveCommand:
         assert main(["solve", "--config", "/does/not/exist.yaml"]) == 1
 
     def test_budget_before_discrepancy_exits_two(self, tmp_path):
-        path = write_config(tmp_path, mode="noisy", tau=4.0, delta=1e-9,
-                            max_iters=1)
-        code = main(["solve", "--config", str(path)])
-        assert code == 2
+        # both drivers: a discrepancy run that ends on its budget failed
+        for mode in ("noisy", "landweber"):
+            path = write_config(tmp_path, mode=mode, tau=4.0, delta=1e-9,
+                                max_iters=1)
+            code = main(["solve", "--config", str(path)])
+            assert code == 2
+            assert read_trace(tmp_path / "out.trace").terminal == "budget_exhausted"
+
+    def test_seed_option_is_recorded_in_the_header(self, tmp_path):
+        preset = Path(PRESETS) / "c05_noisy_guarantees.yaml"
+        copy = tmp_path / "seed7.yaml"
+        copy.write_text(preset.read_text().replace("noise_seed: 1001",
+                                                   "noise_seed: 7"))
+        blobs = []
+        for config, extra in ((str(preset), ["--seed", "7"]), (str(copy), [])):
+            out = tmp_path / f"{len(blobs)}.trace"
+            assert main(["solve", "--config", config, "--output", str(out),
+                         *extra]) == 0
+            blobs.append(out.read_bytes().replace(str(out).encode(), b"OUT"))
+        assert blobs[0] == blobs[1]
+        assert dict(read_trace(tmp_path / "0.trace").header)["config.noise_seed"] == "7"
 
     def test_non_finite_model_output_exits_two(self, tmp_path, monkeypatch,
                                                capsys):
@@ -485,3 +527,68 @@ class TestDeterminism:
                   "--output", str(out)])
             blobs.append(out.read_bytes().replace(str(out).encode(), b"OUT"))
         assert blobs[0] == blobs[1]
+
+
+# The outputs of solve and compare on one run per stopping rule and driver:
+# run -> (command, preset file or config overrides, exit code, sha256 of
+# stdout, sha256 of the output file), both with the output path replaced by
+# a token.  Recorded with numpy 2.4 and its bundled OpenBLAS on x86-64.
+PINNED = {
+    "c01": (
+        "solve", "c01_scalar_closed_form.yaml", 0,
+        "2f98e3d13364f84399855c006933a83d12ea1db1399c26c094f8f9d7775584bb",
+        "0b6bd1c24db70718b84c52132f8d72d300d42802f7d1bb84e1051b398bf6c056"),
+    "c05": (
+        "solve", "c05_noisy_guarantees.yaml", 0,
+        "83fae8e2dcb2a6cb429c924090237fda5ce46250ff3c0631e7fd9159ab3e44d5",
+        "c7c4569b4c3d05a0378746ee9d87be034d05ce1f4062f4537abe606f5a7e6539"),
+    "exact-target": (
+        "solve", {"problem_id": "quadratic-2d", "target_gamma": 1e-8,
+                  "max_iters": 60}, 0,
+        "9608b29e667e473afc0af5feba0d2643b861ab28826a670c18fbe6e1ff854cdf",
+        "2ab43972922d886914878370502267bab6f91584d3f595d870a01026e383392c"),
+    "landweber-default-step": (
+        "solve", {"problem_id": "quadratic-2d", "mode": "landweber",
+                  "max_iters": 60}, 0,
+        "a9c7316288bb8d628fda427d9ebbf6217d9fb58c395744b4d86e55f800d3fa1b",
+        "fe7fe350adead3833be0aae98c7e8191895576f0df2a0909b17978e7471525b3"),
+    "landweber-discrepancy": (
+        "solve", {"problem_id": "quadratic-2d", "mode": "landweber",
+                  "max_iters": 200, "step_scale": 0.05, "tau": 4.0,
+                  "delta": 1e-3, "noise_seed": 3}, 0,
+        "e43fd437bcc9927d2021527ee92b4e19e288c25e7e5a194c37d855914dc97c5e",
+        "bbfe53f2e33dbe1a7fafe9c68d9119ab1136595ae6ec450f05221060e0d9892f"),
+    "c10a": (
+        "compare", "c10a_compare_quadratic.yaml", 0,
+        "d8168dc19a129b87fa53b1726ca5c39b1b31b8bb0a0f7c7082dbd4b96b89e411",
+        "d8168dc19a129b87fa53b1726ca5c39b1b31b8bb0a0f7c7082dbd4b96b89e411"),
+    "c10b": (
+        "compare", "c10b_compare_expdecay.yaml", 0,
+        "8eace7c4f63f8269b97c191992d3d021cfc2ef3408a9bf679b41635030cfe323",
+        "8eace7c4f63f8269b97c191992d3d021cfc2ef3408a9bf679b41635030cfe323"),
+    "compare-noisy": (
+        "compare", {"problem_id": "quadratic-2d", "mode": "noisy", "q": 0.2,
+                    "tau": 4.0, "delta": 1e-3, "max_iters": 200,
+                    "noise_seed": 3}, 0,
+        "5b7a2c6bb3a88e1bcf8b70c4aa4bfc1c80b4759de72f21926979fd14c52fd75b",
+        "5b7a2c6bb3a88e1bcf8b70c4aa4bfc1c80b4759de72f21926979fd14c52fd75b"),
+}
+
+
+def pinned_run(tmp_path, capsys, command, source):
+    """Exit code and the sha256 of stdout and of the output file of one run."""
+    config = (f"{PRESETS}/{source}" if isinstance(source, str)
+              else str(write_config(tmp_path, **source)))
+    out = tmp_path / "pinned.out"
+    capsys.readouterr()
+    code = main([command, "--config", config, "--output", str(out)])
+    token = str(out).encode()
+    stdout = capsys.readouterr().out.encode().replace(token, b"OUT")
+    return (code, hashlib.sha256(stdout).hexdigest(),
+            hashlib.sha256(out.read_bytes().replace(token, b"OUT")).hexdigest())
+
+
+@pytest.mark.parametrize("run", PINNED)
+def test_solve_and_compare_outputs_pinned(tmp_path, capsys, run):
+    command, source, *expected = PINNED[run]
+    assert pinned_run(tmp_path, capsys, command, source) == tuple(expected)
