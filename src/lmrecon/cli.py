@@ -499,7 +499,7 @@ _COMMANDS = {
 # so it takes no accuracy target, and it runs on the problem's own certificate.
 COMMAND_MODES = {
     "solve": {"exact": ("step_scale",), "noisy": ("step_scale",),
-              "landweber": ()},
+              "landweber": ("tol_alpha",)},
     "reconstruct": {"reconstruct_exact": (), "reconstruct_noisy": ()},
     "verify": {"verify": ()},
     "compare": {"exact": ("eps", "target_gamma", "constants_override"),

@@ -17,7 +17,8 @@ from .operators import StabilityCertificate
 
 # mode -> (required keys, optional keys).  Any other key whose RunConfig
 # default is None is not read in that mode, and parse rejects it; eps,
-# tol_alpha and noise_seed always hold a value and are never rejected.
+# tol_alpha and noise_seed always hold a value and parse never rejects them
+# (cli.COMMAND_MODES lists the ones a command does not read).
 MODE_KEYS = {
     "exact": (("max_iters",),
               ("eps", "constants_override", "tol_alpha", "target_gamma", "x0",

@@ -6,9 +6,9 @@ lattice fine enough that some lattice point is provably close to the truth in
 measured-data distance, certify that point as the initial guess, then run
 local LM from it.  Only the constants and the stopping rule differ.
 
-The lattice scan walks the points in index order and stops at the first one
-that passes the measured-data test, so the chosen initial guess is a fixed
-function of the lattice and the data.
+The lattice scan evaluates ``STACK_BLOCK`` points per array pass, in index
+order, and takes the first point that passes the measured-data test, so the
+chosen initial guess is a fixed function of the lattice and the data.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from .engine import (
 )
 from .errors import DimensionMismatch, LatticeTooLarge, NoCandidateFound
 from .operators import (
+    STACK_BLOCK,
     ForwardModel,
     StabilityCertificate,
-    apply_forward,
     as_vector,
     forward_stack,
     jacobian_stack,
     recenter,
+    row_norms,
 )
 
 DEFAULT_LATTICE_CAP = 10**7
@@ -227,14 +228,23 @@ def scan_for_initial_guess(lattice: Lattice, measured_model: ForwardModel,
     """First lattice point (in index order) within ``threshold`` of the data.
 
     Candidates are compared in measured-data space: the point ``x_j`` is
-    accepted iff ``||Q(F(x_j)) - y_obs|| < threshold``.  A point whose data
-    are not finite fails the test and is skipped.  With ``details`` the
-    result is ``(x0, index, points scanned)``.
+    accepted iff ``||Q(F(x_j)) - y_obs|| < threshold``.  The points are
+    evaluated ``STACK_BLOCK`` at a time in one array pass, and the scan stops
+    at the first block with a hit, so it may evaluate up to
+    ``STACK_BLOCK - 1`` points past the chosen one; the chosen point is still
+    the first in index order, since each stacked row has the bits of the
+    per-point evaluation.  A point whose data are not finite fails the test
+    and is skipped.  With ``details`` the result is ``(x0, index, points
+    scanned)``, where the count is the points the result needed
+    (``index + 1``), not the points evaluated.
     """
     y_obs = as_vector(y_obs, measured_model.dim_y, "y_obs")
-    for hit, point in enumerate(lattice.points):
-        fx = apply_forward(measured_model, point, check=False)
-        if float(np.linalg.norm(fx - y_obs)) < threshold:
+    points = lattice.points
+    for start in range(0, points.shape[0], STACK_BLOCK):
+        block = points[start:start + STACK_BLOCK]
+        passed = row_norms(forward_stack(measured_model, block) - y_obs) < threshold
+        if passed.any():
+            hit = start + int(np.argmax(passed))
             break
     else:
         raise NoCandidateFound(
@@ -242,7 +252,7 @@ def scan_for_initial_guess(lattice: Lattice, measured_model: ForwardModel,
             "the truth may lie outside the box, the constants may be wrong, "
             "or the noise exceeds the threshold margin"
         )
-    x0 = point.copy()
+    x0 = points[hit].copy()
     if details:
         return x0, hit, hit + 1
     return x0

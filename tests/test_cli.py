@@ -54,7 +54,7 @@ UNREAD = {
 
 # Non-default values for the keys that some command never reads.
 UNREAD_BY_COMMAND = {"step_scale": 0.1, "eps": 0.5, "target_gamma": 1e-10,
-                     "constants_override": {"lip_deriv": 0.5}}
+                     "constants_override": {"lip_deriv": 0.5}, "tol_alpha": 0.001}
 
 
 def mode_config(tmp_path, mode, **extra):

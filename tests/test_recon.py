@@ -11,6 +11,7 @@ from lmrecon.engine import compute_constants_exact
 from lmrecon.errors import DimensionMismatch, LatticeTooLarge, NoCandidateFound
 from lmrecon.gallery import get_problem
 from lmrecon.operators import (
+    STACK_BLOCK,
     ForwardModel,
     apply_forward,
     finite_difference_jacobian,
@@ -18,6 +19,7 @@ from lmrecon.operators import (
 )
 from lmrecon.recon import (
     CompactBox,
+    Lattice,
     MeasurementOperator,
     build_lattice,
     compose_measured_model,
@@ -235,6 +237,73 @@ class TestScan:
         assert hit == hits[0]
         assert scanned == hit + 1
         assert np.array_equal(x0, lat.points[hit])
+
+    @pytest.mark.parametrize("pid", ["exp-decay", "quadratic-2d"])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_block_boundaries_match_per_point_reference(self, pid, batched,
+                                                        gallery_problems):
+        prob = gallery_problems[pid]
+        measured = compose_measured_model(
+            prob.model, MeasurementOperator.identity(prob.model.dim_y))
+        if not batched:
+            # forward_stack then falls back to per-point forward
+            measured = dataclasses.replace(measured, forward_batch=None)
+        lat = build_lattice(prob.default_box, 0.012)
+        assert lat.size >= 3 * STACK_BLOCK and lat.size % STACK_BLOCK != 0
+        planted = [0, STACK_BLOCK - 1, STACK_BLOCK, lat.size - 1]
+        for j in planted:
+            y = measured.forward(lat.points[j])
+            # per-point reference: the distance of every lattice point
+            dist = [np.linalg.norm(measured.forward(p) - y) for p in lat.points]
+            # the smallest subnormal threshold then hits exactly at j
+            assert dist.index(0.0) == j
+            # each planted distance itself (fails the strict <) and the next
+            # float above it (passes); 0 and the smallest subnormal for j
+            thresholds = [t for k in planted
+                          for t in (dist[k], np.nextafter(dist[k], np.inf))]
+            for threshold in thresholds:
+                expected = next(
+                    (i for i, d in enumerate(dist) if d < threshold), None)
+                if expected is None:
+                    with pytest.raises(NoCandidateFound):
+                        scan_for_initial_guess(lat, measured, y, threshold)
+                    continue
+                x0, hit, scanned = scan_for_initial_guess(
+                    lat, measured, y, threshold, details=True)
+                assert (hit, scanned) == (expected, expected + 1)
+                assert np.array_equal(x0, lat.points[expected])
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_non_finite_rows_are_skipped(self, batched):
+        # 1-D lattice over three blocks; every point before index `first`
+        # has NaN or inf data, in earlier blocks and in the hit's own block
+        size = 3 * STACK_BLOCK
+        first = STACK_BLOCK + 5
+        lat = Lattice(points=np.arange(size, dtype=float)[:, None],
+                      covering_radius=0.5)
+
+        def forward_batch(xs):
+            # the finite coordinate of a non-finite row equals the data, so
+            # only its NaN or inf keeps it from passing
+            i = xs[:, 0]
+            bad = np.where(i % 3 == 0, np.nan, np.where(i % 3 == 1, np.inf, -np.inf))
+            return np.column_stack([np.where(i < first, bad, i),
+                                    np.where(i < first, first, i)])
+
+        model = ForwardModel(
+            dim_x=1, dim_y=2, center=np.zeros(1), radius_sq=np.inf,
+            forward=lambda x: forward_batch(x[None, :])[0],
+            jacobian_apply=lambda x, v: np.zeros(2),
+            jacobian_adjoint_apply=lambda x, w: np.zeros(1),
+            forward_batch=forward_batch if batched else None,
+        )
+        y = np.array([first, first], dtype=float)
+        x0, hit, scanned = scan_for_initial_guess(lat, model, y, 1e-9,
+                                                  details=True)
+        assert (hit, scanned) == (first, first + 1)
+        assert np.array_equal(x0, [float(first)])
+        with pytest.raises(NoCandidateFound):
+            scan_for_initial_guess(lat, model, np.array([-1.0, first]), 0.5)
 
 
 class TestScanGuarantees:
