@@ -248,17 +248,3 @@ def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10):
     )
     return x + s, diag
 
-
-def commutation_residual(model: ForwardModel, x, alpha: float, v) -> float:
-    """Defect of (J J^T + a I)^{-1} J v  =  J (J^T J + a I)^{-1} v.
-
-    Both sides are assembled densely; a nonzero defect beyond rounding signals
-    an inconsistent Jacobian/adjoint pair.
-    """
-    x = as_vector(x, model.dim_x, "x")
-    v = as_vector(v, model.dim_x, "v")
-    j = jacobian_matrix(model, x)
-    m, n = j.shape
-    lhs = np.linalg.solve(j @ j.T + alpha * np.eye(m), j @ v)
-    rhs = j @ np.linalg.solve(j.T @ j + alpha * np.eye(n), v)
-    return float(np.linalg.norm(lhs - rhs))

@@ -399,6 +399,21 @@ class TestReconstructCommand:
         assert header["certificate.provenance"] == "oracle-estimated"
 
 
+# The rows of every verify report, in order.
+VERIFY_ROWS = (
+    "adjoint-consistency", "jacobian-finite-difference", "mdp-prime-identity",
+    "alpha-ceiling", "residual-ratio-q", "error-monotonicity", "gamma-monotone",
+    "rate-bound-exact", "discrepancy-soundness", "kstar-bound",
+    "gamma-monotone-noisy", "qtilde-contraction", "tangential-cone",
+    "certificate-reverification",
+)
+
+
+def report_rows(path):
+    """A verify report as {check name: 'STATUS (detail)'}, in file order."""
+    return dict(line.split(None, 1) for line in path.read_text().splitlines())
+
+
 class TestVerifyCommand:
     def test_tangential_cone_sampler_matches_single_draws(self, monkeypatch,
                                                           gallery_problems):
@@ -480,6 +495,27 @@ class TestVerifyCommand:
         line = [ln for ln in report.splitlines()
                 if ln.startswith("rate-bound-exact")][0]
         assert "NOT ARMED" in line
+
+
+    def test_failed_log_stopping_estimate_is_not_armed(self, tmp_path):
+        # a large L puts q~ = (q + s)/(1 - s) above 1: the logarithmic
+        # stopping row does not arm, and the command still writes its report
+        # and exits 0
+        path = write_config(tmp_path, mode="verify", problem_id="quadratic-2d",
+                            output_path=str(tmp_path / "q.report"),
+                            constants_override={"lip_deriv": 8.0})
+        assert main(["verify", "--config", str(path)]) == 0
+        rows = report_rows(tmp_path / "q.report")
+        assert rows["qtilde-contraction"] == "NOT ARMED (smallness condition not met)"
+
+    def test_no_steps_keeps_every_row(self, tmp_path):
+        path = write_config(tmp_path, mode="verify", max_iters=0,
+                            output_path=str(tmp_path / "n.report"))
+        assert main(["verify", "--config", str(path)]) == 0
+        rows = report_rows(tmp_path / "n.report")
+        assert tuple(rows) == VERIFY_ROWS
+        for name in ("mdp-prime-identity", "alpha-ceiling", "residual-ratio-q"):
+            assert rows[name] == "NOT ARMED (no steps taken)"
 
 
 class TestCompareCommand:
@@ -592,3 +628,29 @@ def pinned_run(tmp_path, capsys, command, source):
 def test_solve_and_compare_outputs_pinned(tmp_path, capsys, run):
     command, source, *expected = PINNED[run]
     assert pinned_run(tmp_path, capsys, command, source) == tuple(expected)
+
+
+# The report of every verify preset: preset -> (exit code, sha256 of the
+# report, which verify also prints).  Recorded like PINNED.
+PINNED_VERIFY = {
+    "c02_mdp_prime_identity.yaml": (
+        0, "8863c7f282de6992ba3967fb56f8c01a9876dcb55a95d009121c23318171cb09"),
+    "c03_error_monotonicity.yaml": (
+        0, "ab0764693f70f586d31ce5f08f49d039e61b67185512a2a0feac7d5bdb74b65c"),
+    "c04_exact_rates.yaml": (
+        0, "396848db25a477018ec036083771b30a787dc9cff586153ce2490cab6eaeea57"),
+    "c06_log_stopping.yaml": (
+        0, "d4ae73c950c13125c7efd642bbba8a993319306cf28a589d54863b9af2c61657"),
+    "c08_oracle_suites.yaml": (
+        0, "ab0764693f70f586d31ce5f08f49d039e61b67185512a2a0feac7d5bdb74b65c"),
+    "c09_tangential_cone.yaml": (
+        0, "ab0764693f70f586d31ce5f08f49d039e61b67185512a2a0feac7d5bdb74b65c"),
+    "fault_sabotaged_adjoint.yaml": (
+        5, "8175e3c95a13d565b8911d6139235429c835fea7f9eba59ae7d84ad98d0dd43f"),
+}
+
+
+@pytest.mark.parametrize("preset", PINNED_VERIFY)
+def test_verify_reports_pinned(tmp_path, capsys, preset):
+    code, digest = PINNED_VERIFY[preset]
+    assert pinned_run(tmp_path, capsys, "verify", preset) == (code, digest, digest)

@@ -16,7 +16,7 @@ from lmrecon.errors import (
 )
 from lmrecon.gallery import get_problem
 from lmrecon.operators import ForwardModel, jacobian_matrix
-from lmrecon.step import _select_alpha, _spectrum, commutation_residual, lm_step
+from lmrecon.step import _select_alpha, _spectrum, lm_step
 
 
 def test_solve_shifted_scalar():
@@ -400,14 +400,3 @@ def test_lm_step_alpha_bound_dense_oracle():
         dense = float(np.linalg.norm(jacobian_matrix(prob.model, x), 2))
         assert diag.alpha <= 0.5 / 0.5 * dense**2 * (1.0 + 1e-8)
         x = x_next
-
-
-def test_commutation_identity_gallery():
-    rng = np.random.default_rng(9)
-    for pid in ("exp-decay", "quadratic-2d"):
-        prob = get_problem(pid)
-        x = prob.default_x0
-        for _ in range(20):
-            v = rng.standard_normal(prob.model.dim_x)
-            for alpha in (1e-3, 1.0, 1e3):
-                assert commutation_residual(prob.model, x, alpha, v) <= 1e-10
