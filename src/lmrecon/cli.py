@@ -360,7 +360,10 @@ def cmd_verify(cfg: RunConfig) -> int:
             check("residual-ratio-q", dev <= ratio_tol, f"max dev {dev:.3e}")
         else:
             rows.append(("residual-ratio-q", "NOT ARMED", "nonlinear problem"))
-    if trace.omega_ok:
+    if not steps:
+        rows.append(("error-monotonicity", "NOT ARMED", "no steps taken"))
+        rows.append(("gamma-monotone", "NOT ARMED", "no steps taken"))
+    elif trace.omega_ok:
         check("error-monotonicity",
               bool(trace.error_monotonicity_ok), "Lyapunov decrease")
         check("gamma-monotone", bool(trace.gamma_monotone),
@@ -398,7 +401,9 @@ def cmd_verify(cfg: RunConfig) -> int:
               f"k_star={ntrace.k_star} <= {tcn.kstar_bound}")
     else:
         rows.append(("kstar-bound", "NOT ARMED", "hypothesis failed"))
-    if ntrace.omega_ok:
+    if not ntrace.iterations:
+        rows.append(("gamma-monotone-noisy", "NOT ARMED", "no steps taken"))
+    elif ntrace.omega_ok:
         check("gamma-monotone-noisy", bool(ntrace.gamma_monotone),
               "up to the stopping index")
     else:

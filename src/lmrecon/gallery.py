@@ -8,6 +8,18 @@ deterministic grid, and a fresh-seed re-verification pass guards against
 unlucky sampling.  Both passes share one pair kernel, an array pass over
 blocks of pairs; the sampled problems supply batched callables so that
 the kernel evaluates F and J once per block rather than once per point.
+
+Spectral norms are screened, not taken by LAPACK's SVD: each Jacobian (or
+Jacobian difference) is scaled by its largest absolute entry, and the norm
+is the square root of the largest eigenvalue of the smaller Gram matrix
+(closed form up to 2 x 2, ``eigvalsh`` above), scaled back.  A screened
+norm is within a few ulps of ``np.linalg.norm(J, 2)``, but not always
+equal to it.  Only two consumers read these norms, and each compares them
+with one pivot: the estimator with the sample peak, the re-verification
+with the violation threshold.  :func:`_settle` re-takes the SVD on the few
+entries whose screened value lies within ``SCREEN_TOL`` of that pivot, so
+every certificate and violation count has the bits that LAPACK's norms on
+every pair would give.
 """
 
 from __future__ import annotations
@@ -37,6 +49,11 @@ INFLATION = 1.05
 LIP_FLOOR = 1e-14
 GRID_PER_AXIS = 4
 REVERIFY_SLACK = 1e-12
+# Relative distance from a pivot within which a screened spectral norm is
+# re-taken by LAPACK.  The screen's rounding error grows with the matrix
+# size; measured against LAPACK it stays <= 1.1e-15 relative on shapes up
+# to 4 x 4 and on random 1000 x 2 and 50 x 50 stacks.
+SCREEN_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +77,6 @@ class CertificateReport:
 
     ok: bool
     violations: dict
-    worst_ratio: dict
 
 
 def _pair_arrays(box: CompactBox, samples: int, seed: int):
@@ -81,7 +97,73 @@ def _pair_arrays(box: CompactBox, samples: int, seed: int):
 
 
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(stack, 2, axis=(1, 2))
+    """Screened largest singular value of every matrix in a (k, m, n) stack.
+
+    Scaling by the largest absolute entry keeps the squares in the Gram
+    matrix from underflowing or overflowing; a zero matrix gets exactly 0.
+    The matrices are laid out batch-last, so that every operation acts on
+    rows of k values, and the Gram sums run in row order: each norm has the
+    same bits whatever the stack's k.
+    """
+    if stack.shape[1] < stack.shape[2]:
+        stack = stack.transpose(0, 2, 1)
+    cols = np.ascontiguousarray(stack.transpose(2, 1, 0))  # (n, m, k), m >= n
+    scale = np.abs(cols).reshape(-1, cols.shape[2]).max(axis=0, initial=0.0)
+    unit = cols / np.where(scale > 0.0, scale, 1.0)
+
+    def gram(i, j):
+        # accumulate sums sequentially; np.sum may sum pairwise when k = 1
+        return np.add.accumulate(unit[i] * unit[j], axis=0)[-1]
+
+    n = unit.shape[0]
+    if n == 1:
+        lam = gram(0, 0)
+    elif n == 2:
+        a, b, d = gram(0, 0), gram(0, 1), gram(1, 1)
+        lam = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
+    else:
+        full = np.empty((unit.shape[2], n, n))
+        for i in range(n):
+            for j in range(i + 1):
+                full[:, i, j] = full[:, j, i] = gram(i, j)
+        lam = np.linalg.eigvalsh(full)[:, -1]
+    return scale * np.sqrt(lam)
+
+
+def _settle(model: ForwardModel, pa: np.ndarray, pb: np.ndarray,
+            jac: np.ndarray, jd: np.ndarray, jac_cut, jd_cut):
+    """``jac`` and ``jd`` of :func:`_pair_quantities` on the pairs
+    ``(pa, pb)``, with LAPACK's spectral norm wherever the screen cannot
+    decide.
+
+    Each cut is ``(ratio, pivot)``: the values that the consumer compares
+    with one pivot, a sample peak or a violation threshold, entry by entry.
+    An entry whose ratio lies within ``SCREEN_TOL`` of the pivot gets
+    ``np.linalg.norm(., 2)``; a zero norm is exact and stays.  J is rebuilt
+    for those entries a block at a time; by the ``ForwardModel`` contract
+    its rows are the ones that were screened.
+    """
+    settled = []
+    for norms, (ratio, pivot), diff in ((jac, jac_cut, False), (jd, jd_cut, True)):
+        near = np.flatnonzero((np.abs(ratio - pivot) <= SCREEN_TOL * pivot)
+                              & (norms != 0.0))
+        if not near.shape[0]:
+            settled.append(norms)
+            continue
+        if diff:  # jd runs over the pairs with a != b
+            at = np.flatnonzero(row_norms(pa - pb) != 0.0)[near]
+            first, second = pa[at], pb[at]
+        else:  # jac holds ||J(a_0)||, ||J(b_0)||, ||J(a_1)||, ...
+            first = np.stack((pa, pb), axis=1).reshape(-1, pa.shape[1])[near]
+        norms = norms.copy()
+        for start in range(0, near.shape[0], STACK_BLOCK):
+            part = slice(start, start + STACK_BLOCK)
+            stack = jacobian_stack(model, first[part])
+            if diff:
+                stack = stack - jacobian_stack(model, second[part])
+            norms[near[part]] = np.linalg.norm(stack, 2, axis=(1, 2))
+        settled.append(norms)
+    return settled
 
 
 def _pair_quantities(model: ForwardModel, pa: np.ndarray, pb: np.ndarray):
@@ -95,10 +177,12 @@ def _pair_quantities(model: ForwardModel, pa: np.ndarray, pb: np.ndarray):
     :class:`NonFiniteOutput` when the model returns NaN or inf.
 
     One array pass per block of ``STACK_BLOCK`` pairs: F and J are stacked
-    through :func:`forward_stack` / :func:`jacobian_stack` and every norm is
-    taken by a batched call with the bits of the per-pair ``np.linalg.norm``,
-    so the results do not depend on the block size or on whether the model
-    has batched callables.
+    through :func:`forward_stack` / :func:`jacobian_stack`, vector norms are
+    taken by :func:`row_norms` (the bits of the per-pair ``np.linalg.norm``)
+    and spectral norms by the screen :func:`_spectral_norms`, row by row, so
+    the results do not depend on the block size or on whether the model has
+    batched callables.  The spectral norms are screened: pass them through
+    :func:`_settle` before comparing them with a peak or a threshold.
     """
     jac = np.empty((pa.shape[0], 2))
     apart = np.empty((pa.shape[0], 3))
@@ -157,6 +241,8 @@ def estimate_stability_constants(model: ForwardModel, box: CompactBox,
         raise ValueError("eps must lie in (0, 1]")
     pa, pb = _pair_arrays(box, samples, seed)
     jac, d, jd, fd = _pair_quantities(model, pa, pb)
+    jac, jd = _settle(model, pa, pb, jac, jd,
+                      (jac, _peak(jac)), (jd / d, _peak(jd / d)))
     exponent = (1.0 + eps) / 2.0
     inradius = 0.5 * float(np.min(box.upper - box.lower))
     rho_prime = 0.5 * inradius**2 if inradius > 0 else model.radius_sq
@@ -183,6 +269,9 @@ def verify_certificate(model: ForwardModel, box: CompactBox,
     """
     pa, pb = _pair_arrays(box, samples, seed)
     jac, d, jd, fd = _pair_quantities(model, pa, pb)
+    cut = 1.0 + REVERIFY_SLACK
+    jac, jd = _settle(model, pa, pb, jac, jd, (jac / cert.jac_bound, cut),
+                      (jd / (cert.lip_deriv * d), cut))
     exponent = (1.0 + cert.holder_eps) / 2.0
     ratios = {
         "jac_bound": jac / cert.jac_bound,
@@ -191,11 +280,9 @@ def verify_certificate(model: ForwardModel, box: CompactBox,
         "forward_lip": fd / (cert.forward_lip * d),
         "recon": d / (2.0 * cert.recon_const * fd),
     }
-    counts = {key: int(np.count_nonzero(r > 1.0 + REVERIFY_SLACK))
-              for key, r in ratios.items()}
-    worst = {key: _peak(r) for key, r in ratios.items()}
+    counts = {key: int(np.count_nonzero(r > cut)) for key, r in ratios.items()}
     ok = all(v == 0 for v in counts.values())
-    return CertificateReport(ok=ok, violations=counts, worst_ratio=worst)
+    return CertificateReport(ok=ok, violations=counts)
 
 
 def scalar_linear(a: float, x_dagger: float) -> GalleryProblem:

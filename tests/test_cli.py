@@ -514,8 +514,18 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(path)]) == 0
         rows = report_rows(tmp_path / "n.report")
         assert tuple(rows) == VERIFY_ROWS
-        for name in ("mdp-prime-identity", "alpha-ceiling", "residual-ratio-q"):
+        for name in ("mdp-prime-identity", "alpha-ceiling", "residual-ratio-q",
+                     "error-monotonicity", "gamma-monotone"):
             assert rows[name] == "NOT ARMED (no steps taken)"
+
+    def test_no_noisy_steps_is_not_armed(self, tmp_path):
+        # the first noisy residual already meets tau * delta = 2
+        path = write_config(tmp_path, mode="verify", delta=0.5,
+                            output_path=str(tmp_path / "n.report"))
+        assert main(["verify", "--config", str(path)]) == 0
+        rows = report_rows(tmp_path / "n.report")
+        assert rows["discrepancy-soundness"] == "PASS (k_star=0)"
+        assert rows["gamma-monotone-noisy"] == "NOT ARMED (no steps taken)"
 
 
 class TestCompareCommand:

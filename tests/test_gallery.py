@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     linear_model,
     non_finite_model,
 )
+from lmrecon import gallery
 from lmrecon.errors import (
     CertificationFailed,
     DegenerateModel,
@@ -22,10 +24,12 @@ from lmrecon.errors import (
 )
 from lmrecon.gallery import (
     INFLATION,
+    REVERIFY_SLACK,
     _exp_decay_model,
     _pair_arrays,
     _pair_quantities,
     _quadratic_model,
+    _spectral_norms,
     estimate_stability_constants,
     exp_decay,
     get_problem,
@@ -176,15 +180,19 @@ class TestBatchedModels:
 
     @staticmethod
     def _per_pair_loop(model, pa, pb):
-        """Reference: the pair quantities one pair at a time."""
+        """Reference: the pair quantities one pair at a time, with the
+        spectral screen applied to one matrix at a time."""
+        def norm(j):
+            return _spectral_norms(j[None])[0]
+
         jac, apart = [], []
         for a, b in zip(pa, pb):
             ja, jb = jacobian_matrix(model, a), jacobian_matrix(model, b)
-            jac += [np.linalg.norm(ja, 2), np.linalg.norm(jb, 2)]
+            jac += [norm(ja), norm(jb)]
             d = float(np.linalg.norm(a - b))
             if d != 0.0:
                 fd = float(np.linalg.norm(model.forward(a) - model.forward(b)))
-                apart.append((d, np.linalg.norm(ja - jb, 2), fd))
+                apart.append((d, norm(ja - jb), fd))
         return (np.array(jac), *np.array(apart).T)
 
     @pytest.mark.parametrize("pid", ["exp-decay", "quadratic-3d"])
@@ -224,6 +232,83 @@ class TestBatchedModels:
         with pytest.raises(NonFiniteOutput):
             verify_certificate(model, box, scalar_linear(2.0, 0.0).certificate,
                                samples=10000)
+
+
+def _lapack_norms(stack):
+    # numpy takes LAPACK's SVD of each matrix of the stack on its own: the
+    # bits of np.linalg.norm(J, 2) called pair by pair
+    return np.linalg.norm(stack, 2, axis=(1, 2))
+
+
+def _float_hex(cert):
+    return {f.name: getattr(cert, f.name).hex()
+            for f in dataclasses.fields(cert) if isinstance(getattr(cert, f.name), float)}
+
+
+class TestScreenedNorms:
+    """The spectral screen against LAPACK, and the oracle's outputs with the
+    screen against the same oracle with LAPACK norms on every pair."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4), n=st.integers(1, 4),
+           rank=st.integers(0, 4), exponent=st.integers(-200, 200))
+    def test_screen_matches_lapack(self, data, m, n, rank, exponent):
+        # entries are 0 or at least 1e-50 in size, so that no matrix is
+        # scaled down to subnormal numbers, where relative errors mean nothing
+        entry = st.floats(-1.0, 1.0).map(lambda v: v if abs(v) > 1e-50 else 0.0)
+        k = data.draw(st.integers(1, 6))
+        rank = min(rank, m, n)  # rank 0: zero matrices
+        left = data.draw(arrays(np.float64, (k, m, rank), elements=entry))
+        right = data.draw(arrays(np.float64, (k, rank, n), elements=entry))
+        stack = (left @ right) * 10.0**exponent
+        want = _lapack_norms(stack)
+        got = _spectral_norms(stack)
+        assert np.all(np.abs(got - want) <= 1e-14 * want), (got, want)
+
+    @staticmethod
+    def _assert_oracle_matches_lapack(model, box, seed, level):
+        # verify draws its pairs from seed + 1; put its violation threshold
+        # on the LAPACK norm at ``level`` among them, where a screened norm
+        # one ulp off would flip a count
+        pa, pb = _pair_arrays(box, 10000, seed + 1)
+        with mock.patch.object(gallery, "_spectral_norms", _lapack_norms):
+            jac, d, jd, _ = _pair_quantities(model, pa, pb)
+        on = 1.0 + REVERIFY_SLACK
+
+        def outputs():
+            cert = estimate_stability_constants(model, box, eps=1.0, seed=seed)
+            tight = dataclasses.replace(
+                cert, jac_bound=np.quantile(jac, level, method="lower") / on,
+                lip_deriv=np.quantile(jd / d, level, method="lower") / on)
+            report = verify_certificate(model, box, tight, seed=seed + 1)
+            return _float_hex(cert), report.violations
+
+        got = outputs()
+        with mock.patch.object(gallery, "_spectral_norms", _lapack_norms):
+            want = outputs()
+        assert got == want
+
+    LEVEL = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
+
+    @settings(max_examples=8, deadline=None)
+    @given(times=st.lists(st.integers(0, 40), min_size=2, max_size=5, unique=True),
+           seed=st.integers(0, 2**16), level=LEVEL)
+    def test_exp_decay_oracle_matches_lapack(self, times, seed, level):
+        box = CompactBox(np.array([0.5, 0.5]), np.array([1.5, 1.5]))
+        model = _exp_decay_model(0.1 * np.array(times, dtype=float), box)
+        self._assert_oracle_matches_lapack(model, box, seed, level)
+
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(1, 3), eta=st.floats(0.05, 0.9),
+           seed=st.integers(0, 2**16), level=LEVEL)
+    def test_quadratic_oracle_matches_lapack(self, n, eta, seed, level):
+        # F(a) - F(b) = (A + eta diag(a + b)) (a - b): an orthogonal A keeps
+        # F injective on the box for eta < 1, and unlike A = I it gives J
+        # that are not diagonal
+        a_mat = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+        box = CompactBox(np.full(n, -0.5), np.full(n, 0.5))
+        model = _quadratic_model(a_mat, eta, box)
+        self._assert_oracle_matches_lapack(model, box, seed, level)
 
 
 class TestClosedFormBounds:

@@ -14,6 +14,7 @@ from lmrecon.operators import (
     estimate_jacobian_norm,
     finite_difference_jacobian,
     jacobian_matrix,
+    max_adjoint_defect,
     recenter,
 )
 
@@ -136,6 +137,28 @@ def test_adjoint_identity_sampled(pid, gallery_problems):
         jv = model.jacobian_apply(x, v)
         scale = 1.0 + float(np.linalg.norm(jv)) * float(np.linalg.norm(w))
         assert adjoint_defect(model, x, v, w) <= 1e-10 * scale
+
+
+def test_max_adjoint_defect_applies_j_once_per_sample():
+    from lmrecon.cli import counting_model
+    from lmrecon.gallery import sabotaged_adjoint_fixture
+
+    prob = sabotaged_adjoint_fixture()
+    model, counts = counting_model(prob.model)
+    points = [prob.default_x0, prob.x_dagger]
+    got = max_adjoint_defect(model, points, samples=40, seed=3)
+    assert counts == {"forward": 0, "jacobian": 40, "adjoint": 40}
+    # the same draws and arithmetic, with adjoint_defect applying J again
+    rng = np.random.default_rng(3)
+    want = 0.0
+    for _ in range(40):
+        x = points[rng.integers(len(points))]
+        v = rng.standard_normal(model.dim_x)
+        w = rng.standard_normal(model.dim_y)
+        jv = model.jacobian_apply(x, v)
+        scale = 1.0 + float(np.linalg.norm(jv)) * float(np.linalg.norm(w))
+        want = max(want, adjoint_defect(model, x, v, w) / scale)
+    assert got == want > 1e-3
 
 
 @pytest.mark.parametrize("pid", GALLERY_IDS)
