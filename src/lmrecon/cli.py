@@ -417,8 +417,10 @@ def cmd_verify(cfg: RunConfig) -> int:
             kbound = kstar_log_estimate(qt, float(res[0]), tau, delta)
         except ConditionViolated:
             pass
-    if kbound is not None:
-        ratios = res[1:] / res[:-1] if len(res) > 1 else np.array([0.0])
+    if not ntrace.iterations:
+        rows.append(("qtilde-contraction", "NOT ARMED", "no steps taken"))
+    elif kbound is not None:
+        ratios = res[1:] / res[:-1]
         ok = bool(np.all(ratios <= qt + 1e-9)) and ntrace.k_star <= kbound
         check("qtilde-contraction", ok,
               f"q~={qt:.6f} max ratio {float(np.max(ratios)):.6f} "

@@ -9,15 +9,17 @@ with ``alpha`` chosen so that ``alpha * ||z|| = q * ||r||`` (the discrepancy
 principle for the regularization parameter).  The step never evaluates F and
 never checks the admissible ball; the iteration loop in
 :mod:`lmrecon.engine` does both, once per iterate.  Each step builds J densely
-from ``dim_x`` Jacobian actions and J* from ``dim_y`` adjoint actions, forms
-the data-space Gram matrix ``G = J J*`` by one product, and takes one
-eigendecomposition ``G = U diag(lam) U^T``: of G itself when
-``dim_y <= dim_x``, and of the ``dim_x x dim_x`` projection of G on range(J)
-when ``dim_y > dim_x``, where the rest of the spectrum is zero.  That one
+from ``dim_x`` Jacobian actions and takes one eigendecomposition
+``G = U diag(lam) U^T`` of the data-space Gram matrix ``G = J J*``.  When
+``dim_y <= dim_x``, J* comes densely from ``dim_y`` adjoint actions and G is
+their one product.  When ``dim_y > dim_x``, G lives on range(J) and is zero
+on its complement, so only its projection on range(J) is formed: with the
+reduced QR ``J = Q R``, ``Q^T G Q = R (J* Q)``, from ``dim_x`` adjoint
+actions on the columns of Q and no ``dim_y x dim_y`` array.  That one
 spectrum is a :class:`Spectrum`; the Morozov function, its root, the ceiling
 ``alpha_bound``, the feasibility test and the solve for ``z`` all follow from
 it in closed form, and the update ``J* z`` and its linearized residual reuse
-its dense factors.
+its factors.
 """
 
 from __future__ import annotations
@@ -68,29 +70,42 @@ class StepDiagnostics:
 
 
 def gram_matrix(model: ForwardModel, x):
-    """Assemble the data-space Gram matrix ``G = J @ J*`` from dense factors;
-    returns ``(G, J, J*)``.
+    """Assemble the Gram matrix ``G = J J*`` from dense factors, restricted
+    to range(J) when ``dim_y > dim_x``; returns ``(gram, J, adj, basis)``.
 
     J is built from ``dim_x`` Jacobian actions on the unit vectors of the
-    parameter space, and the ``dim_x x dim_y`` matrix J* from ``dim_y``
-    adjoint actions on the unit vectors of the data space.  G is their one
-    matrix product, so the adjoint enters it exactly as the model supplies it.
+    parameter space.  When ``dim_y <= dim_x``, ``basis`` is None, ``adj`` is
+    the ``dim_x x dim_y`` matrix J* from ``dim_y`` adjoint actions on the unit
+    vectors of the data space, and ``gram`` is ``J @ J*``.  When
+    ``dim_y > dim_x``, ``basis`` is the orthonormal Q of the reduced QR
+    ``J = Q R``, ``adj`` is the ``dim_x x dim_x`` matrix ``J* Q`` from
+    ``dim_x`` adjoint actions on the columns of Q, and ``gram`` is
+    ``R @ J* Q = Q^T G Q``.  Either way the adjoint enters ``gram`` exactly as
+    the model supplies it.
     """
     x = as_vector(x, model.dim_x, "x")
     j = jacobian_matrix(model, x)
-    m = model.dim_y
-    j_adj = np.empty((model.dim_x, m))
+    m, n = j.shape
+    if m > n:
+        basis, upper = np.linalg.qr(j)
+        adj = np.empty((n, n))
+        for i in range(n):
+            adj[:, i] = as_vector(
+                model.jacobian_adjoint_apply(x, basis[:, i].copy()), n, "J* q_i")
+        return upper @ adj, j, adj, basis
+    adj = np.empty((n, m))
     for i in range(m):
         e = np.zeros(m)
         e[i] = 1.0
-        j_adj[:, i] = as_vector(model.jacobian_adjoint_apply(x, e), model.dim_x,
-                                "J* e_i")
-    return j @ j_adj, j, j_adj
+        adj[:, i] = as_vector(model.jacobian_adjoint_apply(x, e), n, "J* e_i")
+    return j @ adj, j, adj, None
 
 
 class Spectrum(NamedTuple):
     """Eigenpairs ``(lam, u)`` of the Gram matrix ``G = J J*``, ascending,
-    with the dense factors ``j`` (J) and ``j_adj`` (J*) they came from.
+    with the dense factors they came from: ``j`` (J), and the adjoint's
+    action as ``adj`` and ``basis`` from :func:`gram_matrix` (J* itself and
+    None when ``dim_y <= dim_x``, ``J* Q`` and Q when ``dim_y > dim_x``).
 
     ``u`` has ``min(dim_y, dim_x)`` orthonormal columns.  When it has fewer
     than ``dim_y``, G is exactly zero on the complement of their span;
@@ -101,7 +116,8 @@ class Spectrum(NamedTuple):
     lam: np.ndarray
     u: np.ndarray
     j: np.ndarray
-    j_adj: np.ndarray
+    adj: np.ndarray
+    basis: np.ndarray | None
 
     def split(self, r: np.ndarray):
         """``(c, rest)``: the coordinates ``c = U^T r`` of ``r`` on the
@@ -125,44 +141,48 @@ class Spectrum(NamedTuple):
         strictly increasing in alpha towards ``||r||``."""
         return alpha * float(np.linalg.norm(self.solve(alpha, r)))
 
+    def adjoint(self, z: np.ndarray) -> np.ndarray:
+        """``J* z``: ``adj @ z``, or ``(J* Q)(Q^T z)`` when ``dim_y > dim_x``,
+        where a consistent adjoint annihilates the part of ``z`` outside
+        range(J)."""
+        if self.basis is None:
+            return self.adj @ z
+        return self.adj @ (self.basis.T @ z)
+
 
 def _spectrum(model: ForwardModel, x) -> Spectrum:
     """The :class:`Spectrum` of the Gram matrix ``G = J J*`` at ``x``, with
     eigenvalues in the numerical null space (at most
-    ``dim_y * eps * lam_max``) set to 0 and the dense factors from
+    ``dim_y * eps * lam_max``) set to 0 and the factors from
     :func:`gram_matrix`.
 
     Raises :class:`NonFiniteOutput` on NaN or inf entries and
-    :class:`FactorizationFailure` when G is asymmetric or indefinite, both
-    signs of an inconsistent adjoint action.  When ``dim_y <= dim_x`` the
-    ``dim_y x dim_y`` matrix G itself is decomposed.  When ``dim_y > dim_x``
-    the columns of G are J times vectors, so G lives on range(J): with an
-    orthonormal basis Q of range(J) from a reduced QR of J, only the
-    ``dim_x x dim_x`` matrix ``Q^T G Q = W diag(lam) W^T`` is decomposed and
-    ``u = Q W`` has ``dim_x`` columns.  The rest of the spectrum of a
-    symmetric G is exact zeros, on the complement of range(J).
+    :class:`FactorizationFailure` when the matrix :func:`gram_matrix` returns
+    is asymmetric or indefinite, both signs of an inconsistent adjoint
+    action.  When ``dim_y <= dim_x`` that matrix is the ``dim_y x dim_y`` G
+    itself.  When ``dim_y > dim_x`` it is the ``dim_x x dim_x`` projection
+    ``Q^T G Q = W diag(lam) W^T`` of G on range(J), and ``u = Q W`` has
+    ``dim_x`` columns; the columns of G are J times vectors, so the rest of
+    the spectrum of a symmetric G is exact zeros, on the complement of
+    range(J).
     """
-    gram, j, j_adj = gram_matrix(model, x)
+    gram, j, adj, basis = gram_matrix(model, x)
     require_finite(gram, "Gram matrix J J*")
     asym = float(np.abs(gram - gram.T).max())
     if asym > 1e-8 * (1.0 + float(np.abs(gram).max())):
         raise FactorizationFailure(
             f"Gram matrix asymmetry {asym:.3e}: the adjoint action is inconsistent"
         )
-    m, n = j.shape
-    if m > n:
-        basis = np.linalg.qr(j)[0]
-        lam, w = np.linalg.eigh(basis.T @ gram @ basis)
-        u = basis @ w
-    else:
-        lam, u = np.linalg.eigh(gram)
-    cutoff = m * np.finfo(float).eps * max(float(lam[-1]), 0.0)
+    lam, u = np.linalg.eigh(gram)
+    if basis is not None:
+        u = basis @ u
+    cutoff = j.shape[0] * np.finfo(float).eps * max(float(lam[-1]), 0.0)
     if lam[0] < -cutoff:
         raise FactorizationFailure(
             f"Gram matrix has eigenvalue {lam[0]:.3e} < 0: "
             "the adjoint action is inconsistent"
         )
-    return Spectrum(np.where(lam > cutoff, lam, 0.0), u, j, j_adj)
+    return Spectrum(np.where(lam > cutoff, lam, 0.0), u, j, adj, basis)
 
 
 def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float):
@@ -235,7 +255,7 @@ def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10):
     require_finite(r, "residual r")
     spec = _spectrum(model, x)
     alpha, z, iters, alpha_bound = _select_alpha(spec, r, q, tol_alpha)
-    s = spec.j_adj @ z
+    s = spec.adjoint(z)
     rnorm = float(np.linalg.norm(r))
     diag = StepDiagnostics(
         alpha=alpha,

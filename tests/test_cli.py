@@ -526,6 +526,8 @@ class TestVerifyCommand:
         rows = report_rows(tmp_path / "n.report")
         assert rows["discrepancy-soundness"] == "PASS (k_star=0)"
         assert rows["gamma-monotone-noisy"] == "NOT ARMED (no steps taken)"
+        # with k_star = 0 no residual ratio is observed
+        assert rows["qtilde-contraction"] == "NOT ARMED (no steps taken)"
 
 
 class TestCompareCommand:
@@ -610,8 +612,8 @@ PINNED = {
         "d8168dc19a129b87fa53b1726ca5c39b1b31b8bb0a0f7c7082dbd4b96b89e411"),
     "c10b": (
         "compare", "c10b_compare_expdecay.yaml", 0,
-        "8eace7c4f63f8269b97c191992d3d021cfc2ef3408a9bf679b41635030cfe323",
-        "8eace7c4f63f8269b97c191992d3d021cfc2ef3408a9bf679b41635030cfe323"),
+        "96bf8cd6ff2fe692b4a7743ae84f52f151a335d8715d059c8a71ada85a9b4e5f",
+        "96bf8cd6ff2fe692b4a7743ae84f52f151a335d8715d059c8a71ada85a9b4e5f"),
     "compare-noisy": (
         "compare", {"problem_id": "quadratic-2d", "mode": "noisy", "q": 0.2,
                     "tau": 4.0, "delta": 1e-3, "max_iters": 200,

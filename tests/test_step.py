@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import linear_model, non_finite_model
-from lmrecon.cli import counting_model
+from lmrecon import gallery
+from lmrecon.cli import counting_model, main
 from lmrecon.errors import (
     FactorizationFailure,
     NonFiniteOutput,
@@ -15,7 +17,7 @@ from lmrecon.errors import (
     ZeroResidual,
 )
 from lmrecon.gallery import get_problem
-from lmrecon.operators import ForwardModel, jacobian_matrix
+from lmrecon.operators import ForwardModel, jacobian_matrix, max_adjoint_defect
 from lmrecon.step import _select_alpha, _spectrum, lm_step
 
 
@@ -205,13 +207,23 @@ def test_spectral_kernel_non_finite_output(part):
 
 def test_lm_step_model_calls():
     # no forward evaluation (the caller passes the residual) and dim_x
-    # Jacobian and dim_y adjoint actions for the dense factors of the Gram
-    # matrix, which the update and its linearized residual reuse, whatever
-    # the shift selection does
+    # Jacobian and, on a tall J, dim_x adjoint actions (on a basis of
+    # range(J)) for the factors of the Gram matrix, which the update and its
+    # linearized residual reuse, whatever the shift selection does
     a = np.random.default_rng(4).standard_normal((5, 2))
     model, counts = counting_model(linear_model(a))
     lm_step(model, [0.1, -0.2], a @ [0.9, 0.7], 0.5)
-    assert counts == {"forward": 0, "jacobian": 2, "adjoint": 5}
+    assert counts == {"forward": 0, "jacobian": 2, "adjoint": 2}
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 5)], ids=["square", "wide"])
+def test_lm_step_model_calls_square_and_wide(shape):
+    # when dim_y <= dim_x, J* is built densely from dim_y adjoint actions
+    a = np.random.default_rng(5).standard_normal(shape)
+    model, counts = counting_model(linear_model(a))
+    x = np.linspace(0.1, 0.5, shape[1])
+    lm_step(model, x, a @ (x + 0.3), 0.5)
+    assert counts == {"forward": 0, "jacobian": shape[1], "adjoint": shape[0]}
 
 
 def _linear_problem(draw, m, n):
@@ -379,6 +391,107 @@ def test_tall_scaled_adjoint_accepted():
     x = np.array([0.3, -0.1])
     _, diag = lm_step(model, x, a @ [1.0, 0.5] + 0.01 - a @ x, 0.5)
     assert diag.alpha > 0.0
+
+
+def _morozov_reference(lam, c, q, rnorm):
+    """The Morozov root on a full data-space spectrum ``(lam, c = U^T r)``:
+    phi is increasing and reaches q ||r|| at the latest at the ceiling
+    q/(1-q) lam_max."""
+    ceiling = q / (1.0 - q) * lam[-1]
+    return brentq(
+        lambda al: np.linalg.norm(al / (lam + al) * c) - q * rnorm,
+        1e-12 * ceiling, 2.0 * ceiling, xtol=1e-300, rtol=1e-15)
+
+
+@st.composite
+def tall_quadratic_steps(draw):
+    """A step on F(x) = A x + eta (B x)^2 with dim_y > dim_x: the model, the
+    iterate and the residual towards a point at distance 0.1."""
+    m = draw(st.integers(2, 60), label="dim_y")
+    n = draw(st.integers(1, min(m - 1, 8)), label="dim_x")
+    eta = draw(st.floats(0.0, 0.5), label="eta")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = rng.standard_normal((m, n)) / math.sqrt(m)
+    b = rng.standard_normal((m, n)) / math.sqrt(m)
+
+    def forward(x):
+        bx = b @ x
+        return a @ x + eta * bx * bx
+
+    model = ForwardModel(
+        dim_x=n, dim_y=m, center=np.zeros(n), radius_sq=math.inf,
+        forward=forward,
+        jacobian_apply=lambda x, v: a @ v + 2.0 * eta * (b @ x) * (b @ v),
+        jacobian_adjoint_apply=lambda x, w: (a.T @ w
+                                             + 2.0 * eta * (b.T @ ((b @ x) * w))),
+    )
+    x = rng.standard_normal(n)
+    d = rng.standard_normal(n)
+    return model, x, forward(x + 0.1 * d / np.linalg.norm(d)) - forward(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(step=tall_quadratic_steps(), q=st.floats(0.2, 0.9))
+def test_tall_step_matches_dense_reference(step, q):
+    # alpha, x_next and the linearized residual against a dense solve on the
+    # full dim_y x dim_y Gram matrix J J^T
+    model, x, r = step
+    j = jacobian_matrix(model, x)
+    gram = j @ j.T
+    lam, u = np.linalg.eigh(gram)
+    rnorm = np.linalg.norm(r)
+    alpha = _morozov_reference(lam, u.T @ r, q, rnorm)
+    x_ref = x + j.T @ np.linalg.solve(gram + alpha * np.eye(r.shape[0]), r)
+    mdp_ref = np.linalg.norm(r - j @ (x_ref - x))
+
+    x_next, diag = lm_step(model, x, r, q, tol_alpha=1e-13)
+    assert abs(diag.alpha - alpha) <= 1e-10 * alpha
+    assert np.linalg.norm(x_next - x_ref) <= 1e-10 * np.linalg.norm(x_ref - x)
+    assert abs(diag.mdp_prime_lhs - mdp_ref) <= 1e-10 * mdp_ref
+
+
+def _off_range_adjoint(model):
+    """``model`` with J* replaced by ``J^T + C (I - Q Q^T)``, Q an orthonormal
+    basis of range(J): the same action on range(J), a wrong one elsewhere."""
+    rng = np.random.default_rng(23)
+    c = rng.standard_normal((model.dim_x, model.dim_y))
+
+    def adjoint(x, w):
+        basis = np.linalg.qr(jacobian_matrix(model, x))[0]
+        return model.jacobian_adjoint_apply(x, w) + c @ (w - basis @ (basis.T @ w))
+
+    return dataclasses.replace(model, jacobian_adjoint_apply=adjoint)
+
+
+def test_off_range_adjoint_leaves_tall_step_unchanged(monkeypatch, tmp_path):
+    # A tall step applies J* only to a basis of range(J), so an adjoint that
+    # is wrong only off range(J) gives the same step up to rounding; the step
+    # cannot see the defect, and verify's adjoint-consistency row reports it.
+    prob = get_problem("exp-decay")
+    broken = _off_range_adjoint(prob.model)
+    x = np.array([0.9, 1.1])
+    r = prob.y_exact - prob.model.forward(x)
+    x_good, diag_good = lm_step(prob.model, x, r, 0.5)
+    x_bad, diag_bad = lm_step(broken, x, r, 0.5)
+    assert np.linalg.norm(x_bad - x_good) <= 1e-12 * np.linalg.norm(x_good - x)
+    assert abs(diag_bad.alpha - diag_good.alpha) <= 1e-12 * diag_good.alpha
+    assert max_adjoint_defect(broken, [x], samples=100, seed=11) > 1e-2
+
+    reports = {}
+    for name, problem in (("good", prob),
+                          ("bad", dataclasses.replace(prob, model=broken))):
+        monkeypatch.setattr(gallery, "get_problem", lambda pid, p=problem: p)
+        out = tmp_path / f"{name}.report"
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(f"problem_id: exp-decay\nmode: verify\nq: 0.5\n"
+                          f"max_iters: 10\noutput_path: {out}\n")
+        reports[name] = (main(["verify", "--config", str(config)]),
+                         dict(line.split()[:2] for line in
+                              out.read_text().splitlines()))
+    assert reports["good"][0] == 0 and reports["bad"][0] == 5
+    assert reports["bad"][1].pop("adjoint-consistency") == "FAIL"
+    assert reports["good"][1].pop("adjoint-consistency") == "PASS"
+    assert reports["bad"][1] == reports["good"][1]
 
 
 def test_lm_step_identity_on_exp_decay():
