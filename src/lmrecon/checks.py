@@ -1,0 +1,175 @@
+"""The checks behind ``lmrecon verify``: operator identities, the paper's
+guarantees on an exact and a noisy run, the tangential cone condition and a
+fresh-seed certificate re-verification, one ``(name, status, detail)`` row
+each.  A check whose hypothesis does not hold reports ``NOT ARMED``."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+# The oracle and the operator suites are called through their modules, so a
+# profiler that wraps a module's functions sees the calls made from here.
+from . import gallery, operators
+from .engine import kstar_log_estimate, qtilde, rate_bound, tangential_cone_eta
+from .errors import ConditionViolated
+from .operators import (STACK_BLOCK, ForwardModel, forward_stack, jacobian_stack,
+                        row_norms)
+
+VERIFY_SAMPLES = 10000
+
+
+def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float:
+    """Largest ``||F(a) - F(b) - J(a)(a - b)|| / (eta ||F(a) - F(b)||)`` over
+    ``VERIFY_SAMPLES`` pairs drawn uniformly from the ball of radius ``rad``
+    about the model's center.
+
+    Candidate pairs come ``STACK_BLOCK`` at a time from one seeded stream, in
+    the order of successive single draws; a pair with a point outside the
+    ball, or with F(a) = F(b), is skipped.
+    """
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    needed = VERIFY_SAMPLES
+    while needed > 0:
+        z = rng.uniform(-rad, rad, (STACK_BLOCK, 2, model.dim_x))
+        z = z[~np.any(np.sum(z * z, axis=2) > rad * rad, axis=1)]
+        x_a, x_b = model.center + z[:, 0], model.center + z[:, 1]
+        fd = forward_stack(model, x_a) - forward_stack(model, x_b)
+        rhs = eta * row_norms(fd)
+        take = np.flatnonzero(rhs != 0.0)[:needed]
+        x_a, x_b, fd, rhs = x_a[take], x_b[take], fd[take], rhs[take]
+        jd = (jacobian_stack(model, x_a) @ (x_a - x_b)[:, :, None])[:, :, 0]
+        worst = max([worst, *(row_norms(fd - jd) / rhs).tolist()])
+        needed -= take.shape[0]
+    return worst
+
+
+def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
+                tau: float, delta: float) -> list[tuple[str, str, str]]:
+    """The verify rows for ``prob`` under ``cert``, from the exact-data run
+    ``trace`` (iterates recorded) and the discrepancy-stopped ``ntrace``;
+    both start at ``prob.default_x0`` and carry their theory constants."""
+    model = prob.model
+    rows = []
+
+    def check(name: str, ok: bool, detail: str):
+        rows.append((name, "PASS" if ok else "FAIL", detail))
+
+    # Operator identities at representative points.
+    points = [prob.default_x0, prob.x_dagger, model.center]
+    defect = operators.max_adjoint_defect(model, points, samples=100, seed=11)
+    check("adjoint-consistency", defect <= 1e-10, f"max rel defect {defect:.3e}")
+    fd_worst = 0.0
+    for p in points:
+        jac = operators.jacobian_matrix(model, p)
+        fd = operators.finite_difference_jacobian(model, p, 1e-5, check=False)
+        fd_worst = max(fd_worst, float(np.linalg.norm(fd - jac))
+                       / (1.0 + float(np.linalg.norm(jac))))
+    check("jacobian-finite-difference", fd_worst <= 1e-5,
+          f"max rel defect {fd_worst:.3e}")
+
+    # Exact-data run.
+    steps = trace.step_diagnostics
+    if not steps:
+        for name in ("mdp-prime-identity", "alpha-ceiling", "residual-ratio-q",
+                     "error-monotonicity", "gamma-monotone"):
+            rows.append((name, "NOT ARMED", "no steps taken"))
+    else:
+        worst_mdp = max(d.mdp_prime_rel_err for d in steps)
+        check("mdp-prime-identity", worst_mdp <= 1e-8,
+              f"max rel err {worst_mdp:.3e} over {len(steps)} steps")
+        worst_ceiling = 0.0
+        for diag, x_k in zip(steps, trace.iterates):
+            dense = float(np.linalg.norm(operators.jacobian_matrix(model, x_k), 2))
+            ceiling = q / (1.0 - q) * dense**2
+            worst_ceiling = max(worst_ceiling, diag.alpha / ceiling)
+        check("alpha-ceiling", worst_ceiling <= 1.0 + 1e-8,
+              f"max alpha/bound {worst_ceiling:.12f}")
+        if prob.linear:
+            res = trace.residuals()
+            dev = float(np.max(np.abs(res[1:] / res[:-1] - q)))
+            # the ratio inherits the root-finder tolerance on the Morozov value
+            ratio_tol = max(1e-12, 2.0 * tol_alpha * q)
+            check("residual-ratio-q", dev <= ratio_tol, f"max dev {dev:.3e}")
+        else:
+            rows.append(("residual-ratio-q", "NOT ARMED", "nonlinear problem"))
+        if trace.omega_ok:
+            check("error-monotonicity",
+                  bool(trace.error_monotonicity_ok), "Lyapunov decrease")
+            check("gamma-monotone", bool(trace.gamma_monotone),
+                  "0.5||x_k - x_truth||^2 non-increasing")
+        else:
+            for name in ("error-monotonicity", "gamma-monotone"):
+                rows.append((name, "NOT ARMED", "omega-condition failed"))
+    if trace.hypothesis.armed:
+        gams = trace.gammas()
+        bounds = np.array([rate_bound(k, trace.constants, cert.holder_eps)
+                           for k in range(len(gams))])
+        worst = float(np.nanmax(gams / (bounds * (1.0 + 1e-9))))
+        check("rate-bound-exact", worst <= 1.0, f"max gamma/bound {worst:.6f}")
+    else:
+        rows.append(("rate-bound-exact", "NOT ARMED", "hypothesis failed"))
+
+    # Noisy-data run.
+    k_star, kstar_bound = ntrace.k_star, ntrace.constants.kstar_bound
+    res = ntrace.residuals()
+    if k_star is not None:
+        sound = bool(np.all(res[:k_star] > tau * delta)
+                     and res[k_star] <= tau * delta)
+        check("discrepancy-soundness", sound, f"k_star={k_star}")
+    else:
+        rows.append(("discrepancy-soundness", "NOT ARMED",
+                     "budget exhausted before the stopping index"))
+    if ntrace.hypothesis.armed and k_star is not None and kstar_bound is not None:
+        check("kstar-bound", k_star <= kstar_bound,
+              f"k_star={k_star} <= {kstar_bound}")
+    else:
+        rows.append(("kstar-bound", "NOT ARMED", "hypothesis failed"))
+    if not ntrace.iterations:
+        rows.append(("gamma-monotone-noisy", "NOT ARMED", "no steps taken"))
+    elif ntrace.omega_ok:
+        check("gamma-monotone-noisy", bool(ntrace.gamma_monotone),
+              "up to the stopping index")
+    else:
+        rows.append(("gamma-monotone-noisy", "NOT ARMED", "omega-condition failed"))
+    kbound = None
+    if k_star is not None and delta > 0:
+        e0 = float(np.linalg.norm(prob.default_x0 - prob.x_dagger))
+        try:
+            qt = qtilde(q, cert, e0)
+            kbound = kstar_log_estimate(qt, float(res[0]), tau, delta)
+        except ConditionViolated:
+            pass
+    if not ntrace.iterations:
+        rows.append(("qtilde-contraction", "NOT ARMED", "no steps taken"))
+    elif kbound is not None:
+        ratios = res[1:] / res[:-1]
+        ok = bool(np.all(ratios <= qt + 1e-9)) and k_star <= kbound
+        check("qtilde-contraction", ok,
+              f"q~={qt:.6f} max ratio {float(np.max(ratios)):.6f} "
+              f"k_star={k_star} <= {kbound}")
+    else:
+        rows.append(("qtilde-contraction", "NOT ARMED", "smallness condition not met"))
+
+    # Tangential cone on a ball small enough for eta < 1.
+    rho_tc = cert.domain_rho_prime
+    eta = tangential_cone_eta(cert, rho_tc)
+    if eta >= 1.0:
+        rho_tc *= (0.9 / eta) ** ((1.0 + cert.holder_eps) / cert.holder_eps)
+        eta = tangential_cone_eta(cert, rho_tc)
+    worst_tcc = _tangential_cone_worst(model, eta, math.sqrt(2.0 * rho_tc))
+    check("tangential-cone", worst_tcc <= 1.0,
+          f"eta={eta:.4f} at rho'={rho_tc:.3e}, max lhs/rhs {worst_tcc:.4f}")
+
+    # Certificate re-verification on a fresh seed.
+    if cert.provenance == "oracle-estimated":
+        report = gallery.verify_certificate(model, prob.default_box, cert,
+                                            samples=VERIFY_SAMPLES, seed=977)
+        check("certificate-reverification", report.ok,
+              f"violations {report.violations}")
+    else:
+        rows.append(("certificate-reverification", "NOT ARMED",
+                     "user-supplied certificate"))
+    return rows

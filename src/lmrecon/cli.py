@@ -2,12 +2,16 @@
 
 Every command takes a YAML config (see config.py for the schema), writes its
 primary artifact to the configured output path and prints a short summary.
+The module only wires: ``solve``, ``compare`` and both ``verify`` runs go
+through one run path, ``_run``; the reconstruction pipeline lives in
+recon.py and the verification checks in checks.py.
 Exit codes are a fixed function of the outcome:
 
     0  clean termination
     1  invalid configuration, or a mode or key the command does not handle
     2  root-finding infeasible, domain violation, non-finite model output,
-       or budget exhausted before the discrepancy criterion
+       budget exhausted before the discrepancy criterion, or a covering
+       lattice too large to build
     3  a theorem hypothesis failed for the supplied constants (never from
        verify, which reports a failed hypothesis as a NOT ARMED row)
     4  no lattice candidate passed the measured-data test
@@ -18,24 +22,19 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
 import numpy as np
 
-from . import gallery
+from . import checks, gallery
 from .config import RunConfig, load_config
 from .engine import (
     SolverConfig,
     compute_constants_exact,
     compute_constants_noisy,
-    kstar_log_estimate,
     landweber_run,
-    qtilde,
-    rate_bound,
     run_exact,
     run_noisy,
-    tangential_cone_eta,
 )
 from .errors import (
     ConditionViolated,
@@ -45,17 +44,7 @@ from .errors import (
     RootInfeasible,
     SolverError,
 )
-from .operators import (
-    STACK_BLOCK,
-    ForwardModel,
-    StabilityCertificate,
-    finite_difference_jacobian,
-    forward_stack,
-    jacobian_matrix,
-    jacobian_stack,
-    max_adjoint_defect,
-    row_norms,
-)
+from .operators import ForwardModel, StabilityCertificate
 from .recon import (
     CompactBox,
     MeasurementOperator,
@@ -67,7 +56,6 @@ from .tracefile import TraceFile, flatten_header, write_trace
 CLEAN_TERMINALS = ("zero_residual", "discrepancy_stop", "target_reached")
 
 VERIFY_DEFAULTS = {"tau": 4.0, "delta": 1e-3, "max_iters": 30}
-VERIFY_SAMPLES = 10000
 
 
 def make_noise(y: np.ndarray, delta: float, seed: int) -> np.ndarray:
@@ -116,7 +104,10 @@ def _resolve_certificate(prob, cfg: RunConfig) -> StabilityCertificate:
     if cfg.constants_override:
         fields = dict(cfg.constants_override)
         fields.setdefault("provenance", "user")
-        cert = dataclasses.replace(cert, **fields)
+        try:
+            cert = dataclasses.replace(cert, **fields)
+        except ValueError as exc:
+            raise ConfigInvalid(f"config field 'constants_override': {exc}") from exc
     return cert
 
 
@@ -165,21 +156,19 @@ def _get_problem(cfg: RunConfig):
         raise ConfigInvalid(str(exc)) from exc
 
 
-def _header(cfg: RunConfig, prob, cert: StabilityCertificate,
-            constants=None, trace=None) -> dict:
+def _header(cfg: RunConfig, prob, cert: StabilityCertificate, trace) -> dict:
     head = {}
     echo = {k: v for k, v in dataclasses.asdict(cfg).items() if v is not None}
     head.update(flatten_header("config", echo))
     head["problem.x_dagger"] = list(map(float, prob.x_dagger))
     head.update(flatten_header("certificate", dataclasses.asdict(cert)))
-    if constants is not None:
-        head.update(flatten_header("constants", dataclasses.asdict(constants)))
-    if trace is not None and trace.hypothesis is not None:
-        head.update(flatten_header("hypothesis",
-                                   dataclasses.asdict(trace.hypothesis)))
-    if trace is not None and trace.recon is not None:
+    for section, part in (("constants", trace.constants),
+                          ("hypothesis", trace.hypothesis)):
+        if part is not None:
+            head.update(flatten_header(section, dataclasses.asdict(part)))
+    if trace.recon is not None:
         head.update(flatten_header("recon", trace.recon.as_dict()))
-    if trace is not None and trace.x_final is not None:
+    if trace.x_final is not None:
         head["result.x_final"] = list(map(float, trace.x_final))
     return head
 
@@ -194,15 +183,14 @@ def _exit(trace, cfg: RunConfig) -> int:
     return 2
 
 
-def _run(cfg: RunConfig, prob, model: ForwardModel, method: str):
-    """Run LM or Landweber (``method``) on ``model`` as ``cfg`` says.
+def _run(cfg: RunConfig, prob, cert: StabilityCertificate, model: ForwardModel,
+         method: str, record_iterates: bool = False):
+    """Run LM or Landweber (``method``) on ``model`` as ``cfg`` says and
+    return the trace; an LM trace carries its theory constants for ``cert``.
 
     The stopping rule is the discrepancy principle when tau is set, else the
-    accuracy target when target_gamma is set, else the budget.  Returns the
-    trace, the resolved certificate and the theory constants (None for
-    Landweber).
+    accuracy target when target_gamma is set, else the budget.
     """
-    cert = _resolve_certificate(prob, cfg)
     x0 = _resolve_x0(cfg, prob)
     if cfg.tau is not None:
         stop = "discrepancy"
@@ -215,24 +203,23 @@ def _run(cfg: RunConfig, prob, model: ForwardModel, method: str):
                         stop_mode=stop, target_gamma=cfg.target_gamma,
                         domain_mode="warn")
     if method == "landweber":
-        trace = landweber_run(model, y_obs, x0, cfg.step_scale, scfg,
-                              x_dagger=prob.x_dagger)
-        return trace, cert, None
+        return landweber_run(model, y_obs, x0, cfg.step_scale, scfg,
+                             x_dagger=prob.x_dagger)
     if cfg.tau is not None:
         constants = compute_constants_noisy(cert, cfg.q, cfg.tau,
                                             delta=cfg.delta, strict=False)
-        trace = run_noisy(model, prob.x_dagger, y_obs, x0, scfg, constants)
-    else:
-        constants = compute_constants_exact(cert, cfg.q, strict=False)
-        trace = run_exact(model, prob.x_dagger, y_obs, x0, scfg, constants)
-    return trace, cert, constants
+        return run_noisy(model, prob.x_dagger, y_obs, x0, scfg, constants)
+    constants = compute_constants_exact(cert, cfg.q, strict=False)
+    return run_exact(model, prob.x_dagger, y_obs, x0, scfg, constants,
+                     record_iterates=record_iterates)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     prob = _get_problem(cfg)
     method = "landweber" if cfg.mode == "landweber" else "lm"
-    trace, cert, constants = _run(cfg, prob, prob.model, method)
-    tf = TraceFile.from_trace(trace, _header(cfg, prob, cert, constants, trace))
+    cert = _resolve_certificate(prob, cfg)
+    trace = _run(cfg, prob, cert, prob.model, method)
+    tf = TraceFile.from_trace(trace, _header(cfg, prob, cert, trace))
     write_trace(cfg.output_path, tf)
     err = float(np.linalg.norm(trace.x_final - prob.x_dagger))
     print(f"{cfg.mode}: terminal={trace.terminal} iters={trace.iterations} "
@@ -248,20 +235,18 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     y_measured = q_op(prob.y_exact)
 
     if cfg.mode == "reconstruct_exact":
-        constants = compute_constants_exact(cert, cfg.q)
         x_hat, trace = reconstruct_exact(
             prob.model, q_op, box, cert, cfg.q, cfg.target_gamma, y_measured,
             x_dagger=prob.x_dagger, tol_alpha=cfg.tol_alpha,
         )
     else:
-        constants = compute_constants_noisy(cert, cfg.q, cfg.tau, delta=cfg.delta)
         y_delta = make_noise(y_measured, cfg.delta, cfg.noise_seed)
         x_hat, trace = reconstruct_noisy(
             prob.model, q_op, box, cert, cfg.q, cfg.tau, cfg.delta, y_delta,
             cfg.max_iters, x_dagger=prob.x_dagger, tol_alpha=cfg.tol_alpha,
         )
 
-    tf = TraceFile.from_trace(trace, _header(cfg, prob, cert, constants, trace))
+    tf = TraceFile.from_trace(trace, _header(cfg, prob, cert, trace))
     write_trace(cfg.output_path, tf)
     rs = trace.recon
     err = float(np.linalg.norm(x_hat - prob.x_dagger))
@@ -279,176 +264,17 @@ def _render(rows) -> str:
                    for name, status, detail in rows)
 
 
-def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float:
-    """Largest ``||F(a) - F(b) - J(a)(a - b)|| / (eta ||F(a) - F(b)||)`` over
-    ``VERIFY_SAMPLES`` pairs drawn uniformly from the ball of radius ``rad``
-    about the model's center.
-
-    Candidate pairs come ``STACK_BLOCK`` at a time from one seeded stream, in
-    the order of successive single draws; a pair with a point outside the
-    ball, or with F(a) = F(b), is skipped.
-    """
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    needed = VERIFY_SAMPLES
-    while needed > 0:
-        z = rng.uniform(-rad, rad, (STACK_BLOCK, 2, model.dim_x))
-        z = z[~np.any(np.sum(z * z, axis=2) > rad * rad, axis=1)]
-        x_a, x_b = model.center + z[:, 0], model.center + z[:, 1]
-        fd = forward_stack(model, x_a) - forward_stack(model, x_b)
-        rhs = eta * row_norms(fd)
-        take = np.flatnonzero(rhs != 0.0)[:needed]
-        x_a, x_b, fd, rhs = x_a[take], x_b[take], fd[take], rhs[take]
-        jd = (jacobian_stack(model, x_a) @ (x_a - x_b)[:, :, None])[:, :, 0]
-        worst = max([worst, *(row_norms(fd - jd) / rhs).tolist()])
-        needed -= take.shape[0]
-    return worst
-
-
 def cmd_verify(cfg: RunConfig) -> int:
-    cfg = dataclasses.replace(cfg, **{key: value for key, value
-                                      in VERIFY_DEFAULTS.items()
-                                      if getattr(cfg, key) is None})
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in VERIFY_DEFAULTS.items()
+                                      if getattr(cfg, k) is None})
     prob = _get_problem(cfg)
     cert = _resolve_certificate(prob, cfg)
-    model = prob.model
-    tau, delta = cfg.tau, cfg.delta
-    rows = []
-
-    def check(name: str, ok: bool, detail: str):
-        rows.append((name, "PASS" if ok else "FAIL", detail))
-
-    # Operator identities at representative points.
-    points = [prob.default_x0, prob.x_dagger, model.center]
-    defect = max_adjoint_defect(model, points, samples=100, seed=11)
-    check("adjoint-consistency", defect <= 1e-10, f"max rel defect {defect:.3e}")
-    fd_worst = 0.0
-    for p in points:
-        jac = jacobian_matrix(model, p)
-        fd = finite_difference_jacobian(model, p, 1e-5, check=False)
-        fd_worst = max(fd_worst, float(np.linalg.norm(fd - jac))
-                       / (1.0 + float(np.linalg.norm(jac))))
-    check("jacobian-finite-difference", fd_worst <= 1e-5,
-          f"max rel defect {fd_worst:.3e}")
-
-    # Exact-data run.
-    tc = compute_constants_exact(cert, cfg.q, strict=False)
-    scfg = SolverConfig(q=cfg.q, max_iters=cfg.max_iters,
-                        tol_alpha=cfg.tol_alpha, domain_mode="warn")
-    trace = run_exact(model, prob.x_dagger, prob.y_exact, prob.default_x0,
-                      scfg, tc, record_iterates=True)
-    steps = trace.step_diagnostics
-    if not steps:
-        for name in ("mdp-prime-identity", "alpha-ceiling", "residual-ratio-q"):
-            rows.append((name, "NOT ARMED", "no steps taken"))
-    else:
-        worst_mdp = max(d.mdp_prime_rel_err for d in steps)
-        check("mdp-prime-identity", worst_mdp <= 1e-8,
-              f"max rel err {worst_mdp:.3e} over {len(steps)} steps")
-        worst_ceiling = 0.0
-        for diag, x_k in zip(steps, trace.iterates):
-            dense = float(np.linalg.norm(jacobian_matrix(model, x_k), 2))
-            ceiling = cfg.q / (1.0 - cfg.q) * dense**2
-            worst_ceiling = max(worst_ceiling, diag.alpha / ceiling)
-        check("alpha-ceiling", worst_ceiling <= 1.0 + 1e-8,
-              f"max alpha/bound {worst_ceiling:.12f}")
-        if prob.linear:
-            res = trace.residuals()
-            dev = float(np.max(np.abs(res[1:] / res[:-1] - cfg.q)))
-            # the ratio inherits the root-finder tolerance on the Morozov value
-            ratio_tol = max(1e-12, 2.0 * cfg.tol_alpha * cfg.q)
-            check("residual-ratio-q", dev <= ratio_tol, f"max dev {dev:.3e}")
-        else:
-            rows.append(("residual-ratio-q", "NOT ARMED", "nonlinear problem"))
-    if not steps:
-        rows.append(("error-monotonicity", "NOT ARMED", "no steps taken"))
-        rows.append(("gamma-monotone", "NOT ARMED", "no steps taken"))
-    elif trace.omega_ok:
-        check("error-monotonicity",
-              bool(trace.error_monotonicity_ok), "Lyapunov decrease")
-        check("gamma-monotone", bool(trace.gamma_monotone),
-              "0.5||x_k - x_truth||^2 non-increasing")
-    else:
-        rows.append(("error-monotonicity", "NOT ARMED", "omega-condition failed"))
-        rows.append(("gamma-monotone", "NOT ARMED", "omega-condition failed"))
-    if trace.hypothesis.armed:
-        gams = trace.gammas()
-        bounds = np.array([rate_bound(k, tc, cert.holder_eps)
-                           for k in range(len(gams))])
-        worst = float(np.nanmax(gams / (bounds * (1.0 + 1e-9))))
-        check("rate-bound-exact", worst <= 1.0, f"max gamma/bound {worst:.6f}")
-    else:
-        rows.append(("rate-bound-exact", "NOT ARMED", "hypothesis failed"))
-
-    # Noisy-data run.
-    tcn = compute_constants_noisy(cert, cfg.q, tau, delta=delta, strict=False)
-    y_delta = make_noise(prob.y_exact, delta, cfg.noise_seed)
-    ncfg = SolverConfig(q=cfg.q, max_iters=max(cfg.max_iters, 200), tau=tau,
-                        delta=delta, tol_alpha=cfg.tol_alpha,
-                        stop_mode="discrepancy", domain_mode="warn")
-    ntrace = run_noisy(model, prob.x_dagger, y_delta, prob.default_x0, ncfg, tcn)
-    if ntrace.k_star is not None:
-        res = ntrace.residuals()
-        sound = bool(np.all(res[:ntrace.k_star] > tau * delta)
-                     and res[ntrace.k_star] <= tau * delta)
-        check("discrepancy-soundness", sound, f"k_star={ntrace.k_star}")
-    else:
-        rows.append(("discrepancy-soundness", "NOT ARMED",
-                     "budget exhausted before the stopping index"))
-    if ntrace.hypothesis.armed and ntrace.k_star is not None and \
-            tcn.kstar_bound is not None:
-        check("kstar-bound", ntrace.k_star <= tcn.kstar_bound,
-              f"k_star={ntrace.k_star} <= {tcn.kstar_bound}")
-    else:
-        rows.append(("kstar-bound", "NOT ARMED", "hypothesis failed"))
-    if not ntrace.iterations:
-        rows.append(("gamma-monotone-noisy", "NOT ARMED", "no steps taken"))
-    elif ntrace.omega_ok:
-        check("gamma-monotone-noisy", bool(ntrace.gamma_monotone),
-              "up to the stopping index")
-    else:
-        rows.append(("gamma-monotone-noisy", "NOT ARMED", "omega-condition failed"))
-    kbound = None
-    if ntrace.k_star is not None and delta > 0:
-        e0 = float(np.linalg.norm(prob.default_x0 - prob.x_dagger))
-        res = ntrace.residuals()
-        try:
-            qt = qtilde(cfg.q, cert, e0)
-            kbound = kstar_log_estimate(qt, float(res[0]), tau, delta)
-        except ConditionViolated:
-            pass
-    if not ntrace.iterations:
-        rows.append(("qtilde-contraction", "NOT ARMED", "no steps taken"))
-    elif kbound is not None:
-        ratios = res[1:] / res[:-1]
-        ok = bool(np.all(ratios <= qt + 1e-9)) and ntrace.k_star <= kbound
-        check("qtilde-contraction", ok,
-              f"q~={qt:.6f} max ratio {float(np.max(ratios)):.6f} "
-              f"k_star={ntrace.k_star} <= {kbound}")
-    else:
-        rows.append(("qtilde-contraction", "NOT ARMED", "smallness condition not met"))
-
-    # Tangential cone on a ball small enough for eta < 1.
-    rho_tc = cert.domain_rho_prime
-    eta = tangential_cone_eta(cert, rho_tc)
-    if eta >= 1.0:
-        shrink = (0.9 / eta) ** ((1.0 + cert.holder_eps) / cert.holder_eps)
-        rho_tc *= shrink
-        eta = tangential_cone_eta(cert, rho_tc)
-    worst_tcc = _tangential_cone_worst(model, eta, math.sqrt(2.0 * rho_tc))
-    check("tangential-cone", worst_tcc <= 1.0,
-          f"eta={eta:.4f} at rho'={rho_tc:.3e}, max lhs/rhs {worst_tcc:.4f}")
-
-    # Certificate re-verification on a fresh seed.
-    if cert.provenance == "oracle-estimated":
-        report = gallery.verify_certificate(model, prob.default_box, cert,
-                                            samples=VERIFY_SAMPLES, seed=977)
-        check("certificate-reverification", report.ok,
-              f"violations {report.violations}")
-    else:
-        rows.append(("certificate-reverification", "NOT ARMED",
-                     "user-supplied certificate"))
-
+    trace = _run(dataclasses.replace(cfg, tau=None), prob, cert, prob.model,
+                 "lm", record_iterates=True)
+    ntrace = _run(dataclasses.replace(cfg, max_iters=max(cfg.max_iters, 200)),
+                  prob, cert, prob.model, "lm")
+    rows = checks.verify_rows(prob, cert, trace, ntrace, cfg.q, cfg.tol_alpha,
+                              cfg.tau, cfg.delta)
     text = _render(rows)
     print(text, end="")
     with open(cfg.output_path, "w", encoding="utf-8") as fh:
@@ -464,10 +290,11 @@ def _iterations_to(trace, threshold: float):
 
 def cmd_compare(cfg: RunConfig) -> int:
     prob = _get_problem(cfg)
+    cert = _resolve_certificate(prob, cfg)
     rows = []
     for method in ("lm", "landweber"):
         wrapped, counts = counting_model(prob.model)
-        trace, _, _ = _run(cfg, prob, wrapped, method)
+        trace = _run(cfg, prob, cert, wrapped, method)
         iters = max(trace.iterations, 1)
         cost = (counts["forward"] + counts["jacobian"] + counts["adjoint"]) / iters
         rows.append((
@@ -503,14 +330,16 @@ _COMMANDS = {
 
 # command -> {mode it runs: keys that mode accepts (config.MODE_KEYS) but the
 # command never reads}.  No Landweber step reads the certificate or a shift
-# tolerance.  compare reports iterations to fixed residual levels, so it takes
-# no accuracy target, and it runs on the problem's own certificate.
+# tolerance, and no exact-data run draws noise.  compare reports iterations to
+# fixed residual levels, so it takes no accuracy target, and it runs on the
+# problem's own certificate.
 COMMAND_MODES = {
-    "solve": {"exact": ("step_scale",), "noisy": ("step_scale",),
+    "solve": {"exact": ("step_scale", "noise_seed"), "noisy": ("step_scale",),
               "landweber": ("eps", "tol_alpha", "constants_override")},
-    "reconstruct": {"reconstruct_exact": (), "reconstruct_noisy": ()},
+    "reconstruct": {"reconstruct_exact": ("noise_seed",), "reconstruct_noisy": ()},
     "verify": {"verify": ()},
-    "compare": {"exact": ("eps", "target_gamma", "constants_override"),
+    "compare": {"exact": ("eps", "target_gamma", "constants_override",
+                          "noise_seed"),
                 "noisy": ("eps", "constants_override")},
 }
 

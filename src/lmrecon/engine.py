@@ -6,9 +6,9 @@ diagnostics land in an :class:`IterationTrace`.  The loop evaluates F once
 per iterate and applies the admissible-ball policy to every update; the
 steps are functions of the iterate and its residual.  The constant
 calculators evaluate, literally, the formulas that the convergence
-guarantees are stated in terms of, and each run carries a hypothesis report
-so that rate checks can distinguish "the theory applies and must hold" from
-"exploratory run, observe only".
+guarantees are stated in terms of, and each run carries those constants and
+a hypothesis report so that rate checks can distinguish "the theory applies
+and must hold" from "exploratory run, observe only".
 
 A plain Landweber driver, run by the same loop, is the comparison baseline.
 """
@@ -150,6 +150,7 @@ class IterationTrace:
     warnings: list[str] = field(default_factory=list)
     recon: object | None = None
     iterates: list[np.ndarray] | None = None
+    constants: TheoryConstantsExact | TheoryConstantsNoisy | None = None
 
     @property
     def iterations(self) -> int:
@@ -327,7 +328,7 @@ def kstar_log_estimate(q_tilde: float, r0_norm: float, tau: float,
 
 def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
              x_dagger=None, hypothesis: HypothesisReport | None = None,
-             rho: float | None = None, omega: float | None = None,
+             constants=None, omega: float | None = None,
              record_iterates: bool = False) -> IterationTrace:
     """The one iteration loop behind every driver.
 
@@ -341,7 +342,8 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     ``domain_violation`` and is not recorded; under ``"warn"`` it adds a
     warning and is recorded.  The theory bookkeeping (entry condition,
     omega-condition, gamma and error-monotonicity flags) runs when the truth
-    is known and a hypothesis report is passed.
+    is known and a hypothesis report is passed; the entry condition needs the
+    theory ``constants``, which the trace keeps.
     """
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
@@ -352,7 +354,7 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     threshold = cfg.tau * cfg.delta if cfg.stop_mode == "discrepancy" else None
 
     trace = IterationTrace(records=[], terminal="budget_exhausted",
-                           hypothesis=hypothesis,
+                           hypothesis=hypothesis, constants=constants,
                            iterates=[x.copy()] if record_iterates else None)
     if cfg.domain_mode == "error":
         require_in_domain(model, x, "x0")
@@ -360,13 +362,12 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
         trace.warnings.append("x0 lies outside the admissible ball")
 
     gamma = 0.5 * float(np.sum((x - x_dagger) ** 2)) if truth else None
-    if theory and rho is not None:
-        ok = gamma <= rho
+    if theory and constants is not None:
+        ok = gamma <= constants.rho
         hypothesis.x0_condition_ok = ok
         if not ok:
-            trace.warnings.append(
-                f"entry condition fails: gamma_0 = {gamma:.6g} > rho = {rho:.6g}"
-            )
+            trace.warnings.append(f"entry condition fails: gamma_0 = "
+                                  f"{gamma:.6g} > rho = {constants.rho:.6g}")
         hypothesis.armed = hypothesis.armed and ok
     if theory:
         trace.gamma_monotone = True
@@ -483,16 +484,14 @@ def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
     if cfg.stop_mode == "target_error" and x_dagger is None:
         raise ConfigInvalid("target_error stopping requires a ground truth")
     hyp = HypothesisReport()
-    rho = None
     if tc is not None:
         hyp.q_condition_ok = tc.q_condition_ok
         hyp.rho_lt_rho_prime = tc.rho_lt_rho_prime
         hyp.cert_provenance = tc.cert_provenance
         hyp.armed = (tc.q_condition_ok and tc.rho_lt_rho_prime
                      and tc.cert_provenance == "oracle-estimated")
-        rho = tc.rho
     return _iterate(model, y, x0, cfg, _lm_stepper(model, cfg),
-                    x_dagger=x_dagger, hypothesis=hyp, rho=rho, omega=2.0,
+                    x_dagger=x_dagger, hypothesis=hyp, constants=tc, omega=2.0,
                     record_iterates=record_iterates)
 
 
@@ -508,7 +507,6 @@ def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
     if cfg.stop_mode != "discrepancy":
         raise ConfigInvalid("run_noisy requires stop_mode = 'discrepancy'")
     hyp = HypothesisReport()
-    rho = None
     big_r = 0.75 - (1.0 / cfg.q + 0.25) / cfg.tau
     hyp.r_positive = big_r > 0
     if tc is not None:
@@ -518,10 +516,9 @@ def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
             hyp.nu_additional_ok = cfg.q < tc.nu_bound
         hyp.armed = (tc.R > 0 and tc.rho_lt_rho_prime
                      and tc.cert_provenance == "oracle-estimated")
-        rho = tc.rho
     omega = 1.0 / (1.0 - big_r) if big_r > 0 else None
     return _iterate(model, y_delta, x0, cfg, _lm_stepper(model, cfg),
-                    x_dagger=x_dagger, hypothesis=hyp, rho=rho, omega=omega)
+                    x_dagger=x_dagger, hypothesis=hyp, constants=tc, omega=omega)
 
 
 def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,

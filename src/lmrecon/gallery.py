@@ -244,8 +244,7 @@ def estimate_stability_constants(model: ForwardModel, box: CompactBox,
     jac, jd = _settle(model, pa, pb, jac, jd,
                       (jac, _peak(jac)), (jd / d, _peak(jd / d)))
     exponent = (1.0 + eps) / 2.0
-    inradius = 0.5 * float(np.min(box.upper - box.lower))
-    rho_prime = 0.5 * inradius**2 if inradius > 0 else model.radius_sq
+    rho_prime = _ball_of(box)["radius_sq"] or model.radius_sq
     return StabilityCertificate(
         lip_deriv=INFLATION * max(_peak(jd / d), LIP_FLOOR),
         jac_bound=INFLATION * _peak(jac),

@@ -198,16 +198,24 @@ def build_lattice(box: CompactBox, r_cover: float) -> Lattice:
     the spacing itself is not kept.  Degenerate axes (zero extent) contribute
     a single coordinate.  Raises
     :class:`LatticeTooLarge` when the grid would exceed
-    ``DEFAULT_LATTICE_CAP`` points; the count is taken before any allocation.
+    ``DEFAULT_LATTICE_CAP`` points, or when an axis needs infinitely many
+    (an infinite box, or an extent that overflows); the count is taken before
+    any allocation.
     """
     if not r_cover > 0:
         raise ValueError("r_cover must be positive")
     n = box.dim
-    h_max = 2.0 * r_cover / math.sqrt(n)
+    h_max = 2.0 * float(r_cover) / math.sqrt(n)
     counts = []
-    for lo, up in zip(box.lower, box.upper):
+    # Python floats: an overflowing extent or count becomes inf, not a warning
+    for lo, up in zip(box.lower.tolist(), box.upper.tolist()):
         extent = up - lo
-        counts.append(1 if extent == 0.0 else int(math.ceil(extent / h_max)))
+        if not math.isfinite(extent / h_max):
+            raise LatticeTooLarge(
+                f"lattice would need infinitely many points along [{lo}, {up}]; "
+                "shrink the box"
+            )
+        counts.append(1 if extent == 0.0 else math.ceil(extent / h_max))
     total = math.prod(counts)
     if total > DEFAULT_LATTICE_CAP:
         raise LatticeTooLarge(

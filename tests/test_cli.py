@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import non_finite_model
-from lmrecon import cli, gallery
+from lmrecon import checks, cli, gallery
 from lmrecon import config as cfgmod
 from lmrecon.cli import main
 from lmrecon.engine import SolverConfig, TraceRecord, run_exact
@@ -54,7 +54,8 @@ UNREAD = {
 
 # Non-default values for the keys that some command never reads.
 UNREAD_BY_COMMAND = {"step_scale": 0.1, "eps": 0.5, "target_gamma": 1e-10,
-                     "constants_override": {"lip_deriv": 0.5}, "tol_alpha": 0.001}
+                     "constants_override": {"lip_deriv": 0.5}, "tol_alpha": 0.001,
+                     "noise_seed": 5}
 
 
 def mode_config(tmp_path, mode, **extra):
@@ -131,6 +132,15 @@ class TestConfig:
                                                    command, mode):
         assert main([command, "--config", str(mode_config(tmp_path, mode))]) == 1
         assert (f"mode '{mode}' is not handled by '{command}'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("override", [
+        {"lip_deriv": -1.0}, {"holder_eps": 2.0}, {"jac_bound": float("nan")}])
+    def test_out_of_range_constants_override_is_a_config_error(
+            self, tmp_path, capsys, override):
+        path = write_config(tmp_path, constants_override=override)
+        assert main(["solve", "--config", str(path)]) == 1
+        assert ("config error: config field 'constants_override': "
                 in capsys.readouterr().err)
 
     def test_bad_yaml(self):
@@ -367,6 +377,15 @@ class TestReconstructCommand:
         code = main(["reconstruct", "--config", str(path)])
         assert code == 4
 
+    def test_infinite_box_is_too_large_a_lattice(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, problem_id="quadratic-2d", mode="reconstruct_exact",
+            max_iters=None, target_gamma=1e-10,
+            box={"lower": [-0.5, -0.5], "upper": [float("inf"), 0.5]},
+        )
+        assert main(["reconstruct", "--config", str(path)]) == 2
+        assert "infinitely many points" in capsys.readouterr().err
+
     def test_box_dimension_mismatch_exits_one(self, tmp_path, capsys):
         path = write_config(
             tmp_path, problem_id="quadratic-2d", mode="reconstruct_exact",
@@ -418,7 +437,7 @@ class TestVerifyCommand:
     def test_tangential_cone_sampler_matches_single_draws(self, monkeypatch,
                                                           gallery_problems):
         # the blocked sampler visits the pairs of one (2, n) draw at a time
-        monkeypatch.setattr(cli, "VERIFY_SAMPLES", 2500)
+        monkeypatch.setattr(checks, "VERIFY_SAMPLES", 2500)
         model = gallery_problems["exp-decay"].model
         eta, rad = 0.3, 0.2
         rng = np.random.default_rng(17)
@@ -435,7 +454,7 @@ class TestVerifyCommand:
             lhs = float(np.linalg.norm(fa - fb - jacobian_matrix(model, x_a) @ (x_a - x_b)))
             worst = max(worst, lhs / rhs)
             checked += 1
-        assert cli._tangential_cone_worst(model, eta, rad) == worst
+        assert checks._tangential_cone_worst(model, eta, rad) == worst
 
     def test_quadratic_all_pass(self, tmp_path, capsys):
         out = tmp_path / "c04.report"
@@ -577,10 +596,11 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
-# The outputs of solve and compare on one run per stopping rule and driver:
-# run -> (command, preset file or config overrides, exit code, sha256 of
-# stdout, sha256 of the output file), both with the output path replaced by
-# a token.  Recorded with numpy 2.4 and its bundled OpenBLAS on x86-64.
+# The outputs of solve and compare on one run per stopping rule and driver,
+# and of both reconstructions: run -> (command, preset file or config
+# overrides, exit code, sha256 of stdout, sha256 of the output file), both
+# with the output path replaced by a token.  Recorded with numpy 2.4 and its
+# bundled OpenBLAS on x86-64.
 PINNED = {
     "c01": (
         "solve", "c01_scalar_closed_form.yaml", 0,
@@ -620,6 +640,14 @@ PINNED = {
                     "noise_seed": 3}, 0,
         "5b7a2c6bb3a88e1bcf8b70c4aa4bfc1c80b4759de72f21926979fd14c52fd75b",
         "5b7a2c6bb3a88e1bcf8b70c4aa4bfc1c80b4759de72f21926979fd14c52fd75b"),
+    "c07a": (
+        "reconstruct", "c07a_reconstruct_exact.yaml", 0,
+        "9c64a97a1b6f6320eebedb56ec9d98440e3473fe1b1d9d7b141a7ee4be55fd2b",
+        "e9ddaa16330336a0432bf615cd0973e54ac58569f1d43f13fe252ecc4a2c08b5"),
+    "c07b": (
+        "reconstruct", "c07b_reconstruct_noisy.yaml", 0,
+        "42c4b5dba8a5fc195d7c8969f1d2460fa154cb5c99d48c047369c353ab442212",
+        "19aacafa29e2b7ae5510f7b6e8bfc8fcd7ba87e2a05d2b90c153628c934ceb59"),
 }
 
 

@@ -491,6 +491,29 @@ def test_one_forward_call_per_iterate(driver, gallery_problems):
     assert counts["forward"] == 1 + trace.iterations
 
 
+@pytest.mark.parametrize("driver", ["exact", "noisy", "landweber"])
+def test_trace_carries_its_constants(driver, gallery_problems):
+    # an LM trace keeps the very constants it ran under; Landweber has none
+    prob = gallery_problems["quadratic-2d"]
+    args = (prob.y_exact, prob.default_x0)
+    if driver == "exact":
+        tc = compute_constants_exact(prob.certificate, 0.5, strict=False)
+        trace = run_exact(prob.model, prob.x_dagger, *args,
+                          SolverConfig(q=0.5, max_iters=3), tc)
+    elif driver == "noisy":
+        tc = compute_constants_noisy(prob.certificate, 0.5, 4.0, delta=1e-3,
+                                     strict=False)
+        cfg = SolverConfig(q=0.5, max_iters=3, tau=4.0, delta=1e-3,
+                           stop_mode="discrepancy")
+        trace = run_noisy(prob.model, prob.x_dagger, *args, cfg, tc)
+    else:
+        tc = None
+        trace = landweber_run(prob.model, *args, 0.1,
+                              SolverConfig(q=0.5, max_iters=3),
+                              x_dagger=prob.x_dagger)
+    assert trace.constants is tc
+
+
 def _recording(model):
     """``model`` with every point F is evaluated at appended to a list."""
     points = []

@@ -142,6 +142,14 @@ class TestBuildLattice:
         with pytest.raises(LatticeTooLarge):
             build_lattice(box, 1e-6)
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([0.0, 0.0], [np.inf, 1.0]),
+        ([-1e308, 0.0], [1e308, 1.0]),  # the extent overflows to inf
+    ])
+    def test_infinite_lattice(self, lower, upper):
+        with pytest.raises(LatticeTooLarge, match="infinitely many"):
+            build_lattice(CompactBox(np.array(lower), np.array(upper)), 0.25)
+
     def test_covering_property_sampled(self):
         box = CompactBox(np.array([-0.5, 0.25]), np.array([1.5, 0.75]))
         lat = build_lattice(box, 0.2)
