@@ -365,6 +365,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.noise_seed = args.seed
         unread = COMMAND_MODES[args.command].get(cfg.mode)
         if unread is None:
             raise ConfigInvalid(
@@ -376,8 +378,6 @@ def main(argv=None) -> int:
                     f"in mode '{cfg.mode}'")
         if args.output is not None:
             cfg.output_path = args.output
-        if args.seed is not None:
-            cfg.noise_seed = args.seed
         code = _COMMANDS[args.command](cfg)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

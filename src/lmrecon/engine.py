@@ -33,7 +33,7 @@ from .operators import (
     apply_forward,
     as_vector,
     check_domain,
-    jacobian_matrix,
+    estimate_jacobian_norm,
     require_finite,
     require_in_domain,
 )
@@ -165,6 +165,14 @@ class IterationTrace:
         )
 
 
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent``, or inf where the float result overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def compute_constants_exact(cert: StabilityCertificate, q: float,
                             strict: bool = True) -> TheoryConstantsExact:
     """Evaluate the exact-data guarantee constants for the given certificate.
@@ -178,7 +186,7 @@ def compute_constants_exact(cert: StabilityCertificate, q: float,
     lip, jac, cf, eps = (cert.lip_deriv, cert.jac_bound,
                          cert.holder_const, cert.holder_eps)
     q_ok = q * (1.0 - q) < 2.0 * jac**2 * cf ** (4.0 / (1.0 + eps))
-    rho = 1.0 / (2.0 * jac**2) * (q / (2.0 * lip * cf**2)) ** (2.0 / eps)
+    rho = 1.0 / (2.0 * jac**2) * _power(q / (2.0 * lip * cf**2), 2.0 / eps)
     c = q * (1.0 - q) / (2.0 * jac**2 * cf ** (4.0 / (1.0 + eps)))
     rho_ok = rho < cert.domain_rho_prime
     if strict:
@@ -209,7 +217,7 @@ def compute_constants_noisy(cert: StabilityCertificate, q: float, tau: float,
     lip, jac, cf, eps = (cert.lip_deriv, cert.jac_bound,
                          cert.holder_const, cert.holder_eps)
     big_r = 0.75 - (1.0 / q + 0.25) / tau
-    rho = 1.0 / (2.0 * jac**2) * (q / (4.0 * lip * cf**2)) ** (2.0 / eps)
+    rho = 1.0 / (2.0 * jac**2) * _power(q / (4.0 * lip * cf**2), 2.0 / eps)
     rho_ok = rho < cert.domain_rho_prime
     if strict:
         if not big_r > 0:
@@ -261,15 +269,17 @@ def iterations_for_accuracy(target_gamma: float, tc: TheoryConstantsExact,
 
 
 def kstar_upper_bound(tc: TheoryConstantsNoisy, cert: StabilityCertificate,
-                      q: float, tau: float, delta: float) -> int:
-    """floor( Lhat^2 rho / (q (1-q) R (tau delta)^2) )."""
+                      q: float, tau: float, delta: float) -> int | None:
+    """floor( Lhat^2 rho / (q (1-q) R (tau delta)^2) ), or None when that is
+    no finite float (``(tau delta)^2`` underflows to 0, or the quotient
+    overflows): no finite bound, so nothing is armed on it."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     if not tc.R > 0:
         raise ConditionViolated("R must be positive for the stopping-index bound")
-    return int(math.floor(
-        cert.jac_bound**2 * tc.rho / (q * (1.0 - q) * tc.R * (tau * delta) ** 2)
-    ))
+    den = q * (1.0 - q) * tc.R * (tau * delta) ** 2
+    bound = cert.jac_bound**2 * tc.rho / den if den > 0.0 else math.inf
+    return int(math.floor(bound)) if math.isfinite(bound) else None
 
 
 def nu_additional_bound(cert: StabilityCertificate) -> float:
@@ -538,9 +548,7 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
     """
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
-    j0 = jacobian_matrix(model, x)
-    require_finite(j0, "Jacobian J(x0)")
-    jn = float(np.linalg.norm(j0, 2))
+    jn = estimate_jacobian_norm(model, x, check=False)
     if step_scale is None:
         if jn == 0.0:
             raise ConditionViolated("J(x0) = 0: no default step size exists")

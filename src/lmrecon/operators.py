@@ -198,31 +198,20 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 def estimate_jacobian_norm(model: ForwardModel, x, iters: int = 100,
                            check: bool = True) -> float:
-    """Estimate ||J(x)|| by power iteration on J^T J.
+    """The spectral norm ||J(x)||, exactly: the largest singular value of the
+    dense Jacobian from :func:`jacobian_matrix`.
 
-    Starts from the normalized all-ones vector for reproducibility.  The
-    returned value is a lower bound that converges to the largest singular
-    value as ``iters`` grows.
+    ``iters`` has no effect and must be >= 1; it stays for existing callers
+    that pass it.  Raises :class:`NonFiniteOutput` when J(x) holds NaN or inf.
     """
     x = as_vector(x, model.dim_x, "x")
     if check:
         require_in_domain(model, x)
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    v = np.ones(model.dim_x) / np.sqrt(model.dim_x)
-    sigma = 0.0
-    for _ in range(iters):
-        w = as_vector(model.jacobian_apply(x, v), model.dim_y, "J v")
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return sigma
-        sigma = nw
-        u = as_vector(model.jacobian_adjoint_apply(x, w), model.dim_x, "J* w")
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            return sigma
-        v = u / nu
-    return sigma
+    j = jacobian_matrix(model, x)
+    require_finite(j, "Jacobian J(x)")
+    return float(np.linalg.norm(j, 2))
 
 
 def finite_difference_jacobian(model: ForwardModel, x, h: float = 1e-5,

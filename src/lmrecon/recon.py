@@ -95,6 +95,11 @@ class CompactBox:
         up = np.asarray(self.upper, dtype=float)
         if lo.shape != up.shape or lo.ndim != 1:
             raise DimensionMismatch("box bounds must be 1-D arrays of equal length")
+        # An infinite bound is a valid box whose lattice has infinitely many
+        # points (build_lattice says so); a NaN bound is no box at all.
+        for name, bound in (("lower", lo), ("upper", up)):
+            if np.isnan(bound).any():
+                raise ValueError(f"box {name} bound {bound.tolist()} holds NaN")
         if np.any(lo > up):
             raise ValueError("box lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)

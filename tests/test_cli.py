@@ -127,6 +127,20 @@ class TestConfig:
 
     @pytest.mark.parametrize("command, mode", [
         (command, mode) for command, modes in cli.COMMAND_MODES.items()
+        for mode, fields in modes.items() if "noise_seed" in fields])
+    def test_seed_flag_rejected_like_the_config_key(self, tmp_path, capsys,
+                                                    command, mode):
+        flag = main([command, "--config", str(mode_config(tmp_path, mode)),
+                     "--seed", "7"])
+        flag_err = capsys.readouterr().err
+        key = main([command, "--config",
+                    str(mode_config(tmp_path, mode, noise_seed=7))])
+        assert flag == key == 1
+        assert flag_err == capsys.readouterr().err
+        assert "config field 'noise_seed'" in flag_err
+
+    @pytest.mark.parametrize("command, mode", [
+        (command, mode) for command, modes in cli.COMMAND_MODES.items()
         for mode in cfgmod.MODES if mode not in modes])
     def test_modes_a_command_does_not_run_rejected(self, tmp_path, capsys,
                                                    command, mode):
@@ -333,6 +347,16 @@ class TestSolveCommand:
         assert code == 2
         assert "not finite" in capsys.readouterr().err
 
+    def test_underflowing_noise_level_has_no_kstar_bound(self, tmp_path):
+        # (tau delta)^2 underflows to 0 at delta = 1e-200; the run still ends
+        # with a documented code: the budget runs out before tau * delta
+        path = write_config(tmp_path, problem_id="quadratic-2d", mode="noisy",
+                            tau=4.0, delta=1e-200)
+        assert main(["solve", "--config", str(path)]) == 2
+        tf = read_trace(tmp_path / "out.trace")
+        assert tf.terminal == "budget_exhausted"
+        assert dict(tf.header)["constants.kstar_bound"] == "none"
+
     @pytest.mark.parametrize("command", ["solve", "compare"])
     def test_x0_dimension_mismatch_exits_one(self, tmp_path, capsys, command):
         path = write_config(tmp_path, x0=[0.0, 0.0])
@@ -476,6 +500,17 @@ class TestVerifyCommand:
         line = [ln for ln in report.splitlines()
                 if ln.startswith("residual-ratio-q")][0]
         assert "PASS" in line
+
+    def test_overflowing_rho_arms_nothing(self, tmp_path):
+        # (q / (2 L C_F^2))^(2/eps) overflows a float at eps = 0.05: rho is
+        # inf, so rho < rho' fails and no rate is armed
+        out = tmp_path / "v.report"
+        path = write_config(tmp_path, mode="verify", q=0.65, eps=0.05,
+                            output_path=str(out))
+        assert main(["verify", "--config", str(path)]) == 0
+        rows = report_rows(out)
+        assert rows["rate-bound-exact"] == "NOT ARMED (hypothesis failed)"
+        assert rows["kstar-bound"] == "NOT ARMED (hypothesis failed)"
 
     def test_sabotaged_adjoint_fails_with_exit_five(self, tmp_path):
         out = tmp_path / "fault.report"

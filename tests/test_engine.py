@@ -63,6 +63,13 @@ class TestConstantsExact:
                                      strict=False)
         assert not tc.rho_lt_rho_prime
 
+    @pytest.mark.parametrize("compute, args", [
+        (compute_constants_exact, (0.65,)), (compute_constants_noisy, (0.65, 4.0))])
+    def test_overflowing_rho_is_infinite(self, compute, args):
+        # (q / (2 L C_F^2))^(2/eps) overflows a float at eps = 0.05
+        tc = compute(unit_cert(eps=0.05, lip=1e-14), *args, strict=False)
+        assert tc.rho == math.inf and not tc.rho_lt_rho_prime
+
 
 class TestConstantsNoisy:
     def test_r_value(self):
@@ -147,6 +154,13 @@ class TestKstarBound:
         exact = cert.jac_bound**2 * tc.rho / (0.25 * tc.R * (4.0 * 0.02) ** 2)
         assert b2 == math.floor(exact)
         assert abs(b1 / 4 - b2) <= 1
+
+    def test_underflowing_noise_level_has_no_bound(self):
+        # (tau delta)^2 underflows to 0 at delta = 1e-200: no finite bound
+        cert = unit_cert()
+        tc = compute_constants_noisy(cert, 0.5, 4.0, delta=1e-200)
+        assert tc.kstar_bound is None
+        assert kstar_upper_bound(tc, cert, 0.5, 4.0, 1e-200) is None
 
     def test_monotone_in_r(self):
         cert = unit_cert()

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GALLERY_IDS, linear_model, sample_ball
-from lmrecon.errors import DimensionMismatch, DomainViolation
+from conftest import GALLERY_IDS, linear_model, non_finite_model, sample_ball
+from lmrecon.errors import DimensionMismatch, DomainViolation, NonFiniteOutput
 from lmrecon.operators import (
     ForwardModel,
     StabilityCertificate,
@@ -97,6 +97,44 @@ def test_jacobian_norm_exp_decay_vs_dense_svd(gallery_problems):
     est = estimate_jacobian_norm(prob.model, x, iters=200)
     assert est <= dense + 1e-12
     assert abs(est - dense) <= 1e-8 * dense
+
+
+def tall_quadratic_model(dim_y: int, dim_x: int, eta: float, seed: int) -> ForwardModel:
+    """F(x) = A x + eta (B x)^2 with Gaussian A and B scaled by 1/sqrt(dim_y)."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, dim_y, dim_x)) / math.sqrt(dim_y)
+    return ForwardModel(
+        dim_x=dim_x, dim_y=dim_y, center=np.zeros(dim_x), radius_sq=math.inf,
+        forward=lambda x: a @ x + eta * (b @ x) ** 2,
+        jacobian_apply=lambda x, v: a @ v + 2.0 * eta * (b @ x) * (b @ v),
+        jacobian_adjoint_apply=lambda x, w: a.T @ w + 2.0 * eta * (b.T @ ((b @ x) * w)),
+    )
+
+
+def assert_norm_is_dense(model: ForwardModel, points) -> None:
+    for x in points:
+        dense = float(np.linalg.norm(jacobian_matrix(model, x), 2))
+        # non-negative floats: equal values are equal bits
+        assert estimate_jacobian_norm(model, x, check=False) == dense
+
+
+@pytest.mark.parametrize("pid", GALLERY_IDS)
+def test_jacobian_norm_is_the_dense_spectral_norm(pid, gallery_problems):
+    prob = gallery_problems[pid]
+    assert_norm_is_dense(prob.model,
+                         [prob.default_x0, prob.x_dagger, prob.model.center])
+
+
+def test_jacobian_norm_is_the_dense_spectral_norm_tall():
+    model = tall_quadratic_model(100, 12, 0.3, seed=4)
+    assert_norm_is_dense(model, np.random.default_rng(5).standard_normal((4, 12)))
+
+
+def test_jacobian_norm_rejects_nan_jacobian_and_no_iterations():
+    with pytest.raises(NonFiniteOutput):
+        estimate_jacobian_norm(non_finite_model("jacobian_apply"), [1.0])
+    with pytest.raises(ValueError, match="iters must be >= 1"):
+        estimate_jacobian_norm(linear_model([[2.0]]), [0.0], iters=0)
 
 
 def test_finite_difference_linear_exact():

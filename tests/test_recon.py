@@ -150,6 +150,15 @@ class TestBuildLattice:
         with pytest.raises(LatticeTooLarge, match="infinitely many"):
             build_lattice(CompactBox(np.array(lower), np.array(upper)), 0.25)
 
+    @pytest.mark.parametrize("lower, upper, name", [
+        ([np.nan], [1.0], "lower"),
+        ([0.0, 0.0], [1.0, np.nan], "upper"),
+    ])
+    def test_nan_bound_rejected(self, lower, upper, name):
+        # np.any(lo > up) is False for NaN, so the order check cannot see it
+        with pytest.raises(ValueError, match=f"box {name} bound .* holds NaN"):
+            CompactBox(np.array(lower), np.array(upper))
+
     def test_covering_property_sampled(self):
         box = CompactBox(np.array([-0.5, 0.25]), np.array([1.5, 0.75]))
         lat = build_lattice(box, 0.2)
