@@ -27,7 +27,10 @@ def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float
 
     Candidate pairs come ``STACK_BLOCK`` at a time from one seeded stream, in
     the order of successive single draws; a pair with a point outside the
-    ball, or with F(a) = F(b), is skipped.
+    ball, or with F(a) = F(b), is skipped.  A block in which every pair is
+    skipped ends the sampling (F does not separate points of a ball that
+    small), and the largest ratio found so far is returned: NaN when there
+    is none.
     """
     rng = np.random.default_rng(17)
     worst = 0.0
@@ -39,11 +42,13 @@ def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float
         fd = forward_stack(model, x_a) - forward_stack(model, x_b)
         rhs = eta * row_norms(fd)
         take = np.flatnonzero(rhs != 0.0)[:needed]
+        if not take.size:
+            break
         x_a, x_b, fd, rhs = x_a[take], x_b[take], fd[take], rhs[take]
         jd = (jacobian_stack(model, x_a) @ (x_a - x_b)[:, :, None])[:, :, 0]
         worst = max([worst, *(row_norms(fd - jd) / rhs).tolist()])
         needed -= take.shape[0]
-    return worst
+    return worst if needed < VERIFY_SAMPLES else math.nan
 
 
 def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
@@ -115,23 +120,34 @@ def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
     # Noisy-data run.
     k_star, kstar_bound = ntrace.k_star, ntrace.constants.kstar_bound
     res = ntrace.residuals()
+    # why the noisy run has no stopping index, when it has none
+    no_stop = ("budget exhausted" if ntrace.terminal == "budget_exhausted"
+               else f"run ended in {ntrace.terminal}") + " before the stopping index"
     if k_star is not None:
         sound = bool(np.all(res[:k_star] > tau * delta)
                      and res[k_star] <= tau * delta)
         check("discrepancy-soundness", sound, f"k_star={k_star}")
     else:
-        rows.append(("discrepancy-soundness", "NOT ARMED",
-                     "budget exhausted before the stopping index"))
-    if ntrace.hypothesis.armed and k_star is not None and kstar_bound is not None:
-        check("kstar-bound", k_star <= kstar_bound,
-              f"k_star={k_star} <= {kstar_bound}")
-    else:
+        rows.append(("discrepancy-soundness", "NOT ARMED", no_stop))
+    if not ntrace.hypothesis.armed:
         rows.append(("kstar-bound", "NOT ARMED", "hypothesis failed"))
+    else:
+        causes = []
+        if kstar_bound is None:
+            causes.append("no finite bound on the stopping index")
+        if k_star is None:
+            causes.append(no_stop)
+        if causes:
+            rows.append(("kstar-bound", "NOT ARMED", "; ".join(causes)))
+        else:
+            check("kstar-bound", k_star <= kstar_bound,
+                  f"k_star={k_star} <= {kstar_bound}")
     if not ntrace.iterations:
         rows.append(("gamma-monotone-noisy", "NOT ARMED", "no steps taken"))
     elif ntrace.omega_ok:
         check("gamma-monotone-noisy", bool(ntrace.gamma_monotone),
-              "up to the stopping index")
+              "up to the stopping index" if k_star is not None
+              else f"over all {ntrace.iterations} steps; {no_stop}")
     else:
         rows.append(("gamma-monotone-noisy", "NOT ARMED", "omega-condition failed"))
     kbound = None
@@ -150,6 +166,10 @@ def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
         check("qtilde-contraction", ok,
               f"q~={qt:.6f} max ratio {float(np.max(ratios)):.6f} "
               f"k_star={k_star} <= {kbound}")
+    elif k_star is None:
+        rows.append(("qtilde-contraction", "NOT ARMED", no_stop))
+    elif not delta > 0:
+        rows.append(("qtilde-contraction", "NOT ARMED", "delta = 0"))
     else:
         rows.append(("qtilde-contraction", "NOT ARMED", "smallness condition not met"))
 
@@ -159,9 +179,16 @@ def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
     if eta >= 1.0:
         rho_tc *= (0.9 / eta) ** ((1.0 + cert.holder_eps) / cert.holder_eps)
         eta = tangential_cone_eta(cert, rho_tc)
-    worst_tcc = _tangential_cone_worst(model, eta, math.sqrt(2.0 * rho_tc))
-    check("tangential-cone", worst_tcc <= 1.0,
-          f"eta={eta:.4f} at rho'={rho_tc:.3e}, max lhs/rhs {worst_tcc:.4f}")
+    rad = math.sqrt(2.0 * rho_tc)
+    # an infinite (or NaN) ball has no uniform draw
+    worst_tcc = (_tangential_cone_worst(model, eta, rad) if math.isfinite(rad)
+                 else math.nan)
+    if math.isnan(worst_tcc):
+        rows.append(("tangential-cone", "NOT ARMED",
+                     f"no pair with F(a) != F(b) sampled at rho'={rho_tc:.3e}"))
+    else:
+        check("tangential-cone", worst_tcc <= 1.0,
+              f"eta={eta:.4f} at rho'={rho_tc:.3e}, max lhs/rhs {worst_tcc:.4f}")
 
     # Certificate re-verification on a fresh seed.
     if cert.provenance == "oracle-estimated":

@@ -24,7 +24,6 @@ from .errors import (
     ConditionViolated,
     ConfigInvalid,
     DivergenceDetected,
-    DomainViolation,
     RootInfeasible,
 )
 from .operators import (
@@ -33,9 +32,12 @@ from .operators import (
     apply_forward,
     as_vector,
     check_domain,
+    domain_violation,
     estimate_jacobian_norm,
+    finite_norm,
     require_finite,
     require_in_domain,
+    vector_norm,
 )
 from .step import StepDiagnostics, lm_step
 
@@ -173,6 +175,16 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
+def _out_of_range(q: float) -> ConditionViolated:
+    """The error for certificate constants whose theory constants at ``q``
+    overflow, or divide by a product that underflows to 0.  Without
+    ``strict`` those constants are NaN instead, and nothing is armed."""
+    return ConditionViolated(
+        f"the certificate constants and q = {q:.6g} put a theory constant "
+        "outside the float range"
+    )
+
+
 def compute_constants_exact(cert: StabilityCertificate, q: float,
                             strict: bool = True) -> TheoryConstantsExact:
     """Evaluate the exact-data guarantee constants for the given certificate.
@@ -185,9 +197,14 @@ def compute_constants_exact(cert: StabilityCertificate, q: float,
         raise ConfigInvalid("q must lie in (0, 1)")
     lip, jac, cf, eps = (cert.lip_deriv, cert.jac_bound,
                          cert.holder_const, cert.holder_eps)
-    q_ok = q * (1.0 - q) < 2.0 * jac**2 * cf ** (4.0 / (1.0 + eps))
-    rho = 1.0 / (2.0 * jac**2) * _power(q / (2.0 * lip * cf**2), 2.0 / eps)
-    c = q * (1.0 - q) / (2.0 * jac**2 * cf ** (4.0 / (1.0 + eps)))
+    try:
+        q_ok = q * (1.0 - q) < 2.0 * jac**2 * cf ** (4.0 / (1.0 + eps))
+        rho = 1.0 / (2.0 * jac**2) * _power(q / (2.0 * lip * cf**2), 2.0 / eps)
+        c = q * (1.0 - q) / (2.0 * jac**2 * cf ** (4.0 / (1.0 + eps)))
+    except (OverflowError, ZeroDivisionError) as exc:
+        if strict:
+            raise _out_of_range(q) from exc
+        q_ok, rho, c = False, math.nan, math.nan
     rho_ok = rho < cert.domain_rho_prime
     if strict:
         if not q_ok:
@@ -217,7 +234,13 @@ def compute_constants_noisy(cert: StabilityCertificate, q: float, tau: float,
     lip, jac, cf, eps = (cert.lip_deriv, cert.jac_bound,
                          cert.holder_const, cert.holder_eps)
     big_r = 0.75 - (1.0 / q + 0.25) / tau
-    rho = 1.0 / (2.0 * jac**2) * _power(q / (4.0 * lip * cf**2), 2.0 / eps)
+    try:
+        rho = 1.0 / (2.0 * jac**2) * _power(q / (4.0 * lip * cf**2), 2.0 / eps)
+        c_prime_coeff = q * (1.0 - q) * tau**2 * big_r / jac**2
+    except (OverflowError, ZeroDivisionError) as exc:
+        if strict:
+            raise _out_of_range(q) from exc
+        rho = c_prime_coeff = math.nan
     rho_ok = rho < cert.domain_rho_prime
     if strict:
         if not big_r > 0:
@@ -231,7 +254,7 @@ def compute_constants_noisy(cert: StabilityCertificate, q: float, tau: float,
             )
     tc = TheoryConstantsNoisy(
         rho=rho, R=big_r, kstar_bound=None,
-        c_prime_coeff=q * (1.0 - q) * tau**2 * big_r / jac**2,
+        c_prime_coeff=c_prime_coeff,
         rho_lt_rho_prime=rho_ok, cert_provenance=cert.provenance,
         nu_bound=nu_additional_bound(cert) if eps == 1.0 else None,
     )
@@ -250,22 +273,49 @@ def rate_bound(k: int, tc: TheoryConstantsExact, eps: float) -> float:
 
 def iterations_for_accuracy(target_gamma: float, tc: TheoryConstantsExact,
                             eps: float) -> int:
-    """Smallest M with ``rate_bound(M) <= target_gamma``."""
+    """Smallest M with ``rate_bound(M) <= target_gamma``.
+
+    The closed-form estimate is corrected by a search that doubles its step
+    away from it and then bisects, since ``rate_bound`` does not increase
+    with M.  Raises :class:`ConditionViolated` when no M that a float can
+    hold reaches the target: the contraction ``1 - c`` rounds to 1, or the
+    count overflows.
+    """
     if not target_gamma > 0:
         raise ValueError("target_gamma must be positive")
     if target_gamma >= tc.rho:
         return 0
-    if eps == 1.0:
-        m = math.ceil(math.log(target_gamma / tc.rho) / math.log(1.0 - tc.c))
-    else:
-        p = (1.0 - eps) / (1.0 + eps)
-        m = math.ceil((target_gamma ** (-p) - tc.rho ** (-p)) / (tc.c * p))
-    m = max(m, 0)
-    while rate_bound(m, tc, eps) > target_gamma:
-        m += 1
-    while m > 0 and rate_bound(m - 1, tc, eps) <= target_gamma:
-        m -= 1
-    return m
+
+    def reached(k):
+        return rate_bound(k, tc, eps) <= target_gamma
+
+    try:
+        if eps == 1.0:
+            m = math.ceil(math.log(target_gamma / tc.rho) / math.log(1.0 - tc.c))
+        else:
+            p = (1.0 - eps) / (1.0 + eps)
+            m = math.ceil((target_gamma ** (-p) - tc.rho ** (-p)) / (tc.c * p))
+        # lo and hi bracket the answer: lo = 0 or not reached(lo - 1), and
+        # reached(hi)
+        lo = hi = max(m, 0)
+        step = 1
+        while not reached(hi):
+            lo, hi, step = hi + 1, hi + step, 2 * step
+        step = 1
+        while lo > 0 and reached(lo - 1):
+            hi, lo, step = lo - 1, max(lo - 1 - step, 0), 2 * step
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConditionViolated(
+            "no iteration count a float can hold takes the rate bound to "
+            f"target_gamma = {target_gamma:.6g}"
+        ) from exc
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 def kstar_upper_bound(tc: TheoryConstantsNoisy, cert: StabilityCertificate,
@@ -277,8 +327,8 @@ def kstar_upper_bound(tc: TheoryConstantsNoisy, cert: StabilityCertificate,
         raise ValueError("delta must be positive")
     if not tc.R > 0:
         raise ConditionViolated("R must be positive for the stopping-index bound")
-    den = q * (1.0 - q) * tc.R * (tau * delta) ** 2
-    bound = cert.jac_bound**2 * tc.rho / den if den > 0.0 else math.inf
+    den = q * (1.0 - q) * tc.R * _power(tau * delta, 2)
+    bound = _power(cert.jac_bound, 2) * tc.rho / den if den > 0.0 else math.inf
     return int(math.floor(bound)) if math.isfinite(bound) else None
 
 
@@ -300,7 +350,7 @@ def tangential_cone_eta(cert: StabilityCertificate, rho_prime: float) -> float:
     diam = 2.0 * math.sqrt(2.0 * rho_prime)
     return (cert.lip_deriv / 2.0
             * diam ** (2.0 * eps / (1.0 + eps))
-            * (math.sqrt(2.0) * cert.holder_const) ** (2.0 / (1.0 + eps)))
+            * _power(math.sqrt(2.0) * cert.holder_const, 2.0 / (1.0 + eps)))
 
 
 def qtilde(q: float, cert: StabilityCertificate, initial_error: float) -> float:
@@ -342,18 +392,25 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
              record_iterates: bool = False) -> IterationTrace:
     """The one iteration loop behind every driver.
 
-    ``step(x, r)`` takes the iterate and its residual ``r = y - F(x)`` and
-    returns ``(x_next, diag)``; ``diag`` is the step's
-    :class:`StepDiagnostics`, or None for steps that keep none.  The loop
-    owns the stopping rules, the terminals and the warnings.  It is the only
-    code that evaluates F on an iterate (``residual_at``, once per iterate)
-    and the only code that applies ``cfg.domain_mode`` to an update: under
-    ``"error"`` an update outside the ball ends the run with terminal
-    ``domain_violation`` and is not recorded; under ``"warn"`` it adds a
-    warning and is recorded.  The theory bookkeeping (entry condition,
-    omega-condition, gamma and error-monotonicity flags) runs when the truth
-    is known and a hypothesis report is passed; the entry condition needs the
-    theory ``constants``, which the trace keeps.
+    ``step(x, r, residual)`` takes the iterate, its residual
+    ``r = y - F(x)`` and ``residual = ||r||``, and returns
+    ``(x_next, diag)``; ``diag`` is the step's :class:`StepDiagnostics`, or
+    None for steps that keep none.  The loop owns the stopping rules, the
+    terminals and the warnings.  It is the only code that evaluates F on an
+    iterate (``residual_at``, once per iterate) and the only code that
+    applies ``cfg.domain_mode`` to an update: under ``"error"`` an update
+    outside the ball ends the run with terminal ``domain_violation`` and is
+    not recorded; under ``"warn"`` it adds a warning and is recorded.  The
+    theory bookkeeping (entry condition, omega-condition, gamma and
+    error-monotonicity flags) runs when the truth is known and a hypothesis
+    report is passed; the entry condition needs the theory ``constants``,
+    which the trace keeps.
+
+    Each quantity of an iterate is computed once: ``||r||`` by
+    :func:`finite_norm` in ``residual_at``, which reads r's finiteness off
+    that norm; ``gamma`` and the step norm once per update; and the ball
+    test once per update, with the violation's message built only for an
+    update outside the ball.
     """
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
@@ -371,7 +428,11 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     elif not check_domain(model, x):
         trace.warnings.append("x0 lies outside the admissible ball")
 
-    gamma = 0.5 * float(np.sum((x - x_dagger) ** 2)) if truth else None
+    def gamma_at(point):
+        d = point - x_dagger
+        return 0.5 * float(np.add.reduce(d * d))
+
+    gamma = gamma_at(x) if truth else None
     if theory and constants is not None:
         ok = gamma <= constants.rho
         hypothesis.x0_condition_ok = ok
@@ -386,12 +447,11 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
 
     def residual_at(point):
         r = y_obs - apply_forward(model, point, check=False)
-        require_finite(r, "residual y - F(x)")
-        return r, float(np.linalg.norm(r))
+        return r, finite_norm(r, "residual y - F(x)")
 
     r, residual = residual_at(x)
     trace.records.append(TraceRecord(0, None, residual, gamma, None, None))
-    floor = _FLOOR_EPS * (1.0 + float(np.linalg.norm(y_obs)))
+    floor = _FLOOR_EPS * (1.0 + vector_norm(y_obs))
 
     k = 0
     while True:
@@ -420,29 +480,27 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
             break
 
         try:
-            x_next, diag = step(x, r)
+            x_next, diag = step(x, r, residual)
         except RootInfeasible as exc:
             trace.terminal = "root_infeasible"
             trace.warnings.append(str(exc))
             break
-        try:
-            require_in_domain(model, x_next, f"iterate {k + 1}")
-        except DomainViolation as exc:
-            trace.warnings.append(str(exc))
+        if not check_domain(model, x_next):
+            trace.warnings.append(
+                str(domain_violation(model, x_next, f"iterate {k + 1}")))
             if cfg.domain_mode == "error":
                 trace.terminal = "domain_violation"
                 break
 
         if theory and omega is not None:
             # omega-condition ||r - J(x)(x_dagger - x)|| <= (q/omega) ||r||
-            lhs = float(np.linalg.norm(r - model.jacobian_apply(x, x_dagger - x)))
+            lhs = vector_norm(r - model.jacobian_apply(x, x_dagger - x))
             if lhs > (cfg.q / omega) * residual * (1.0 + _REL_SLACK):
                 trace.omega_ok = False
 
-        step_norm = float(np.linalg.norm(x_next - x))
+        step_norm = vector_norm(x_next - x)
         r_next, residual_next = residual_at(x_next)
-        gamma_next = (0.5 * float(np.sum((x_next - x_dagger) ** 2))
-                      if truth else None)
+        gamma_next = gamma_at(x_next) if truth else None
 
         record = TraceRecord(k + 1, None, residual_next, gamma_next,
                              step_norm, None)
@@ -477,7 +535,8 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
 def _lm_stepper(model: ForwardModel, cfg: SolverConfig):
     # ``lm_step`` is looked up at call time, so a profiler that wraps this
     # module's global sees every step.
-    return lambda x, r: lm_step(model, x, r, cfg.q, tol_alpha=cfg.tol_alpha)
+    return lambda x, r, residual: lm_step(model, x, r, cfg.q,
+                                          tol_alpha=cfg.tol_alpha)
 
 
 def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
@@ -539,7 +598,9 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
     of the dense Jacobian.  Runs the LM drivers' loop, so it shares their
     stopping rules, terminals, warnings and domain policy, and its trace has
     the same format (alpha and the linearized-residual column stay unset);
-    the step uses the loop's residual and makes no forward call.  Raises
+    the step uses the loop's residual and its norm, and makes no forward
+    call; the gradient ``J^T r`` is checked entry by entry only when
+    ``g . g`` is not finite.  Raises
     :class:`DivergenceDetected` if the residual grows tenfold over its
     running minimum, :class:`ConditionViolated` if the step size violates
     ``step_scale * ||J||^2 <= 1`` at the starting point (or is left to the
@@ -549,21 +610,26 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
     jn = estimate_jacobian_norm(model, x, check=False)
+    jn_sq = _power(jn, 2)
     if step_scale is None:
         if jn == 0.0:
             raise ConditionViolated("J(x0) = 0: no default step size exists")
-        step_scale = 0.9 / jn**2
-    if step_scale * jn**2 > 1.0 + 1e-9:
+        if not 0.0 < jn_sq < math.inf:
+            raise ConditionViolated(
+                f"||J(x0)||^2 = {jn_sq:.6g} is out of the float range: no "
+                "default step size exists"
+            )
+        step_scale = 0.9 / jn_sq
+    if step_scale * jn_sq > 1.0 + 1e-9:
         raise ConditionViolated(
-            f"step_scale * ||J||^2 = {step_scale * jn**2:.6g} exceeds 1"
+            f"step_scale * ||J||^2 = {step_scale * jn_sq:.6g} exceeds 1"
         )
 
     min_residual = math.inf
     k = 0
 
-    def step(x, r):
+    def step(x, r, residual):
         nonlocal min_residual, k
-        residual = float(np.linalg.norm(r))
         min_residual = min(min_residual, residual)
         if residual > 10.0 * min_residual:
             raise DivergenceDetected(
@@ -572,7 +638,10 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
             )
         k += 1
         g = as_vector(model.jacobian_adjoint_apply(x, r), model.dim_x, "J* r")
-        require_finite(g, "gradient J* r")
+        # g . g is NaN or inf iff an entry is, or it overflows; np.vdot
+        # raises no floating-point warning, so no finite g gets one
+        if not math.isfinite(np.vdot(g, g)):
+            require_finite(g, "gradient J* r")
         return x + step_scale * g, None
 
     return _iterate(model, y_obs, x, cfg, step, x_dagger=x_dagger)

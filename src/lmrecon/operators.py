@@ -14,6 +14,7 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -92,23 +93,57 @@ class ForwardModel:
 
 def check_domain(model: ForwardModel, x) -> bool:
     """True iff ``0.5 * ||x - center||^2 <= radius_sq``."""
-    x = as_vector(x, model.dim_x, "x")
-    return 0.5 * float(np.dot(x - model.center, x - model.center)) <= model.radius_sq
+    d = as_vector(x, model.dim_x, "x") - model.center
+    return 0.5 * float(np.dot(d, d)) <= model.radius_sq
+
+
+def domain_violation(model: ForwardModel, x, what: str = "point") -> DomainViolation:
+    """The :class:`DomainViolation` for a point ``x`` outside the ball,
+    naming it ``what`` and giving its ``0.5 * ||x - center||^2``."""
+    d2 = 0.5 * float(np.sum((as_vector(x, model.dim_x) - model.center) ** 2))
+    return DomainViolation(
+        f"{what} outside admissible ball: 0.5*||x-center||^2 = {d2:.6g} "
+        f"> radius_sq = {model.radius_sq:.6g}"
+    )
 
 
 def require_in_domain(model: ForwardModel, x, what: str = "point") -> None:
     if not check_domain(model, x):
-        d2 = 0.5 * float(np.sum((as_vector(x, model.dim_x) - model.center) ** 2))
-        raise DomainViolation(
-            f"{what} outside admissible ball: 0.5*||x-center||^2 = {d2:.6g} "
-            f"> radius_sq = {model.radius_sq:.6g}"
-        )
+        raise domain_violation(model, x, what)
 
 
 def require_finite(values, what: str) -> None:
     """Raise :class:`NonFiniteOutput` unless every entry of ``values`` is finite."""
     if not np.isfinite(values).all():
         raise NonFiniteOutput(f"{what} is not finite: the model returned NaN or inf")
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a real float array, bit for bit,
+    without numpy's Python wrapper: the square root of the same dot product
+    of ``v.ravel(order="K")`` with itself, with the same overflow warning
+    when that product overflows to inf."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def finite_norm(v: np.ndarray, what: str) -> float:
+    """:func:`vector_norm` of ``v``, raising :class:`NonFiniteOutput` as
+    ``require_finite(v, what)`` does when ``v`` holds NaN or inf.
+
+    The entries are checked one by one only when the norm is not finite,
+    which any NaN or inf entry makes it.  The first dot product is taken by
+    ``np.vdot``, which gives the same bits on the same contiguous array but
+    raises no floating-point warning, so a non-finite ``v`` raises without
+    one, as when the check came first; a finite ``v`` whose squared norm
+    overflows passes the check and gets its inf norm, with numpy's warning,
+    from :func:`vector_norm`.
+    """
+    v = v.ravel(order="K")
+    if math.isfinite(norm := math.sqrt(np.vdot(v, v))):
+        return norm
+    require_finite(v, what)
+    return vector_norm(v)
 
 
 def apply_forward(model: ForwardModel, x, check: bool = True) -> Vector:

@@ -189,9 +189,11 @@ def lattice_radius(cert: StabilityCertificate, rho: float) -> float:
     the entry ball of the local convergence theory, which is stated for the
     squared norm (the two radii cross at rho = 2).
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    hit_radius = rho / (2.0 * cert.forward_lip * cert.recon_const * cert.q_norm)
+    if not rho >= 0:
+        raise ValueError("rho must be non-negative")
+    # a product that underflows to 0 puts no limit on the hit radius
+    den = 2.0 * cert.forward_lip * cert.recon_const * cert.q_norm
+    hit_radius = rho / den if den > 0.0 else math.inf
     return min(hit_radius, math.sqrt(2.0 * rho))
 
 
@@ -204,23 +206,31 @@ def build_lattice(box: CompactBox, r_cover: float) -> Lattice:
     a single coordinate.  Raises
     :class:`LatticeTooLarge` when the grid would exceed
     ``DEFAULT_LATTICE_CAP`` points, or when an axis needs infinitely many
-    (an infinite box, or an extent that overflows); the count is taken before
-    any allocation.
+    (an infinite box, an extent that overflows, or ``r_cover = 0``); the
+    count is taken before any allocation.
     """
-    if not r_cover > 0:
-        raise ValueError("r_cover must be positive")
+    if not r_cover >= 0:
+        raise ValueError("r_cover must be non-negative")
     n = box.dim
     h_max = 2.0 * float(r_cover) / math.sqrt(n)
     counts = []
     # Python floats: an overflowing extent or count becomes inf, not a warning
     for lo, up in zip(box.lower.tolist(), box.upper.tolist()):
         extent = up - lo
+        if extent == 0.0:
+            counts.append(1)
+            continue
+        if h_max == 0.0:
+            raise LatticeTooLarge(
+                f"lattice would need infinitely many points: its covering "
+                f"radius {r_cover:.3g} underflows; relax the target accuracy"
+            )
         if not math.isfinite(extent / h_max):
             raise LatticeTooLarge(
                 f"lattice would need infinitely many points along [{lo}, {up}]; "
                 "shrink the box"
             )
-        counts.append(1 if extent == 0.0 else math.ceil(extent / h_max))
+        counts.append(math.ceil(extent / h_max))
     total = math.prod(counts)
     if total > DEFAULT_LATTICE_CAP:
         raise LatticeTooLarge(

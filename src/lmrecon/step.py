@@ -36,10 +36,13 @@ from .errors import (
     RootInfeasible,
     ZeroResidual,
 )
-from .operators import ForwardModel, as_vector, jacobian_matrix, require_finite
+from .operators import (ForwardModel, as_vector, finite_norm, jacobian_matrix,
+                        require_finite, vector_norm)
 
 # Cap on the Newton iterations of the shift selection.
 NEWTON_MAX = 100
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -165,18 +168,25 @@ def _spectrum(model: ForwardModel, x) -> Spectrum:
     ``dim_x`` columns; the columns of G are J times vectors, so the rest of
     the spectrum of a symmetric G is exact zeros, on the complement of
     range(J).
+
+    ``max|G|`` is taken once: it scales the asymmetry gate, and the matrix's
+    finiteness is read off it, since a NaN or inf entry makes it NaN or inf.
+    Only then are the entries checked one by one, before ``G - G^T`` could
+    warn on ``inf - inf``.
     """
     gram, j, adj, basis = gram_matrix(model, x)
-    require_finite(gram, "Gram matrix J J*")
-    asym = float(np.abs(gram - gram.T).max())
-    if asym > 1e-8 * (1.0 + float(np.abs(gram).max())):
+    scale = float(np.maximum.reduce(np.abs(gram), axis=None))
+    if not math.isfinite(scale):
+        require_finite(gram, "Gram matrix J J*")
+    asym = float(np.maximum.reduce(np.abs(gram - gram.T), axis=None))
+    if asym > 1e-8 * (1.0 + scale):
         raise FactorizationFailure(
             f"Gram matrix asymmetry {asym:.3e}: the adjoint action is inconsistent"
         )
     lam, u = np.linalg.eigh(gram)
     if basis is not None:
         u = basis @ u
-    cutoff = j.shape[0] * np.finfo(float).eps * max(float(lam[-1]), 0.0)
+    cutoff = j.shape[0] * _EPS * max(float(lam[-1]), 0.0)
     if lam[0] < -cutoff:
         raise FactorizationFailure(
             f"Gram matrix has eigenvalue {lam[0]:.3e} < 0: "
@@ -185,10 +195,12 @@ def _spectrum(model: ForwardModel, x) -> Spectrum:
     return Spectrum(np.where(lam > cutoff, lam, 0.0), u, j, adj, basis)
 
 
-def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float):
+def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float,
+                  rnorm: float | None = None):
     """Safeguarded Newton on the Morozov equation for the Gram spectrum
     ``spec`` from :func:`_spectrum`; returns
-    (alpha, z, Newton iterations, alpha_bound).
+    (alpha, z, Newton iterations, alpha_bound).  ``rnorm`` is ``||r||``
+    when the caller has it, and is taken here otherwise.
 
     With ``(c, rest) = spec.split(r)``,
     ``phi(alpha)^2 = ||alpha / (lam + alpha) * c||^2 + ||rest||^2``.  The
@@ -202,7 +214,8 @@ def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float):
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    rnorm = float(np.linalg.norm(r))
+    if rnorm is None:
+        rnorm = float(np.linalg.norm(r))
     if rnorm == 0.0:
         raise ZeroResidual("residual is zero; nothing to regularize")
     lam, u = spec.lam, spec.u
@@ -221,6 +234,10 @@ def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float):
     lo, hi = 0.0, alpha_bound
     alpha = alpha_bound
     for it in range(NEWTON_MAX + 1):
+        if alpha == 0.0:
+            # q/(1-q) lam_max, or a bisection, underflowed: q is near the
+            # smallest float, and no positive shift is representable
+            raise NonConvergence("Morozov Newton iteration underflows to alpha = 0")
         w = alpha / (lam + alpha)
         wc = w * c
         phi = math.sqrt(float(wc @ wc) + rest_sq)
@@ -232,7 +249,13 @@ def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float):
             hi = alpha
         # d(1/phi)/dt = slope / phi**3 in t = 1/alpha
         slope = float(lam_c2 @ (w * w * w))
-        alpha = 1.0 / (1.0 / alpha + phi**2 * (phi - target) / (target * slope))
+        try:
+            alpha = 1.0 / (1.0 / alpha + phi**2 * (phi - target) / (target * slope))
+        except ZeroDivisionError as exc:
+            # target * slope underflowed to 0: no Newton step is representable
+            raise NonConvergence(
+                f"Morozov Newton step at alpha = {alpha:.3e} underflows"
+            ) from exc
         if not lo < alpha < hi:
             alpha = 0.5 * (lo + hi)
     raise NonConvergence(
@@ -249,20 +272,23 @@ def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10):
     no domain policy; the caller owns both.  Raises :class:`ZeroResidual`
     when ``r`` vanishes (the caller should declare convergence) and
     :class:`NonFiniteOutput` when ``r`` or the Gram matrix holds NaN or inf.
+
+    ``||r||`` is taken once, by :func:`finite_norm`, and r's finiteness is
+    read off it; the shift selection and the diagnostics reuse it.  The Gram
+    matrix's finiteness is read off ``max|G|`` in :func:`_spectrum`.
     """
     x = as_vector(x, model.dim_x, "x")
     r = as_vector(r, model.dim_y, "r")
-    require_finite(r, "residual r")
+    rnorm = finite_norm(r, "residual r")
     spec = _spectrum(model, x)
-    alpha, z, iters, alpha_bound = _select_alpha(spec, r, q, tol_alpha)
+    alpha, z, iters, alpha_bound = _select_alpha(spec, r, q, tol_alpha, rnorm)
     s = spec.adjoint(z)
-    rnorm = float(np.linalg.norm(r))
     diag = StepDiagnostics(
         alpha=alpha,
         residual_norm=rnorm,
-        morozov_lhs=alpha * float(np.linalg.norm(z)),
+        morozov_lhs=alpha * vector_norm(z),
         morozov_rhs=q * rnorm,
-        mdp_prime_lhs=float(np.linalg.norm(r - spec.j @ s)),
+        mdp_prime_lhs=vector_norm(r - spec.j @ s),
         alpha_bound=alpha_bound,
         bracket_iters=iters,
     )

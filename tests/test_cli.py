@@ -1,5 +1,11 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
+import subprocess
+import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +19,7 @@ from lmrecon import config as cfgmod
 from lmrecon.cli import main
 from lmrecon.engine import SolverConfig, TraceRecord, run_exact
 from lmrecon.errors import ConfigInvalid
-from lmrecon.gallery import get_problem
+from lmrecon.gallery import gallery_ids, get_problem
 from lmrecon.operators import jacobian_matrix
 from lmrecon.tracefile import TraceFile, dumps, loads, read_trace
 
@@ -63,6 +69,16 @@ def mode_config(tmp_path, mode, **extra):
     required = {key: VALUES[key] for key in cfgmod.MODE_KEYS[mode][0]}
     return write_config(tmp_path, problem_id="exp-decay", mode=mode,
                         **{"max_iters": None, **required, **extra})
+
+
+def test_import_leaves_scipy_unloaded():
+    # the library runs on numpy alone; scipy is a test dependency only
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lmrecon; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfig:
@@ -357,6 +373,32 @@ class TestSolveCommand:
         assert tf.terminal == "budget_exhausted"
         assert dict(tf.header)["constants.kstar_bound"] == "none"
 
+    @pytest.mark.parametrize("command, overrides, code, message", [
+        # q near the smallest float: the Newton step of the shift underflows,
+        # or the shift itself does
+        ("verify", {"mode": "verify", "q": 5e-324}, 2, "underflows"),
+        ("solve", {"problem_id": "quadratic-3d", "mode": "noisy", "q": 5e-324,
+                   "tau": 4.0, "delta": 0.0, "tol_alpha": 1000.0,
+                   "x0": [-1.5, -1.5, -1.5]}, 2, "underflows to alpha = 0"),
+        # ... and rho with it, so no lattice of positive radius covers the box
+        ("reconstruct", {"mode": "reconstruct_exact", "q": 5e-324,
+                         "target_gamma": 5e-324, "max_iters": None}, 2,
+         "infinitely many points"),
+        # jac_bound^2 overflows, or underflows to a zero divisor
+        ("reconstruct", {"mode": "reconstruct_exact", "target_gamma": 1e-10,
+                         "max_iters": None,
+                         "constants_override": {"jac_bound": 1e300}}, 3,
+         "outside the float range"),
+        ("reconstruct", {"mode": "reconstruct_noisy", "tau": 4.0, "delta": 0.0,
+                         "constants_override": {"jac_bound": 5e-324}}, 3,
+         "outside the float range"),
+    ])
+    def test_constants_beyond_the_float_range_exit_documented(
+            self, tmp_path, capsys, command, overrides, code, message):
+        path = write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(path)]) == code
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["solve", "compare"])
     def test_x0_dimension_mismatch_exits_one(self, tmp_path, capsys, command):
         path = write_config(tmp_path, x0=[0.0, 0.0])
@@ -511,6 +553,50 @@ class TestVerifyCommand:
         rows = report_rows(out)
         assert rows["rate-bound-exact"] == "NOT ARMED (hypothesis failed)"
         assert rows["kstar-bound"] == "NOT ARMED (hypothesis failed)"
+
+    @pytest.mark.parametrize("delta, bound", [
+        (1e-200, "no finite bound on the stopping index; "), (1e-16, "")])
+    def test_rows_without_a_stopping_index_name_the_cause(self, tmp_path,
+                                                          delta, bound):
+        # tau * delta lies below the residual floor, so the armed noisy run
+        # ends in zero_residual with no stopping index; at 1e-200 the k_star
+        # bound is not finite either ((tau delta)^2 underflows)
+        out = tmp_path / "v.report"
+        path = write_config(tmp_path, mode="verify", problem_id="quadratic-2d",
+                            tau=4.0, delta=delta, output_path=str(out))
+        assert main(["verify", "--config", str(path)]) == 0
+        rows = report_rows(out)
+        cause = "run ended in zero_residual before the stopping index"
+        assert rows["rate-bound-exact"].startswith("PASS")
+        assert rows["discrepancy-soundness"] == f"NOT ARMED ({cause})"
+        assert rows["kstar-bound"] == f"NOT ARMED ({bound}{cause})"
+        assert rows["gamma-monotone-noisy"] == f"PASS (over all 42 steps; {cause})"
+        assert rows["qtilde-contraction"] == f"NOT ARMED ({cause})"
+
+    def test_constants_beyond_the_float_range_arm_nothing(self, tmp_path):
+        # jac_bound^2 overflows: verify reports the rate rows unarmed, as for
+        # any failed hypothesis, and does not exit 3
+        out = tmp_path / "v.report"
+        path = write_config(tmp_path, mode="verify", output_path=str(out),
+                            constants_override={"jac_bound": 1e300})
+        assert main(["verify", "--config", str(path)]) == 0
+        rows = report_rows(out)
+        assert rows["rate-bound-exact"] == "NOT ARMED (hypothesis failed)"
+        assert rows["kstar-bound"] == "NOT ARMED (hypothesis failed)"
+
+    @pytest.mark.parametrize("rho_prime, shown", [(5e-324, "4.941e-324"),
+                                                   (float("inf"), "nan")])
+    def test_ball_without_usable_pairs_is_not_armed(self, tmp_path, rho_prime,
+                                                    shown):
+        # at rho' = 5e-324 every sampled ||F(a) - F(b)||^2 underflows to 0, so
+        # the sampler stops instead of drawing forever; an infinite ball
+        # shrinks to rho' = inf * 0 = NaN for eta < 1, which has no draw at all
+        out = tmp_path / "v.report"
+        path = write_config(tmp_path, mode="verify", output_path=str(out),
+                            constants_override={"domain_rho_prime": rho_prime})
+        assert main(["verify", "--config", str(path)]) == 0
+        assert report_rows(out)["tangential-cone"] == \
+            f"NOT ARMED (no pair with F(a) != F(b) sampled at rho'={shown})"
 
     def test_sabotaged_adjoint_fails_with_exit_five(self, tmp_path):
         out = tmp_path / "fault.report"
@@ -729,3 +815,90 @@ PINNED_VERIFY = {
 def test_verify_reports_pinned(tmp_path, capsys, preset):
     code, digest = PINNED_VERIFY[preset]
     assert pinned_run(tmp_path, capsys, "verify", preset) == (code, digest, digest)
+
+
+# Any float but NaN, infinities included; cli_runs mixes it with values near
+# a problem's own scale.
+ANY_FLOAT = st.floats(allow_nan=False)
+# The certificate constants a config may override with any positive float.
+OVERRIDABLE = [f for f in cfgmod.CERT_FIELDS if f not in ("holder_eps", "provenance")]
+
+
+def _positive(draw, label):
+    """A positive float: small, moderate or huge, or inf."""
+    return draw(st.one_of(st.floats(min_value=0.0, exclude_min=True),
+                          st.floats(1e-3, 1e3)), label=label)
+
+
+@st.composite
+def cli_runs(draw):
+    """A command and a parse-valid config for it: a mode that command runs,
+    a gallery problem, the mode's required keys and any of the optional keys
+    the command reads.  Budgets stay at 40 steps and tau at 100, and
+    measurement matrices hold entries in [-2, 2]; q, eps, delta,
+    target_gamma, tol_alpha, step_scale, x0, the boxes and the overridden
+    certificate constants span their whole valid range."""
+    command = draw(st.sampled_from(sorted(cli.COMMAND_MODES)), label="command")
+    mode = draw(st.sampled_from(sorted(cli.COMMAND_MODES[command])), label="mode")
+    pid = draw(st.sampled_from(gallery_ids()), label="problem_id")
+    prob = get_problem(pid)
+    required, optional = cfgmod.MODE_KEYS[mode]
+    unread = cli.COMMAND_MODES[command][mode]
+    keys = list(required) + [key for key in optional if key not in unread
+                             and draw(st.booleans(), label=f"has {key}")]
+    if mode == "landweber" and ("tau" in keys) != ("delta" in keys):
+        keys = [key for key in keys if key not in ("tau", "delta")]
+    near = [st.floats(t - 2.0, t + 2.0) for t in prob.x_dagger]
+    values = {
+        "tau": lambda: draw(st.floats(1.0, 100.0, exclude_min=True), label="tau"),
+        "delta": lambda: draw(st.one_of(st.just(0.0), st.floats(min_value=0.0)),
+                              label="delta"),
+        "max_iters": lambda: draw(st.integers(0, 40), label="max_iters"),
+        "target_gamma": lambda: _positive(draw, "target_gamma"),
+        "eps": lambda: draw(st.one_of(st.just(1.0),
+                                      st.floats(0.0, 1.0, exclude_min=True)),
+                            label="eps"),
+        "tol_alpha": lambda: _positive(draw, "tol_alpha"),
+        "noise_seed": lambda: draw(st.integers(0, 2**32), label="noise_seed"),
+        "step_scale": lambda: _positive(draw, "step_scale"),
+        "x0": lambda: [draw(st.one_of(axis, ANY_FLOAT), label="x0")
+                       for axis in near],
+        "box": lambda: dict(zip(("lower", "upper"), map(list, zip(*[
+            sorted(draw(st.lists(st.one_of(axis, ANY_FLOAT), min_size=2,
+                                 max_size=2), label="box")) for axis in near])))),
+        "measurement": lambda: draw(st.one_of(
+            st.sampled_from(cfgmod.MEASUREMENT_PRESETS),
+            st.lists(st.lists(st.floats(-2.0, 2.0), min_size=prob.model.dim_y,
+                              max_size=prob.model.dim_y),
+                     min_size=1, max_size=3)), label="measurement"),
+        "constants_override": lambda: {
+            name: _positive(draw, name)
+            for name in draw(st.lists(st.sampled_from(OVERRIDABLE), unique=True,
+                                      max_size=3), label="override fields")},
+    }
+    raw = {"problem_id": pid, "mode": mode,
+           "q": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     label="q")}
+    raw.update({key: values[key]() for key in keys})
+    return command, raw
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=cli_runs())
+def test_main_returns_a_documented_exit_code(run):
+    # every parse-valid config ends in a documented exit code, never in a
+    # raw exception.  numpy's floating-point warnings on values near the
+    # ends of the float range (the squared norm of noise at delta = 1e200,
+    # say) are diagnostics, not exits, and the CLI prints them as such.
+    command, raw = run
+    import yaml
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump({**raw, "output_path": str(Path(tmp) / "out")}))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([command, "--config", str(path)])
+    assert code in range(6)

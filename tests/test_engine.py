@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,10 +29,13 @@ from lmrecon.errors import (
     ConditionViolated,
     ConfigInvalid,
     DivergenceDetected,
+    NonConvergence,
     NonFiniteOutput,
 )
 from lmrecon.gallery import get_problem
-from lmrecon.operators import ForwardModel, StabilityCertificate, check_domain
+from lmrecon.step import lm_step
+from lmrecon.operators import (ForwardModel, StabilityCertificate, check_domain,
+                               recenter)
 
 
 def unit_cert(eps=1.0, rho_prime=10.0, lip=1.0, jac=1.0, holder=1.0):
@@ -69,6 +74,21 @@ class TestConstantsExact:
         # (q / (2 L C_F^2))^(2/eps) overflows a float at eps = 0.05
         tc = compute(unit_cert(eps=0.05, lip=1e-14), *args, strict=False)
         assert tc.rho == math.inf and not tc.rho_lt_rho_prime
+
+
+    @pytest.mark.parametrize("compute, args", [
+        (compute_constants_exact, (0.5,)), (compute_constants_noisy, (0.5, 4.0))])
+    @pytest.mark.parametrize("fields", [
+        {"jac": 1e300}, {"jac": 5e-324}, {"holder": 1e300}, {"lip": 5e-324,
+                                                           "holder": 5e-324}])
+    def test_constants_outside_the_float_range(self, compute, args, fields):
+        # a square that overflows, or a divisor that underflows to 0, violates
+        # the hypotheses; a caller that only records the flags gets NaN
+        # constants, on which nothing is armed
+        with pytest.raises(ConditionViolated, match="outside the float range"):
+            compute(unit_cert(**fields), *args)
+        tc = compute(unit_cert(**fields), *args, strict=False)
+        assert math.isnan(tc.rho) and not tc.rho_lt_rho_prime
 
 
 class TestConstantsNoisy:
@@ -161,6 +181,11 @@ class TestKstarBound:
         tc = compute_constants_noisy(cert, 0.5, 4.0, delta=1e-200)
         assert tc.kstar_bound is None
         assert kstar_upper_bound(tc, cert, 0.5, 4.0, 1e-200) is None
+
+    def test_overflowing_noise_level_bound_is_zero(self):
+        # (tau delta)^2 overflows to inf at delta = 1e200: the bound is 0
+        tc = compute_constants_noisy(unit_cert(), 0.5, 4.0)
+        assert kstar_upper_bound(tc, unit_cert(), 0.5, 4.0, 1e200) == 0
 
     def test_monotone_in_r(self):
         cert = unit_cert()
@@ -587,3 +612,214 @@ def test_domain_policy(problem, driver):
         assert np.array_equal(strict.x_final, points[first - 1])
     else:
         assert strict.terminal == warned.terminal
+
+
+def _hex(value) -> str:
+    return float.hex(value) if isinstance(value, float) else repr(value)
+
+
+def trace_digest(trace) -> str:
+    """sha256 of everything a driver reports: the terminal, k_star, every
+    record, every step's diagnostics, x_final and the warnings, with each
+    float as ``float.hex``, and the theory flags."""
+    lines = [f"{trace.terminal} {trace.k_star}"]
+    lines += [" ".join(_hex(v) for v in dataclasses.astuple(rec))
+              for rec in trace.records]
+    lines += [" ".join(_hex(v) for v in dataclasses.astuple(diag))
+              for diag in trace.step_diagnostics]
+    lines.append(" ".join(_hex(float(v)) for v in trace.x_final))
+    lines += trace.warnings
+    lines.append(repr((trace.gamma_monotone, trace.error_monotonicity_ok,
+                       trace.omega_ok, trace.hypothesis)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def pinned_trace(prob, driver):
+    """One run of ``driver`` on ``prob`` from its default start, 60 steps at
+    most, with the theory constants of its certificate and the ball policy
+    "warn"; the noisy data lie at distance 1e-3 from the exact data.  The
+    "-ball" runs move the ball to the start and shrink it to a quarter of the
+    start's ``gamma``, so the iterates leave it: under "warn" for LM, under
+    "error" for Landweber."""
+    model, domain_mode = prob.model, "warn"
+    if driver.endswith("-ball"):
+        driver = driver[:-len("-ball")]
+        radius_sq = 0.125 * float(np.sum((prob.default_x0 - prob.x_dagger) ** 2))
+        model = recenter(model, prob.default_x0, radius_sq)
+        domain_mode = "warn" if driver == "exact" else "error"
+    cfg = SolverConfig(q=0.5, max_iters=60, domain_mode=domain_mode)
+    if driver == "exact":
+        tc = compute_constants_exact(prob.certificate, 0.5, strict=False)
+        return run_exact(model, prob.x_dagger, prob.y_exact, prob.default_x0,
+                         cfg, tc)
+    if driver == "noisy":
+        delta = 1e-3
+        cfg = dataclasses.replace(cfg, tau=4.0, delta=delta,
+                                  stop_mode="discrepancy")
+        tc = compute_constants_noisy(prob.certificate, 0.5, 4.0, delta=delta,
+                                     strict=False)
+        u = np.random.default_rng(5).standard_normal(model.dim_y)
+        y_delta = prob.y_exact + delta * u / np.linalg.norm(u)
+        return run_noisy(model, prob.x_dagger, y_delta, prob.default_x0, cfg, tc)
+    return landweber_run(model, prob.y_exact, prob.default_x0, None, cfg,
+                         x_dagger=prob.x_dagger)
+
+
+PINNED_DRIVERS = ("exact", "noisy", "landweber", "exact-ball", "landweber-ball")
+# problem -> the ``trace_digest`` of each of PINNED_DRIVERS, recorded with
+# numpy 2.4 and its bundled OpenBLAS on x86-64.
+PINNED_TRACES = {
+    "scalar-linear": (
+        "b3c2ccfbfc0a7945bfc622feebfa48f6f1beb5f4ab3d5e65b861eac3f486bb50",
+        "2828a6522dba3b7a9b1cce4e6290e11efdaf51f6d19bae3290aab09cf3359d1c",
+        "77bc53b0a87257f03219bf659b67961ecfe036b899e17807b4b4700b04ea7c3e",
+        "1b4724a86771a4acc9eeab4f13e8af4162a1d2a36ce3942a8922466307e1789d",
+        "5f32659873c578498081b3e072ca5a41bbfc0e5eae395854d9bc47696dfceab3"),
+    "scalar-linear-unit": (
+        "6269152288154ce7ff2139d3d8f08bd0974505d9564d6d10655e2d6b7da6025f",
+        "4b5f529818f3a15df0f20d2b4650d6f078def9dcb0fcc550ec56bab501243741",
+        "ffdb531cbba01ef3cca4c67c17bb5695f3bfd0370a581baae40860c3b5133f17",
+        "9be9482657be8a125157b084f852be8286b5b312e7b7b19dfdfcd3d9129c5e2f",
+        "dffbc68eae0a0dd2a99049984c72e42c2e203d2e34230bd8be988ed3ae4a094a"),
+    "exp-decay": (
+        "15eedc2cf93a5a0bcdd1357d1fb619a8a999824b1811f81c69add28c4af6634c",
+        "aef6744faa7597bfbfdc7fae184456deeb1bf20f1df9e7792dbb0f734c930b01",
+        "355bf21d2b9494943ee8494109babb1d195f1d53009e66dc67468b42292ca5b5",
+        "691bbd926ce2b97bd943192d54099d6d58156a65b422adb0d0d5b36beac923ce",
+        "ea9a5544a10884900614bc01bd933da8d1d4854ab3c44de34bd3a773f8bb2590"),
+    "exp-decay-2pt": (
+        "ade9249d64c94ed19af59ce46a5bbd31e342d488f67fcbcb192420a422cc0b23",
+        "d2494ca0c3de7d6b67a4411bb0dd9c56c6a56c30246364e4872e58eda4b86201",
+        "b78c7b3484a9e3629a927b1f44b31ba05dda4c6a7f4d9489d3f1dd6844658c0f",
+        "b6dec0554a533987963acfd6a5f4a505cd3ad7ba5d9bee9c794520297fb1fa23",
+        "71194127d9caffc67510318ddcf4a0ca09d24cf796d90f4ed45e5461bf05fdfc"),
+    "quadratic-2d": (
+        "9979c90906730337ba79f184ab4439d03e38971018c5cbdfba3882a08c8766bb",
+        "3915bc2809e70b8c2b5df96ea5fcef0da2286ad0db3c8d7ed088966a7210ac0f",
+        "a8789bc0d56556fc6026a81dd86f3b6e37962a995ec6385764b66b0f42fc0c2a",
+        "37e8d5d4304e807079995829c5f868ae522499e9b955336631e01bf99fe9104e",
+        "1aa9250ebd36efc241aa4dc54b292763e5563006ee87086d4bd237c416b0c9db"),
+    "quadratic-3d": (
+        "6e07ac392fda5a6838e9b02cc8b7f38ff97b967b7e8ed26305345410091f9177",
+        "2dd97ad75ff2eebed2d2f1f21154df382509de7523517dab1b4f538d2dcdc9ef",
+        "9b063b005dc6af1288432ab4cbd79b318e6bd1ff4132cbf341c795a72de5eed9",
+        "91169d2b710b72eb4b048f8dc7906c6079afbe82be8456ddb10c8f73908a2e0b",
+        "f00bcd37b62fee878c11f9e36d46a2548d5a8f4e7aa6c82eabd60be62b12c58d"),
+}
+
+
+@pytest.mark.parametrize("pid", PINNED_TRACES)
+def test_driver_traces_pinned(pid, gallery_problems):
+    prob = gallery_problems[pid]
+    digests = tuple(trace_digest(pinned_trace(prob, driver))
+                    for driver in PINNED_DRIVERS)
+    assert digests == PINNED_TRACES[pid]
+
+
+def _broken_model(dim, part, entries):
+    """F(x) = 2 x on R^dim, except that ``part`` ("forward",
+    "jacobian_apply" or "jacobian_adjoint_apply") returns ``entries``,
+    built without arithmetic on them."""
+    calls = {
+        "forward": lambda x: 2.0 * x,
+        "jacobian_apply": lambda x, v: 2.0 * v,
+        "jacobian_adjoint_apply": lambda x, w: 2.0 * w,
+    }
+    calls[part] = lambda *args: entries.copy()
+    return ForwardModel(dim_x=dim, dim_y=dim, center=np.zeros(dim),
+                        radius_sq=math.inf, **calls)
+
+
+@st.composite
+def non_finite_runs(draw):
+    """A driver, and a model one part of which returns a vector with NaN or
+    inf entries.  The other entries of a residual, a Landweber gradient or
+    the Jacobian that sets Landweber's step span the finite range up to
+    1e300, where the squared norm overflows.  Where the part reaches the LM
+    step's J J*, which is formed before any check, the other entries stay
+    near 1 and inf comes only in one dimension: inf * 0 in that product
+    warns, as it always has."""
+    driver = draw(st.sampled_from(["exact", "noisy", "landweber", "lm_step"]),
+                  label="driver")
+    part = draw(st.sampled_from(["forward", "jacobian_apply",
+                                 "jacobian_adjoint_apply"]), label="part")
+    dim = draw(st.integers(1, 3), label="dim")
+    gram = driver != "landweber" and part != "forward"
+    finite = st.floats(0.5, 2.0) if gram else st.floats(-1e300, 1e300)
+    bad = [np.nan] if gram and dim > 1 else [np.nan, np.inf, -np.inf]
+    entries = np.array(draw(st.lists(finite, min_size=dim, max_size=dim),
+                            label="entries"))
+    for i in draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim),
+                  label="non-finite at"):
+        entries[i] = draw(st.sampled_from(bad), label="value")
+    return driver, _broken_model(dim, part, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=non_finite_runs())
+def test_non_finite_values_raise_without_a_warning(run):
+    # a NaN or inf residual, Gram matrix or Landweber gradient raises
+    # NonFiniteOutput, and no floating-point warning comes before it
+    driver, model = run
+    y, x0 = np.zeros(model.dim_y), np.ones(model.dim_x)
+    cfg = SolverConfig(q=0.5, max_iters=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteOutput):
+            if driver == "exact":
+                run_exact(model, None, y, x0, cfg)
+            elif driver == "noisy":
+                run_noisy(model, None, y, x0, dataclasses.replace(
+                    cfg, tau=2.0, delta=1e-3, stop_mode="discrepancy"))
+            elif driver == "landweber":
+                # a broken Jacobian is caught by the step size's ||J(x0)||,
+                # a broken forward or adjoint by the loop or the step
+                landweber_run(model, y, x0, 0.1, cfg)
+            else:
+                lm_step(model, x0, y - model.forward(x0), 0.5)
+
+
+def _offset_model(dim):
+    """F(x) = x + 1e200 (1, ..., 1): finite residuals near y = 0 whose
+    squared norm overflows."""
+    offset = np.full(dim, 1e200)
+    return ForwardModel(dim_x=dim, dim_y=dim, center=np.zeros(dim),
+                        radius_sq=math.inf, forward=lambda x: x + offset,
+                        jacobian_apply=lambda x, v: 1.0 * v,
+                        jacobian_adjoint_apply=lambda x, w: 1.0 * w)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("driver", ["exact", "noisy", "landweber", "lm_step"])
+def test_overflowing_residual_norm(dim, driver):
+    # ||r|| = inf from finite entries: the LM step's shift search runs out
+    # of Newton steps, and Landweber runs its budget with inf residuals; each
+    # with numpy's overflow warnings.  Recorded before the norms were taken
+    # without np.linalg.norm.
+    model, y, x0 = _offset_model(dim), np.zeros(dim), np.zeros(dim)
+    cfg = SolverConfig(q=0.5, max_iters=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if driver == "landweber":
+            trace = landweber_run(model, y, x0, 0.5, cfg)
+            assert trace.terminal == "budget_exhausted"
+            assert trace.residuals().tolist() == [math.inf] * 4
+            assert [float.hex(v) for v in trace.x_final] == \
+                ["-0x1.24a35bcdc760fp+664"] * dim
+            assert trace.warnings == []
+        else:
+            with pytest.raises(NonConvergence, match="^Morozov Newton iteration "
+                               "did not meet tolerance 1e-10 in 100 steps$"):
+                if driver == "exact":
+                    run_exact(model, None, y, x0, cfg)
+                elif driver == "noisy":
+                    run_noisy(model, None, y, x0, dataclasses.replace(
+                        cfg, tau=2.0, delta=1e-3, stop_mode="discrepancy"))
+                else:
+                    lm_step(model, x0, -np.full(dim, 1e200), 0.5)
+    expected = {"overflow encountered in dot"}
+    if driver != "landweber":
+        expected |= {"overflow encountered in matmul",
+                     "overflow encountered in multiply"}
+    assert {str(w.message) for w in caught} == expected
+    assert {w.category for w in caught} == {RuntimeWarning}

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GALLERY_IDS, linear_model, non_finite_model, sample_ball
 from lmrecon.errors import DimensionMismatch, DomainViolation, NonFiniteOutput
@@ -13,9 +16,11 @@ from lmrecon.operators import (
     check_domain,
     estimate_jacobian_norm,
     finite_difference_jacobian,
+    finite_norm,
     jacobian_matrix,
     max_adjoint_defect,
     recenter,
+    vector_norm,
 )
 
 WITNESS_SLACK = 1.0 + 1e-12
@@ -248,3 +253,51 @@ def test_certificate_validation():
         StabilityCertificate(**{**good, "lip_deriv": 0.0})
     with pytest.raises(ValueError):
         StabilityCertificate(**{**good, "provenance": "guessed"})
+
+
+@st.composite
+def norm_vectors(draw):
+    """A float vector of length 1 to 1024 at a scale from 1e-300 to 1e300,
+    so that its squared norm may underflow or overflow to inf; some draws
+    hold NaN or inf entries, and some are strided views."""
+    n = draw(st.integers(1, 1024), label="length")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0), label="log10 scale")
+    step = draw(st.sampled_from([1, 1, 2, -3]), label="stride")
+    v = (rng.standard_normal(n * abs(step)) * scale)[::step]
+    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]),
+                               max_size=3), label="non-finite entries"):
+        v[rng.integers(n)] = value
+    return v
+
+
+def _norm_and_warnings(norm, v):
+    """``norm(v)`` as ``float.hex``, and the floating-point warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = float(norm(v))
+    return float.hex(value), [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=norm_vectors())
+def test_vector_norm_is_numpys_norm(v):
+    # the same bits, NaN and inf included, and the same overflow warning
+    assert _norm_and_warnings(vector_norm, v) == \
+        _norm_and_warnings(np.linalg.norm, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=norm_vectors())
+def test_finite_norm_is_the_checked_norm(v):
+    # finite_norm(v) behaves as require_finite(v) followed by the norm: a NaN
+    # or inf entry raises, with no warning; otherwise the norm's bits, with
+    # numpy's warning when the squared norm overflows
+    if not np.isfinite(v).all():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteOutput, match="^v is not finite"):
+                finite_norm(v, "v")
+    else:
+        assert _norm_and_warnings(lambda u: finite_norm(u, "v"), v) == \
+            _norm_and_warnings(np.linalg.norm, v)

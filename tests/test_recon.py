@@ -116,6 +116,13 @@ class TestLatticeRadius:
     def test_crossover_with_entry_radius(self):
         assert lattice_radius(self.cert(), 8.0) == 4.0
 
+    def test_zero_rho_is_a_zero_radius(self):
+        # rho underflows to 0 at extreme constants: only a degenerate box has
+        # a lattice of radius 0 (the other boxes raise LatticeTooLarge)
+        assert lattice_radius(self.cert(), 0.0) == 0.0
+        box = CompactBox(np.array([0.3, 0.3]), np.array([0.3, 0.3]))
+        assert build_lattice(box, 0.0).size == 1
+
 
 class TestBuildLattice:
     def test_1d_two_points(self):
@@ -149,6 +156,11 @@ class TestBuildLattice:
     def test_infinite_lattice(self, lower, upper):
         with pytest.raises(LatticeTooLarge, match="infinitely many"):
             build_lattice(CompactBox(np.array(lower), np.array(upper)), 0.25)
+
+    def test_zero_radius_is_an_infinite_lattice(self):
+        # rho underflowed to 0 at extreme constants
+        with pytest.raises(LatticeTooLarge, match="infinitely many.*underflows"):
+            build_lattice(CompactBox(np.zeros(2), np.ones(2)), 0.0)
 
     @pytest.mark.parametrize("lower, upper, name", [
         ([np.nan], [1.0], "lower"),

@@ -12,6 +12,7 @@ from lmrecon import gallery
 from lmrecon.cli import counting_model, main
 from lmrecon.errors import (
     FactorizationFailure,
+    NonConvergence,
     NonFiniteOutput,
     RootInfeasible,
     ZeroResidual,
@@ -513,3 +514,10 @@ def test_lm_step_alpha_bound_dense_oracle():
         dense = float(np.linalg.norm(jacobian_matrix(prob.model, x), 2))
         assert diag.alpha <= 0.5 / 0.5 * dense**2 * (1.0 + 1e-8)
         x = x_next
+
+
+def test_underflowing_newton_step_is_non_convergence():
+    # at q = 5e-324, q ||r|| times the Newton slope underflows to 0: the
+    # shift search reports that it cannot go on instead of dividing by 0
+    with pytest.raises(NonConvergence, match="underflows"):
+        lm_step(linear_model([[2.0]]), np.zeros(1), np.ones(1), 5e-324)
