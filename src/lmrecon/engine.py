@@ -198,9 +198,10 @@ def compute_constants_exact(cert: StabilityCertificate, q: float,
     lip, jac, cf, eps = (cert.lip_deriv, cert.jac_bound,
                          cert.holder_const, cert.holder_eps)
     try:
-        q_ok = q * (1.0 - q) < 2.0 * jac**2 * cf ** (4.0 / (1.0 + eps))
+        den = 2.0 * jac**2 * cf ** (4.0 / (1.0 + eps))
+        q_ok = q * (1.0 - q) < den
         rho = 1.0 / (2.0 * jac**2) * _power(q / (2.0 * lip * cf**2), 2.0 / eps)
-        c = q * (1.0 - q) / (2.0 * jac**2 * cf ** (4.0 / (1.0 + eps)))
+        c = q * (1.0 - q) / den
     except (OverflowError, ZeroDivisionError) as exc:
         if strict:
             raise _out_of_range(q) from exc
@@ -209,8 +210,7 @@ def compute_constants_exact(cert: StabilityCertificate, q: float,
     if strict:
         if not q_ok:
             raise ConditionViolated(
-                f"q(1-q) = {q * (1 - q):.6g} must be < "
-                f"{2.0 * jac**2 * cf ** (4.0 / (1.0 + eps)):.6g}; adjust q"
+                f"q(1-q) = {q * (1 - q):.6g} must be < {den:.6g}; adjust q"
             )
         if not rho_ok:
             raise ConditionViolated(
@@ -275,11 +275,10 @@ def iterations_for_accuracy(target_gamma: float, tc: TheoryConstantsExact,
                             eps: float) -> int:
     """Smallest M with ``rate_bound(M) <= target_gamma``.
 
-    The closed-form estimate is corrected by a search that doubles its step
-    away from it and then bisects, since ``rate_bound`` does not increase
-    with M.  Raises :class:`ConditionViolated` when no M that a float can
-    hold reaches the target: the contraction ``1 - c`` rounds to 1, or the
-    count overflows.
+    ``rate_bound`` does not increase with M, so M is bracketed by doubling
+    from 1 and then bisected.  Raises :class:`ConditionViolated` when no M
+    that a float can hold reaches the target: the contraction ``1 - c``
+    rounds to 1, or the count overflows.
     """
     if not target_gamma > 0:
         raise ValueError("target_gamma must be positive")
@@ -289,21 +288,12 @@ def iterations_for_accuracy(target_gamma: float, tc: TheoryConstantsExact,
     def reached(k):
         return rate_bound(k, tc, eps) <= target_gamma
 
+    # lo and hi bracket the answer: lo = 0 or not reached(lo - 1), and
+    # reached(hi)
+    lo, hi = 0, 1
     try:
-        if eps == 1.0:
-            m = math.ceil(math.log(target_gamma / tc.rho) / math.log(1.0 - tc.c))
-        else:
-            p = (1.0 - eps) / (1.0 + eps)
-            m = math.ceil((target_gamma ** (-p) - tc.rho ** (-p)) / (tc.c * p))
-        # lo and hi bracket the answer: lo = 0 or not reached(lo - 1), and
-        # reached(hi)
-        lo = hi = max(m, 0)
-        step = 1
         while not reached(hi):
-            lo, hi, step = hi + 1, hi + step, 2 * step
-        step = 1
-        while lo > 0 and reached(lo - 1):
-            hi, lo, step = lo - 1, max(lo - 1 - step, 0), 2 * step
+            lo, hi = hi + 1, 2 * hi
     except (OverflowError, ZeroDivisionError) as exc:
         raise ConditionViolated(
             "no iteration count a float can hold takes the rate bound to "
@@ -406,11 +396,12 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     report is passed; the entry condition needs the theory ``constants``,
     which the trace keeps.
 
-    Each quantity of an iterate is computed once: ``||r||`` by
+    The loop computes each quantity of an iterate once: ``||r||`` by
     :func:`finite_norm` in ``residual_at``, which reads r's finiteness off
     that norm; ``gamma`` and the step norm once per update; and the ball
     test once per update, with the violation's message built only for an
-    update outside the ball.
+    update outside the ball.  ``step`` receives ``||r||``, but an LM step
+    takes it a second time: the public :func:`lm_step` receives only ``r``.
     """
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
@@ -638,10 +629,7 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
             )
         k += 1
         g = as_vector(model.jacobian_adjoint_apply(x, r), model.dim_x, "J* r")
-        # g . g is NaN or inf iff an entry is, or it overflows; np.vdot
-        # raises no floating-point warning, so no finite g gets one
-        if not math.isfinite(np.vdot(g, g)):
-            require_finite(g, "gradient J* r")
+        require_finite(g, "gradient J* r")
         return x + step_scale * g, None
 
     return _iterate(model, y_obs, x, cfg, step, x_dagger=x_dagger)

@@ -67,7 +67,6 @@ class GalleryProblem:
     default_box: CompactBox
     y_exact: np.ndarray
     default_x0: np.ndarray
-    notes: str
     linear: bool = False
 
 
@@ -324,7 +323,6 @@ def scalar_linear(a: float, x_dagger: float) -> GalleryProblem:
         default_box=box,
         y_exact=np.array([a * x_dagger]),
         default_x0=np.array([x_dagger - 0.5]),
-        notes="closed-form linear map; residual contracts by exactly q per step",
         linear=True,
     )
 
@@ -394,6 +392,28 @@ def _quadratic_model(a_mat: np.ndarray, eta: float, box: CompactBox) -> ForwardM
     )
 
 
+def _certified(problem_id: str, model: ForwardModel, box: CompactBox,
+               x_dagger: np.ndarray, x0: np.ndarray, seed: int) -> GalleryProblem:
+    """The gallery problem with the oracle's certificate for ``model`` on
+    ``box``, estimated on ``seed`` and re-verified on the fresh ``seed + 1``.
+
+    Raises :class:`CertificationFailed` when the model is not injective on
+    the box or the certificate fails re-verification.
+    """
+    try:
+        cert = estimate_stability_constants(model, box, eps=1.0, seed=seed)
+        report = verify_certificate(model, box, cert, seed=seed + 1)
+    except DegenerateModel as exc:
+        raise CertificationFailed(
+            f"{problem_id} is not injective on the box: {exc}") from exc
+    if not report.ok:
+        raise CertificationFailed(f"{problem_id} certificate failed "
+                                  f"re-verification: {report.violations}")
+    return GalleryProblem(id=problem_id, model=model, x_dagger=x_dagger,
+                          certificate=cert, default_box=box,
+                          y_exact=model.forward(x_dagger), default_x0=x0)
+
+
 def exp_decay(times, x_dagger) -> GalleryProblem:
     """Two-parameter exponential decay F(x)_i = x1 * exp(-x2 * t_i) on the
     box [0.5, 1.5]^2."""
@@ -404,26 +424,10 @@ def exp_decay(times, x_dagger) -> GalleryProblem:
     if np.any(x_dagger <= 0):
         raise ValueError("x_dagger must lie in the positive quadrant")
     box = CompactBox(np.array([0.5, 0.5]), np.array([1.5, 1.5]))
-    model = _exp_decay_model(t, box)
-    cert = estimate_stability_constants(model, box, eps=1.0, seed=101)
-    report = verify_certificate(model, box, cert, seed=102)
-    if not report.ok:
-        raise CertificationFailed(
-            f"exponential-decay certificate failed re-verification: {report.violations}"
-        )
     # Default start close enough to the truth that the linearization-error
     # condition (omega = 2) verifiably holds along the run.
-    return GalleryProblem(
-        id="exp-decay",
-        model=model,
-        x_dagger=x_dagger,
-        certificate=cert,
-        default_box=box,
-        y_exact=model.forward(x_dagger),
-        default_x0=x_dagger + np.array([-0.1, 0.1]),
-        notes=("genuinely nonlinear decay fit; satisfies the Jacobian and "
-               "adjoint identities, used for composition and scan tests"),
-    )
+    return _certified("exp-decay", _exp_decay_model(t, box), box, x_dagger,
+                      x_dagger + np.array([-0.1, 0.1]), seed=101)
 
 
 def quadratic_perturbation(mat, eta: float) -> GalleryProblem:
@@ -443,30 +447,8 @@ def quadratic_perturbation(mat, eta: float) -> GalleryProblem:
     box = CompactBox(np.full(n, -0.5), np.full(n, 0.5))
     signs = np.array([(-1.0) ** i for i in range(n)])
     x_dagger = 0.25 * signs * (1.0 - 0.2 * np.arange(n))
-
-    model = _quadratic_model(a_mat, eta, box)
-    try:
-        cert = estimate_stability_constants(model, box, eps=1.0, seed=202)
-        report = verify_certificate(model, box, cert, seed=203)
-    except DegenerateModel as exc:
-        raise CertificationFailed(
-            f"eta = {eta} destroys injectivity on the box: {exc}"
-        ) from exc
-    if not report.ok:
-        raise CertificationFailed(
-            f"quadratic certificate failed re-verification: {report.violations}"
-        )
-    return GalleryProblem(
-        id=f"quadratic-{n}d",
-        model=model,
-        x_dagger=x_dagger,
-        certificate=cert,
-        default_box=box,
-        y_exact=model.forward(x_dagger),
-        default_x0=x_dagger + 0.06 * np.array([(-1.0) ** i for i in range(n)]),
-        notes=("tunable nonlinearity with Lipschitz-stable inverse; the main "
-               "vehicle for the convergence-rate and noisy-data guarantees"),
-    )
+    return _certified(f"quadratic-{n}d", _quadratic_model(a_mat, eta, box), box,
+                      x_dagger, x_dagger + 0.06 * signs, seed=202)
 
 
 def sabotaged_adjoint_fixture() -> GalleryProblem:
@@ -481,16 +463,7 @@ def sabotaged_adjoint_fixture() -> GalleryProblem:
         good.model,
         jacobian_adjoint_apply=lambda x, w: 1.02 * good.model.jacobian_adjoint_apply(x, w),
     )
-    return GalleryProblem(
-        id="sabotaged-adjoint",
-        model=broken_model,
-        x_dagger=good.x_dagger,
-        certificate=good.certificate,
-        default_box=good.default_box,
-        y_exact=good.y_exact,
-        default_x0=good.default_x0,
-        notes="deliberately inconsistent adjoint; for fault-injection tests only",
-    )
+    return dataclasses.replace(good, id="sabotaged-adjoint", model=broken_model)
 
 
 _BUILDERS = {

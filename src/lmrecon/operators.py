@@ -91,19 +91,24 @@ class ForwardModel:
             raise ValueError("radius_sq must be positive")
 
 
+def _half_dist_sq(model: ForwardModel, x) -> float:
+    """``0.5 * ||x - center||^2``."""
+    d = as_vector(x, model.dim_x, "x") - model.center
+    return 0.5 * float(np.dot(d, d))
+
+
 def check_domain(model: ForwardModel, x) -> bool:
     """True iff ``0.5 * ||x - center||^2 <= radius_sq``."""
-    d = as_vector(x, model.dim_x, "x") - model.center
-    return 0.5 * float(np.dot(d, d)) <= model.radius_sq
+    return _half_dist_sq(model, x) <= model.radius_sq
 
 
 def domain_violation(model: ForwardModel, x, what: str = "point") -> DomainViolation:
     """The :class:`DomainViolation` for a point ``x`` outside the ball,
-    naming it ``what`` and giving its ``0.5 * ||x - center||^2``."""
-    d2 = 0.5 * float(np.sum((as_vector(x, model.dim_x) - model.center) ** 2))
+    naming it ``what`` and giving the ``0.5 * ||x - center||^2`` that
+    :func:`check_domain` compares."""
     return DomainViolation(
-        f"{what} outside admissible ball: 0.5*||x-center||^2 = {d2:.6g} "
-        f"> radius_sq = {model.radius_sq:.6g}"
+        f"{what} outside admissible ball: 0.5*||x-center||^2 = "
+        f"{_half_dist_sq(model, x):.6g} > radius_sq = {model.radius_sq:.6g}"
     )
 
 
@@ -113,8 +118,16 @@ def require_in_domain(model: ForwardModel, x, what: str = "point") -> None:
 
 
 def require_finite(values, what: str) -> None:
-    """Raise :class:`NonFiniteOutput` unless every entry of ``values`` is finite."""
-    if not np.isfinite(values).all():
+    """Raise :class:`NonFiniteOutput` unless every entry of ``values`` is finite.
+
+    The entries are checked one by one only when ``values . values`` is not
+    finite, which any NaN or inf entry makes it.  ``np.vdot`` raises no
+    floating-point warning, so non-finite values raise before any product
+    with them could warn on ``inf * 0``.
+    """
+    values = np.asarray(values)
+    if not (math.isfinite(np.vdot(values, values))
+            or np.isfinite(values).all()):
         raise NonFiniteOutput(f"{what} is not finite: the model returned NaN or inf")
 
 

@@ -14,7 +14,7 @@ chosen initial guess is a fixed function of the lattice and the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -136,16 +136,7 @@ class ReconSummary:
     budget: int
 
     def as_dict(self) -> dict:
-        return {
-            "lattice_size": self.lattice_size,
-            "covering_radius": self.covering_radius,
-            "scan_threshold": self.scan_threshold,
-            "scanned": self.scanned,
-            "chosen_index": self.chosen_index,
-            "x0": list(map(float, self.x0)),
-            "rho": self.rho,
-            "budget": self.budget,
-        }
+        return {**asdict(self), "x0": list(map(float, self.x0))}
 
 
 def compose_measured_model(model: ForwardModel,

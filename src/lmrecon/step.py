@@ -84,10 +84,12 @@ def gram_matrix(model: ForwardModel, x):
     ``J = Q R``, ``adj`` is the ``dim_x x dim_x`` matrix ``J* Q`` from
     ``dim_x`` adjoint actions on the columns of Q, and ``gram`` is
     ``R @ J* Q = Q^T G Q``.  Either way the adjoint enters ``gram`` exactly as
-    the model supplies it.
+    the model supplies it.  Raises :class:`NonFiniteOutput` when J or the
+    adjoint's matrix holds NaN or inf, before either enters a product.
     """
     x = as_vector(x, model.dim_x, "x")
     j = jacobian_matrix(model, x)
+    require_finite(j, "Jacobian J(x)")
     m, n = j.shape
     if m > n:
         basis, upper = np.linalg.qr(j)
@@ -95,12 +97,14 @@ def gram_matrix(model: ForwardModel, x):
         for i in range(n):
             adj[:, i] = as_vector(
                 model.jacobian_adjoint_apply(x, basis[:, i].copy()), n, "J* q_i")
+        require_finite(adj, "adjoint J* Q")
         return upper @ adj, j, adj, basis
     adj = np.empty((n, m))
     for i in range(m):
         e = np.zeros(m)
         e[i] = 1.0
         adj[:, i] = as_vector(model.jacobian_adjoint_apply(x, e), n, "J* e_i")
+    require_finite(adj, "adjoint J*")
     return j @ adj, j, adj, None
 
 
@@ -159,10 +163,11 @@ def _spectrum(model: ForwardModel, x) -> Spectrum:
     ``dim_y * eps * lam_max``) set to 0 and the factors from
     :func:`gram_matrix`.
 
-    Raises :class:`NonFiniteOutput` on NaN or inf entries and
-    :class:`FactorizationFailure` when the matrix :func:`gram_matrix` returns
-    is asymmetric or indefinite, both signs of an inconsistent adjoint
-    action.  When ``dim_y <= dim_x`` that matrix is the ``dim_y x dim_y`` G
+    Raises :class:`NonFiniteOutput` on NaN or inf entries (of J or the
+    adjoint's matrix, from :func:`gram_matrix`, or of their product when it
+    overflows) and :class:`FactorizationFailure` when the matrix
+    :func:`gram_matrix` returns is asymmetric or indefinite, both signs of an
+    inconsistent adjoint action.  When ``dim_y <= dim_x`` that matrix is the ``dim_y x dim_y`` G
     itself.  When ``dim_y > dim_x`` it is the ``dim_x x dim_x`` projection
     ``Q^T G Q = W diag(lam) W^T`` of G on range(J), and ``u = Q W`` has
     ``dim_x`` columns; the columns of G are J times vectors, so the rest of
@@ -271,11 +276,14 @@ def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10):
     Returns ``(x_next, StepDiagnostics)``.  Makes no forward call and applies
     no domain policy; the caller owns both.  Raises :class:`ZeroResidual`
     when ``r`` vanishes (the caller should declare convergence) and
-    :class:`NonFiniteOutput` when ``r`` or the Gram matrix holds NaN or inf.
+    :class:`NonFiniteOutput` when ``r``, J, the adjoint's matrix or the Gram
+    matrix holds NaN or inf.
 
     ``||r||`` is taken once, by :func:`finite_norm`, and r's finiteness is
-    read off it; the shift selection and the diagnostics reuse it.  The Gram
-    matrix's finiteness is read off ``max|G|`` in :func:`_spectrum`.
+    read off it; the shift selection and the diagnostics reuse it.  The
+    finiteness of J and of the adjoint's matrix is checked in
+    :func:`gram_matrix`, before either enters a product, and the Gram
+    matrix's is read off ``max|G|`` in :func:`_spectrum`.
     """
     x = as_vector(x, model.dim_x, "x")
     r = as_vector(r, model.dim_y, "r")

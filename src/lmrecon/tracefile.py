@@ -16,11 +16,11 @@ rerun must produce a byte-identical file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .engine import IterationTrace, TraceRecord
 
-COLUMNS = ("k", "alpha", "residual", "gamma", "step_norm", "mdp_prime_rel_err")
+COLUMNS = tuple(f.name for f in fields(TraceRecord))
 _MAGIC = "lmrecon-trace v1"
 
 
@@ -29,7 +29,9 @@ def fmt_float(x: float) -> str:
 
 
 def _cell(value) -> str:
-    return "" if value is None else fmt_float(value)
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, int) else fmt_float(value)
 
 
 def _parse_cell(text: str) -> float | None:
@@ -95,14 +97,7 @@ def dumps(tf: TraceFile) -> str:
         lines.append(f"# {key}: {_quote(value)}")
     lines.append(f"# columns: {','.join(COLUMNS)}")
     for row in tf.rows:
-        lines.append(",".join((
-            str(row.k),
-            _cell(row.alpha),
-            fmt_float(row.residual),
-            _cell(row.gamma),
-            _cell(row.step_norm),
-            _cell(row.mdp_prime_rel_err),
-        )))
+        lines.append(",".join(_cell(getattr(row, name)) for name in COLUMNS))
     lines.append(f"# terminal: {tf.terminal}")
     lines.append(f"# k_star: {'none' if tf.k_star is None else tf.k_star}")
     return "\n".join(lines) + "\n"
@@ -141,14 +136,11 @@ def loads(text: str) -> TraceFile:
             raise ValueError(
                 f"line {lineno}: expected {len(COLUMNS)} cells, got {len(cells)}"
             )
-        tf.rows.append(TraceRecord(
-            k=int(cells[0]),
-            alpha=_parse_cell(cells[1]),
-            residual=float(cells[2]),
-            gamma=_parse_cell(cells[3]),
-            step_norm=_parse_cell(cells[4]),
-            mdp_prime_rel_err=_parse_cell(cells[5]),
-        ))
+        row = dict(zip(COLUMNS, map(_parse_cell, cells)))
+        if row["residual"] is None:
+            raise ValueError(f"line {lineno}: the residual cell is empty")
+        row["k"] = int(cells[0])
+        tf.rows.append(TraceRecord(**row))
         seen_rows = True
     return tf
 

@@ -21,7 +21,7 @@ from lmrecon.engine import SolverConfig, TraceRecord, run_exact
 from lmrecon.errors import ConfigInvalid
 from lmrecon.gallery import gallery_ids, get_problem
 from lmrecon.operators import jacobian_matrix
-from lmrecon.tracefile import TraceFile, dumps, loads, read_trace
+from lmrecon.tracefile import COLUMNS, TraceFile, dumps, loads, read_trace
 
 PRESETS = str(Path(__file__).resolve().parent.parent / "presets")
 
@@ -195,6 +195,16 @@ class TestTraceFile:
         assert len(tf.rows) == 8 + 1
         assert tf.rows[0].alpha is None
         assert tf.rows[1].alpha is not None
+
+    def test_empty_residual_cell_rejected(self):
+        text = dumps(TraceFile.from_trace(self.trace(), {}))
+        lines = text.splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("3,"))
+        cells = lines[row].split(",")
+        cells[COLUMNS.index("residual")] = ""
+        lines[row] = ",".join(cells)
+        with pytest.raises(ValueError):
+            loads("".join(lines))
 
     def test_seventeen_digit_floats_reparse_exactly(self):
         tf = TraceFile.from_trace(self.trace(), {})
@@ -542,6 +552,15 @@ class TestVerifyCommand:
         line = [ln for ln in report.splitlines()
                 if ln.startswith("residual-ratio-q")][0]
         assert "PASS" in line
+
+    def test_mdp_prime_tolerance_follows_tol_alpha(self, tmp_path):
+        # ||r - J s|| = alpha ||z|| meets q ||r|| only to the root-finder's
+        # tolerance, so a loose tol_alpha loosens the identity's bound
+        out = tmp_path / "v.report"
+        path = write_config(tmp_path, problem_id="quadratic-2d", mode="verify",
+                            max_iters=50, tol_alpha=1e-3, output_path=str(out))
+        assert main(["verify", "--config", str(path)]) == 0
+        assert report_rows(out)["mdp-prime-identity"].startswith("PASS ")
 
     def test_overflowing_rho_arms_nothing(self, tmp_path):
         # (q / (2 L C_F^2))^(2/eps) overflows a float at eps = 0.05: rho is

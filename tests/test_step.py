@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,25 @@ def test_spectral_kernel_non_finite_output(part):
         _select_alpha(_spectrum(model, [0.0]), [1.0], 0.5, 1e-10)
     with pytest.raises(NonFiniteOutput):
         _spectrum(model, [0.0]).solve(1.0, [1.0])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["jacobian_apply", "jacobian_adjoint_apply"])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3)],
+                         ids=["square", "tall", "wide"])
+def test_non_finite_factor_raises_before_any_product_warns(shape, part, value):
+    # F(x) = 2 E x with E the (dim_y, dim_x) identity, except that ``part``
+    # returns (value, 1, ..., 1): the zeros of E meet the non-finite entry
+    # in J J* or R (J* Q), where inf * 0 would warn
+    dim_y, dim_x = shape
+    bad = np.ones(dim_y if part == "jacobian_apply" else dim_x)
+    bad[0] = value
+    model = dataclasses.replace(linear_model(2.0 * np.eye(dim_y, dim_x)),
+                                **{part: lambda *args: bad.copy()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteOutput):
+            lm_step(model, np.zeros(dim_x), np.ones(dim_y), 0.5)
 
 
 def test_lm_step_model_calls():
