@@ -46,7 +46,7 @@ def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float
             break
         x_a, x_b, fd, rhs = x_a[take], x_b[take], fd[take], rhs[take]
         jd = (jacobian_stack(model, x_a) @ (x_a - x_b)[:, :, None])[:, :, 0]
-        worst = max([worst, *(row_norms(fd - jd) / rhs).tolist()])
+        worst = float(np.fmax.reduce(row_norms(fd - jd) / rhs, initial=worst))
         needed -= take.shape[0]
     return worst if needed < VERIFY_SAMPLES else math.nan
 

@@ -6,9 +6,10 @@ lattice fine enough that some lattice point is provably close to the truth in
 measured-data distance, certify that point as the initial guess, then run
 local LM from it.  Only the constants and the stopping rule differ.
 
-The lattice scan evaluates ``STACK_BLOCK`` points per array pass, in index
-order, and takes the first point that passes the measured-data test, so the
-chosen initial guess is a fixed function of the lattice and the data.
+A lattice is kept as its per-axis coordinates.  The scan forms
+``STACK_BLOCK`` of its points at a time, evaluates them in one array pass, in
+index order, and takes the first point that passes the measured-data test, so
+the chosen initial guess is a fixed function of the lattice and the data.
 """
 
 from __future__ import annotations
@@ -112,14 +113,31 @@ class CompactBox:
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """Finite covering lattice: every box point is within covering_radius of a node."""
+    """Finite covering lattice: every box point is within covering_radius of a node.
 
-    points: np.ndarray
+    The lattice is the Cartesian product of its per-axis coordinate arrays,
+    numbered in C order (the last axis varies fastest); its points are formed
+    only for the index ranges asked for.
+    """
+
+    axes: tuple[np.ndarray, ...]
     covering_radius: float
 
     @property
     def size(self) -> int:
-        return self.points.shape[0]
+        return math.prod(len(axis) for axis in self.axes)
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """Points ``start`` up to (not including) ``stop``, as a (k, n) array;
+        a range that runs past the last point ends there."""
+        index = np.unravel_index(np.arange(start, min(stop, self.size)),
+                                 [len(axis) for axis in self.axes])
+        return np.column_stack([axis[i] for axis, i in zip(self.axes, index)])
+
+    @property
+    def points(self) -> np.ndarray:
+        """Every point, as a (size, n) array."""
+        return self.block(0, self.size)
 
 
 @dataclass
@@ -141,12 +159,19 @@ class ReconSummary:
 
 def compose_measured_model(model: ForwardModel,
                            q_op: MeasurementOperator) -> ForwardModel:
-    """Forward model for Q o F, with Jacobian Q J and adjoint J^T Q^T."""
+    """Forward model for Q o F, with Jacobian Q J and adjoint J^T Q^T.
+
+    The identity measurement returns ``model`` itself: ``I v`` has the bits of
+    ``v`` wherever ``v`` is finite (up to the sign of a zero), so composing
+    with it would only add a product to every evaluation.
+    """
     if q_op.dim_in != model.dim_y:
         raise DimensionMismatch(
             f"measurement expects dimension {q_op.dim_in}, model produces {model.dim_y}"
         )
     mat = q_op.matrix
+    if np.array_equal(mat, np.eye(q_op.dim_in)):
+        return model
     mat_t = mat.T.copy()
 
     def forward_batch(xs):
@@ -194,8 +219,9 @@ def build_lattice(box: CompactBox, r_cover: float) -> Lattice:
     Per-axis spacing is at most ``2 r_cover / sqrt(n)`` so the half-diagonal of
     each cell, the lattice's ``covering_radius``, does not exceed ``r_cover``;
     the spacing itself is not kept.  Degenerate axes (zero extent) contribute
-    a single coordinate.  Raises
-    :class:`LatticeTooLarge` when the grid would exceed
+    a single coordinate.  Only the per-axis coordinates are stored, so the
+    memory grows with the sum of the axis lengths, not with their product.
+    Raises :class:`LatticeTooLarge` when the grid would exceed
     ``DEFAULT_LATTICE_CAP`` points, or when an axis needs infinitely many
     (an infinite box, an extent that overflows, or ``r_cover = 0``); the
     count is taken before any allocation.
@@ -229,12 +255,9 @@ def build_lattice(box: CompactBox, r_cover: float) -> Lattice:
             "shrink the box or relax the target accuracy"
         )
     spacing = (box.upper - box.lower) / np.array(counts)
-    axes = [lo + (np.arange(cnt) + 0.5) * h
-            for lo, cnt, h in zip(box.lower, counts, spacing)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.column_stack([m.ravel() for m in mesh])
-    return Lattice(points=points,
-                   covering_radius=0.5 * float(np.linalg.norm(spacing)))
+    axes = tuple(lo + (np.arange(cnt) + 0.5) * h
+                 for lo, cnt, h in zip(box.lower, counts, spacing))
+    return Lattice(axes=axes, covering_radius=0.5 * float(np.linalg.norm(spacing)))
 
 
 def scan_for_initial_guess(lattice: Lattice, measured_model: ForwardModel,
@@ -243,19 +266,18 @@ def scan_for_initial_guess(lattice: Lattice, measured_model: ForwardModel,
 
     Candidates are compared in measured-data space: the point ``x_j`` is
     accepted iff ``||Q(F(x_j)) - y_obs|| < threshold``.  The points are
-    evaluated ``STACK_BLOCK`` at a time in one array pass, and the scan stops
-    at the first block with a hit, so it may evaluate up to
-    ``STACK_BLOCK - 1`` points past the chosen one; the chosen point is still
-    the first in index order, since each stacked row has the bits of the
-    per-point evaluation.  A point whose data are not finite fails the test
-    and is skipped.  With ``details`` the result is ``(x0, index, points
-    scanned)``, where the count is the points the result needed
-    (``index + 1``), not the points evaluated.
+    formed by :meth:`Lattice.block` and evaluated ``STACK_BLOCK`` at a time in
+    one array pass, and the scan stops at the first block with a hit, so it
+    may evaluate up to ``STACK_BLOCK - 1`` points past the chosen one; the
+    chosen point is still the first in index order, since each stacked row
+    has the bits of the per-point evaluation.  A point whose data are not
+    finite fails the test and is skipped.  With ``details`` the result is
+    ``(x0, index, points scanned)``, where the count is the points the result
+    needed (``index + 1``), not the points evaluated.
     """
     y_obs = as_vector(y_obs, measured_model.dim_y, "y_obs")
-    points = lattice.points
-    for start in range(0, points.shape[0], STACK_BLOCK):
-        block = points[start:start + STACK_BLOCK]
+    for start in range(0, lattice.size, STACK_BLOCK):
+        block = lattice.block(start, start + STACK_BLOCK)
         passed = row_norms(forward_stack(measured_model, block) - y_obs) < threshold
         if passed.any():
             hit = start + int(np.argmax(passed))
@@ -266,7 +288,7 @@ def scan_for_initial_guess(lattice: Lattice, measured_model: ForwardModel,
             "the truth may lie outside the box, the constants may be wrong, "
             "or the noise exceeds the threshold margin"
         )
-    x0 = points[hit].copy()
+    x0 = block[hit - start].copy()
     if details:
         return x0, hit, hit + 1
     return x0

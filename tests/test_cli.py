@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import math
 import subprocess
 import sys
 import tempfile
@@ -17,10 +18,11 @@ from conftest import non_finite_model
 from lmrecon import checks, cli, gallery
 from lmrecon import config as cfgmod
 from lmrecon.cli import main
-from lmrecon.engine import SolverConfig, TraceRecord, run_exact
+from lmrecon.engine import SolverConfig, TraceRecord, run_exact, tangential_cone_eta
 from lmrecon.errors import ConfigInvalid
 from lmrecon.gallery import gallery_ids, get_problem
-from lmrecon.operators import jacobian_matrix
+from lmrecon.operators import (STACK_BLOCK, forward_stack, jacobian_matrix,
+                               jacobian_stack, row_norms)
 from lmrecon.tracefile import COLUMNS, TraceFile, dumps, loads, read_trace
 
 PRESETS = str(Path(__file__).resolve().parent.parent / "presets")
@@ -531,6 +533,44 @@ class TestVerifyCommand:
             worst = max(worst, lhs / rhs)
             checked += 1
         assert checks._tangential_cone_worst(model, eta, rad) == worst
+
+    def test_tangential_cone_worst_matches_list_maximum(self, gallery_problems):
+        # the sampler's running maximum, as a Python max over a list of the
+        # block's ratios, against the fmax reduction that replaced it
+        def list_maximum_worst(model, eta, rad):
+            rng = np.random.default_rng(17)
+            worst = 0.0
+            needed = checks.VERIFY_SAMPLES
+            while needed > 0:
+                z = rng.uniform(-rad, rad, (STACK_BLOCK, 2, model.dim_x))
+                z = z[~np.any(np.sum(z * z, axis=2) > rad * rad, axis=1)]
+                x_a, x_b = model.center + z[:, 0], model.center + z[:, 1]
+                fd = forward_stack(model, x_a) - forward_stack(model, x_b)
+                rhs = eta * row_norms(fd)
+                take = np.flatnonzero(rhs != 0.0)[:needed]
+                if not take.size:
+                    break
+                x_a, x_b, fd, rhs = x_a[take], x_b[take], fd[take], rhs[take]
+                jd = (jacobian_stack(model, x_a) @ (x_a - x_b)[:, :, None])[:, :, 0]
+                worst = max([worst, *(row_norms(fd - jd) / rhs).tolist()])
+                needed -= take.shape[0]
+            return worst if needed < checks.VERIFY_SAMPLES else math.nan
+
+        certified = [prob for prob in gallery_problems.values()
+                     if prob.certificate.provenance == "oracle-estimated"]
+        assert certified
+        for prob in certified:
+            # the ball and eta that `verify` samples on
+            cert = prob.certificate
+            rho_tc = cert.domain_rho_prime
+            eta = tangential_cone_eta(cert, rho_tc)
+            if eta >= 1.0:
+                rho_tc *= (0.9 / eta) ** ((1.0 + cert.holder_eps) / cert.holder_eps)
+                eta = tangential_cone_eta(cert, rho_tc)
+            rad = math.sqrt(2.0 * rho_tc)
+            worst = checks._tangential_cone_worst(prob.model, eta, rad)
+            assert type(worst) is float
+            assert worst.hex() == list_maximum_worst(prob.model, eta, rad).hex()
 
     def test_quadratic_all_pass(self, tmp_path, capsys):
         out = tmp_path / "c04.report"
