@@ -15,7 +15,7 @@ from . import gallery, operators
 from .engine import kstar_log_estimate, qtilde, rate_bound, tangential_cone_eta
 from .errors import ConditionViolated
 from .operators import (STACK_BLOCK, ForwardModel, forward_stack, jacobian_stack,
-                        row_norms)
+                        require_finite, row_norms)
 
 VERIFY_SAMPLES = 10000
 
@@ -30,22 +30,31 @@ def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float
     ball, or with F(a) = F(b), is skipped.  A block in which every pair is
     skipped ends the sampling (F does not separate points of a ball that
     small), and the largest ratio found so far is returned: NaN when there
-    is none.
+    is none.  A block is indexed down to its taken pairs only when it skips
+    one.  Raises :class:`NonFiniteOutput` when F at a drawn point inside the
+    ball, or J at a taken pair's first point, holds NaN or inf.
     """
     rng = np.random.default_rng(17)
     worst = 0.0
     needed = VERIFY_SAMPLES
     while needed > 0:
         z = rng.uniform(-rad, rad, (STACK_BLOCK, 2, model.dim_x))
-        z = z[~np.any(np.sum(z * z, axis=2) > rad * rad, axis=1)]
+        outside = np.sum(z * z, axis=2) > rad * rad
+        z = z[~(outside[:, 0] | outside[:, 1])]
         x_a, x_b = model.center + z[:, 0], model.center + z[:, 1]
-        fd = forward_stack(model, x_a) - forward_stack(model, x_b)
+        fa, fb = forward_stack(model, x_a), forward_stack(model, x_b)
+        require_finite(fa, "forward value at a tangential-cone pair")
+        require_finite(fb, "forward value at a tangential-cone pair")
+        fd = fa - fb
         rhs = eta * row_norms(fd)
         take = np.flatnonzero(rhs != 0.0)[:needed]
         if not take.size:
             break
-        x_a, x_b, fd, rhs = x_a[take], x_b[take], fd[take], rhs[take]
-        jd = (jacobian_stack(model, x_a) @ (x_a - x_b)[:, :, None])[:, :, 0]
+        if take.shape[0] < rhs.shape[0]:
+            x_a, x_b, fd, rhs = x_a[take], x_b[take], fd[take], rhs[take]
+        jac = jacobian_stack(model, x_a)
+        require_finite(jac, "Jacobian at a tangential-cone pair")
+        jd = (jac @ (x_a - x_b)[:, :, None])[:, :, 0]
         worst = float(np.fmax.reduce(row_norms(fd - jd) / rhs, initial=worst))
         needed -= take.shape[0]
     return worst if needed < VERIFY_SAMPLES else math.nan
@@ -70,6 +79,9 @@ def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
     for p in points:
         jac = operators.jacobian_matrix(model, p)
         fd = operators.finite_difference_jacobian(model, p, 1e-5, check=False)
+        # a NaN defect would drop out of the running maximum
+        require_finite(jac, "Jacobian at a verify point")
+        require_finite(fd, "finite-difference Jacobian at a verify point")
         fd_worst = max(fd_worst, float(np.linalg.norm(fd - jac))
                        / (1.0 + float(np.linalg.norm(jac))))
     check("jacobian-finite-difference", fd_worst <= 1e-5,

@@ -99,20 +99,26 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Screened largest singular value of every matrix in a (k, m, n) stack.
 
     Scaling by the largest absolute entry keeps the squares in the Gram
-    matrix from underflowing or overflowing; a zero matrix gets exactly 0.
+    matrix from underflowing or overflowing; a zero matrix gets exactly 0,
+    and an empty stack an empty array.
     The matrices are laid out batch-last, so that every operation acts on
-    rows of k values, and the Gram sums run in row order: each norm has the
-    same bits whatever the stack's k.
+    rows of k values, and each Gram entry is summed row by row, in row
+    order, one addition of k values at a time: each norm has the same bits
+    whatever the stack's k.
     """
     if stack.shape[1] < stack.shape[2]:
         stack = stack.transpose(0, 2, 1)
     cols = np.ascontiguousarray(stack.transpose(2, 1, 0))  # (n, m, k), m >= n
-    scale = np.abs(cols).reshape(-1, cols.shape[2]).max(axis=0, initial=0.0)
+    scale = np.abs(cols).max(axis=(0, 1), initial=0.0)
     unit = cols / np.where(scale > 0.0, scale, 1.0)
 
     def gram(i, j):
-        # accumulate sums sequentially; np.sum may sum pairwise when k = 1
-        return np.add.accumulate(unit[i] * unit[j], axis=0)[-1]
+        # sequential sums; np.sum may sum pairwise when k = 1
+        ui, uj = unit[i], unit[j]
+        total = ui[0] * uj[0]
+        for row in range(1, ui.shape[0]):
+            total = total + ui[row] * uj[row]
+        return total
 
     n = unit.shape[0]
     if n == 1:
@@ -180,24 +186,30 @@ def _pair_quantities(model: ForwardModel, pa: np.ndarray, pb: np.ndarray):
     taken by :func:`row_norms` (the bits of the per-pair ``np.linalg.norm``)
     and spectral norms by the screen :func:`_spectral_norms`, row by row, so
     the results do not depend on the block size or on whether the model has
-    batched callables.  The spectral norms are screened: pass them through
-    :func:`_settle` before comparing them with a peak or a threshold.
+    batched callables.  A block is indexed down to its pairs with a != b
+    only when it has a pair with a == b, which random pairs and the pairs of
+    distinct grid points never are.  The spectral norms are screened: pass
+    them through :func:`_settle` before comparing them with a peak or a
+    threshold.
     """
     jac = np.empty((pa.shape[0], 2))
     apart = np.empty((pa.shape[0], 3))
     kept = 0
     for start in range(0, pa.shape[0], STACK_BLOCK):
-        a = pa[start:start + STACK_BLOCK]
-        b = pb[start:start + STACK_BLOCK]
+        rows = slice(start, start + STACK_BLOCK)
+        a, b = pa[rows], pb[rows]
         ja, jb = jacobian_stack(model, a), jacobian_stack(model, b)
-        require_finite((ja, jb), "Jacobian at a sample pair")
-        jac[start:start + a.shape[0]] = np.column_stack(
-            (_spectral_norms(ja), _spectral_norms(jb)))
+        require_finite(ja, "Jacobian at a sample pair")
+        require_finite(jb, "Jacobian at a sample pair")
+        jac[rows, 0] = _spectral_norms(ja)
+        jac[rows, 1] = _spectral_norms(jb)
         d = row_norms(a - b)
-        keep = d != 0.0
-        a, b = a[keep], b[keep]
+        if not d.all():
+            keep = d != 0.0
+            a, b, d, ja, jb = a[keep], b[keep], d[keep], ja[keep], jb[keep]
         fa, fb = forward_stack(model, a), forward_stack(model, b)
-        require_finite((fa, fb), "forward value at a sample pair")
+        require_finite(fa, "forward value at a sample pair")
+        require_finite(fb, "forward value at a sample pair")
         fd = row_norms(fa - fb)
         if not fd.all():
             i = np.flatnonzero(fd == 0.0)[0]
@@ -205,8 +217,8 @@ def _pair_quantities(model: ForwardModel, pa: np.ndarray, pb: np.ndarray):
                 f"F({a[i]}) = F({b[i]}) with distinct arguments: "
                 "no stability on this box"
             )
-        apart[kept:kept + fd.shape[0]] = np.column_stack(
-            (d[keep], _spectral_norms(ja[keep] - jb[keep]), fd))
+        out = apart[kept:kept + fd.shape[0]]
+        out[:, 0], out[:, 1], out[:, 2] = d, _spectral_norms(ja - jb), fd
         kept += fd.shape[0]
     require_finite(apart[:kept], "pair difference norms")
     return (jac.ravel(), *apart[:kept].T)
@@ -217,9 +229,13 @@ def _peak(values: np.ndarray) -> float:
 
 
 def _pow(values: np.ndarray, exponent: float) -> np.ndarray:
-    # Python's float pow rather than np.power: numpy's vectorized pow can
-    # differ from libm's in the last bit, and a certificate must not depend
-    # on which SIMD path the numpy build takes.
+    """``values ** exponent`` entry by entry, by Python's float pow rather
+    than np.power: numpy's vectorized pow can differ from libm's in the last
+    bit, and a certificate must not depend on which SIMD path the numpy
+    build takes.  ``x ** 1.0`` is ``x``, so exponent 1 returns ``values``
+    itself."""
+    if exponent == 1.0:
+        return values
     return np.array([v ** exponent for v in values.tolist()])
 
 

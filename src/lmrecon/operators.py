@@ -279,17 +279,22 @@ def finite_difference_jacobian(model: ForwardModel, x, h: float = 1e-5,
 
 
 def adjoint_defect(model: ForwardModel, x, v, w) -> float:
-    """|<J v, w> - <v, J^T w>| for one test pair."""
+    """|<J v, w> - <v, J^T w>| for one test pair.
+
+    Raises :class:`NonFiniteOutput` when ``J v`` or ``J^T w`` holds NaN or
+    inf."""
     x = as_vector(x, model.dim_x, "x")
     v = as_vector(v, model.dim_x, "v")
     w = as_vector(w, model.dim_y, "w")
     jv = as_vector(model.jacobian_apply(x, v), model.dim_y, "J v")
+    require_finite(jv, "Jacobian action J v")
     return _adjoint_gap(model, x, v, w, jv)
 
 
 def _adjoint_gap(model: ForwardModel, x, v, w, jv) -> float:
-    """:func:`adjoint_defect` with ``J v`` already applied."""
+    """:func:`adjoint_defect` with ``J v`` already applied and checked."""
     jtw = as_vector(model.jacobian_adjoint_apply(x, w), model.dim_x, "J* w")
+    require_finite(jtw, "adjoint action J* w")
     return abs(float(np.dot(jv, w)) - float(np.dot(v, jtw)))
 
 
@@ -298,7 +303,10 @@ def max_adjoint_defect(model: ForwardModel, points, samples: int = 100,
     """Largest relative adjoint defect over random (x, v, w) triples.
 
     The defect at each triple is normalized by ``1 + ||J v|| * ||w||`` so the
-    result compares directly against an absolute tolerance like 1e-10.
+    result compares directly against an absolute tolerance like 1e-10.  The
+    norms are :func:`vector_norm`'s, the bits of ``np.linalg.norm``.  Raises
+    :class:`NonFiniteOutput` when ``J v`` or ``J* w`` holds NaN or inf, which
+    would otherwise give a NaN defect that the running maximum drops.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -308,7 +316,7 @@ def max_adjoint_defect(model: ForwardModel, points, samples: int = 100,
         v = rng.standard_normal(model.dim_x)
         w = rng.standard_normal(model.dim_y)
         jv = as_vector(model.jacobian_apply(x, v), model.dim_y, "J v")
-        scale = 1.0 + float(np.linalg.norm(jv)) * float(np.linalg.norm(w))
+        scale = 1.0 + finite_norm(jv, "Jacobian action J v") * vector_norm(w)
         worst = max(worst, _adjoint_gap(model, x, v, w, jv) / scale)
     return worst
 

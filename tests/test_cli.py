@@ -19,10 +19,10 @@ from lmrecon import checks, cli, gallery
 from lmrecon import config as cfgmod
 from lmrecon.cli import main
 from lmrecon.engine import SolverConfig, TraceRecord, run_exact, tangential_cone_eta
-from lmrecon.errors import ConfigInvalid
+from lmrecon.errors import ConfigInvalid, NonFiniteOutput
 from lmrecon.gallery import gallery_ids, get_problem
-from lmrecon.operators import (STACK_BLOCK, forward_stack, jacobian_matrix,
-                               jacobian_stack, row_norms)
+from lmrecon.operators import (STACK_BLOCK, ForwardModel, forward_stack,
+                               jacobian_matrix, jacobian_stack, row_norms)
 from lmrecon.tracefile import COLUMNS, TraceFile, dumps, loads, read_trace
 
 PRESETS = str(Path(__file__).resolve().parent.parent / "presets")
@@ -366,6 +366,28 @@ class TestSolveCommand:
         assert blobs[0] == blobs[1]
         assert dict(read_trace(tmp_path / "0.trace").header)["config.noise_seed"] == "7"
 
+    def test_one_parser_keeps_no_state_between_calls(self, tmp_path,
+                                                     monkeypatch):
+        # main parses with the parser built at import; a call without
+        # --seed and --output gets the config's values after one with them
+        def no_build():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_build)
+        preset = f"{PRESETS}/c05_noisy_guarantees.yaml"
+        flagged = tmp_path / "flagged.trace"
+        plain = tmp_path / "plain.trace"
+        copy = tmp_path / "plain.yaml"
+        copy.write_text(Path(preset).read_text().replace(
+            "output_path:", f"output_path: {plain}  #"))
+        assert main(["solve", "--config", preset, "--output", str(flagged),
+                     "--seed", "7"]) == 0
+        assert main(["solve", "--config", str(copy)]) == 0
+        header = dict(read_trace(plain).header)
+        assert header["config.noise_seed"] == "1001"
+        assert header["config.output_path"] == str(plain)
+        assert dict(read_trace(flagged).header)["config.noise_seed"] == "7"
+
     def test_non_finite_model_output_exits_two(self, tmp_path, monkeypatch,
                                                capsys):
         prob = get_problem("scalar-linear")
@@ -535,8 +557,9 @@ class TestVerifyCommand:
         assert checks._tangential_cone_worst(model, eta, rad) == worst
 
     def test_tangential_cone_worst_matches_list_maximum(self, gallery_problems):
-        # the sampler's running maximum, as a Python max over a list of the
-        # block's ratios, against the fmax reduction that replaced it
+        # the sampler with a Python max over a list of each block's ratios,
+        # every block indexed down to its taken pairs and the ball tested
+        # with np.any, against the sampler that replaced it
         def list_maximum_worst(model, eta, rad):
             rng = np.random.default_rng(17)
             worst = 0.0
@@ -559,6 +582,7 @@ class TestVerifyCommand:
         certified = [prob for prob in gallery_problems.values()
                      if prob.certificate.provenance == "oracle-estimated"]
         assert certified
+        cases = []
         for prob in certified:
             # the ball and eta that `verify` samples on
             cert = prob.certificate
@@ -567,10 +591,100 @@ class TestVerifyCommand:
             if eta >= 1.0:
                 rho_tc *= (0.9 / eta) ** ((1.0 + cert.holder_eps) / cert.holder_eps)
                 eta = tangential_cone_eta(cert, rho_tc)
-            rad = math.sqrt(2.0 * rho_tc)
-            worst = checks._tangential_cone_worst(prob.model, eta, rad)
+            cases.append((prob.model, eta, math.sqrt(2.0 * rho_tc)))
+        # F(x) = max(x, 0) is flat on the negative quadrant, so blocks skip
+        # pairs with F(a) = F(b) as well as pairs leaving the ball
+        relu = ForwardModel(
+            dim_x=2, dim_y=2, center=np.zeros(2), radius_sq=0.5,
+            forward=lambda x: np.maximum(x, 0.0),
+            jacobian_apply=lambda x, v: (x > 0.0) * v,
+            jacobian_adjoint_apply=lambda x, w: (x > 0.0) * w,
+            forward_batch=lambda xs: np.maximum(xs, 0.0),
+            jacobian_batch=lambda xs: np.eye(2) * (xs > 0.0)[:, None, :],
+        )
+        cases.append((relu, 0.5, 1.0))
+        for model, eta, rad in cases:
+            worst = checks._tangential_cone_worst(model, eta, rad)
             assert type(worst) is float
-            assert worst.hex() == list_maximum_worst(prob.model, eta, rad).hex()
+            assert worst.hex() == list_maximum_worst(model, eta, rad).hex()
+
+    @staticmethod
+    def _poisoned(model, part, value, where):
+        """``model`` with F or J (and their batched callables) returning
+        ``value`` at the points where ``where(x)`` holds."""
+        def point(fn):
+            return lambda x, *rest: (np.full_like(fn(x, *rest), value)
+                                     if where(x) else fn(x, *rest))
+
+        def stack(fn):
+            def call(xs):
+                out = fn(xs).copy()
+                out[[where(x) for x in xs]] = value
+                return out
+            return call
+
+        if part == "forward":
+            return dataclasses.replace(model, forward=point(model.forward),
+                                       forward_batch=stack(model.forward_batch))
+        return dataclasses.replace(model,
+                                   jacobian_apply=point(model.jacobian_apply),
+                                   jacobian_batch=stack(model.jacobian_batch))
+
+    @pytest.mark.parametrize("part", ["forward", "jacobian"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_tangential_cone_non_finite_raises(self, part, value,
+                                               gallery_problems):
+        # F or J is not finite on the left part of the ball; a NaN ratio
+        # would pass rhs != 0 and then drop out of the running maximum
+        model = gallery_problems["exp-decay"].model
+        broken = self._poisoned(model, part, value, lambda x: x[0] < 0.98)
+        with pytest.raises(NonFiniteOutput, match="tangential-cone pair"):
+            checks._tangential_cone_worst(broken, 0.3, 0.05)
+
+    def test_non_finite_tangential_cone_exits_two(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # the runs and the operator checks stay right of x1 = 0.98, inside
+        # the tangential-cone ball about (1, 1); a user certificate skips
+        # the re-verification, which would meet the NaN on the whole box
+        prob = get_problem("exp-decay")
+        broken = dataclasses.replace(prob, model=self._poisoned(
+            prob.model, "forward", np.nan, lambda x: x[0] < 0.98))
+        monkeypatch.setattr(gallery, "get_problem", lambda pid: broken)
+        path = mode_config(tmp_path, "verify",
+                           output_path=str(tmp_path / "v.report"),
+                           constants_override={"q_norm": 1.0})
+        assert main(["verify", "--config", str(path)]) == 2
+        assert "forward value at a tangential-cone pair is not finite" in \
+            capsys.readouterr().err
+
+    def test_non_finite_adjoint_sample_exits_two(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # J is NaN at the ball's center, one of the three points the adjoint
+        # check samples and a point that no run reaches
+        prob = get_problem("exp-decay")
+        center = prob.model.center
+        broken = dataclasses.replace(prob, model=self._poisoned(
+            prob.model, "jacobian", np.nan, lambda x: np.array_equal(x, center)))
+        monkeypatch.setattr(gallery, "get_problem", lambda pid: broken)
+        path = mode_config(tmp_path, "verify",
+                           output_path=str(tmp_path / "v.report"))
+        assert main(["verify", "--config", str(path)]) == 2
+        assert "Jacobian action J v is not finite" in capsys.readouterr().err
+
+    def test_non_finite_difference_stencil_exits_two(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # F is NaN at one point of the central-difference stencil about the
+        # ball's center, which nothing else evaluates
+        prob = get_problem("exp-decay")
+        stencil = prob.model.center + np.array([1e-5, 0.0])
+        broken = dataclasses.replace(prob, model=self._poisoned(
+            prob.model, "forward", np.nan, lambda x: np.array_equal(x, stencil)))
+        monkeypatch.setattr(gallery, "get_problem", lambda pid: broken)
+        path = mode_config(tmp_path, "verify",
+                           output_path=str(tmp_path / "v.report"))
+        assert main(["verify", "--config", str(path)]) == 2
+        assert "finite-difference Jacobian at a verify point is not finite" in \
+            capsys.readouterr().err
 
     def test_quadratic_all_pass(self, tmp_path, capsys):
         out = tmp_path / "c04.report"

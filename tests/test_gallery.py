@@ -39,10 +39,15 @@ from lmrecon.gallery import (
     verify_certificate,
 )
 from lmrecon.operators import (
+    STACK_BLOCK,
     ForwardModel,
     apply_forward,
     finite_difference_jacobian,
+    forward_stack,
     jacobian_matrix,
+    jacobian_stack,
+    require_finite,
+    row_norms,
 )
 from lmrecon.recon import CompactBox
 
@@ -309,6 +314,158 @@ class TestScreenedNorms:
         box = CompactBox(np.full(n, -0.5), np.full(n, 0.5))
         model = _quadratic_model(a_mat, eta, box)
         self._assert_oracle_matches_lapack(model, box, seed, level)
+
+
+def _accumulated_spectral_norms(stack):
+    """The spectral screen with each Gram entry read off the last row of
+    ``np.add.accumulate``: the same products and additions in the same
+    order, with every partial sum written out."""
+    if stack.shape[1] < stack.shape[2]:
+        stack = stack.transpose(0, 2, 1)
+    cols = np.ascontiguousarray(stack.transpose(2, 1, 0))
+    scale = np.abs(cols).reshape(-1, cols.shape[2]).max(axis=0, initial=0.0)
+    unit = cols / np.where(scale > 0.0, scale, 1.0)
+
+    def gram(i, j):
+        return np.add.accumulate(unit[i] * unit[j], axis=0)[-1]
+
+    n = unit.shape[0]
+    if n == 1:
+        lam = gram(0, 0)
+    elif n == 2:
+        a, b, d = gram(0, 0), gram(0, 1), gram(1, 1)
+        lam = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
+    else:
+        full = np.empty((unit.shape[2], n, n))
+        for i in range(n):
+            for j in range(i + 1):
+                full[:, i, j] = full[:, j, i] = gram(i, j)
+        lam = np.linalg.eigvalsh(full)[:, -1]
+    return scale * np.sqrt(lam)
+
+
+def _masked_pair_quantities(model, pa, pb):
+    """The pair kernel with every block indexed by its pairs with a != b,
+    both stacks of a block checked as one array, and the accumulated screen."""
+    jac = np.empty((pa.shape[0], 2))
+    apart = np.empty((pa.shape[0], 3))
+    kept = 0
+    for start in range(0, pa.shape[0], STACK_BLOCK):
+        a = pa[start:start + STACK_BLOCK]
+        b = pb[start:start + STACK_BLOCK]
+        ja, jb = jacobian_stack(model, a), jacobian_stack(model, b)
+        require_finite((ja, jb), "Jacobian at a sample pair")
+        jac[start:start + a.shape[0]] = np.column_stack(
+            (_accumulated_spectral_norms(ja), _accumulated_spectral_norms(jb)))
+        d = row_norms(a - b)
+        keep = d != 0.0
+        a, b = a[keep], b[keep]
+        fa, fb = forward_stack(model, a), forward_stack(model, b)
+        require_finite((fa, fb), "forward value at a sample pair")
+        fd = row_norms(fa - fb)
+        if not fd.all():
+            i = np.flatnonzero(fd == 0.0)[0]
+            raise DegenerateModel(f"F({a[i]}) = F({b[i]}) with distinct arguments")
+        apart[kept:kept + fd.shape[0]] = np.column_stack(
+            (d[keep], _accumulated_spectral_norms(ja[keep] - jb[keep]), fd))
+        kept += fd.shape[0]
+    require_finite(apart[:kept], "pair difference norms")
+    return (jac.ravel(), *apart[:kept].T)
+
+
+def _listed_pow(values, exponent):
+    # Python's pow on every entry, exponent 1 included
+    return np.array([v ** exponent for v in values.tolist()])
+
+
+class TestKernelKeepsItsBits:
+    """The pair kernel against the array pass it replaced: Gram entries
+    from ``np.add.accumulate``, every block indexed by its pairs with
+    a != b, and Python's pow on every entry at exponent 1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 4), m=st.integers(1, 4),
+           n=st.integers(1, 4), exponent=st.integers(-300, 300),
+           zero=st.booleans(), deficient=st.booleans())
+    def test_screen_matches_accumulated_gram(self, data, k, m, n, exponent,
+                                             zero, deficient):
+        # entries of one stack share a magnitude, so that sums in another
+        # order round differently; across stacks they span 1e-300 to 1e300
+        stack = data.draw(arrays(np.float64, (k, m, n),
+                                 elements=st.floats(-1.0, 1.0))) * 10.0**exponent
+        if deficient:  # a repeated column (or row) drops the rank
+            if n > 1:
+                stack[:, :, -1] = stack[:, :, 0]
+            elif m > 1:
+                stack[:, -1] = stack[:, 0]
+        if zero:
+            stack[0] = 0.0
+        got = _spectral_norms(stack)
+        assert got.tobytes() == _accumulated_spectral_norms(stack).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(min_value=0.0, exclude_min=True,
+                                     allow_infinity=False, allow_subnormal=True),
+                           min_size=1, max_size=40))
+    def test_pow_at_exponent_one_keeps_every_bit(self, values):
+        tiny = [5e-324, 2.225073858507201e-308, 1e-310, 1.7976931348623157e308]
+        arr = np.array(values + tiny)
+        assert gallery._pow(arr, 1.0).tobytes() == _listed_pow(arr, 1.0).tobytes()
+        assert gallery._pow(arr, 0.75).tobytes() == _listed_pow(arr, 0.75).tobytes()
+
+    @staticmethod
+    def _oracle_outputs(model, box):
+        """Hex constants of estimates at eps = 1 and 0.5, and the violation
+        counts of each on fresh pairs, as estimated and divided by 1.5."""
+        out = []
+        for eps, seed in ((1.0, 5), (0.5, 6)):
+            cert = estimate_stability_constants(model, box, eps=eps, seed=seed)
+            out.append(_float_hex(cert))
+            for scale in (1.0, 1.5):
+                tight = dataclasses.replace(cert, **{
+                    name: getattr(cert, name) / scale for name in (
+                        "jac_bound", "lip_deriv", "holder_const", "forward_lip",
+                        "recon_const")})
+                out.append(verify_certificate(model, box, tight, seed=7).violations)
+        return out
+
+    def _assert_matches_replaced_kernel(self, model, box):
+        got = self._oracle_outputs(model, box)
+        assert any(any(counts.values()) for counts in got[2::3])
+        with mock.patch.multiple(gallery, _pair_quantities=_masked_pair_quantities,
+                                 _pow=_listed_pow):
+            want = self._oracle_outputs(model, box)
+        assert got == want
+
+    @pytest.mark.parametrize("pid", ["exp-decay", "exp-decay-2pt",
+                                     "quadratic-2d", "quadratic-3d"])
+    def test_oracle_matches_replaced_kernel(self, pid, gallery_problems):
+        prob = gallery_problems[pid]
+        self._assert_matches_replaced_kernel(prob.model, prob.default_box)
+
+    def test_coinciding_pairs_match_replaced_kernel(self, gallery_problems):
+        # x1 takes one of two adjacent floats, so about half of the random
+        # pairs and some grid pairs coincide within every block
+        box = CompactBox(np.array([1.0, 1.0]), np.array([np.nextafter(1.0, 2.0), 1.0]))
+        pa, pb = _pair_arrays(box, 10000, 7)
+        same = np.all(pa == pb, axis=1)
+        assert 0 < np.count_nonzero(same[:STACK_BLOCK]) < STACK_BLOCK
+        self._assert_matches_replaced_kernel(gallery_problems["exp-decay"].model, box)
+
+    def test_one_point_box_has_no_pair_apart(self, gallery_problems):
+        # every pair coincides, so each block is indexed down to no pair;
+        # the replaced kernel failed here, screening an empty stack
+        model = gallery_problems["exp-decay"].model
+        point = CompactBox(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+        pa, pb = _pair_arrays(point, 10000, 7)
+        jac, d, jd, fd = _pair_quantities(model, pa, pb)
+        assert d.shape == jd.shape == fd.shape == (0,)
+        stack = jacobian_stack(model, pa[:1])
+        assert np.all(jac == _accumulated_spectral_norms(stack)[0])
+        report = verify_certificate(model, point,
+                                    gallery_problems["exp-decay"].certificate)
+        assert report.ok
+        assert set(report.violations.values()) == {0}
 
 
 class TestClosedFormBounds:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -202,6 +203,23 @@ def test_max_adjoint_defect_applies_j_once_per_sample():
         scale = 1.0 + float(np.linalg.norm(jv)) * float(np.linalg.norm(w))
         want = max(want, adjoint_defect(model, x, v, w) / scale)
     assert got == want > 1e-3
+
+
+@pytest.mark.parametrize("part", ["jacobian_apply", "jacobian_adjoint_apply"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_max_adjoint_defect_rejects_non_finite_actions(part, value):
+    # the action is not finite at the second of two points only; a NaN
+    # defect there would drop out of the running maximum, leaving the
+    # defect of the first point alone
+    good = linear_model([[2.0, 0.0], [1.0, 3.0]])
+    bad_x = np.array([0.5, 0.5])
+    action = getattr(good, part)
+    broken = dataclasses.replace(good, **{part: lambda x, u: (
+        np.full_like(action(x, u), value) if np.array_equal(x, bad_x)
+        else action(x, u))})
+    assert max_adjoint_defect(broken, [np.zeros(2)], samples=20, seed=1) <= 1e-10
+    with pytest.raises(NonFiniteOutput, match="not finite"):
+        max_adjoint_defect(broken, [np.zeros(2), bad_x], samples=20, seed=1)
 
 
 @pytest.mark.parametrize("pid", GALLERY_IDS)
