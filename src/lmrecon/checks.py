@@ -30,17 +30,15 @@ def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float
     ball, or with F(a) = F(b), is skipped.  A block in which every pair is
     skipped ends the sampling (F does not separate points of a ball that
     small), and the largest ratio found so far is returned: NaN when there
-    is none.  A block is indexed down to its taken pairs only when it skips
-    one.  Raises :class:`NonFiniteOutput` when F at a drawn point inside the
-    ball, or J at a taken pair's first point, holds NaN or inf.
+    is none.  Raises :class:`NonFiniteOutput` when F at a drawn point
+    inside the ball, or J at a taken pair's first point, holds NaN or inf.
     """
     rng = np.random.default_rng(17)
     worst = 0.0
     needed = VERIFY_SAMPLES
     while needed > 0:
         z = rng.uniform(-rad, rad, (STACK_BLOCK, 2, model.dim_x))
-        outside = np.sum(z * z, axis=2) > rad * rad
-        z = z[~(outside[:, 0] | outside[:, 1])]
+        z = z[~np.any(np.sum(z * z, axis=2) > rad * rad, axis=1)]
         x_a, x_b = model.center + z[:, 0], model.center + z[:, 1]
         fa, fb = forward_stack(model, x_a), forward_stack(model, x_b)
         require_finite(fa, "forward value at a tangential-cone pair")
@@ -50,8 +48,7 @@ def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float
         take = np.flatnonzero(rhs != 0.0)[:needed]
         if not take.size:
             break
-        if take.shape[0] < rhs.shape[0]:
-            x_a, x_b, fd, rhs = x_a[take], x_b[take], fd[take], rhs[take]
+        x_a, x_b, fd, rhs = x_a[take], x_b[take], fd[take], rhs[take]
         jac = jacobian_stack(model, x_a)
         require_finite(jac, "Jacobian at a tangential-cone pair")
         jd = (jac @ (x_a - x_b)[:, :, None])[:, :, 0]

@@ -21,8 +21,8 @@ from lmrecon.cli import main
 from lmrecon.engine import SolverConfig, TraceRecord, run_exact, tangential_cone_eta
 from lmrecon.errors import ConfigInvalid, NonFiniteOutput
 from lmrecon.gallery import gallery_ids, get_problem
-from lmrecon.operators import (STACK_BLOCK, ForwardModel, forward_stack,
-                               jacobian_matrix, jacobian_stack, row_norms)
+from lmrecon.operators import (STACK_BLOCK, forward_stack, jacobian_matrix,
+                               jacobian_stack, row_norms)
 from lmrecon.tracefile import COLUMNS, TraceFile, dumps, loads, read_trace
 
 PRESETS = str(Path(__file__).resolve().parent.parent / "presets")
@@ -557,9 +557,8 @@ class TestVerifyCommand:
         assert checks._tangential_cone_worst(model, eta, rad) == worst
 
     def test_tangential_cone_worst_matches_list_maximum(self, gallery_problems):
-        # the sampler with a Python max over a list of each block's ratios,
-        # every block indexed down to its taken pairs and the ball tested
-        # with np.any, against the sampler that replaced it
+        # the sampler's running maximum, as a Python max over a list of the
+        # block's ratios, against the fmax reduction that replaced it
         def list_maximum_worst(model, eta, rad):
             rng = np.random.default_rng(17)
             worst = 0.0
@@ -582,7 +581,6 @@ class TestVerifyCommand:
         certified = [prob for prob in gallery_problems.values()
                      if prob.certificate.provenance == "oracle-estimated"]
         assert certified
-        cases = []
         for prob in certified:
             # the ball and eta that `verify` samples on
             cert = prob.certificate
@@ -591,22 +589,10 @@ class TestVerifyCommand:
             if eta >= 1.0:
                 rho_tc *= (0.9 / eta) ** ((1.0 + cert.holder_eps) / cert.holder_eps)
                 eta = tangential_cone_eta(cert, rho_tc)
-            cases.append((prob.model, eta, math.sqrt(2.0 * rho_tc)))
-        # F(x) = max(x, 0) is flat on the negative quadrant, so blocks skip
-        # pairs with F(a) = F(b) as well as pairs leaving the ball
-        relu = ForwardModel(
-            dim_x=2, dim_y=2, center=np.zeros(2), radius_sq=0.5,
-            forward=lambda x: np.maximum(x, 0.0),
-            jacobian_apply=lambda x, v: (x > 0.0) * v,
-            jacobian_adjoint_apply=lambda x, w: (x > 0.0) * w,
-            forward_batch=lambda xs: np.maximum(xs, 0.0),
-            jacobian_batch=lambda xs: np.eye(2) * (xs > 0.0)[:, None, :],
-        )
-        cases.append((relu, 0.5, 1.0))
-        for model, eta, rad in cases:
-            worst = checks._tangential_cone_worst(model, eta, rad)
+            rad = math.sqrt(2.0 * rho_tc)
+            worst = checks._tangential_cone_worst(prob.model, eta, rad)
             assert type(worst) is float
-            assert worst.hex() == list_maximum_worst(model, eta, rad).hex()
+            assert worst.hex() == list_maximum_worst(prob.model, eta, rad).hex()
 
     @staticmethod
     def _poisoned(model, part, value, where):
