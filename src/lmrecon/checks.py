@@ -20,6 +20,23 @@ from .operators import (STACK_BLOCK, ForwardModel, forward_stack, jacobian_stack
 VERIFY_SAMPLES = 10000
 
 
+def _norms_sq(z: np.ndarray) -> np.ndarray:
+    """``np.sum(z * z, axis=-1)`` with the same bits, by one addition of
+    whole columns per coordinate when the last axis is shorter than 8.
+
+    numpy adds a reduced axis that short sequentially, in index order, as
+    the column loop does; from 8 on it sums pairwise, and the reduce stays.
+    The column adds skip the reduce's per-row overhead on short rows.
+    """
+    sq = z * z
+    if sq.shape[-1] >= 8:
+        return np.sum(sq, axis=-1)
+    total = sq[..., 0]
+    for col in range(1, sq.shape[-1]):
+        total = total + sq[..., col]
+    return total
+
+
 def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float:
     """Largest ``||F(a) - F(b) - J(a)(a - b)|| / (eta ||F(a) - F(b)||)`` over
     ``VERIFY_SAMPLES`` pairs drawn uniformly from the ball of radius ``rad``
@@ -32,36 +49,63 @@ def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float
     small), and the largest ratio found so far is returned: NaN when there
     is none.  Raises :class:`NonFiniteOutput` when F at a drawn point
     inside the ball, or J at a taken pair's first point, holds NaN or inf.
+
+    The ball test compares the squared norms of :func:`_norms_sq`, the bits
+    of ``np.sum(z * z)``, and joins the two points' tests with one ``|``.
+    F is taken once per block, on the pairs' first points stacked over
+    their second points, and a block whose pairs are all taken is sliced
+    rather than indexed.  Every ratio has the bits of a per-pair
+    evaluation, by the ``ForwardModel`` batch contract.
     """
     rng = np.random.default_rng(17)
     worst = 0.0
     needed = VERIFY_SAMPLES
     while needed > 0:
         z = rng.uniform(-rad, rad, (STACK_BLOCK, 2, model.dim_x))
-        z = z[~np.any(np.sum(z * z, axis=2) > rad * rad, axis=1)]
-        x_a, x_b = model.center + z[:, 0], model.center + z[:, 1]
-        fa, fb = forward_stack(model, x_a), forward_stack(model, x_b)
-        require_finite(fa, "forward value at a tangential-cone pair")
-        require_finite(fb, "forward value at a tangential-cone pair")
-        fd = fa - fb
+        outside = _norms_sq(z) > rad * rad
+        z = z[~(outside[:, 0] | outside[:, 1])]
+        k = z.shape[0]
+        # the first points of the pairs, then the second points
+        xs = model.center + z.transpose(1, 0, 2).reshape(2 * k, model.dim_x)
+        f = forward_stack(model, xs)
+        require_finite(f, "forward value at a tangential-cone pair")
+        fd = f[:k] - f[k:]
         rhs = eta * row_norms(fd)
-        take = np.flatnonzero(rhs != 0.0)[:needed]
-        if not take.size:
+        apart = rhs != 0.0
+        # a block whose pairs are all taken is sliced, without copies
+        take = slice(needed) if apart.all() else np.flatnonzero(apart)[:needed]
+        x_a, x_b, fd, rhs = xs[:k][take], xs[k:][take], fd[take], rhs[take]
+        if not rhs.shape[0]:
             break
-        x_a, x_b, fd, rhs = x_a[take], x_b[take], fd[take], rhs[take]
         jac = jacobian_stack(model, x_a)
         require_finite(jac, "Jacobian at a tangential-cone pair")
         jd = (jac @ (x_a - x_b)[:, :, None])[:, :, 0]
         worst = float(np.fmax.reduce(row_norms(fd - jd) / rhs, initial=worst))
-        needed -= take.shape[0]
+        needed -= rhs.shape[0]
     return worst if needed < VERIFY_SAMPLES else math.nan
+
+
+def _jacobian_norms(model: ForwardModel, xs: np.ndarray) -> list[float]:
+    """``estimate_jacobian_norm(model, x)`` at every row of ``xs``, bit for
+    bit: J by one :func:`jacobian_stack` (its rows are those of
+    ``jacobian_matrix`` by the ``ForwardModel`` batch contract) and the
+    spectral norms by one stacked ``np.linalg.norm(., 2)``, which runs the
+    same LAPACK SVD on each matrix.  Raises :class:`NonFiniteOutput` when a
+    Jacobian holds NaN or inf."""
+    jacs = jacobian_stack(model, xs)
+    require_finite(jacs, "Jacobian at a recorded iterate")
+    return np.linalg.norm(jacs, 2, axis=(1, 2)).tolist()
 
 
 def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
                 tau: float, delta: float) -> list[tuple[str, str, str]]:
     """The verify rows for ``prob`` under ``cert``, from the exact-data run
     ``trace`` (iterates recorded) and the discrepancy-stopped ``ntrace``;
-    both start at ``prob.default_x0`` and carry their theory constants."""
+    both start at ``prob.default_x0`` and carry their theory constants.
+
+    The ``alpha-ceiling`` row takes ``||J(x_k)||`` at every iterate that
+    took a step with one :func:`_jacobian_norms` call.
+    """
     model = prob.model
     rows = []
 
@@ -97,9 +141,9 @@ def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
         mdp_tol = max(1e-8, 2.0 * tol_alpha * q)
         check("mdp-prime-identity", worst_mdp <= mdp_tol,
               f"max rel err {worst_mdp:.3e} over {len(steps)} steps")
+        dense_norms = _jacobian_norms(model, np.array(trace.iterates[:len(steps)]))
         worst_ceiling = 0.0
-        for diag, x_k in zip(steps, trace.iterates):
-            dense = operators.estimate_jacobian_norm(model, x_k, check=False)
+        for diag, dense in zip(steps, dense_norms):
             ceiling = q / (1.0 - q) * dense**2
             worst_ceiling = max(worst_ceiling, diag.alpha / ceiling)
         check("alpha-ceiling", worst_ceiling <= 1.0 + 1e-8,

@@ -187,15 +187,19 @@ def _pair_quantities(model: ForwardModel, pa: np.ndarray, pb: np.ndarray):
     such pair, when distinct arguments share their data, and
     :class:`NonFiniteOutput` when the model returns NaN or inf.
 
-    One array pass per block of ``STACK_BLOCK`` pairs: F and J are stacked
-    through :func:`forward_stack` / :func:`jacobian_stack`, vector norms are
-    taken by :func:`row_norms` (the bits of the per-pair ``np.linalg.norm``)
-    and spectral norms by the screen :func:`_spectral_norms`, row by row, so
-    the results do not depend on the block size or on whether the model has
-    batched callables.  A block is indexed down to its pairs with a != b
-    only when it has a pair with a == b, which random pairs and the pairs of
-    distinct grid points never are.  The spectral norms are screened: pass
-    them through :func:`_settle` before comparing them with a peak or a
+    One array pass per block of ``STACK_BLOCK`` pairs.  J and F are each
+    taken once, by :func:`jacobian_stack` / :func:`forward_stack` on the
+    block's first points stacked over its second points, and ``||J(a)||``,
+    ``||J(b)||`` by one call of the screen :func:`_spectral_norms`.  Vector
+    norms are taken by :func:`row_norms` (the bits of the per-pair
+    ``np.linalg.norm``).  Every row is computed on its own, by the
+    ``ForwardModel`` batch contract and the screen's independence of the
+    stack size, so the results do not depend on the block size, on the
+    stacking or on whether the model has batched callables.  A block is
+    indexed down to its pairs with a != b, before F is taken, only when it
+    has a pair with a == b, which random pairs and the pairs of distinct
+    grid points never are.  The spectral norms are screened: pass them
+    through :func:`_settle` before comparing them with a peak or a
     threshold.
     """
     jac = np.empty((pa.shape[0], 2))
@@ -204,28 +208,30 @@ def _pair_quantities(model: ForwardModel, pa: np.ndarray, pb: np.ndarray):
     for start in range(0, pa.shape[0], STACK_BLOCK):
         rows = slice(start, start + STACK_BLOCK)
         a, b = pa[rows], pb[rows]
-        ja, jb = jacobian_stack(model, a), jacobian_stack(model, b)
-        require_finite(ja, "Jacobian at a sample pair")
-        require_finite(jb, "Jacobian at a sample pair")
-        jac[rows, 0] = _spectral_norms(ja)
-        jac[rows, 1] = _spectral_norms(jb)
+        k = a.shape[0]
+        ab = np.concatenate((a, b))  # a's rows, then b's
+        jab = jacobian_stack(model, ab)
+        require_finite(jab, "Jacobian at a sample pair")
+        norms = _spectral_norms(jab)
+        jac[rows, 0], jac[rows, 1] = norms[:k], norms[k:]
         d = row_norms(a - b)
         if not d.all():
             keep = d != 0.0
-            a, b, d, ja, jb = a[keep], b[keep], d[keep], ja[keep], jb[keep]
-        fa, fb = forward_stack(model, a), forward_stack(model, b)
-        require_finite(fa, "forward value at a sample pair")
-        require_finite(fb, "forward value at a sample pair")
-        fd = row_norms(fa - fb)
+            d, both = d[keep], np.concatenate((keep, keep))
+            ab, jab, k = ab[both], jab[both], d.shape[0]
+        fab = forward_stack(model, ab)
+        require_finite(fab, "forward value at a sample pair")
+        fd = row_norms(fab[:k] - fab[k:])
         if not fd.all():
             i = np.flatnonzero(fd == 0.0)[0]
             raise DegenerateModel(
-                f"F({a[i]}) = F({b[i]}) with distinct arguments: "
+                f"F({ab[i]}) = F({ab[k + i]}) with distinct arguments: "
                 "no stability on this box"
             )
-        out = apart[kept:kept + fd.shape[0]]
-        out[:, 0], out[:, 1], out[:, 2] = d, _spectral_norms(ja - jb), fd
-        kept += fd.shape[0]
+        out = apart[kept:kept + k]
+        out[:, 0], out[:, 2] = d, fd
+        out[:, 1] = _spectral_norms(jab[:k] - jab[k:])
+        kept += k
     require_finite(apart[:kept], "pair difference norms")
     return (jac.ravel(), *apart[:kept].T)
 
@@ -254,7 +260,9 @@ def estimate_stability_constants(model: ForwardModel, box: CompactBox,
     (``q_norm = 1``); to certify a measured model Q o F, pass
     ``compose_measured_model(model, q_op)``.  ``domain_rho_prime`` is taken
     from the largest ball centered in the box that the box still contains, so
-    the certificate is valid on that ball.
+    the certificate is valid on that ball.  Raises :class:`DegenerateModel`,
+    naming the box, when no sampled pair has distinct points (a one-point
+    box), and whenever :func:`_pair_quantities` does.
     """
     if samples < 10**4:
         raise ValueError("at least 10^4 sample pairs are required")
@@ -262,6 +270,11 @@ def estimate_stability_constants(model: ForwardModel, box: CompactBox,
         raise ValueError("eps must lie in (0, 1]")
     pa, pb = _pair_arrays(box, samples, seed)
     jac, d, jd, fd = _pair_quantities(model, pa, pb)
+    if not d.shape[0]:
+        raise DegenerateModel(
+            f"no sampled pair of distinct points in the box "
+            f"[{box.lower.tolist()}, {box.upper.tolist()}]: no stability "
+            "constant to estimate")
     jac, jd = _settle(model, pa, pb, jac, jd,
                       (jac, _peak(jac)), (jd / d, _peak(jd / d)))
     exponent = (1.0 + eps) / 2.0

@@ -129,10 +129,19 @@ class Lattice:
 
     def block(self, start: int, stop: int) -> np.ndarray:
         """Points ``start`` up to (not including) ``stop``, as a (k, n) array;
-        a range that runs past the last point ends there."""
-        index = np.unravel_index(np.arange(start, min(stop, self.size)),
-                                 [len(axis) for axis in self.axes])
-        return np.column_stack([axis[i] for axis, i in zip(self.axes, index)])
+        a range that runs past the last point ends there.
+
+        The flat indices are unravelled from the last axis on, one
+        ``np.divmod`` per axis but the first: the remainder picks the axis's
+        coordinate and the quotient carries on to the axes before it.
+        """
+        index = np.arange(start, min(stop, self.size))
+        out = np.empty((index.shape[0], len(self.axes)))
+        for col in range(len(self.axes) - 1, 0, -1):
+            index, here = np.divmod(index, len(self.axes[col]))
+            out[:, col] = self.axes[col][here]
+        out[:, 0] = self.axes[0][index]
+        return out
 
     @property
     def points(self) -> np.ndarray:

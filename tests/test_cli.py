@@ -23,6 +23,7 @@ from lmrecon.errors import ConfigInvalid, NonFiniteOutput
 from lmrecon.gallery import gallery_ids, get_problem
 from lmrecon.operators import (STACK_BLOCK, forward_stack, jacobian_matrix,
                                jacobian_stack, row_norms)
+from lmrecon.operators import ForwardModel, estimate_jacobian_norm
 from lmrecon.tracefile import COLUMNS, TraceFile, dumps, loads, read_trace
 
 PRESETS = str(Path(__file__).resolve().parent.parent / "presets")
@@ -1061,3 +1062,193 @@ def test_main_returns_a_documented_exit_code(run):
             warnings.simplefilter("ignore", RuntimeWarning)
             code = main([command, "--config", str(path)])
     assert code in range(6)
+
+
+def _reduce_sampler(model, eta, rad):
+    """The tangential-cone sampler with the ball test as a reduce over each
+    point's coordinates and then over the pair, F taken per side, and the
+    taken pairs of every block indexed, as before these were replaced."""
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    needed = checks.VERIFY_SAMPLES
+    while needed > 0:
+        z = rng.uniform(-rad, rad, (STACK_BLOCK, 2, model.dim_x))
+        z = z[~np.any(np.sum(z * z, axis=2) > rad * rad, axis=1)]
+        x_a, x_b = model.center + z[:, 0], model.center + z[:, 1]
+        fa, fb = forward_stack(model, x_a), forward_stack(model, x_b)
+        fd = fa - fb
+        rhs = eta * row_norms(fd)
+        take = np.flatnonzero(rhs != 0.0)[:needed]
+        if not take.size:
+            break
+        x_a, x_b, fd, rhs = x_a[take], x_b[take], fd[take], rhs[take]
+        jd = (jacobian_stack(model, x_a) @ (x_a - x_b)[:, :, None])[:, :, 0]
+        worst = float(np.fmax.reduce(row_norms(fd - jd) / rhs, initial=worst))
+        needed -= take.shape[0]
+    return worst if needed < checks.VERIFY_SAMPLES else math.nan
+
+
+def _relu_model(n):
+    """F(x) = max(x, 0) entry by entry about the origin: F(a) = F(b) on the
+    whole negative orthant, so some blocks take only some of their pairs."""
+    return ForwardModel(
+        dim_x=n, dim_y=n, center=np.zeros(n), radius_sq=1e6,
+        forward=lambda x: np.maximum(x, 0.0),
+        jacobian_apply=lambda x, v: (x > 0.0) * v,
+        jacobian_adjoint_apply=lambda x, w: (x > 0.0) * w,
+    )
+
+
+class TestStackedVerifyKeepsItsBits:
+    """`verify`'s sampler and alpha-ceiling row against the expressions
+    they replaced, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           exponent=st.integers(-150, 150), ratio=st.floats(0.5, 1.5))
+    def test_ball_filter_matches_reduce(self, n, seed, exponent, ratio):
+        # the sampler's draws; the threshold falls among the squared norms
+        rad = ratio * 2.0**exponent
+        z = np.random.default_rng(seed).uniform(-rad, rad, (STACK_BLOCK, 2, n))
+        norms_sq = checks._norms_sq(z)
+        assert norms_sq.tobytes() == np.sum(z * z, axis=2).tobytes()
+        outside = norms_sq > rad * rad
+        kept = ~(outside[:, 0] | outside[:, 1])
+        want = ~np.any(np.sum(z * z, axis=2) > rad * rad, axis=1)
+        assert kept.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("samples", [700, 10000])
+    def test_sampler_matches_reduce_sampler(self, samples, monkeypatch,
+                                            gallery_problems):
+        # 700 pairs end inside the first block; the ReLU models skip pairs
+        # with F(a) = F(b), so their blocks are indexed, not sliced
+        monkeypatch.setattr(checks, "VERIFY_SAMPLES", samples)
+        cases = [(prob.model, 0.3, 0.2) for prob in gallery_problems.values()
+                 if prob.model.dim_x > 1]
+        cases += [(_relu_model(n), 0.5, 1.0) for n in (1, 2, 3)]
+        cases += [(gallery_problems["scalar-linear"].model, 0.7, 0.5)]
+        for model, eta, rad in cases:
+            got = checks._tangential_cone_worst(model, eta, rad)
+            assert got.hex() == _reduce_sampler(model, eta, rad).hex()
+
+    def test_relu_blocks_skip_pairs(self):
+        # the index path above is reached
+        model = _relu_model(2)
+        z = np.random.default_rng(17).uniform(-1.0, 1.0, (STACK_BLOCK, 2, 2))
+        fa, fb = forward_stack(model, z[:, 0]), forward_stack(model, z[:, 1])
+        assert not np.all(row_norms(fa - fb) != 0.0)
+
+    @pytest.mark.parametrize("pid", [*gallery_ids(), "sabotaged-adjoint"])
+    def test_jacobian_norms_match_estimate(self, pid):
+        prob = get_problem(pid)
+        box = prob.default_box
+        rng = np.random.default_rng(5)
+        xs = box.lower + rng.random((40, box.dim)) * (box.upper - box.lower)
+        xs = np.vstack([xs, prob.default_x0, prob.x_dagger])
+        want = [estimate_jacobian_norm(prob.model, x, check=False) for x in xs]
+        got = checks._jacobian_norms(prob.model, xs)
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 100), n=st.integers(1, 12),
+           k=st.integers(1, 6), exponent=st.integers(-300, 300))
+    def test_stacked_norm_matches_per_matrix(self, data, m, n, k, exponent):
+        # one Jacobian per iterate, of every shape up to 100 x 12, served
+        # per point by jacobian_apply and stacked by jacobian_batch
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        mats = np.random.default_rng(seed).standard_normal((k, m, n)) * 10.0**exponent
+        model = ForwardModel(
+            dim_x=n, dim_y=m, center=np.zeros(n), radius_sq=1e6,
+            forward=lambda x: np.zeros(m),
+            jacobian_apply=lambda x, v: mats[int(x[0])][:, np.flatnonzero(v)[0]].copy(),
+            jacobian_adjoint_apply=lambda x, w: np.zeros(n),
+            jacobian_batch=lambda xs: mats[xs[:, 0].astype(int)],
+        )
+        xs = np.zeros((k, n))
+        xs[:, 0] = np.arange(k)
+        want = [estimate_jacobian_norm(model, x, check=False) for x in xs]
+        got = checks._jacobian_norms(model, xs)
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+
+    def test_non_finite_iterate_jacobian_exits_two(self, tmp_path, monkeypatch,
+                                                   capsys):
+        # only the batched J is NaN, so the runs and the operator checks,
+        # which take J point by point, pass; the alpha-ceiling row is the
+        # first to stack J.  A user certificate skips the re-verification.
+        prob = get_problem("exp-decay")
+        broken = dataclasses.replace(prob, model=dataclasses.replace(
+            prob.model,
+            jacobian_batch=lambda xs: np.full((xs.shape[0], 3, 2), np.nan)))
+        monkeypatch.setattr(gallery, "get_problem", lambda pid: broken)
+        path = mode_config(tmp_path, "verify",
+                           output_path=str(tmp_path / "v.report"),
+                           constants_override={"q_norm": 1.0})
+        assert main(["verify", "--config", str(path)]) == 2
+        assert "Jacobian at a recorded iterate is not finite" in \
+            capsys.readouterr().err
+
+
+@st.composite
+def yaml_documents(draw):
+    """Nested mappings and lists of the scalars safe_dump writes."""
+    scalars = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+               | st.floats(allow_nan=True) | st.text(max_size=12))
+    return draw(st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+        max_leaves=12))
+
+
+class TestLibyamlParsing:
+    """Configs are parsed by libyaml's CSafeLoader where pyyaml has it; it
+    gives the mapping that the pure-Python SafeLoader gives."""
+
+    def test_loader_is_libyaml_when_built(self):
+        import yaml
+
+        want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert cfgmod._SAFE_LOADER is want
+
+    @pytest.mark.parametrize("path", sorted(Path(PRESETS).glob("*.yaml")),
+                             ids=lambda p: p.stem)
+    def test_presets_parse_as_with_safe_loader(self, path, monkeypatch):
+        import yaml
+
+        text = path.read_text(encoding="utf-8")
+        raw = yaml.load(text, Loader=yaml.SafeLoader)
+        assert repr(yaml.load(text, Loader=cfgmod._SAFE_LOADER)) == repr(raw)
+        got = cfgmod.load_config(path)
+        assert got == cfgmod.parse(raw)
+        monkeypatch.setattr(cfgmod, "_SAFE_LOADER", yaml.SafeLoader)
+        assert cfgmod.load_config(path) == got
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=yaml_documents())
+    def test_documents_parse_as_with_safe_loader(self, doc):
+        import yaml
+
+        text = yaml.safe_dump(doc)
+        want = repr(yaml.load(text, Loader=yaml.SafeLoader))
+        assert repr(yaml.load(text, Loader=cfgmod._SAFE_LOADER)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=run_configs())
+    def test_configs_parse_as_with_safe_loader(self, cfg):
+        import yaml
+
+        text = cfgmod.serialize(cfg)
+        want = repr(yaml.load(text, Loader=yaml.SafeLoader))
+        assert repr(yaml.load(text, Loader=cfgmod._SAFE_LOADER)) == want
+
+    @pytest.mark.parametrize("text", ["q: [unclosed\n", "a: b: c\n",
+                                      "problem_id: x\n\tmode: exact\n",
+                                      "- 1\nq: 2\n", "'unterminated\n"])
+    @pytest.mark.parametrize("libyaml", [True, False])
+    def test_invalid_yaml_is_a_config_error(self, text, libyaml, monkeypatch):
+        import yaml
+
+        if not libyaml:
+            monkeypatch.setattr(cfgmod, "_SAFE_LOADER", yaml.SafeLoader)
+        with pytest.raises(ConfigInvalid, match="config is not valid YAML"):
+            cfgmod.parse_text(text)

@@ -617,3 +617,96 @@ def test_reverification_catches_understated_certificate():
                                 samples=10000, seed=12)
     assert not report.ok
     assert report.violations["jac_bound"] > 0
+
+
+def _two_call_pair_quantities(model, pa, pb):
+    """The pair kernel with J, F and the screen of ||J(a)||, ||J(b)|| each
+    called once per side of a block, as before they were stacked."""
+    jac = np.empty((pa.shape[0], 2))
+    apart = np.empty((pa.shape[0], 3))
+    kept = 0
+    for start in range(0, pa.shape[0], STACK_BLOCK):
+        rows = slice(start, start + STACK_BLOCK)
+        a, b = pa[rows], pb[rows]
+        ja, jb = jacobian_stack(model, a), jacobian_stack(model, b)
+        require_finite(ja, "Jacobian at a sample pair")
+        require_finite(jb, "Jacobian at a sample pair")
+        jac[rows, 0] = _spectral_norms(ja)
+        jac[rows, 1] = _spectral_norms(jb)
+        d = row_norms(a - b)
+        if not d.all():
+            keep = d != 0.0
+            a, b, d, ja, jb = a[keep], b[keep], d[keep], ja[keep], jb[keep]
+        fa, fb = forward_stack(model, a), forward_stack(model, b)
+        require_finite(fa, "forward value at a sample pair")
+        require_finite(fb, "forward value at a sample pair")
+        fd = row_norms(fa - fb)
+        if not fd.all():
+            i = np.flatnonzero(fd == 0.0)[0]
+            raise DegenerateModel(f"F({a[i]}) = F({b[i]}) with distinct arguments")
+        out = apart[kept:kept + fd.shape[0]]
+        out[:, 0], out[:, 1], out[:, 2] = d, _spectral_norms(ja - jb), fd
+        kept += fd.shape[0]
+    require_finite(apart[:kept], "pair difference norms")
+    return (jac.ravel(), *apart[:kept].T)
+
+
+class TestStackedPairKernel:
+    """The pair kernel, which evaluates J and F once per block on the
+    stacked points (a; b), against the kernel that called each per side."""
+
+    @staticmethod
+    def _assert_same_arrays(model, box, seed):
+        pa, pb = _pair_arrays(box, 10000, seed)
+        got = _pair_quantities(model, pa, pb)
+        want = _two_call_pair_quantities(model, pa, pb)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def _assert_same_oracle(self, model, box):
+        outputs = TestKernelKeepsItsBits._oracle_outputs
+        got = outputs(model, box)
+        assert any(any(counts.values()) for counts in got[2::3])
+        with mock.patch.object(gallery, "_pair_quantities", _two_call_pair_quantities):
+            want = outputs(model, box)
+        assert got == want
+
+    @pytest.mark.parametrize("pid", ["exp-decay", "exp-decay-2pt", "quadratic-2d",
+                                     "quadratic-3d", "scalar-linear"])
+    def test_arrays_match_per_side_kernel(self, pid, gallery_problems):
+        prob = gallery_problems[pid]
+        for seed in (3, 977):
+            self._assert_same_arrays(prob.model, prob.default_box, seed)
+
+    @pytest.mark.parametrize("pid", ["exp-decay", "quadratic-3d"])
+    def test_oracle_at_both_exponents_matches_per_side_kernel(self, pid,
+                                                              gallery_problems):
+        # estimates at eps = 1 and 0.5 and the violation counts of each
+        prob = gallery_problems[pid]
+        self._assert_same_oracle(prob.model, prob.default_box)
+
+    def test_coinciding_pairs_match_per_side_kernel(self, gallery_problems):
+        # about half of the random pairs of every block coincide, so each
+        # block is indexed down to its pairs with a != b
+        box = CompactBox(np.array([1.0, 1.0]), np.array([np.nextafter(1.0, 2.0), 1.0]))
+        model = gallery_problems["exp-decay"].model
+        self._assert_same_arrays(model, box, 7)
+        self._assert_same_oracle(model, box)
+
+    def test_degenerate_message_names_a_stacked_pair(self):
+        # F(x) = (x1 + x2) is not injective; the named pair is one that
+        # the per-side kernel names
+        model = linear_model([[1.0, 1.0]])
+        pa = np.array([[0.0, 1.0], [0.25, 0.5], [1.0, 0.0]])
+        pb = np.array([[0.0, 1.0], [0.5, 0.25], [0.0, 1.0]])
+        with pytest.raises(DegenerateModel) as got:
+            _pair_quantities(model, pa, pb)
+        with pytest.raises(DegenerateModel) as want:
+            _two_call_pair_quantities(model, pa, pb)
+        assert str(want.value) in str(got.value)
+
+    def test_one_point_box_estimate_is_a_typed_error(self, gallery_problems):
+        model = gallery_problems["exp-decay"].model
+        point = CompactBox(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(DegenerateModel,
+                           match=re.escape("box [[1.0, 1.0], [1.0, 1.0]]")):
+            estimate_stability_constants(model, point, eps=1.0)

@@ -653,3 +653,23 @@ def test_identity_measurement_matches_explicit_composition(pid, kind,
     reference = identity_reconstruction(prob, kind, composed)
     assert bits(trace.recon) == bits(reference.recon)
     assert bits(trace) == bits(reference)
+
+
+class TestLatticeBlockIndexing:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_block_matches_unravelled_indices(self, data):
+        # any axis lengths, up to five axes, against np.unravel_index over
+        # every index of the range
+        counts = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=5),
+                           label="counts")
+        axes = tuple(np.linspace(-1.0, 1.0, c) * (i + 1.5)
+                     for i, c in enumerate(counts))
+        lat = Lattice(axes=axes, covering_radius=1.0)
+        start = data.draw(st.integers(0, lat.size + 2), label="start")
+        stop = data.draw(st.integers(start, lat.size + 3), label="stop")
+        index = np.unravel_index(np.arange(start, min(stop, lat.size)), counts)
+        want = np.column_stack([axis[i] for axis, i in zip(axes, index)])
+        got = lat.block(start, stop)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
