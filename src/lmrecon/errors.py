@@ -32,7 +32,8 @@ class RootInfeasible(SolverError):
 
 
 class NonConvergence(SolverError):
-    """An iterative search exhausted its budget without meeting tolerance."""
+    """An iterative search exhausted its budget without meeting tolerance,
+    or a LAPACK routine failed to converge."""
 
 
 class ZeroResidual(SolverError):

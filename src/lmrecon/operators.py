@@ -14,13 +14,17 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+# numpy's own LAPACK gufuncs, the routines that np.linalg.qr, eigh and svd
+# call: bound by name, so that a numpy without them fails here, at import
+from numpy.linalg._umath_linalg import eigh_lo, qr_r_raw, qr_reduced, svd
 
-from .errors import DimensionMismatch, DomainViolation, NonFiniteOutput
+from .errors import DimensionMismatch, DomainViolation, NonConvergence, NonFiniteOutput
 
 Vector = np.ndarray
 
@@ -244,13 +248,75 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
+def _lapack_failure(routine: str):
+    """An ``np.errstate`` call handler raising :class:`NonConvergence` for
+    ``routine``, where numpy's wrapper raises ``LinAlgError``."""
+    def handler(err, flag):
+        raise NonConvergence(f"LAPACK {routine} failed: the matrix has NaN or "
+                             "inf entries, or the routine did not converge")
+    return handler
+
+
+_QR_FAILURE = _lapack_failure("QR factorization")
+_EIGH_FAILURE = _lapack_failure("symmetric eigendecomposition")
+_SVD_FAILURE = _lapack_failure("SVD")
+
+
+def _lapack_errstate(handler):
+    """The floating-point state numpy's wrappers call LAPACK under: a
+    failure sets the invalid flag and calls ``handler``, no other flag
+    warns."""
+    return np.errstate(call=handler, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+@functools.cache
+def _upper_mask(rows: int, cols: int) -> np.ndarray:
+    """The read-only mask of the entries ``np.triu`` keeps in a
+    ``rows x cols`` matrix."""
+    mask = ~np.tri(rows, cols, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _reduced_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q, R) = np.linalg.qr(a)`` of a real 2-D array ``a``, bit for bit,
+    without numpy's Python wrapper: the same two gufunc calls on a copy of
+    ``a`` (which the first overwrites), and R as ``np.triu``'s
+    ``np.where`` over a cached mask.  ``a`` is left unmodified."""
+    a = a.astype(float)
+    with _lapack_errstate(_QR_FAILURE):
+        tau = qr_r_raw(a, signature="d->d")
+        q = qr_reduced(a, tau, signature="dd->d")
+    rows = min(a.shape)
+    return q, np.where(_upper_mask(rows, a.shape[1]), a[:rows], 0.0)
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, v) = np.linalg.eigh(a)`` of a real symmetric 2-D array, bit for
+    bit: one call of the gufunc it wraps, reading the lower triangle."""
+    with _lapack_errstate(_EIGH_FAILURE):
+        return eigh_lo(a, signature="d->dd")
+
+
+def _spectral_norm(a: np.ndarray) -> float:
+    """``float(np.linalg.norm(a, 2))`` of a real 2-D array, bit for bit: the
+    largest of the singular values from one call of the gufunc it wraps."""
+    with _lapack_errstate(_SVD_FAILURE):
+        s = svd(a, signature="d->d")
+    return float(s.max(initial=0.0))
+
+
 def estimate_jacobian_norm(model: ForwardModel, x, iters: int = 100,
                            check: bool = True) -> float:
     """The spectral norm ||J(x)||, exactly: the largest singular value of the
-    dense Jacobian from :func:`jacobian_matrix`.
+    dense Jacobian from :func:`jacobian_matrix`, with the bits of
+    ``np.linalg.norm(J, 2)`` from one LAPACK call (:func:`_spectral_norm`).
 
     ``iters`` has no effect and must be >= 1; it stays for existing callers
-    that pass it.  Raises :class:`NonFiniteOutput` when J(x) holds NaN or inf.
+    that pass it.  Raises :class:`NonFiniteOutput` when J(x) holds NaN or
+    inf, before the SVD sees it, and :class:`NonConvergence` when the SVD
+    fails.
     """
     x = as_vector(x, model.dim_x, "x")
     if check:
@@ -259,7 +325,7 @@ def estimate_jacobian_norm(model: ForwardModel, x, iters: int = 100,
         raise ValueError("iters must be >= 1")
     j = jacobian_matrix(model, x)
     require_finite(j, "Jacobian J(x)")
-    return float(np.linalg.norm(j, 2))
+    return _spectral_norm(j)
 
 
 def finite_difference_jacobian(model: ForwardModel, x, h: float = 1e-5,

@@ -19,7 +19,11 @@ actions on the columns of Q and no ``dim_y x dim_y`` array.  That one
 spectrum is a :class:`Spectrum`; the Morozov function, its root, the ceiling
 ``alpha_bound``, the feasibility test and the solve for ``z`` all follow from
 it in closed form, and the update ``J* z`` and its linearized residual reuse
-its factors.
+its factors.  The QR and the eigendecomposition each call LAPACK once,
+through numpy's own gufuncs (:func:`lmrecon.operators._reduced_qr` and
+:func:`lmrecon.operators._eigh`), with the bits of ``np.linalg.qr`` and
+``np.linalg.eigh`` but without their Python wrappers, which cost more than
+LAPACK itself on desk-sized matrices.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from .errors import (
     RootInfeasible,
     ZeroResidual,
 )
-from .operators import (ForwardModel, as_vector, finite_norm, jacobian_matrix,
-                        require_finite, vector_norm)
+from .operators import (ForwardModel, _eigh, _reduced_qr, as_vector, finite_norm,
+                        jacobian_matrix, require_finite, vector_norm)
 
 # Cap on the Newton iterations of the shift selection.
 NEWTON_MAX = 100
@@ -83,7 +87,8 @@ def gram_matrix(model: ForwardModel, x):
     ``dim_y > dim_x``, ``basis`` is the orthonormal Q of the reduced QR
     ``J = Q R``, ``adj`` is the ``dim_x x dim_x`` matrix ``J* Q`` from
     ``dim_x`` adjoint actions on the columns of Q, and ``gram`` is
-    ``R @ J* Q = Q^T G Q``.  Either way the adjoint enters ``gram`` exactly as
+    ``R @ J* Q = Q^T G Q``; Q and R are :func:`_reduced_qr`'s, the bits of
+    ``np.linalg.qr(J)``.  Either way the adjoint enters ``gram`` exactly as
     the model supplies it.  Raises :class:`NonFiniteOutput` when J or the
     adjoint's matrix holds NaN or inf, before either enters a product.
     """
@@ -92,7 +97,7 @@ def gram_matrix(model: ForwardModel, x):
     require_finite(j, "Jacobian J(x)")
     m, n = j.shape
     if m > n:
-        basis, upper = np.linalg.qr(j)
+        basis, upper = _reduced_qr(j)
         adj = np.empty((n, n))
         for i in range(n):
             adj[:, i] = as_vector(
@@ -172,7 +177,10 @@ def _spectrum(model: ForwardModel, x) -> Spectrum:
     ``Q^T G Q = W diag(lam) W^T`` of G on range(J), and ``u = Q W`` has
     ``dim_x`` columns; the columns of G are J times vectors, so the rest of
     the spectrum of a symmetric G is exact zeros, on the complement of
-    range(J).
+    range(J).  The eigenpairs are :func:`_eigh`'s, the bits of
+    ``np.linalg.eigh``.  ``lam`` is ascending, so the clip to 0 runs only
+    when ``lam[0]`` is at most the cutoff; otherwise it would copy ``lam``
+    unchanged.
 
     ``max|G|`` is taken once: it scales the asymmetry gate, and the matrix's
     finiteness is read off it, since a NaN or inf entry makes it NaN or inf.
@@ -188,7 +196,7 @@ def _spectrum(model: ForwardModel, x) -> Spectrum:
         raise FactorizationFailure(
             f"Gram matrix asymmetry {asym:.3e}: the adjoint action is inconsistent"
         )
-    lam, u = np.linalg.eigh(gram)
+    lam, u = _eigh(gram)
     if basis is not None:
         u = basis @ u
     cutoff = j.shape[0] * _EPS * max(float(lam[-1]), 0.0)
@@ -197,7 +205,9 @@ def _spectrum(model: ForwardModel, x) -> Spectrum:
             f"Gram matrix has eigenvalue {lam[0]:.3e} < 0: "
             "the adjoint action is inconsistent"
         )
-    return Spectrum(np.where(lam > cutoff, lam, 0.0), u, j, adj, basis)
+    if lam[0] <= cutoff:
+        lam = np.where(lam > cutoff, lam, 0.0)
+    return Spectrum(lam, u, j, adj, basis)
 
 
 def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float,
@@ -215,7 +225,12 @@ def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float,
     concave (the secular function of More 1978 for ``diag(1/lam)``), so
     Newton steps on ``1/phi - 1/(q ||r||)`` from ``alpha_bound`` approach the
     root from above without overshooting; a step that leaves the bracket
-    falls back to bisection.
+    falls back to bisection.  Each iterate forms ``lam + alpha`` once, for
+    its weights and for the returned ``z``.
+
+    The null-space coordinates ``c[lam == 0.0]`` are gathered only when
+    ``lam[0] == 0.0``: :func:`_spectrum`'s clip leaves ``lam`` ascending
+    with every zero in front, so there is none otherwise.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
@@ -227,8 +242,11 @@ def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float,
     c, rest = spec.split(r)
     rest_sq = float(np.dot(rest, rest))
     target = q * rnorm
-    null = c[lam == 0.0]
-    if math.sqrt(float(null @ null) + rest_sq) >= target:
+    null_sq = rest_sq
+    if lam[0] == 0.0:
+        null = c[lam == 0.0]
+        null_sq += float(null @ null)
+    if math.sqrt(null_sq) >= target:
         raise RootInfeasible(
             "Morozov target q*||r|| unreachable: the residual has a dominant "
             "component orthogonal to the Jacobian range"
@@ -243,11 +261,12 @@ def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float,
             # q/(1-q) lam_max, or a bisection, underflowed: q is near the
             # smallest float, and no positive shift is representable
             raise NonConvergence("Morozov Newton iteration underflows to alpha = 0")
-        w = alpha / (lam + alpha)
+        shifted = lam + alpha
+        w = alpha / shifted
         wc = w * c
         phi = math.sqrt(float(wc @ wc) + rest_sq)
         if abs(phi - target) <= tol_alpha * target:
-            return alpha, u @ (c / (lam + alpha)) + rest / alpha, it, alpha_bound
+            return alpha, u @ (c / shifted) + rest / alpha, it, alpha_bound
         if phi < target:
             lo = alpha
         else:

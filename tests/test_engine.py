@@ -784,6 +784,71 @@ def test_driver_traces_pinned(pid, gallery_problems):
     assert digests == PINNED_TRACES[pid]
 
 
+def _tall_model(m, n, seed):
+    """F(x) = A x + 0.3 (B x)^2 on R^n -> R^m with Gaussian A and B scaled by
+    1/sqrt(m), its unit-norm truth, and a start whose linearized residual
+    ||J(truth) d|| is 0.05."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n)) / math.sqrt(m)
+    b = rng.standard_normal((m, n)) / math.sqrt(m)
+
+    def forward(x):
+        bx = b @ x
+        return a @ x + 0.3 * bx * bx
+
+    model = ForwardModel(
+        dim_x=n, dim_y=m, center=np.zeros(n), radius_sq=math.inf,
+        forward=forward,
+        jacobian_apply=lambda x, v: a @ v + 0.6 * (b @ x) * (b @ v),
+        jacobian_adjoint_apply=lambda x, w: a.T @ w + 0.6 * (b.T @ ((b @ x) * w)))
+    truth = rng.standard_normal(n)
+    truth /= np.linalg.norm(truth)
+    d = rng.standard_normal(n)
+    d /= np.linalg.norm(d)
+    x0 = truth + 0.05 / np.linalg.norm(model.jacobian_apply(truth, d)) * d
+    return model, truth, x0, rng
+
+
+def tall_trace(shape, driver):
+    """One run of ``driver`` on the tall model of ``shape``: exact LM for 8
+    steps, noisy LM with discrepancy stopping on data at distance 1e-3, or
+    Landweber for 60 steps with the step size from ``||J(x0)||``."""
+    m, n = shape
+    model, truth, x0, rng = _tall_model(m, n, seed=m + n)
+    y = model.forward(truth)
+    if driver == "exact":
+        return run_exact(model, truth, y, x0, SolverConfig(q=0.5, max_iters=8))
+    if driver == "noisy":
+        u = rng.standard_normal(m)
+        cfg = SolverConfig(q=0.5, max_iters=60, tau=4.0, delta=1e-3,
+                           stop_mode="discrepancy")
+        return run_noisy(model, truth, y + 1e-3 * u / np.linalg.norm(u), x0, cfg)
+    return landweber_run(model, y, x0, None, SolverConfig(q=0.5, max_iters=60),
+                         x_dagger=truth)
+
+
+# (dim_y, dim_x) -> the ``trace_digest`` of the exact, noisy and Landweber
+# runs of ``tall_trace``, recorded with numpy 2.4 and its bundled OpenBLAS on
+# x86-64.  These take the reduced-QR path of the step.
+PINNED_TALL_TRACES = {
+    (100, 12): (
+        "7a346c16bd07cf04da632a7da352c09275f9fb3ef97143badb11a2471cb64dc0",
+        "016f0c481ed9406ff412c7d9b6eb2c8325496109461175f56556a50a40ba9c57",
+        "dd37234fecdea09bf2fb2db1b3eed674a1f67359cac7ea8f0a695456bfd110a9"),
+    (400, 50): (
+        "3f3718c970097b61af8e586540a777bea0455d8b02d3a74f4d29d1a6f1019c83",
+        "d066135bb52c4067a5b328da420c7dadcbaff7f092448688494627b3901569e7",
+        "8532bef6f5a61321dfb0769cc41a1988bacdb40540f9923a4e57a733b556235c"),
+}
+
+
+@pytest.mark.parametrize("shape", PINNED_TALL_TRACES)
+def test_tall_traces_pinned(shape):
+    digests = tuple(trace_digest(tall_trace(shape, driver))
+                    for driver in ("exact", "noisy", "landweber"))
+    assert digests == PINNED_TALL_TRACES[shape]
+
+
 def _broken_model(dim, part, entries):
     """F(x) = 2 x on R^dim, except that ``part`` ("forward",
     "jacobian_apply" or "jacobian_adjoint_apply") returns ``entries``,

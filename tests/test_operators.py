@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GALLERY_IDS, linear_model, non_finite_model, sample_ball
-from lmrecon.errors import DimensionMismatch, DomainViolation, NonFiniteOutput
+from lmrecon.errors import DimensionMismatch, DomainViolation, NonConvergence, NonFiniteOutput
 from lmrecon.operators import (
     ForwardModel,
+    _eigh,
+    _reduced_qr,
+    _spectral_norm,
     StabilityCertificate,
     adjoint_defect,
     apply_forward,
@@ -319,3 +322,56 @@ def test_finite_norm_is_the_checked_norm(v):
     else:
         assert _norm_and_warnings(lambda u: finite_norm(u, "v"), v) == \
             _norm_and_warnings(np.linalg.norm, v)
+
+
+@st.composite
+def lapack_matrices(draw):
+    """A tall or square float matrix from 1 x 1 to 60 x 60 at a scale from
+    1e-150 to 1e150; some draws are zero, some have rank below their column
+    count, and some are strided views."""
+    n = draw(st.integers(1, 60), label="columns")
+    m = draw(st.integers(n, 60), label="rows")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    scale = 10.0 ** draw(st.floats(-150.0, 150.0), label="log10 scale")
+    kind = draw(st.sampled_from(["full", "full", "rank-deficient", "zero"]),
+                label="kind")
+    if kind == "zero":
+        return np.zeros((m, n))
+    if kind == "rank-deficient":
+        rank = draw(st.integers(0, n - 1), label="rank")
+        a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    else:
+        a = rng.standard_normal((m, n))
+    if draw(st.booleans(), label="strided"):
+        a = np.repeat(a, 2, axis=1)[:, ::2]
+    return a * scale
+
+
+def _bits(*arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=lapack_matrices())
+def test_lapack_helpers_are_numpys_functions(a):
+    # the same bits as numpy's public functions, and the input left as it was
+    before = a.copy()
+    assert _bits(*_reduced_qr(a)) == _bits(*np.linalg.qr(a))
+    assert float.hex(_spectral_norm(a)) == float.hex(float(np.linalg.norm(a, 2)))
+    n = a.shape[1]
+    sym = a[:n] + a[:n].T
+    assert _bits(*_eigh(sym)) == _bits(*np.linalg.eigh(sym))
+    assert _bits(a) == _bits(before)
+
+
+def test_svd_failure_is_a_solver_error():
+    # numpy's wrapper raises its own LinAlgError on a NaN matrix; the helper
+    # raises the library's NonConvergence, which the CLI maps to exit code 2
+    nan = np.full((3, 2), np.nan)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.norm(nan, 2)
+    with pytest.raises(NonConvergence, match="LAPACK SVD failed"):
+        _spectral_norm(nan)
+    # a NaN Jacobian is still reported as the model's fault, before the SVD
+    with pytest.raises(NonFiniteOutput):
+        estimate_jacobian_norm(non_finite_model("jacobian_apply"), [1.0])
