@@ -20,53 +20,37 @@ from .operators import (STACK_BLOCK, ForwardModel, forward_stack, jacobian_stack
 VERIFY_SAMPLES = 10000
 
 
-def _norms_sq(z: np.ndarray) -> np.ndarray:
-    """``np.sum(z * z, axis=-1)`` with the same bits, by one addition of
-    whole columns per coordinate when the last axis is shorter than 8.
-
-    numpy adds a reduced axis that short sequentially, in index order, as
-    the column loop does; from 8 on it sums pairwise, and the reduce stays.
-    The column adds skip the reduce's per-row overhead on short rows.
-    """
-    sq = z * z
-    if sq.shape[-1] >= 8:
-        return np.sum(sq, axis=-1)
-    total = sq[..., 0]
-    for col in range(1, sq.shape[-1]):
-        total = total + sq[..., col]
-    return total
-
-
 def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float:
     """Largest ``||F(a) - F(b) - J(a)(a - b)|| / (eta ||F(a) - F(b)||)`` over
     ``VERIFY_SAMPLES`` pairs drawn uniformly from the ball of radius ``rad``
     about the model's center.
 
-    Candidate pairs come ``STACK_BLOCK`` at a time from one seeded stream, in
-    the order of successive single draws; a pair with a point outside the
-    ball, or with F(a) = F(b), is skipped.  A block in which every pair is
-    skipped ends the sampling (F does not separate points of a ball that
-    small), and the largest ratio found so far is returned: NaN when there
-    is none.  Raises :class:`NonFiniteOutput` when F at a drawn point
-    inside the ball, or J at a taken pair's first point, holds NaN or inf.
+    Each block draws ``2 STACK_BLOCK`` points from one seeded stream, the
+    pairs' first points over their second points, as
+    ``center + (rad U^(1/n) / ||g||) g`` with ``g`` standard normal in the
+    model's ``n`` dimensions and ``U`` uniform (Muller 1959), so every draw
+    lies in the ball in any dimension.  A pair with F(a) = F(b) is skipped.
+    A block in which every pair is skipped ends the sampling (F does not
+    separate points of a ball that small), and the largest ratio found so
+    far is returned: NaN when there is none.  Raises
+    :class:`NonFiniteOutput` when F at a drawn point, or J at a taken
+    pair's first point, holds NaN or inf.
 
-    The ball test compares the squared norms of :func:`_norms_sq`, the bits
-    of ``np.sum(z * z)``, and joins the two points' tests with one ``|``.
-    F is taken once per block, on the pairs' first points stacked over
-    their second points, and a block whose pairs are all taken is sliced
-    rather than indexed.  Every ratio has the bits of a per-pair
-    evaluation, by the ``ForwardModel`` batch contract.
+    F is taken once per block on the stacked points, and a block whose
+    pairs are all taken is sliced rather than indexed.  Every ratio has the
+    bits of a per-pair evaluation, by the ``ForwardModel`` batch contract.
+    For n <= 2 the radius ``U^(1/n)`` is the identity or a square root,
+    both correctly rounded; for n >= 3 it is numpy's vectorized pow, whose
+    last bit can depend on the SIMD instructions numpy was built for.
     """
     rng = np.random.default_rng(17)
     worst = 0.0
     needed = VERIFY_SAMPLES
+    k, n = STACK_BLOCK, model.dim_x
     while needed > 0:
-        z = rng.uniform(-rad, rad, (STACK_BLOCK, 2, model.dim_x))
-        outside = _norms_sq(z) > rad * rad
-        z = z[~(outside[:, 0] | outside[:, 1])]
-        k = z.shape[0]
-        # the first points of the pairs, then the second points
-        xs = model.center + z.transpose(1, 0, 2).reshape(2 * k, model.dim_x)
+        g = rng.standard_normal((2 * k, n))
+        radii = rad * rng.random(2 * k) ** (1.0 / n)
+        xs = model.center + (radii / row_norms(g))[:, None] * g
         f = forward_stack(model, xs)
         require_finite(f, "forward value at a tangential-cone pair")
         fd = f[:k] - f[k:]
@@ -89,12 +73,11 @@ def _jacobian_norms(model: ForwardModel, xs: np.ndarray) -> list[float]:
     """``estimate_jacobian_norm(model, x)`` at every row of ``xs``, bit for
     bit: J by one :func:`jacobian_stack` (its rows are those of
     ``jacobian_matrix`` by the ``ForwardModel`` batch contract) and the
-    spectral norms by one stacked ``np.linalg.norm(., 2)``, which runs the
-    same LAPACK SVD on each matrix.  Raises :class:`NonFiniteOutput` when a
-    Jacobian holds NaN or inf."""
+    spectral norms by one stacked LAPACK SVD.  Raises
+    :class:`NonFiniteOutput` when a Jacobian holds NaN or inf."""
     jacs = jacobian_stack(model, xs)
     require_finite(jacs, "Jacobian at a recorded iterate")
-    return np.linalg.norm(jacs, 2, axis=(1, 2)).tolist()
+    return operators._spectral_norm(jacs).tolist()
 
 
 def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,

@@ -2,9 +2,9 @@
 
 Every command takes a YAML config (see config.py for the schema), writes its
 primary artifact to the configured output path and prints a short summary.
-The module only wires: ``solve``, ``compare`` and both ``verify`` runs go
-through one run path, ``_run``; the reconstruction pipeline lives in
-recon.py and the verification checks in checks.py.
+The module only wires: every command's runs go through one run path,
+``_run``; the reconstruction pipeline lives in recon.py and the verification
+checks in checks.py.
 Exit codes are a fixed function of the outcome:
 
     0  clean termination
@@ -185,19 +185,32 @@ def _exit(trace, cfg: RunConfig) -> int:
 
 def _run(cfg: RunConfig, prob, cert: StabilityCertificate, model: ForwardModel,
          method: str, record_iterates: bool = False):
-    """Run LM or Landweber (``method``) on ``model`` as ``cfg`` says and
-    return the trace; an LM trace carries its theory constants for ``cert``.
+    """Run LM, Landweber or the reconstruction pipeline (``method`` "lm",
+    "landweber" or "reconstruct") on ``model`` as ``cfg`` says and return
+    the trace; an LM trace carries its theory constants for ``cert``.
 
     The stopping rule is the discrepancy principle when tau is set, else the
     accuracy target when target_gamma is set, else the budget.
     """
     x0 = _resolve_x0(cfg, prob)
+    y_obs = prob.y_exact
+    if method == "reconstruct":
+        q_op = _resolve_measurement(cfg, prob.model.dim_y)
+        box = _resolve_box(cfg, prob)
+        y_obs = q_op(y_obs)
     if cfg.tau is not None:
         stop = "discrepancy"
-        y_obs = make_noise(prob.y_exact, cfg.delta, cfg.noise_seed)
+        y_obs = make_noise(y_obs, cfg.delta, cfg.noise_seed)
     else:
         stop = "target_error" if cfg.target_gamma is not None else "fixed_budget"
-        y_obs = prob.y_exact
+    if method == "reconstruct":
+        if cfg.tau is None:
+            return reconstruct_exact(
+                model, q_op, box, cert, cfg.q, cfg.target_gamma, y_obs,
+                x_dagger=prob.x_dagger, tol_alpha=cfg.tol_alpha)[1]
+        return reconstruct_noisy(
+            model, q_op, box, cert, cfg.q, cfg.tau, cfg.delta, y_obs,
+            cfg.max_iters, x_dagger=prob.x_dagger, tol_alpha=cfg.tol_alpha)[1]
     scfg = SolverConfig(q=cfg.q, max_iters=cfg.max_iters, tau=cfg.tau,
                         delta=cfg.delta or 0.0, tol_alpha=cfg.tol_alpha,
                         stop_mode=stop, target_gamma=cfg.target_gamma,
@@ -214,46 +227,30 @@ def _run(cfg: RunConfig, prob, cert: StabilityCertificate, model: ForwardModel,
                      record_iterates=record_iterates)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def _run_to_trace(cfg: RunConfig, method: str) -> int:
+    """Run ``method`` (see :func:`_run`), write the trace, print a summary
+    line and return the exit code."""
     prob = _get_problem(cfg)
-    method = "landweber" if cfg.mode == "landweber" else "lm"
     cert = _resolve_certificate(prob, cfg)
     trace = _run(cfg, prob, cert, prob.model, method)
     tf = TraceFile.from_trace(trace, _header(cfg, prob, cert, trace))
     write_trace(cfg.output_path, tf)
+    rs = trace.recon
+    run = (f"terminal={trace.terminal} iters={trace.iterations}" if rs is None
+           else f"lattice={rs.lattice_size} scanned={rs.scanned} "
+           f"x0={np.array2string(rs.x0, precision=6)} terminal={trace.terminal}")
     err = float(np.linalg.norm(trace.x_final - prob.x_dagger))
-    print(f"{cfg.mode}: terminal={trace.terminal} iters={trace.iterations} "
-          f"k_star={trace.k_star} final_error={err:.6e} -> {cfg.output_path}")
+    print(f"{cfg.mode}: {run} k_star={trace.k_star} final_error={err:.6e} "
+          f"-> {cfg.output_path}")
     return _exit(trace, cfg)
+
+
+def cmd_solve(cfg: RunConfig) -> int:
+    return _run_to_trace(cfg, "landweber" if cfg.mode == "landweber" else "lm")
 
 
 def cmd_reconstruct(cfg: RunConfig) -> int:
-    prob = _get_problem(cfg)
-    cert = _resolve_certificate(prob, cfg)
-    q_op = _resolve_measurement(cfg, prob.model.dim_y)
-    box = _resolve_box(cfg, prob)
-    y_measured = q_op(prob.y_exact)
-
-    if cfg.mode == "reconstruct_exact":
-        x_hat, trace = reconstruct_exact(
-            prob.model, q_op, box, cert, cfg.q, cfg.target_gamma, y_measured,
-            x_dagger=prob.x_dagger, tol_alpha=cfg.tol_alpha,
-        )
-    else:
-        y_delta = make_noise(y_measured, cfg.delta, cfg.noise_seed)
-        x_hat, trace = reconstruct_noisy(
-            prob.model, q_op, box, cert, cfg.q, cfg.tau, cfg.delta, y_delta,
-            cfg.max_iters, x_dagger=prob.x_dagger, tol_alpha=cfg.tol_alpha,
-        )
-
-    tf = TraceFile.from_trace(trace, _header(cfg, prob, cert, trace))
-    write_trace(cfg.output_path, tf)
-    rs = trace.recon
-    err = float(np.linalg.norm(x_hat - prob.x_dagger))
-    print(f"{cfg.mode}: lattice={rs.lattice_size} scanned={rs.scanned} "
-          f"x0={np.array2string(rs.x0, precision=6)} terminal={trace.terminal} "
-          f"k_star={trace.k_star} final_error={err:.6e} -> {cfg.output_path}")
-    return _exit(trace, cfg)
+    return _run_to_trace(cfg, "reconstruct")
 
 
 def _render(rows) -> str:

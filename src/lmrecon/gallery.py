@@ -35,6 +35,7 @@ from .operators import (
     STACK_BLOCK,
     ForwardModel,
     StabilityCertificate,
+    _spectral_norm,
     as_vector,
     forward_stack,
     jacobian_stack,
@@ -150,7 +151,8 @@ def _settle(model: ForwardModel, pa: np.ndarray, pb: np.ndarray,
     Each cut is ``(ratio, pivot)``: the values that the consumer compares
     with one pivot, a sample peak or a violation threshold, entry by entry.
     An entry whose ratio lies within ``SCREEN_TOL`` of the pivot gets
-    ``np.linalg.norm(., 2)``; a zero norm is exact and stays.  J is rebuilt
+    LAPACK's spectral norm (:func:`_spectral_norm`, the bits of
+    ``np.linalg.norm(., 2)``); a zero norm is exact and stays.  J is rebuilt
     for those entries a block at a time; by the ``ForwardModel`` contract
     its rows are the ones that were screened.
     """
@@ -172,7 +174,7 @@ def _settle(model: ForwardModel, pa: np.ndarray, pb: np.ndarray,
             stack = jacobian_stack(model, first[part])
             if diff:
                 stack = stack - jacobian_stack(model, second[part])
-            norms[near[part]] = np.linalg.norm(stack, 2, axis=(1, 2))
+            norms[near[part]] = _spectral_norm(stack)
         settled.append(norms)
     return settled
 

@@ -299,12 +299,13 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return eigh_lo(a, signature="d->dd")
 
 
-def _spectral_norm(a: np.ndarray) -> float:
-    """``float(np.linalg.norm(a, 2))`` of a real 2-D array, bit for bit: the
-    largest of the singular values from one call of the gufunc it wraps."""
+def _spectral_norm(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, 2, axis=(-2, -1))`` of a real 2-D array or stack
+    of them, bit for bit: the largest of each matrix's singular values from
+    one call of the gufunc it wraps."""
     with _lapack_errstate(_SVD_FAILURE):
         s = svd(a, signature="d->d")
-    return float(s.max(initial=0.0))
+    return s.max(axis=-1, initial=0.0)
 
 
 def estimate_jacobian_norm(model: ForwardModel, x, iters: int = 100,
@@ -325,7 +326,7 @@ def estimate_jacobian_norm(model: ForwardModel, x, iters: int = 100,
         raise ValueError("iters must be >= 1")
     j = jacobian_matrix(model, x)
     require_finite(j, "Jacobian J(x)")
-    return _spectral_norm(j)
+    return float(_spectral_norm(j))
 
 
 def finite_difference_jacobian(model: ForwardModel, x, h: float = 1e-5,

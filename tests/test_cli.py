@@ -14,15 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import non_finite_model
+from conftest import linear_model, non_finite_model
 from lmrecon import checks, cli, gallery
 from lmrecon import config as cfgmod
 from lmrecon.cli import main
-from lmrecon.engine import SolverConfig, TraceRecord, run_exact, tangential_cone_eta
+from lmrecon.engine import SolverConfig, TraceRecord, run_exact
 from lmrecon.errors import ConfigInvalid, NonFiniteOutput
 from lmrecon.gallery import gallery_ids, get_problem
-from lmrecon.operators import (STACK_BLOCK, forward_stack, jacobian_matrix,
-                               jacobian_stack, row_norms)
+from lmrecon.operators import STACK_BLOCK, forward_stack, jacobian_matrix, row_norms
 from lmrecon.operators import ForwardModel, estimate_jacobian_norm
 from lmrecon.tracefile import COLUMNS, TraceFile, dumps, loads, read_trace
 
@@ -535,66 +534,6 @@ def report_rows(path):
 
 
 class TestVerifyCommand:
-    def test_tangential_cone_sampler_matches_single_draws(self, monkeypatch,
-                                                          gallery_problems):
-        # the blocked sampler visits the pairs of one (2, n) draw at a time
-        monkeypatch.setattr(checks, "VERIFY_SAMPLES", 2500)
-        model = gallery_problems["exp-decay"].model
-        eta, rad = 0.3, 0.2
-        rng = np.random.default_rng(17)
-        worst, checked = 0.0, 0
-        while checked < 2500:
-            z = rng.uniform(-rad, rad, (2, model.dim_x))
-            if np.any(np.sum(z * z, axis=1) > rad * rad):
-                continue
-            x_a, x_b = model.center + z[0], model.center + z[1]
-            fa, fb = model.forward(x_a), model.forward(x_b)
-            rhs = eta * float(np.linalg.norm(fa - fb))
-            if rhs == 0.0:
-                continue
-            lhs = float(np.linalg.norm(fa - fb - jacobian_matrix(model, x_a) @ (x_a - x_b)))
-            worst = max(worst, lhs / rhs)
-            checked += 1
-        assert checks._tangential_cone_worst(model, eta, rad) == worst
-
-    def test_tangential_cone_worst_matches_list_maximum(self, gallery_problems):
-        # the sampler's running maximum, as a Python max over a list of the
-        # block's ratios, against the fmax reduction that replaced it
-        def list_maximum_worst(model, eta, rad):
-            rng = np.random.default_rng(17)
-            worst = 0.0
-            needed = checks.VERIFY_SAMPLES
-            while needed > 0:
-                z = rng.uniform(-rad, rad, (STACK_BLOCK, 2, model.dim_x))
-                z = z[~np.any(np.sum(z * z, axis=2) > rad * rad, axis=1)]
-                x_a, x_b = model.center + z[:, 0], model.center + z[:, 1]
-                fd = forward_stack(model, x_a) - forward_stack(model, x_b)
-                rhs = eta * row_norms(fd)
-                take = np.flatnonzero(rhs != 0.0)[:needed]
-                if not take.size:
-                    break
-                x_a, x_b, fd, rhs = x_a[take], x_b[take], fd[take], rhs[take]
-                jd = (jacobian_stack(model, x_a) @ (x_a - x_b)[:, :, None])[:, :, 0]
-                worst = max([worst, *(row_norms(fd - jd) / rhs).tolist()])
-                needed -= take.shape[0]
-            return worst if needed < checks.VERIFY_SAMPLES else math.nan
-
-        certified = [prob for prob in gallery_problems.values()
-                     if prob.certificate.provenance == "oracle-estimated"]
-        assert certified
-        for prob in certified:
-            # the ball and eta that `verify` samples on
-            cert = prob.certificate
-            rho_tc = cert.domain_rho_prime
-            eta = tangential_cone_eta(cert, rho_tc)
-            if eta >= 1.0:
-                rho_tc *= (0.9 / eta) ** ((1.0 + cert.holder_eps) / cert.holder_eps)
-                eta = tangential_cone_eta(cert, rho_tc)
-            rad = math.sqrt(2.0 * rho_tc)
-            worst = checks._tangential_cone_worst(prob.model, eta, rad)
-            assert type(worst) is float
-            assert worst.hex() == list_maximum_worst(prob.model, eta, rad).hex()
-
     @staticmethod
     def _poisoned(model, part, value, where):
         """``model`` with F or J (and their batched callables) returning
@@ -955,19 +894,19 @@ def test_solve_and_compare_outputs_pinned(tmp_path, capsys, run):
 # report, which verify also prints).  Recorded like PINNED.
 PINNED_VERIFY = {
     "c02_mdp_prime_identity.yaml": (
-        0, "8863c7f282de6992ba3967fb56f8c01a9876dcb55a95d009121c23318171cb09"),
+        0, "71fd8876d81cab759ba876eb18988aadf0dbfa71f88d2d198dfead2e74682b27"),
     "c03_error_monotonicity.yaml": (
-        0, "ab0764693f70f586d31ce5f08f49d039e61b67185512a2a0feac7d5bdb74b65c"),
+        0, "7491fab9d0d1e484440672efe996ef695655c71600d4d43e467ab8102b7797e7"),
     "c04_exact_rates.yaml": (
-        0, "396848db25a477018ec036083771b30a787dc9cff586153ce2490cab6eaeea57"),
+        0, "5d6760c256fb665c86c3c006aa672de3d8897401cd5be210d14d8a5dfd4787d3"),
     "c06_log_stopping.yaml": (
-        0, "d4ae73c950c13125c7efd642bbba8a993319306cf28a589d54863b9af2c61657"),
+        0, "18ffdcbfd172b4221caec435253f556e38df446bd1978e86583707febc8c9370"),
     "c08_oracle_suites.yaml": (
-        0, "ab0764693f70f586d31ce5f08f49d039e61b67185512a2a0feac7d5bdb74b65c"),
+        0, "7491fab9d0d1e484440672efe996ef695655c71600d4d43e467ab8102b7797e7"),
     "c09_tangential_cone.yaml": (
-        0, "ab0764693f70f586d31ce5f08f49d039e61b67185512a2a0feac7d5bdb74b65c"),
+        0, "7491fab9d0d1e484440672efe996ef695655c71600d4d43e467ab8102b7797e7"),
     "fault_sabotaged_adjoint.yaml": (
-        5, "8175e3c95a13d565b8911d6139235429c835fea7f9eba59ae7d84ad98d0dd43f"),
+        5, "6e69f957ce787d55f89926ca705e49d41d9a979ca1bca4cde96fe6318e2dfa81"),
 }
 
 
@@ -1064,28 +1003,41 @@ def test_main_returns_a_documented_exit_code(run):
     assert code in range(6)
 
 
-def _reduce_sampler(model, eta, rad):
-    """The tangential-cone sampler with the ball test as a reduce over each
-    point's coordinates and then over the pair, F taken per side, and the
-    taken pairs of every block indexed, as before these were replaced."""
+def _per_pair_sampler(model, eta, rad):
+    """The tangential-cone sampler one pair at a time: each block draws the
+    arrays the sampler draws (the radii by the same vectorized expression,
+    whose pow is the sampler's), then forms every point, takes F, J and the
+    ratio per pair, and keeps a Python maximum."""
     rng = np.random.default_rng(17)
-    worst = 0.0
-    needed = checks.VERIFY_SAMPLES
-    while needed > 0:
-        z = rng.uniform(-rad, rad, (STACK_BLOCK, 2, model.dim_x))
-        z = z[~np.any(np.sum(z * z, axis=2) > rad * rad, axis=1)]
-        x_a, x_b = model.center + z[:, 0], model.center + z[:, 1]
-        fa, fb = forward_stack(model, x_a), forward_stack(model, x_b)
-        fd = fa - fb
-        rhs = eta * row_norms(fd)
-        take = np.flatnonzero(rhs != 0.0)[:needed]
-        if not take.size:
+    k, n = STACK_BLOCK, model.dim_x
+    worst, taken = 0.0, 0
+    while taken < checks.VERIFY_SAMPLES:
+        g = rng.standard_normal((2 * k, n))
+        radii = rad * rng.random(2 * k) ** (1.0 / n)
+        points = [model.center + (r / np.linalg.norm(row)) * row
+                  for r, row in zip(radii, g)]
+        in_block = 0
+        for x_a, x_b in zip(points[:k], points[k:]):
+            if taken == checks.VERIFY_SAMPLES:
+                break
+            fd = model.forward(x_a) - model.forward(x_b)
+            rhs = eta * float(np.linalg.norm(fd))
+            if rhs == 0.0:
+                continue
+            jd = jacobian_matrix(model, x_a) @ (x_a - x_b)
+            worst = max(worst, float(np.linalg.norm(fd - jd)) / rhs)
+            taken += 1
+            in_block += 1
+        if not in_block:
             break
-        x_a, x_b, fd, rhs = x_a[take], x_b[take], fd[take], rhs[take]
-        jd = (jacobian_stack(model, x_a) @ (x_a - x_b)[:, :, None])[:, :, 0]
-        worst = float(np.fmax.reduce(row_norms(fd - jd) / rhs, initial=worst))
-        needed -= take.shape[0]
-    return worst if needed < checks.VERIFY_SAMPLES else math.nan
+    return worst if taken else math.nan
+
+
+def _ks_uniform(u):
+    """Kolmogorov-Smirnov distance of a sample from the uniform law on [0, 1]."""
+    u = np.sort(u)
+    i = np.arange(1, u.shape[0] + 1)
+    return float(max(np.max(i / u.shape[0] - u), np.max(u - (i - 1) / u.shape[0])))
 
 
 def _relu_model(n):
@@ -1100,26 +1052,48 @@ def _relu_model(n):
 
 
 class TestStackedVerifyKeepsItsBits:
-    """`verify`'s sampler and alpha-ceiling row against the expressions
-    they replaced, bit for bit."""
+    """`verify`'s sampler and alpha-ceiling row against per-pair and
+    per-matrix references, bit for bit, and the sampler's draws against the
+    uniform law on the ball."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
-           exponent=st.integers(-150, 150), ratio=st.floats(0.5, 1.5))
-    def test_ball_filter_matches_reduce(self, n, seed, exponent, ratio):
-        # the sampler's draws; the threshold falls among the squared norms
-        rad = ratio * 2.0**exponent
-        z = np.random.default_rng(seed).uniform(-rad, rad, (STACK_BLOCK, 2, n))
-        norms_sq = checks._norms_sq(z)
-        assert norms_sq.tobytes() == np.sum(z * z, axis=2).tobytes()
-        outside = norms_sq > rad * rad
-        kept = ~(outside[:, 0] | outside[:, 1])
-        want = ~np.any(np.sum(z * z, axis=2) > rad * rad, axis=1)
-        assert kept.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("n", [2, 3, 8, 12])
+    def test_identity_model_samples_in_any_dimension(self, n):
+        # F(x) = x has a zero linearization error on every pair; from 8-D
+        # on the ball fills under 1/60 of its cube, so only draws made in
+        # the ball itself yield pairs
+        worst = checks._tangential_cone_worst(linear_model(np.eye(n)), 0.5, 1.0)
+        assert type(worst) is float and worst == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
+    def test_draws_are_uniform_in_the_ball(self, n, monkeypatch):
+        # every point F is taken at lies in the ball, and (||x - c||/rad)^n
+        # is uniform on [0, 1] exactly when the radii are those of uniform
+        # draws in n-D; the bound is the KS quantile at level 1e-3
+        drawn = []
+
+        def recording(model, xs):
+            drawn.append(xs.copy())
+            return forward_stack(model, xs)
+
+        monkeypatch.setattr(checks, "forward_stack", recording)
+        center, rad = np.linspace(-1.0, 2.0, n), 0.3
+        checks._tangential_cone_worst(linear_model(np.eye(n), center=center),
+                                      0.5, rad)
+        xs = np.vstack(drawn)
+        blocks = math.ceil(checks.VERIFY_SAMPLES / STACK_BLOCK)
+        assert xs.shape == (blocks * 2 * STACK_BLOCK, n)
+        dist = row_norms(xs - center)
+        assert np.all(dist <= rad * (1.0 + 4.0 * np.finfo(float).eps))
+        assert _ks_uniform((dist / rad) ** n) < 1.95 / math.sqrt(xs.shape[0])
+        if n == 3:
+            # and in 3-D each coordinate of the direction is uniform on
+            # [-1, 1] (Archimedes)
+            unit = (xs[:, 0] - center[0]) / dist
+            assert _ks_uniform(0.5 * (unit + 1.0)) < 1.95 / math.sqrt(xs.shape[0])
 
     @pytest.mark.parametrize("samples", [700, 10000])
-    def test_sampler_matches_reduce_sampler(self, samples, monkeypatch,
-                                            gallery_problems):
+    def test_sampler_matches_per_pair_sampler(self, samples, monkeypatch,
+                                              gallery_problems):
         # 700 pairs end inside the first block; the ReLU models skip pairs
         # with F(a) = F(b), so their blocks are indexed, not sliced
         monkeypatch.setattr(checks, "VERIFY_SAMPLES", samples)
@@ -1129,14 +1103,22 @@ class TestStackedVerifyKeepsItsBits:
         cases += [(gallery_problems["scalar-linear"].model, 0.7, 0.5)]
         for model, eta, rad in cases:
             got = checks._tangential_cone_worst(model, eta, rad)
-            assert got.hex() == _reduce_sampler(model, eta, rad).hex()
+            assert type(got) is float
+            assert got.hex() == _per_pair_sampler(model, eta, rad).hex()
 
-    def test_relu_blocks_skip_pairs(self):
-        # the index path above is reached
-        model = _relu_model(2)
-        z = np.random.default_rng(17).uniform(-1.0, 1.0, (STACK_BLOCK, 2, 2))
-        fa, fb = forward_stack(model, z[:, 0]), forward_stack(model, z[:, 1])
-        assert not np.all(row_norms(fa - fb) != 0.0)
+    def test_relu_blocks_skip_pairs(self, monkeypatch):
+        # the index path above is reached: the first block F is taken on
+        # holds pairs with F(a) = F(b)
+        model, stacks = _relu_model(2), []
+
+        def recording(model, xs):
+            stacks.append(forward_stack(model, xs))
+            return stacks[-1]
+
+        monkeypatch.setattr(checks, "forward_stack", recording)
+        checks._tangential_cone_worst(model, 0.5, 1.0)
+        f = stacks[0]
+        assert not np.all(row_norms(f[:STACK_BLOCK] - f[STACK_BLOCK:]) != 0.0)
 
     @pytest.mark.parametrize("pid", [*gallery_ids(), "sabotaged-adjoint"])
     def test_jacobian_norms_match_estimate(self, pid):

@@ -351,17 +351,32 @@ def _bits(*arrays):
     return [(a.shape, a.tobytes()) for a in arrays]
 
 
+@st.composite
+def lapack_stacks(draw):
+    """A stack of 1 to 6 float matrices, each 1 x 1 to 6 x 6 (tall or wide),
+    at one scale from 1e-150 to 1e150; some matrices are zero."""
+    k, m, n = (draw(st.integers(1, 6), label=axis)
+               for axis in ("matrices", "rows", "columns"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    stack = rng.standard_normal((k, m, n)) * 10.0 ** draw(
+        st.floats(-150.0, 150.0), label="log10 scale")
+    stack[rng.random(k) < 0.25] = 0.0
+    return stack
+
+
 @settings(max_examples=300, deadline=None)
-@given(a=lapack_matrices())
-def test_lapack_helpers_are_numpys_functions(a):
-    # the same bits as numpy's public functions, and the input left as it was
-    before = a.copy()
+@given(a=lapack_matrices(), stack=lapack_stacks())
+def test_lapack_helpers_are_numpys_functions(a, stack):
+    # the same bits as numpy's public functions, and the inputs left as
+    # they were
+    before, stack_before = a.copy(), stack.copy()
     assert _bits(*_reduced_qr(a)) == _bits(*np.linalg.qr(a))
-    assert float.hex(_spectral_norm(a)) == float.hex(float(np.linalg.norm(a, 2)))
+    assert _bits(_spectral_norm(a)) == _bits(np.linalg.norm(a, 2))
+    assert _bits(_spectral_norm(stack)) == _bits(np.linalg.norm(stack, 2, axis=(1, 2)))
     n = a.shape[1]
     sym = a[:n] + a[:n].T
     assert _bits(*_eigh(sym)) == _bits(*np.linalg.eigh(sym))
-    assert _bits(a) == _bits(before)
+    assert _bits(a, stack) == _bits(before, stack_before)
 
 
 def test_svd_failure_is_a_solver_error():
@@ -370,8 +385,9 @@ def test_svd_failure_is_a_solver_error():
     nan = np.full((3, 2), np.nan)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.norm(nan, 2)
-    with pytest.raises(NonConvergence, match="LAPACK SVD failed"):
-        _spectral_norm(nan)
+    for a in (nan, np.stack((np.ones((3, 2)), nan))):
+        with pytest.raises(NonConvergence, match="LAPACK SVD failed"):
+            _spectral_norm(a)
     # a NaN Jacobian is still reported as the model's fault, before the SVD
     with pytest.raises(NonFiniteOutput):
         estimate_jacobian_norm(non_finite_model("jacobian_apply"), [1.0])
