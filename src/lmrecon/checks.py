@@ -83,8 +83,8 @@ def _jacobian_norms(model: ForwardModel, xs: np.ndarray) -> list[float]:
 def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
                 tau: float, delta: float) -> list[tuple[str, str, str]]:
     """The verify rows for ``prob`` under ``cert``, from the exact-data run
-    ``trace`` (iterates recorded) and the discrepancy-stopped ``ntrace``;
-    both start at ``prob.default_x0`` and carry their theory constants.
+    ``trace`` and the discrepancy-stopped ``ntrace``; both start at
+    ``prob.default_x0`` and carry their theory constants.
 
     The ``alpha-ceiling`` row takes ``||J(x_k)||`` at every iterate that
     took a step with one :func:`_jacobian_norms` call.

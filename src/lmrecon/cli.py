@@ -168,8 +168,7 @@ def _header(cfg: RunConfig, prob, cert: StabilityCertificate, trace) -> dict:
             head.update(flatten_header(section, dataclasses.asdict(part)))
     if trace.recon is not None:
         head.update(flatten_header("recon", trace.recon.as_dict()))
-    if trace.x_final is not None:
-        head["result.x_final"] = list(map(float, trace.x_final))
+    head["result.x_final"] = list(map(float, trace.x_final))
     return head
 
 
@@ -184,10 +183,11 @@ def _exit(trace, cfg: RunConfig) -> int:
 
 
 def _run(cfg: RunConfig, prob, cert: StabilityCertificate, model: ForwardModel,
-         method: str, record_iterates: bool = False):
+         method: str):
     """Run LM, Landweber or the reconstruction pipeline (``method`` "lm",
     "landweber" or "reconstruct") on ``model`` as ``cfg`` says and return
-    the trace; an LM trace carries its theory constants for ``cert``.
+    the trace, which keeps every iterate; an LM trace carries its theory
+    constants for ``cert``.
 
     The stopping rule is the discrepancy principle when tau is set, else the
     accuracy target when target_gamma is set, else the budget.
@@ -223,8 +223,7 @@ def _run(cfg: RunConfig, prob, cert: StabilityCertificate, model: ForwardModel,
                                             delta=cfg.delta, strict=False)
         return run_noisy(model, prob.x_dagger, y_obs, x0, scfg, constants)
     constants = compute_constants_exact(cert, cfg.q, strict=False)
-    return run_exact(model, prob.x_dagger, y_obs, x0, scfg, constants,
-                     record_iterates=record_iterates)
+    return run_exact(model, prob.x_dagger, y_obs, x0, scfg, constants)
 
 
 def _run_to_trace(cfg: RunConfig, method: str) -> int:
@@ -267,7 +266,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     prob = _get_problem(cfg)
     cert = _resolve_certificate(prob, cfg)
     trace = _run(dataclasses.replace(cfg, tau=None), prob, cert, prob.model,
-                 "lm", record_iterates=True)
+                 "lm")
     ntrace = _run(dataclasses.replace(cfg, max_iters=max(cfg.max_iters, 200)),
                   prob, cert, prob.model, "lm")
     rows = checks.verify_rows(prob, cert, trace, ntrace, cfg.q, cfg.tol_alpha,

@@ -138,12 +138,13 @@ class TraceRecord:
 
 @dataclass
 class IterationTrace:
-    """Complete record of one solver run."""
+    """Complete record of one solver run; ``iterates[k]`` is the iterate of
+    ``records[k]``, and ``x_final`` the last of them."""
 
     records: list[TraceRecord]
     terminal: str
+    iterates: list[np.ndarray]
     k_star: int | None = None
-    x_final: np.ndarray | None = None
     step_diagnostics: list[StepDiagnostics] = field(default_factory=list)
     hypothesis: HypothesisReport | None = None
     gamma_monotone: bool | None = None
@@ -151,8 +152,11 @@ class IterationTrace:
     omega_ok: bool | None = None
     warnings: list[str] = field(default_factory=list)
     recon: object | None = None
-    iterates: list[np.ndarray] | None = None
     constants: TheoryConstantsExact | TheoryConstantsNoisy | None = None
+
+    @property
+    def x_final(self) -> np.ndarray:
+        return self.iterates[-1]
 
     @property
     def iterations(self) -> int:
@@ -378,8 +382,7 @@ def kstar_log_estimate(q_tilde: float, r0_norm: float, tau: float,
 
 def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
              x_dagger=None, hypothesis: HypothesisReport | None = None,
-             constants=None, omega: float | None = None,
-             record_iterates: bool = False) -> IterationTrace:
+             constants=None, omega: float | None = None) -> IterationTrace:
     """The one iteration loop behind every driver.
 
     ``step(x, r, residual)`` takes the iterate, its residual
@@ -391,7 +394,9 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     applies ``cfg.domain_mode`` to an update: under ``"error"`` an update
     outside the ball ends the run with terminal ``domain_violation`` and is
     not recorded; under ``"warn"`` it adds a warning and is recorded.  The
-    theory bookkeeping (entry condition, omega-condition, gamma and
+    trace keeps one iterate per record: a copy of ``x0``, then each recorded
+    ``x_next``, which a step returns as a fresh array.  The theory
+    bookkeeping (entry condition, omega-condition, gamma and
     error-monotonicity flags) runs when the truth is known and a hypothesis
     report is passed; the entry condition needs the theory ``constants``,
     which the trace keeps.
@@ -412,8 +417,8 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     threshold = cfg.tau * cfg.delta if cfg.stop_mode == "discrepancy" else None
 
     trace = IterationTrace(records=[], terminal="budget_exhausted",
-                           hypothesis=hypothesis, constants=constants,
-                           iterates=[x.copy()] if record_iterates else None)
+                           iterates=[x.copy()], hypothesis=hypothesis,
+                           constants=constants)
     if cfg.domain_mode == "error":
         require_in_domain(model, x, "x0")
     elif not check_domain(model, x):
@@ -500,8 +505,7 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
             record.mdp_prime_rel_err = diag.mdp_prime_rel_err
             trace.step_diagnostics.append(diag)
         trace.records.append(record)
-        if record_iterates:
-            trace.iterates.append(x_next.copy())
+        trace.iterates.append(x_next)
 
         if theory:
             if gamma_next > gamma + _REL_SLACK * max(gamma, 1.0):
@@ -519,7 +523,6 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
         x, r, residual, gamma = x_next, r_next, residual_next, gamma_next
         k += 1
 
-    trace.x_final = x.copy()
     return trace
 
 
@@ -531,13 +534,13 @@ def _lm_stepper(model: ForwardModel, cfg: SolverConfig):
 
 
 def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
-              tc: TheoryConstantsExact | None = None,
-              record_iterates: bool = False) -> IterationTrace:
+              tc: TheoryConstantsExact | None = None) -> IterationTrace:
     """Drive the LM iteration on exact data until budget, target, or x = x_truth.
 
     When the ground truth is supplied, gamma_k is recorded per row, the
     omega-condition is verified per step (with omega = 2, as in the exact-data
-    analysis) and monotonicity violations are flagged on the trace.
+    analysis) and monotonicity violations are flagged on the trace.  The
+    trace keeps the iterates, at which ``verify`` checks the shift ceiling.
     """
     if cfg.stop_mode == "discrepancy":
         raise ConfigInvalid("use run_noisy for discrepancy stopping")
@@ -551,8 +554,7 @@ def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
         hyp.armed = (tc.q_condition_ok and tc.rho_lt_rho_prime
                      and tc.cert_provenance == "oracle-estimated")
     return _iterate(model, y, x0, cfg, _lm_stepper(model, cfg),
-                    x_dagger=x_dagger, hypothesis=hyp, constants=tc, omega=2.0,
-                    record_iterates=record_iterates)
+                    x_dagger=x_dagger, hypothesis=hyp, constants=tc, omega=2.0)
 
 
 def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,

@@ -248,25 +248,15 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-def _lapack_failure(routine: str):
-    """An ``np.errstate`` call handler raising :class:`NonConvergence` for
-    ``routine``, where numpy's wrapper raises ``LinAlgError``."""
-    def handler(err, flag):
+def _lapack_errstate(routine: str):
+    """The floating-point state numpy's wrappers call LAPACK under: a
+    failure of ``routine`` sets the invalid flag, which raises
+    :class:`NonConvergence` where numpy's wrapper raises ``LinAlgError``;
+    no other flag warns."""
+    def failure(err, flag):
         raise NonConvergence(f"LAPACK {routine} failed: the matrix has NaN or "
                              "inf entries, or the routine did not converge")
-    return handler
-
-
-_QR_FAILURE = _lapack_failure("QR factorization")
-_EIGH_FAILURE = _lapack_failure("symmetric eigendecomposition")
-_SVD_FAILURE = _lapack_failure("SVD")
-
-
-def _lapack_errstate(handler):
-    """The floating-point state numpy's wrappers call LAPACK under: a
-    failure sets the invalid flag and calls ``handler``, no other flag
-    warns."""
-    return np.errstate(call=handler, invalid="call", over="ignore",
+    return np.errstate(call=failure, invalid="call", over="ignore",
                        divide="ignore", under="ignore")
 
 
@@ -282,10 +272,11 @@ def _upper_mask(rows: int, cols: int) -> np.ndarray:
 def _reduced_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(Q, R) = np.linalg.qr(a)`` of a real 2-D array ``a``, bit for bit,
     without numpy's Python wrapper: the same two gufunc calls on a copy of
-    ``a`` (which the first overwrites), and R as ``np.triu``'s
-    ``np.where`` over a cached mask.  ``a`` is left unmodified."""
+    ``a`` (which the first overwrites) under :func:`_lapack_errstate`, and
+    R as ``np.triu``'s ``np.where`` over a cached mask.  ``a`` is left
+    unmodified."""
     a = a.astype(float)
-    with _lapack_errstate(_QR_FAILURE):
+    with _lapack_errstate("QR factorization"):
         tau = qr_r_raw(a, signature="d->d")
         q = qr_reduced(a, tau, signature="dd->d")
     rows = min(a.shape)
@@ -294,16 +285,17 @@ def _reduced_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(w, v) = np.linalg.eigh(a)`` of a real symmetric 2-D array, bit for
-    bit: one call of the gufunc it wraps, reading the lower triangle."""
-    with _lapack_errstate(_EIGH_FAILURE):
+    bit: one call of the gufunc it wraps, reading the lower triangle,
+    under :func:`_lapack_errstate`."""
+    with _lapack_errstate("symmetric eigendecomposition"):
         return eigh_lo(a, signature="d->dd")
 
 
 def _spectral_norm(a: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(a, 2, axis=(-2, -1))`` of a real 2-D array or stack
     of them, bit for bit: the largest of each matrix's singular values from
-    one call of the gufunc it wraps."""
-    with _lapack_errstate(_SVD_FAILURE):
+    one call of the gufunc it wraps, under :func:`_lapack_errstate`."""
+    with _lapack_errstate("SVD"):
         s = svd(a, signature="d->d")
     return s.max(axis=-1, initial=0.0)
 

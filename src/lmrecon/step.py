@@ -211,11 +211,11 @@ def _spectrum(model: ForwardModel, x) -> Spectrum:
 
 
 def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float,
-                  rnorm: float | None = None):
+                  rnorm: float):
     """Safeguarded Newton on the Morozov equation for the Gram spectrum
     ``spec`` from :func:`_spectrum`; returns
-    (alpha, z, Newton iterations, alpha_bound).  ``rnorm`` is ``||r||``
-    when the caller has it, and is taken here otherwise.
+    (alpha, z, Newton iterations, alpha_bound).  ``rnorm`` is ``||r||``,
+    which the caller has taken.
 
     With ``(c, rest) = spec.split(r)``,
     ``phi(alpha)^2 = ||alpha / (lam + alpha) * c||^2 + ||rest||^2``.  The
@@ -234,8 +234,6 @@ def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float,
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    if rnorm is None:
-        rnorm = float(np.linalg.norm(r))
     if rnorm == 0.0:
         raise ZeroResidual("residual is zero; nothing to regularize")
     lam, u = spec.lam, spec.u

@@ -56,10 +56,11 @@ class TraceFile:
     k_star: int | None = None
 
     @classmethod
-    def from_trace(cls, trace: IterationTrace,
-                   header: dict | None = None) -> "TraceFile":
+    def from_trace(cls, trace: IterationTrace, header: dict) -> "TraceFile":
+        """The file of ``trace``: ``header``'s items in order, then one
+        ``warning`` line per trace warning, the rows and the footer."""
         items: list[tuple[str, str]] = []
-        for key, value in (header or {}).items():
+        for key, value in header.items():
             items.append((str(key), _format_header_value(value)))
         for warning in trace.warnings:
             items.append(("warning", warning))
@@ -80,10 +81,10 @@ def _format_header_value(value) -> str:
 
 
 def flatten_header(prefix: str, mapping: dict) -> dict:
-    """Nested dict -> dotted keys, for embedding reports in trace headers."""
+    """Nested dict -> ``prefix.key`` dotted keys, for trace headers."""
     out = {}
     for key, value in mapping.items():
-        name = f"{prefix}.{key}" if prefix else str(key)
+        name = f"{prefix}.{key}"
         if isinstance(value, dict):
             out.update(flatten_header(name, value))
         else:

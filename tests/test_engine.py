@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_model, non_finite_model
-from lmrecon.cli import counting_model
+from lmrecon.cli import counting_model, make_noise
 from lmrecon.engine import (
     SolverConfig,
     compute_constants_exact,
@@ -35,7 +35,8 @@ from lmrecon.errors import (
 from lmrecon.gallery import get_problem
 from lmrecon.step import lm_step
 from lmrecon.operators import (ForwardModel, StabilityCertificate, check_domain,
-                               recenter)
+                               recenter, vector_norm)
+from lmrecon.recon import MeasurementOperator, reconstruct_exact, reconstruct_noisy
 
 
 def unit_cert(eps=1.0, rho_prime=10.0, lip=1.0, jac=1.0, holder=1.0):
@@ -956,3 +957,96 @@ def test_overflowing_residual_norm(dim, driver):
                      "overflow encountered in multiply"}
     assert {str(w.message) for w in caught} == expected
     assert {w.category for w in caught} == {RuntimeWarning}
+
+
+def _assert_record(trace, x_dagger=None):
+    """The trace keeps one iterate per record, ending at ``x_final``; each
+    recorded step norm and ``gamma`` has the bits the iterates give."""
+    iterates = trace.iterates
+    assert len(iterates) == len(trace.records)
+    assert trace.x_final is iterates[-1]
+    for k, rec in enumerate(trace.records[1:]):
+        step = vector_norm(iterates[k + 1] - iterates[k])
+        assert float.hex(step) == float.hex(rec.step_norm)
+    if x_dagger is not None:
+        for point, rec in zip(iterates, trace.records):
+            d = point - x_dagger
+            assert float.hex(0.5 * float(np.add.reduce(d * d))) == \
+                float.hex(rec.gamma)
+
+
+def _traced_run(prob, driver):
+    """``driver``'s trace on ``prob``, and the array it was handed as x0."""
+    cfg = SolverConfig(q=0.5, max_iters=30)
+    x0 = prob.default_x0.copy()
+    if driver == "exact":
+        tc = compute_constants_exact(prob.certificate, 0.5, strict=False)
+        return run_exact(prob.model, prob.x_dagger, prob.y_exact, x0, cfg,
+                         tc), x0
+    if driver == "noisy":
+        delta = 1e-3
+        cfg = dataclasses.replace(cfg, tau=4.0, delta=delta,
+                                  stop_mode="discrepancy")
+        return run_noisy(prob.model, prob.x_dagger,
+                         make_noise(prob.y_exact, delta, 7), x0, cfg), x0
+    if driver == "landweber":
+        return landweber_run(prob.model, prob.y_exact, x0, None, cfg,
+                             x_dagger=prob.x_dagger), x0
+    # the reconstructions start at the scanned point the summary reports;
+    # exp-decay runs on the run-scale constants of the c07 presets
+    cert = prob.certificate
+    if prob.id == "exp-decay":
+        cert = dataclasses.replace(cert, lip_deriv=0.5, holder_const=0.81,
+                                   recon_const=2.0, provenance="user")
+    q_op = MeasurementOperator.identity(prob.model.dim_y)
+    if driver == "reconstruct-exact":
+        _, trace = reconstruct_exact(prob.model, q_op, prob.default_box, cert,
+                                     0.5, 1e-10, prob.y_exact,
+                                     x_dagger=prob.x_dagger)
+    else:
+        delta = 1e-3 if prob.id == "exp-decay" else 1e-6
+        _, trace = reconstruct_noisy(prob.model, q_op, prob.default_box, cert,
+                                     0.5, 4.0, delta,
+                                     make_noise(prob.y_exact, delta, 55), 200,
+                                     x_dagger=prob.x_dagger)
+    return trace, trace.recon.x0
+
+
+@pytest.mark.parametrize("driver", ["exact", "noisy", "landweber",
+                                    "reconstruct-exact", "reconstruct-noisy"])
+@pytest.mark.parametrize("pid", ["exp-decay", "quadratic-2d"])
+def test_trace_keeps_every_iterate(pid, driver, gallery_problems):
+    prob = gallery_problems[pid]
+    trace, x0 = _traced_run(prob, driver)
+    assert trace.iterations > 0
+    _assert_record(trace, prob.x_dagger)
+    # the first iterate is a copy: the caller may reuse its array
+    start = x0.copy()
+    x0[:] = np.nan
+    assert np.array_equal(trace.iterates[0], start)
+
+
+@pytest.mark.parametrize("pid", ["exp-decay", "quadratic-2d"])
+def test_trace_keeps_no_rejected_iterate(pid, gallery_problems):
+    # the ball moves to the start and shrinks to 0.8 gamma_0, so the truth
+    # lies outside; under "error" the update that leaves it ends the run
+    # unrecorded, in the records and the iterates alike
+    prob = gallery_problems[pid]
+    radius_sq = 0.4 * float(np.sum((prob.default_x0 - prob.x_dagger) ** 2))
+    model = recenter(prob.model, prob.default_x0, radius_sq)
+    trace = run_exact(model, prob.x_dagger, prob.y_exact, prob.default_x0,
+                      SolverConfig(q=0.5, max_iters=30, domain_mode="error"))
+    assert trace.terminal == "domain_violation"
+    assert trace.iterations > 0
+    _assert_record(trace, prob.x_dagger)
+    assert all(check_domain(model, x) for x in trace.iterates)
+
+
+def test_trace_of_infeasible_first_step():
+    # r = (0, 1) is orthogonal to range(J): no step is taken, and the trace
+    # keeps the start alone
+    trace = run_exact(linear_model([[1.0], [0.0]]), None, [0.0, 1.0], [0.0],
+                      SolverConfig(q=0.5, max_iters=5))
+    assert trace.terminal == "root_infeasible"
+    _assert_record(trace)
+    assert trace.iterates == [np.zeros(1)]

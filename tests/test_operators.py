@@ -12,6 +12,7 @@ from lmrecon.errors import DimensionMismatch, DomainViolation, NonConvergence, N
 from lmrecon.operators import (
     ForwardModel,
     _eigh,
+    _lapack_errstate,
     _reduced_qr,
     _spectral_norm,
     StabilityCertificate,
@@ -391,3 +392,23 @@ def test_svd_failure_is_a_solver_error():
     # a NaN Jacobian is still reported as the model's fault, before the SVD
     with pytest.raises(NonFiniteOutput):
         estimate_jacobian_norm(non_finite_model("jacobian_apply"), [1.0])
+
+
+@pytest.mark.parametrize("routine", ["QR factorization",
+                                     "symmetric eigendecomposition", "SVD"])
+def test_lapack_errstate(routine):
+    # the invalid flag is how a LAPACK gufunc reports failure: each helper's
+    # state turns it into NonConvergence naming the routine; a NaN matrix
+    # reaches only the SVD's, so 0/0 raises the flag here
+    with pytest.raises(NonConvergence, match=f"^LAPACK {routine} failed"):
+        with _lapack_errstate(routine):
+            np.divide(np.zeros(1), np.zeros(1))
+    # overflow, division by zero and underflow stay silent, as under
+    # numpy's wrappers
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with _lapack_errstate(routine):
+            big = np.multiply(np.full(1, 1e300), 1e300)
+            inf = np.divide(np.ones(1), np.zeros(1))
+            tiny = np.multiply(np.full(1, 1e-300), 1e-300)
+    assert (big[0], inf[0], tiny[0]) == (math.inf, math.inf, 0.0)

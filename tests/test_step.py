@@ -130,14 +130,14 @@ def test_morozov_strictly_increasing():
 
 def test_select_alpha_scalar_closed_form():
     model = linear_model([[2.0]])
-    alpha = _select_alpha(_spectrum(model, [0.0]), [1.0], 0.5, 1e-10)[0]
+    alpha = _select_alpha(_spectrum(model, [0.0]), [1.0], 0.5, 1e-10, 1.0)[0]
     assert abs(alpha - 4.0) <= 1e-9
 
 
 def test_select_alpha_saturates_ceiling():
     # a = 1, q = 0.9: the root q a^2/(1-q) = 9 equals the classical ceiling.
     model = linear_model([[1.0]])
-    alpha = _select_alpha(_spectrum(model, [0.0]), [1.0], 0.9, 1e-10)[0]
+    alpha = _select_alpha(_spectrum(model, [0.0]), [1.0], 0.9, 1e-10, 1.0)[0]
     assert abs(alpha - 9.0) <= 1e-8
 
 
@@ -145,7 +145,8 @@ def test_select_alpha_diagonal_grid_oracle():
     model = linear_model(np.diag([1.0, 3.0]))
     r = np.array([1.0, 1.0])
     target = 0.5 * np.linalg.norm(r)
-    alpha = _select_alpha(_spectrum(model, [0.0, 0.0]), r, 0.5, 1e-12)[0]
+    alpha = _select_alpha(_spectrum(model, [0.0, 0.0]), r, 0.5, 1e-12,
+                          float(np.linalg.norm(r)))[0]
 
     # independent oracle: closed-form phi on a dense grid
     grid = np.linspace(alpha * 0.5, alpha * 1.5, 10**6)
@@ -160,13 +161,13 @@ def test_select_alpha_root_infeasible():
     a = np.array([[1.0], [0.0]])
     model = linear_model(a)
     with pytest.raises(RootInfeasible):
-        _select_alpha(_spectrum(model, [0.0]), [0.0, 1.0], 0.5, 1e-10)
+        _select_alpha(_spectrum(model, [0.0]), [0.0, 1.0], 0.5, 1e-10, 1.0)
 
 
 def test_select_alpha_zero_residual():
     model = linear_model([[2.0]])
     with pytest.raises(ZeroResidual):
-        _select_alpha(_spectrum(model, [0.0]), [0.0], 0.5, 1e-10)
+        _select_alpha(_spectrum(model, [0.0]), [0.0], 0.5, 1e-10, 0.0)
 
 
 def test_lm_step_scalar_chain():
@@ -202,7 +203,7 @@ def test_lm_step_non_finite_residual():
 def test_spectral_kernel_non_finite_output(part):
     model = non_finite_model(part)
     with pytest.raises(NonFiniteOutput):
-        _select_alpha(_spectrum(model, [0.0]), [1.0], 0.5, 1e-10)
+        _select_alpha(_spectrum(model, [0.0]), [1.0], 0.5, 1e-10, 1.0)
     with pytest.raises(NonFiniteOutput):
         _spectrum(model, [0.0]).solve(1.0, [1.0])
 
@@ -329,11 +330,12 @@ def test_root_infeasible_iff_null_component_dominates(problem, q, null_share):
     r = (np.sqrt(1.0 - null_share**2) * range_part / np.linalg.norm(range_part)
          + null_share * null_part / np.linalg.norm(null_part))
     spec = _spectrum(linear_model(a), np.zeros(a.shape[1]))
+    rnorm = float(np.linalg.norm(r))
     if null_share >= q:
         with pytest.raises(RootInfeasible):
-            _select_alpha(spec, r, q, 1e-10)
+            _select_alpha(spec, r, q, 1e-10, rnorm)
     else:
-        alpha = _select_alpha(spec, r, q, 1e-10)[0]
+        alpha = _select_alpha(spec, r, q, 1e-10, rnorm)[0]
         assert abs(spec.phi(alpha, r) - q) <= 1e-9
 
 
@@ -364,7 +366,8 @@ def test_tall_kernel_matches_full_decomposition(problem, q, null_share,
     reference = brentq(
         lambda al: np.linalg.norm(al / (lam + al) * c) - target,
         1e-12 * ceiling, 2.0 * ceiling, xtol=1e-300, rtol=1e-15)
-    chosen = _select_alpha(_spectrum(model, x), r, q, 1e-13)[0]
+    chosen = _select_alpha(_spectrum(model, x), r, q, 1e-13,
+                           float(np.linalg.norm(r)))[0]
     assert abs(chosen - reference) <= 1e-9 * reference
     # the step's z carries the null-space part of r as well
     _, diag = lm_step(model, x, r, q, tol_alpha=1e-13)
@@ -400,7 +403,8 @@ def test_tall_inconsistent_adjoint_rejected(adjoint):
     with pytest.raises(FactorizationFailure):
         _spectrum(model, x).solve(1.0, r)
     with pytest.raises(FactorizationFailure):
-        _select_alpha(_spectrum(model, x), r, 0.5, 1e-10)
+        _select_alpha(_spectrum(model, x), r, 0.5, 1e-10,
+                      float(np.linalg.norm(r)))
     with pytest.raises(FactorizationFailure):
         lm_step(model, x, r, 0.5)
 
