@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import checks, gallery
-from .config import RunConfig, load_config
+from .config import RunConfig, check_command, load_config
 from .engine import (
     SolverConfig,
     compute_constants_exact,
@@ -46,6 +46,7 @@ from .errors import (
 )
 from .operators import ForwardModel, StabilityCertificate
 from .recon import (
+    MEASUREMENTS,
     CompactBox,
     MeasurementOperator,
     reconstruct_exact,
@@ -112,13 +113,9 @@ def _resolve_certificate(prob, cfg: RunConfig) -> StabilityCertificate:
 
 
 def _resolve_measurement(cfg: RunConfig, dim_y: int) -> MeasurementOperator:
-    meas = cfg.measurement
-    if meas is None or meas == "identity":
-        return MeasurementOperator.identity(dim_y)
-    if meas == "average":
-        return MeasurementOperator.averaging(dim_y)
-    if meas == "first-coordinate":
-        return MeasurementOperator.row_selector(dim_y, [0])
+    meas = cfg.measurement or "identity"
+    if isinstance(meas, str):
+        return MEASUREMENTS[meas](dim_y)
     matrix = np.asarray(meas, dtype=float)
     if matrix.shape[1] != dim_y:
         raise ConfigInvalid(
@@ -324,22 +321,6 @@ _COMMANDS = {
     "compare": cmd_compare,
 }
 
-# command -> {mode it runs: keys that mode accepts (config.MODE_KEYS) but the
-# command never reads}.  No Landweber step reads the certificate or a shift
-# tolerance, and no exact-data run draws noise.  compare reports iterations to
-# fixed residual levels, so it takes no accuracy target, and it runs on the
-# problem's own certificate.
-COMMAND_MODES = {
-    "solve": {"exact": ("step_scale", "noise_seed"), "noisy": ("step_scale",),
-              "landweber": ("eps", "tol_alpha", "constants_override")},
-    "reconstruct": {"reconstruct_exact": ("noise_seed",), "reconstruct_noisy": ()},
-    "verify": {"verify": ()},
-    "compare": {"exact": ("eps", "target_gamma", "constants_override",
-                          "noise_seed"),
-                "noisy": ("eps", "constants_override")},
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lmrecon",
@@ -368,15 +349,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.noise_seed = args.seed
-        unread = COMMAND_MODES[args.command].get(cfg.mode)
-        if unread is None:
-            raise ConfigInvalid(
-                f"mode '{cfg.mode}' is not handled by '{args.command}'")
-        for key in unread:
-            if getattr(cfg, key) != RunConfig.__dataclass_fields__[key].default:
-                raise ConfigInvalid(
-                    f"config field '{key}': not read by '{args.command}' "
-                    f"in mode '{cfg.mode}'")
+        check_command(cfg, args.command)
         if args.output is not None:
             cfg.output_path = args.output
         code = _COMMANDS[args.command](cfg)

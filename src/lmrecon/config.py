@@ -14,32 +14,31 @@ import yaml
 
 from .errors import ConfigInvalid
 from .operators import StabilityCertificate
+from .recon import MEASUREMENTS
 
-# mode -> (required keys, optional keys).  Any other key whose RunConfig
-# default is None is not read in that mode, and parse rejects it; eps,
-# tol_alpha and noise_seed always hold a value and parse never rejects them
-# (cli.COMMAND_MODES lists the ones a command does not read).
-MODE_KEYS = {
-    "exact": (("max_iters",),
-              ("eps", "constants_override", "tol_alpha", "target_gamma", "x0",
-               "step_scale")),
-    "noisy": (("tau", "delta", "max_iters"),
-              ("eps", "constants_override", "tol_alpha", "noise_seed", "x0",
-               "step_scale")),
-    "reconstruct_exact": (("target_gamma",),
-                          ("eps", "constants_override", "tol_alpha", "box",
-                           "measurement")),
-    "reconstruct_noisy": (("tau", "delta", "max_iters"),
-                          ("eps", "constants_override", "tol_alpha", "noise_seed",
-                           "box", "measurement")),
-    "landweber": (("max_iters",),
-                  ("eps", "constants_override", "tau", "delta", "noise_seed", "x0",
-                   "step_scale")),
-    "verify": ((), ("eps", "constants_override", "tau", "delta", "max_iters",
-                    "tol_alpha", "noise_seed")),
+# mode -> (keys it requires, {command that runs it: the other keys it reads}).
+# parse rejects a key no command reads in the mode, and main one its command
+# does not read, unless the key holds its default (eps, tol_alpha and
+# noise_seed always hold one, so only main rejects them).  Landweber reads no
+# certificate or shift tolerance, exact data draw no noise, and compare runs a
+# fixed budget on the problem's own certificate.
+READS = {
+    "exact": (("max_iters",), {
+        "solve": ("eps", "target_gamma", "tol_alpha", "constants_override", "x0"),
+        "compare": ("tol_alpha", "x0", "step_scale")}),
+    "noisy": (("tau", "delta", "max_iters"), {
+        "solve": ("eps", "tol_alpha", "noise_seed", "constants_override", "x0"),
+        "compare": ("tol_alpha", "noise_seed", "x0", "step_scale")}),
+    "reconstruct_exact": (("target_gamma",), {"reconstruct": (
+        "eps", "tol_alpha", "box", "measurement", "constants_override")}),
+    "reconstruct_noisy": (("tau", "delta", "max_iters"), {"reconstruct": (
+        "eps", "tol_alpha", "box", "measurement", "noise_seed", "constants_override")}),
+    "landweber": (("max_iters",), {
+        "solve": ("tau", "delta", "noise_seed", "x0", "step_scale")}),
+    "verify": ((), {"verify": ("eps", "tau", "delta", "max_iters", "tol_alpha",
+                               "noise_seed", "constants_override")}),
 }
-MODES = tuple(MODE_KEYS)
-MEASUREMENT_PRESETS = ("identity", "average", "first-coordinate")
+MODES = tuple(READS)
 
 CERT_FIELDS = tuple(f.name for f in fields(StabilityCertificate))
 
@@ -70,6 +69,8 @@ class RunConfig:
 
 
 _REQUIRED = ("problem_id", "mode", "q", "output_path")
+# every other key, with the value it holds when a config leaves it out
+DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name not in _REQUIRED}
 
 
 def _fail(field: str, message: str):
@@ -81,10 +82,16 @@ def _expect(cond: bool, field: str, message: str):
         _fail(field, message)
 
 
-def _check_number(value, field: str, kind=float):
+def _check_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(field, f"expected a number, got {value!r}")
-    return kind(value)
+    return float(value)
+
+
+def _check_integer(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(field, f"expected an integer, got {value!r}")
+    return value
 
 
 def _check_vector(value, field: str) -> list:
@@ -93,8 +100,83 @@ def _check_vector(value, field: str) -> list:
     return [_check_number(v, field) for v in value]
 
 
+def _ranged(kind, ok, message: str):
+    """The check of a scalar: ``kind`` checks its type, ``ok`` its value."""
+    def check(value, field: str):
+        value = kind(value, field)
+        _expect(ok(value), field, message)
+        return value
+    return check
+
+
+def _check_box(box, field: str) -> dict:
+    if not isinstance(box, dict) or set(box) != {"lower", "upper"}:
+        _fail(field, "expected a mapping with exactly 'lower' and 'upper'")
+    lower = _check_vector(box["lower"], "box.lower")
+    upper = _check_vector(box["upper"], "box.upper")
+    _expect(len(lower) == len(upper), field, "lower and upper must have equal length")
+    _expect(all(lo <= up for lo, up in zip(lower, upper)), field,
+            "requires lower <= upper componentwise")
+    return {"lower": lower, "upper": upper}
+
+
+def _check_measurement(meas, field: str):
+    if isinstance(meas, str):
+        _expect(meas in MEASUREMENTS, field,
+                f"unknown preset; use one of {tuple(MEASUREMENTS)} or a matrix")
+        return meas
+    if not isinstance(meas, list):
+        _fail(field, "expected a preset name or a matrix literal")
+    rows = [_check_vector(row, field) for row in meas]
+    _expect(len({len(r) for r in rows}) == 1, field,
+            "matrix rows must have equal length")
+    return rows
+
+
+def _check_override(override, field: str) -> dict:
+    if not isinstance(override, dict):
+        _fail(field, "expected a mapping of certificate fields")
+    bad = set(override) - set(CERT_FIELDS)
+    _expect(not bad, field, f"unknown certificate fields {sorted(bad)}")
+    checked = {}
+    for key, value in override.items():
+        if key == "provenance":
+            _expect(value in ("user", "oracle-estimated"), f"{field}.provenance",
+                    "must be 'user' or 'oracle-estimated'")
+            checked[key] = value
+        else:
+            checked[key] = _check_number(value, f"{field}.{key}")
+    return checked
+
+
+_POSITIVE = _ranged(_check_number, lambda v: v > 0, "must be positive")
+
+# key -> the check of its value, in RunConfig's field order, which is the
+# order parse checks them in
+_CHECKS = {
+    "eps": _ranged(_check_number, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "tau": _ranged(_check_number, lambda v: v > 1.0, "must be > 1"),
+    "delta": _ranged(_check_number, lambda v: v >= 0.0, "must be >= 0"),
+    "max_iters": _ranged(_check_integer, lambda v: v >= 0, "must be >= 0"),
+    "target_gamma": _POSITIVE,
+    "tol_alpha": _POSITIVE,
+    "box": _check_box,
+    "measurement": _check_measurement,
+    "noise_seed": _check_integer,
+    "constants_override": _check_override,
+    "x0": _check_vector,
+    "step_scale": _POSITIVE,
+}
+
+
 def parse(raw: dict) -> RunConfig:
-    """Validate a mapping against the schema and build a RunConfig."""
+    """Validate a mapping against the schema and build a RunConfig.
+
+    A key that the mapping leaves out, or sets to null where its default is
+    None, is not set; null for a key with another default fails that key's
+    type check.  Every set key is checked against the mode before any value
+    is checked.
+    """
     if not isinstance(raw, dict):
         raise ConfigInvalid("config root must be a mapping")
     known = set(RunConfig.__dataclass_fields__)
@@ -116,92 +198,36 @@ def parse(raw: dict) -> RunConfig:
     _expect(cfg.mode in MODES, "mode", f"must be one of {MODES}")
     _expect(0.0 < cfg.q < 1.0, "q",
             f"value {cfg.q} violates the constraint 0 < q < 1")
-    required, optional = MODE_KEYS[cfg.mode]
-    for key, spec in RunConfig.__dataclass_fields__.items():
-        _expect(spec.default is not None or raw.get(key) is None
-                or key in required + optional, key,
-                f"not read in mode '{cfg.mode}'")
-    lone = [key for key in ("tau", "delta") if raw.get(key) is not None]
+    required, reads = READS[cfg.mode]
+    accepted = set(required).union(*reads.values())
+    given = {}
+    for key, default in DEFAULTS.items():
+        if (value := raw.get(key, default)) is not default:
+            _expect(default is not None or key in accepted, key,
+                    f"not read in mode '{cfg.mode}'")
+            given[key] = value
+    lone = [key for key in ("tau", "delta") if key in given]
     if cfg.mode == "landweber" and len(lone) == 1:
         _fail(lone[0], "mode 'landweber' reads tau and delta only together")
 
-    if "eps" in raw:
-        cfg.eps = _check_number(raw["eps"], "eps")
-        _expect(0.0 < cfg.eps <= 1.0, "eps", "must lie in (0, 1]")
-    if raw.get("tau") is not None:
-        cfg.tau = _check_number(raw["tau"], "tau")
-        _expect(cfg.tau > 1.0, "tau", "must be > 1")
-    if raw.get("delta") is not None:
-        cfg.delta = _check_number(raw["delta"], "delta")
-        _expect(cfg.delta >= 0.0, "delta", "must be >= 0")
-    if raw.get("max_iters") is not None:
-        value = raw["max_iters"]
-        if isinstance(value, bool) or not isinstance(value, int):
-            _fail("max_iters", f"expected an integer, got {value!r}")
-        _expect(value >= 0, "max_iters", "must be >= 0")
-        cfg.max_iters = value
-    if raw.get("target_gamma") is not None:
-        cfg.target_gamma = _check_number(raw["target_gamma"], "target_gamma")
-        _expect(cfg.target_gamma > 0, "target_gamma", "must be positive")
-    if "tol_alpha" in raw:
-        cfg.tol_alpha = _check_number(raw["tol_alpha"], "tol_alpha")
-        _expect(cfg.tol_alpha > 0, "tol_alpha", "must be positive")
-    if raw.get("box") is not None:
-        box = raw["box"]
-        if not isinstance(box, dict) or set(box) != {"lower", "upper"}:
-            _fail("box", "expected a mapping with exactly 'lower' and 'upper'")
-        lower = _check_vector(box["lower"], "box.lower")
-        upper = _check_vector(box["upper"], "box.upper")
-        _expect(len(lower) == len(upper), "box",
-                "lower and upper must have equal length")
-        _expect(all(lo <= up for lo, up in zip(lower, upper)), "box",
-                "requires lower <= upper componentwise")
-        cfg.box = {"lower": lower, "upper": upper}
-    if raw.get("measurement") is not None:
-        meas = raw["measurement"]
-        if isinstance(meas, str):
-            _expect(meas in MEASUREMENT_PRESETS, "measurement",
-                    f"unknown preset; use one of {MEASUREMENT_PRESETS} or a matrix")
-            cfg.measurement = meas
-        elif isinstance(meas, list):
-            rows = [_check_vector(row, "measurement") for row in meas]
-            _expect(len({len(r) for r in rows}) == 1, "measurement",
-                    "matrix rows must have equal length")
-            cfg.measurement = rows
-        else:
-            _fail("measurement", "expected a preset name or a matrix literal")
-    if "noise_seed" in raw:
-        value = raw["noise_seed"]
-        if isinstance(value, bool) or not isinstance(value, int):
-            _fail("noise_seed", f"expected an integer, got {value!r}")
-        cfg.noise_seed = value
-    if raw.get("constants_override") is not None:
-        override = raw["constants_override"]
-        if not isinstance(override, dict):
-            _fail("constants_override", "expected a mapping of certificate fields")
-        bad = set(override) - set(CERT_FIELDS)
-        _expect(not bad, "constants_override",
-                f"unknown certificate fields {sorted(bad)}")
-        checked = {}
-        for key, value in override.items():
-            if key == "provenance":
-                _expect(value in ("user", "oracle-estimated"),
-                        "constants_override.provenance",
-                        "must be 'user' or 'oracle-estimated'")
-                checked[key] = value
-            else:
-                checked[key] = _check_number(value, f"constants_override.{key}")
-        cfg.constants_override = checked
-    if raw.get("x0") is not None:
-        cfg.x0 = _check_vector(raw["x0"], "x0")
-    if raw.get("step_scale") is not None:
-        cfg.step_scale = _check_number(raw["step_scale"], "step_scale")
-        _expect(cfg.step_scale > 0, "step_scale", "must be positive")
-
+    for key, value in given.items():
+        setattr(cfg, key, _CHECKS[key](value, key))
     for key in required:
-        _expect(getattr(cfg, key) is not None, key,
-                f"required for mode '{cfg.mode}'")
+        _expect(key in given, key, f"required for mode '{cfg.mode}'")
     return cfg
+
+
+def check_command(cfg: RunConfig, command: str) -> None:
+    """Raise :class:`ConfigInvalid` unless ``command`` runs ``cfg.mode`` and
+    reads every key that ``cfg`` holds at other than its default."""
+    required, reads = READS[cfg.mode]
+    if command not in reads:
+        raise ConfigInvalid(f"mode '{cfg.mode}' is not handled by '{command}'")
+    read = required + reads[command]
+    # in field order, but noise_seed, which --seed may have set, comes last
+    for key in sorted(DEFAULTS, key="noise_seed".__eq__):
+        _expect(key in read or getattr(cfg, key) == DEFAULTS[key], key,
+                f"not read by '{command}' in mode '{cfg.mode}'")
 
 
 def parse_text(text: str) -> RunConfig:

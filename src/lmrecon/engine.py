@@ -189,6 +189,12 @@ def _out_of_range(q: float) -> ConditionViolated:
     )
 
 
+def _big_r(q: float, tau: float) -> float:
+    """The noisy-data margin ``R = 3/4 - (1/q + 1/4)/tau``, which the
+    guarantees need positive."""
+    return 0.75 - (1.0 / q + 0.25) / tau
+
+
 def compute_constants_exact(cert: StabilityCertificate, q: float,
                             strict: bool = True) -> TheoryConstantsExact:
     """Evaluate the exact-data guarantee constants for the given certificate.
@@ -237,7 +243,7 @@ def compute_constants_noisy(cert: StabilityCertificate, q: float, tau: float,
         raise ConfigInvalid("tau must be > 1")
     lip, jac, cf, eps = (cert.lip_deriv, cert.jac_bound,
                          cert.holder_const, cert.holder_eps)
-    big_r = 0.75 - (1.0 / q + 0.25) / tau
+    big_r = _big_r(q, tau)
     try:
         rho = 1.0 / (2.0 * jac**2) * _power(q / (4.0 * lip * cf**2), 2.0 / eps)
         c_prime_coeff = q * (1.0 - q) * tau**2 * big_r / jac**2
@@ -569,7 +575,7 @@ def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
     if cfg.stop_mode != "discrepancy":
         raise ConfigInvalid("run_noisy requires stop_mode = 'discrepancy'")
     hyp = HypothesisReport()
-    big_r = 0.75 - (1.0 / cfg.q + 0.25) / cfg.tau
+    big_r = _big_r(cfg.q, cfg.tau)
     hyp.r_positive = big_r > 0
     if tc is not None:
         hyp.rho_lt_rho_prime = tc.rho_lt_rho_prime

@@ -84,6 +84,14 @@ class MeasurementOperator:
         return cls(mat)
 
 
+# config preset name -> the measurement on data of a given dimension
+MEASUREMENTS = {
+    "identity": MeasurementOperator.identity,
+    "average": MeasurementOperator.averaging,
+    "first-coordinate": lambda m: MeasurementOperator.row_selector(m, [0]),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class CompactBox:
     """Axis-aligned box of candidate parameters."""

@@ -230,12 +230,18 @@ def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float,
 
     The null-space coordinates ``c[lam == 0.0]`` are gathered only when
     ``lam[0] == 0.0``: :func:`_spectrum`'s clip leaves ``lam`` ascending
-    with every zero in front, so there is none otherwise.
+    with every zero in front, so there is none otherwise.  A finite ``r``
+    whose norm overflows raises :class:`NonConvergence` before any Newton
+    iterate, since no shift meets an infinite target.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     if rnorm == 0.0:
         raise ZeroResidual("residual is zero; nothing to regularize")
+    if rnorm == math.inf:
+        raise NonConvergence(
+            "residual norm ||r|| overflows to inf, so the Morozov target "
+            "q*||r|| is not a finite float")
     lam, u = spec.lam, spec.u
     c, rest = spec.split(r)
     rest_sq = float(np.dot(rest, rest))

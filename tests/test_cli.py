@@ -23,6 +23,7 @@ from lmrecon.errors import ConfigInvalid, NonFiniteOutput
 from lmrecon.gallery import gallery_ids, get_problem
 from lmrecon.operators import STACK_BLOCK, forward_stack, jacobian_matrix, row_norms
 from lmrecon.operators import ForwardModel, estimate_jacobian_norm
+from lmrecon.recon import MEASUREMENTS
 from lmrecon.tracefile import COLUMNS, TraceFile, dumps, loads, read_trace
 
 PRESETS = str(Path(__file__).resolve().parent.parent / "presets")
@@ -47,7 +48,8 @@ def write_config(tmp_path, name="cfg.yaml", **overrides):
 
 # Valid values for the keys that only some modes read.
 VALUES = {"tau": 4.0, "delta": 1e-3, "max_iters": 20, "target_gamma": 1e-10,
-          "x0": [1.0, 1.0], "step_scale": 0.1}
+          "x0": [1.0, 1.0], "step_scale": 0.1,
+          "constants_override": {"lip_deriv": 0.5}}
 # Keys a mode does not read, other than box and measurement outside the
 # reconstruct modes; landweber reads tau and delta only together, so either
 # one alone is rejected there.
@@ -56,7 +58,7 @@ UNREAD = {
     "noisy": ("target_gamma",),
     "reconstruct_exact": ("max_iters", "tau", "delta", "x0", "step_scale"),
     "reconstruct_noisy": ("target_gamma", "x0", "step_scale"),
-    "landweber": ("target_gamma", "tau", "delta"),
+    "landweber": ("target_gamma", "tau", "delta", "constants_override"),
     "verify": ("target_gamma", "x0", "step_scale"),
 }
 
@@ -66,11 +68,44 @@ UNREAD_BY_COMMAND = {"step_scale": 0.1, "eps": 0.5, "target_gamma": 1e-10,
                      "noise_seed": 5}
 
 
+def mode_raw(mode, **extra):
+    """Config mapping for exp-decay in ``mode`` with its required keys and
+    ``extra``."""
+    required = {key: VALUES[key] for key in cfgmod.READS[mode][0]}
+    return {"problem_id": "exp-decay", "mode": mode, "q": 0.5,
+            "output_path": "out.trace", **required, **extra}
+
+
 def mode_config(tmp_path, mode, **extra):
-    """Config for exp-decay in ``mode`` with its required keys and ``extra``."""
-    required = {key: VALUES[key] for key in cfgmod.MODE_KEYS[mode][0]}
-    return write_config(tmp_path, problem_id="exp-decay", mode=mode,
-                        **{"max_iters": None, **required, **extra})
+    """Config file for exp-decay in ``mode`` with its required keys and
+    ``extra``."""
+    raw = mode_raw(mode, **{"output_path": str(tmp_path / "out.trace"), **extra})
+    return write_config(tmp_path, **{"max_iters": None, **raw})
+
+
+def modes_of(command):
+    """The modes ``command`` runs, as config.READS lists them."""
+    return [mode for mode, (_, reads) in cfgmod.READS.items() if command in reads]
+
+
+def unread_by_command():
+    """``(command, mode, key)`` for each key that parse accepts in the mode,
+    or that always holds a value, but that the command does not read there."""
+    for mode, (required, reads) in cfgmod.READS.items():
+        accepted = set(required).union(*reads.values())
+        for command, keys in reads.items():
+            for key, default in cfgmod.DEFAULTS.items():
+                if key not in required + keys and (key in accepted
+                                                   or default is not None):
+                    yield command, mode, key
+
+
+def parse_outcome(raw):
+    """The RunConfig that parse builds from ``raw``, or its error message."""
+    try:
+        return cfgmod.parse(raw)
+    except ConfigInvalid as exc:
+        return str(exc)
 
 
 def test_import_leaves_scipy_unloaded():
@@ -132,9 +167,7 @@ class TestConfig:
         self.test_reconstruct_only_keys_rejected(tmp_path, capsys, mode, field,
                                                  VALUES[field])
 
-    @pytest.mark.parametrize("command, mode, field", [
-        (command, mode, field) for command, modes in cli.COMMAND_MODES.items()
-        for mode, fields in modes.items() for field in fields])
+    @pytest.mark.parametrize("command, mode, field", list(unread_by_command()))
     def test_keys_a_command_does_not_read_rejected(self, tmp_path, capsys,
                                                    command, mode, field):
         path = mode_config(tmp_path, mode, **{field: UNREAD_BY_COMMAND[field]})
@@ -144,8 +177,8 @@ class TestConfig:
                 f"in mode '{mode}'") in err
 
     @pytest.mark.parametrize("command, mode", [
-        (command, mode) for command, modes in cli.COMMAND_MODES.items()
-        for mode, fields in modes.items() if "noise_seed" in fields])
+        (command, mode) for command, mode, field in unread_by_command()
+        if field == "noise_seed"])
     def test_seed_flag_rejected_like_the_config_key(self, tmp_path, capsys,
                                                     command, mode):
         flag = main([command, "--config", str(mode_config(tmp_path, mode)),
@@ -158,8 +191,8 @@ class TestConfig:
         assert "config field 'noise_seed'" in flag_err
 
     @pytest.mark.parametrize("command, mode", [
-        (command, mode) for command, modes in cli.COMMAND_MODES.items()
-        for mode in cfgmod.MODES if mode not in modes])
+        (command, mode) for command in cli._COMMANDS for mode in cfgmod.MODES
+        if mode not in modes_of(command)])
     def test_modes_a_command_does_not_run_rejected(self, tmp_path, capsys,
                                                    command, mode):
         assert main([command, "--config", str(mode_config(tmp_path, mode))]) == 1
@@ -174,6 +207,37 @@ class TestConfig:
         assert main(["solve", "--config", str(path)]) == 1
         assert ("config error: config field 'constants_override': "
                 in capsys.readouterr().err)
+
+    def test_schema_covers_every_command_and_key(self):
+        # each command runs some mode and no other command is listed; each
+        # key but the four required ones has a check, in field order
+        listed = {command for _, reads in cfgmod.READS.values() for command in reads}
+        assert listed == set(cli._COMMANDS)
+        assert list(cfgmod.DEFAULTS) == list(cfgmod._CHECKS)
+
+    @pytest.mark.parametrize("field, kind", [
+        ("eps", "a number"), ("tol_alpha", "a number"), ("noise_seed", "an integer")])
+    @pytest.mark.parametrize("mode", cfgmod.MODES)
+    def test_null_rejected_where_the_key_has_a_default(self, mode, field, kind):
+        assert parse_outcome(mode_raw(mode, **{field: None})) == \
+            f"config field '{field}': expected {kind}, got None"
+
+    @pytest.mark.parametrize("field", [
+        key for key, default in cfgmod.DEFAULTS.items() if default is None])
+    @pytest.mark.parametrize("mode", cfgmod.MODES)
+    def test_null_parses_as_if_absent(self, mode, field):
+        # a key whose default is None holds no value when null, in a mode
+        # that requires it, reads it or rejects it alike
+        raw = mode_raw(mode, **{field: None})
+        absent = {key: value for key, value in raw.items() if key != field}
+        assert parse_outcome(raw) == parse_outcome(absent)
+        if field not in cfgmod.READS[mode][0]:
+            assert isinstance(parse_outcome(raw), cfgmod.RunConfig)
+
+    def test_unknown_measurement_names_the_presets(self):
+        assert parse_outcome(mode_raw("reconstruct_exact", measurement="median")) == (
+            "config field 'measurement': unknown preset; use one of "
+            "('identity', 'average', 'first-coordinate') or a matrix")
 
     def test_bad_yaml(self):
         with pytest.raises(ConfigInvalid, match="not valid YAML"):
@@ -262,7 +326,8 @@ def boxes(draw):
 def run_configs(draw):
     """Every RunConfig that parse accepts, over all modes and fields."""
     mode = draw(st.sampled_from(cfgmod.MODES))
-    required, optional = cfgmod.MODE_KEYS[mode]
+    required, reads = cfgmod.READS[mode]
+    optional = set().union(*reads.values())
 
     def field(name, values):
         # parse rejects a key the mode does not read
@@ -297,7 +362,7 @@ def run_configs(draw):
         tol_alpha=draw(POSITIVE),
         box=field("box", boxes()),
         measurement=field(
-            "measurement", st.sampled_from(cfgmod.MEASUREMENT_PRESETS) | matrix),
+            "measurement", st.sampled_from(list(MEASUREMENTS)) | matrix),
         noise_seed=draw(st.integers(-2**63, 2**63 - 1)),
         constants_override=field("constants_override", override),
         x0=field("x0", st.lists(FINITE, min_size=1, max_size=4)),
@@ -937,14 +1002,13 @@ def cli_runs(draw):
     measurement matrices hold entries in [-2, 2]; q, eps, delta,
     target_gamma, tol_alpha, step_scale, x0, the boxes and the overridden
     certificate constants span their whole valid range."""
-    command = draw(st.sampled_from(sorted(cli.COMMAND_MODES)), label="command")
-    mode = draw(st.sampled_from(sorted(cli.COMMAND_MODES[command])), label="mode")
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)), label="command")
+    mode = draw(st.sampled_from(sorted(modes_of(command))), label="mode")
     pid = draw(st.sampled_from(gallery_ids()), label="problem_id")
     prob = get_problem(pid)
-    required, optional = cfgmod.MODE_KEYS[mode]
-    unread = cli.COMMAND_MODES[command][mode]
-    keys = list(required) + [key for key in optional if key not in unread
-                             and draw(st.booleans(), label=f"has {key}")]
+    required, reads = cfgmod.READS[mode]
+    keys = list(required) + [key for key in reads[command]
+                             if draw(st.booleans(), label=f"has {key}")]
     if mode == "landweber" and ("tau" in keys) != ("delta" in keys):
         keys = [key for key in keys if key not in ("tau", "delta")]
     near = [st.floats(t - 2.0, t + 2.0) for t in prob.x_dagger]
@@ -966,7 +1030,7 @@ def cli_runs(draw):
             sorted(draw(st.lists(st.one_of(axis, ANY_FLOAT), min_size=2,
                                  max_size=2), label="box")) for axis in near])))),
         "measurement": lambda: draw(st.one_of(
-            st.sampled_from(cfgmod.MEASUREMENT_PRESETS),
+            st.sampled_from(list(MEASUREMENTS)),
             st.lists(st.lists(st.floats(-2.0, 2.0), min_size=prob.model.dim_y,
                               max_size=prob.model.dim_y),
                      min_size=1, max_size=3)), label="measurement"),

@@ -926,10 +926,10 @@ def _offset_model(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("driver", ["exact", "noisy", "landweber", "lm_step"])
 def test_overflowing_residual_norm(dim, driver):
-    # ||r|| = inf from finite entries: the LM step's shift search runs out
-    # of Newton steps, and Landweber runs its budget with inf residuals; each
-    # with numpy's overflow warnings.  Recorded before the norms were taken
-    # without np.linalg.norm.
+    # ||r|| = inf from finite entries: the LM step's shift search stops
+    # before its first Newton step, since no shift meets an infinite target,
+    # and Landweber runs its budget with inf residuals.  The one warning is
+    # numpy's on the squared norm that overflows.
     model, y, x0 = _offset_model(dim), np.zeros(dim), np.zeros(dim)
     cfg = SolverConfig(q=0.5, max_iters=3)
     with warnings.catch_warnings(record=True) as caught:
@@ -942,8 +942,8 @@ def test_overflowing_residual_norm(dim, driver):
                 ["-0x1.24a35bcdc760fp+664"] * dim
             assert trace.warnings == []
         else:
-            with pytest.raises(NonConvergence, match="^Morozov Newton iteration "
-                               "did not meet tolerance 1e-10 in 100 steps$"):
+            with pytest.raises(NonConvergence, match=r"^residual norm \|\|r\|\| "
+                               "overflows to inf"):
                 if driver == "exact":
                     run_exact(model, None, y, x0, cfg)
                 elif driver == "noisy":
@@ -951,11 +951,7 @@ def test_overflowing_residual_norm(dim, driver):
                         cfg, tau=2.0, delta=1e-3, stop_mode="discrepancy"))
                 else:
                     lm_step(model, x0, -np.full(dim, 1e200), 0.5)
-    expected = {"overflow encountered in dot"}
-    if driver != "landweber":
-        expected |= {"overflow encountered in matmul",
-                     "overflow encountered in multiply"}
-    assert {str(w.message) for w in caught} == expected
+    assert {str(w.message) for w in caught} == {"overflow encountered in dot"}
     assert {w.category for w in caught} == {RuntimeWarning}
 
 
