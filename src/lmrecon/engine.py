@@ -34,12 +34,11 @@ from .operators import (
     check_domain,
     domain_violation,
     estimate_jacobian_norm,
-    finite_norm,
     require_finite,
     require_in_domain,
     vector_norm,
 )
-from .step import StepDiagnostics, lm_step
+from .step import StepDiagnostics, _residual_norm, lm_step
 
 STOP_MODES = ("fixed_budget", "target_error", "discrepancy")
 
@@ -408,11 +407,13 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     which the trace keeps.
 
     The loop computes each quantity of an iterate once: ``||r||`` by
-    :func:`finite_norm` in ``residual_at``, which reads r's finiteness off
-    that norm; ``gamma`` and the step norm once per update; and the ball
-    test once per update, with the violation's message built only for an
-    update outside the ball.  ``step`` receives ``||r||``, but an LM step
-    takes it a second time: the public :func:`lm_step` receives only ``r``.
+    :func:`lmrecon.step._residual_norm` in ``residual_at``, which reads r's
+    finiteness off that norm and raises :class:`NonConvergence` when it
+    overflows, as :func:`lm_step` does; ``gamma`` and the step norm once per
+    update; and the ball test once per update, with the violation's message
+    built only for an update outside the ball.  ``step`` receives
+    ``||r||``, but an LM step takes it a second time: the public
+    :func:`lm_step` receives only ``r``.
     """
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
@@ -449,7 +450,7 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
 
     def residual_at(point):
         r = y_obs - apply_forward(model, point, check=False)
-        return r, finite_norm(r, "residual y - F(x)")
+        return r, _residual_norm(r, "residual y - F(x)")
 
     r, residual = residual_at(x)
     trace.records.append(TraceRecord(0, None, residual, gamma, None, None))
@@ -603,8 +604,9 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
     :class:`DivergenceDetected` if the residual grows tenfold over its
     running minimum, :class:`ConditionViolated` if the step size violates
     ``step_scale * ||J||^2 <= 1`` at the starting point (or is left to the
-    default while ``J(x0) = 0``), and :class:`NonFiniteOutput` when the
-    residual, ``J(x0)`` or ``J^T r`` holds NaN or inf.
+    default while ``J(x0) = 0``), :class:`NonFiniteOutput` when the
+    residual, ``J(x0)`` or ``J^T r`` holds NaN or inf, and
+    :class:`NonConvergence` when the residual's norm overflows.
     """
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")

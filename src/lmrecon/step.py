@@ -121,8 +121,8 @@ class Spectrum(NamedTuple):
 
     ``u`` has ``min(dim_y, dim_x)`` orthonormal columns.  When it has fewer
     than ``dim_y``, G is exactly zero on the complement of their span;
-    :meth:`split` and :meth:`solve` account for that part of ``r``, so no
-    caller needs to know which case it has.
+    :meth:`split` accounts for that part of ``r``, so no caller needs to
+    know which case it has.
     """
 
     lam: np.ndarray
@@ -139,19 +139,6 @@ class Spectrum(NamedTuple):
         if self.u.shape[1] == self.u.shape[0]:
             return c, 0.0
         return c, r - self.u @ c
-
-    def solve(self, alpha: float, r) -> np.ndarray:
-        """``z = (J J* + alpha I)^{-1} r = U (c / (lam + alpha)) + rest / alpha``."""
-        r = as_vector(r, self.j.shape[0], "r")
-        if not alpha > 0:
-            raise FactorizationFailure(f"shift alpha = {alpha} must be positive")
-        c, rest = self.split(r)
-        return self.u @ (c / (self.lam + alpha)) + rest / alpha
-
-    def phi(self, alpha: float, r) -> float:
-        """The Morozov function ``alpha * ||(J J* + alpha I)^{-1} r||``,
-        strictly increasing in alpha towards ``||r||``."""
-        return alpha * float(np.linalg.norm(self.solve(alpha, r)))
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """``J* z``: ``adj @ z``, or ``(J* Q)(Q^T z)`` when ``dim_y > dim_x``,
@@ -210,12 +197,30 @@ def _spectrum(model: ForwardModel, x) -> Spectrum:
     return Spectrum(lam, u, j, adj, basis)
 
 
+def _residual_norm(r: np.ndarray, what: str) -> float:
+    """``||r||`` by :func:`finite_norm`, which raises :class:`NonFiniteOutput`
+    naming ``what`` when ``r`` holds NaN or inf.
+
+    Raises :class:`NonConvergence` when a finite ``r`` has a norm that
+    overflows to inf: no shift meets the infinite Morozov target
+    ``q * ||r||``, and no stopping test or step size can use it.  The LM step
+    and the iteration loop of :mod:`lmrecon.engine` both take ``||r||``
+    here, so every driver stops on such a residual with the same error.
+    """
+    rnorm = finite_norm(r, what)
+    if rnorm == math.inf:
+        raise NonConvergence(
+            "residual norm ||r|| overflows to inf, so no step or stopping "
+            "test can use it")
+    return rnorm
+
+
 def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float,
                   rnorm: float):
     """Safeguarded Newton on the Morozov equation for the Gram spectrum
     ``spec`` from :func:`_spectrum`; returns
     (alpha, z, Newton iterations, alpha_bound).  ``rnorm`` is ``||r||``,
-    which the caller has taken.
+    which the caller has taken by :func:`_residual_norm`, so it is finite.
 
     With ``(c, rest) = spec.split(r)``,
     ``phi(alpha)^2 = ||alpha / (lam + alpha) * c||^2 + ||rest||^2``.  The
@@ -230,18 +235,12 @@ def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float,
 
     The null-space coordinates ``c[lam == 0.0]`` are gathered only when
     ``lam[0] == 0.0``: :func:`_spectrum`'s clip leaves ``lam`` ascending
-    with every zero in front, so there is none otherwise.  A finite ``r``
-    whose norm overflows raises :class:`NonConvergence` before any Newton
-    iterate, since no shift meets an infinite target.
+    with every zero in front, so there is none otherwise.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     if rnorm == 0.0:
         raise ZeroResidual("residual is zero; nothing to regularize")
-    if rnorm == math.inf:
-        raise NonConvergence(
-            "residual norm ||r|| overflows to inf, so the Morozov target "
-            "q*||r|| is not a finite float")
     lam, u = spec.lam, spec.u
     c, rest = spec.split(r)
     rest_sq = float(np.dot(rest, rest))
@@ -298,11 +297,12 @@ def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10):
 
     Returns ``(x_next, StepDiagnostics)``.  Makes no forward call and applies
     no domain policy; the caller owns both.  Raises :class:`ZeroResidual`
-    when ``r`` vanishes (the caller should declare convergence) and
+    when ``r`` vanishes (the caller should declare convergence),
     :class:`NonFiniteOutput` when ``r``, J, the adjoint's matrix or the Gram
-    matrix holds NaN or inf.
+    matrix holds NaN or inf, and :class:`NonConvergence` when ``||r||``
+    overflows.
 
-    ``||r||`` is taken once, by :func:`finite_norm`, and r's finiteness is
+    ``||r||`` is taken once, by :func:`_residual_norm`, and r's finiteness is
     read off it; the shift selection and the diagnostics reuse it.  The
     finiteness of J and of the adjoint's matrix is checked in
     :func:`gram_matrix`, before either enters a product, and the Gram
@@ -310,7 +310,7 @@ def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10):
     """
     x = as_vector(x, model.dim_x, "x")
     r = as_vector(r, model.dim_y, "r")
-    rnorm = finite_norm(r, "residual r")
+    rnorm = _residual_norm(r, "residual r")
     spec = _spectrum(model, x)
     alpha, z, iters, alpha_bound = _select_alpha(spec, r, q, tol_alpha, rnorm)
     s = spec.adjoint(z)

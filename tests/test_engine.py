@@ -150,49 +150,24 @@ class TestIterationsForAccuracy:
         assert m == scan
 
 
-def _reference_iterations_for_accuracy(target_gamma, tc, eps):
-    """The earlier search for the smallest M with rate_bound(M) <=
-    target_gamma: a closed-form estimate, corrected by a walk that doubles
-    its step away from it, then bisection."""
-    if target_gamma >= tc.rho:
-        return 0
-
-    def reached(k):
-        return rate_bound(k, tc, eps) <= target_gamma
-
-    try:
-        if eps == 1.0:
-            m = math.ceil(math.log(target_gamma / tc.rho) / math.log(1.0 - tc.c))
-        else:
-            p = (1.0 - eps) / (1.0 + eps)
-            m = math.ceil((target_gamma ** (-p) - tc.rho ** (-p)) / (tc.c * p))
-        lo = hi = max(m, 0)
-        step = 1
-        while not reached(hi):
-            lo, hi, step = hi + 1, hi + step, 2 * step
-        step = 1
-        while lo > 0 and reached(lo - 1):
-            hi, lo, step = lo - 1, max(lo - 1 - step, 0), 2 * step
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise ConditionViolated("out of range") from exc
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if reached(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+def _float_range_ends_first(target_gamma, tc, eps):
+    """Whether ``rate_bound`` at 1, 2, 4, ... leaves the float range (raises)
+    before any of these counts reaches ``target_gamma``: then no count a
+    float can hold reaches it."""
+    k = 1
+    while True:
+        try:
+            if rate_bound(k, tc, eps) <= target_gamma:
+                return False
+        except (OverflowError, ZeroDivisionError):
+            return True
+        k *= 2
 
 
-def _budget_or_error(search, target, tc, eps):
-    try:
-        return search(target, tc, eps)
-    except ConditionViolated:
-        return "ConditionViolated"
-
-
-def test_iterations_for_accuracy_matches_the_earlier_search():
-    # seeded random constants, with c down to 1e-17, where 1 - c rounds to 1
+def test_iterations_for_accuracy_is_the_smallest_count():
+    # seeded random constants, with c down to 1e-17, where 1 - c rounds to 1:
+    # the count reaches the target and the count before it does not, or the
+    # search raises exactly when the float range ends first
     from lmrecon.engine import TheoryConstantsExact
 
     rng = np.random.default_rng(1818)
@@ -209,12 +184,16 @@ def test_iterations_for_accuracy_matches_the_earlier_search():
         rounded += 1.0 - c == 1.0
         tc = TheoryConstantsExact(rho=rho, c=c, q_condition_ok=True,
                                   rho_lt_rho_prime=True)
-        expected = _budget_or_error(_reference_iterations_for_accuracy,
-                                    target, tc, eps)
-        got = _budget_or_error(iterations_for_accuracy, target, tc, eps)
-        assert got == expected, (rho, c, eps, target)
-        outcomes.add("raise" if expected == "ConditionViolated"
-                     else "large" if expected > 10**12 else "small")
+        case = (rho, c, eps, target)
+        try:
+            m = iterations_for_accuracy(target, tc, eps)
+        except ConditionViolated:
+            assert _float_range_ends_first(target, tc, eps), case
+            outcomes.add("raise")
+            continue
+        assert rate_bound(m, tc, eps) <= target, case
+        assert m == 0 or rate_bound(m - 1, tc, eps) > target, case
+        outcomes.add("large" if m > 10**12 else "small")
     assert outcomes == {"raise", "large", "small"} and rounded > 0
 
 
@@ -926,31 +905,25 @@ def _offset_model(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("driver", ["exact", "noisy", "landweber", "lm_step"])
 def test_overflowing_residual_norm(dim, driver):
-    # ||r|| = inf from finite entries: the LM step's shift search stops
-    # before its first Newton step, since no shift meets an infinite target,
-    # and Landweber runs its budget with inf residuals.  The one warning is
-    # numpy's on the squared norm that overflows.
+    # ||r|| = inf from finite entries: every driver stops on the first
+    # residual, before any step, and lm_step before its shift search, since
+    # no shift meets an infinite target.  The one warning is numpy's on the
+    # squared norm that overflows.
     model, y, x0 = _offset_model(dim), np.zeros(dim), np.zeros(dim)
     cfg = SolverConfig(q=0.5, max_iters=3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if driver == "landweber":
-            trace = landweber_run(model, y, x0, 0.5, cfg)
-            assert trace.terminal == "budget_exhausted"
-            assert trace.residuals().tolist() == [math.inf] * 4
-            assert [float.hex(v) for v in trace.x_final] == \
-                ["-0x1.24a35bcdc760fp+664"] * dim
-            assert trace.warnings == []
-        else:
-            with pytest.raises(NonConvergence, match=r"^residual norm \|\|r\|\| "
-                               "overflows to inf"):
-                if driver == "exact":
-                    run_exact(model, None, y, x0, cfg)
-                elif driver == "noisy":
-                    run_noisy(model, None, y, x0, dataclasses.replace(
-                        cfg, tau=2.0, delta=1e-3, stop_mode="discrepancy"))
-                else:
-                    lm_step(model, x0, -np.full(dim, 1e200), 0.5)
+        with pytest.raises(NonConvergence, match=r"^residual norm \|\|r\|\| "
+                           "overflows to inf"):
+            if driver == "exact":
+                run_exact(model, None, y, x0, cfg)
+            elif driver == "noisy":
+                run_noisy(model, None, y, x0, dataclasses.replace(
+                    cfg, tau=2.0, delta=1e-3, stop_mode="discrepancy"))
+            elif driver == "landweber":
+                landweber_run(model, y, x0, 0.5, cfg)
+            else:
+                lm_step(model, x0, -np.full(dim, 1e200), 0.5)
     assert {str(w.message) for w in caught} == {"overflow encountered in dot"}
     assert {w.category for w in caught} == {RuntimeWarning}
 

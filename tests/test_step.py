@@ -23,46 +23,65 @@ from lmrecon.operators import ForwardModel, jacobian_matrix, max_adjoint_defect
 from lmrecon.step import _select_alpha, _spectrum, lm_step
 
 
+def _dense_z(a, alpha, r):
+    """``(A A^T + alpha I)^{-1} r`` by a dense solve."""
+    return np.linalg.solve(a @ a.T + alpha * np.eye(a.shape[0]), r)
+
+
 def test_solve_shifted_scalar():
-    model = linear_model([[2.0]])
-    z = _spectrum(model, [0.0]).solve(4.0, [1.0])
-    assert abs(z[0] - 0.125) <= 1e-15
+    # J = 2, q = 1/2: the root is alpha = 4 and z = 1 / (4 + alpha)
+    a = np.array([[2.0]])
+    alpha, z = _select_alpha(_spectrum(linear_model(a), [0.0]), np.ones(1), 0.5,
+                             1e-10, 1.0)[:2]
+    assert abs(z[0] - 0.125) <= 1e-11
+    assert abs(z[0] - _dense_z(a, alpha, np.ones(1))[0]) <= 1e-15
 
 
 def test_solve_shifted_dominant_alpha_limit():
-    model = linear_model([[2.0, 1.0], [0.5, 3.0]])
+    # q near 1 puts the root far above ||J J^T||, where z tends to r / alpha
+    a = np.array([[2.0, 1.0], [0.5, 3.0]])
     r = np.array([1.0, -2.0])
-    alpha = 1e12
-    z = _spectrum(model, [0.0, 0.0]).solve(alpha, r)
+    spec = _spectrum(linear_model(a), [0.0, 0.0])
+    alpha, z = _select_alpha(spec, r, 1.0 - 1e-9, 1e-10,
+                             float(np.linalg.norm(r)))[:2]
+    assert alpha > 1e9
     assert np.linalg.norm(z - r / alpha) <= 1e-6 * np.linalg.norm(r / alpha)
+    assert np.linalg.norm(z - _dense_z(a, alpha, r)) <= 1e-14 * np.linalg.norm(z)
 
 
 def test_solve_shifted_diagonal():
-    model = linear_model(np.diag([1.0, 3.0]))
-    z = _spectrum(model, [0.0, 0.0]).solve(1.0, [1.0, 1.0])
-    assert np.allclose(z, [0.5, 0.1], rtol=0, atol=1e-14)
+    # q = sqrt(0.13) puts the root at alpha = 1, where z = (1/2, 1/10)
+    a = np.diag([1.0, 3.0])
+    r = np.ones(2)
+    alpha, z = _select_alpha(_spectrum(linear_model(a), [0.0, 0.0]), r,
+                             math.sqrt(0.13), 1e-12, math.sqrt(2.0))[:2]
+    assert abs(alpha - 1.0) <= 1e-10
+    assert np.allclose(z, [1.0 / (1.0 + alpha), 1.0 / (9.0 + alpha)],
+                       rtol=0, atol=1e-15)
+    assert np.allclose(z, [0.5, 0.1], rtol=0, atol=1e-10)
 
 
 def test_solve_shifted_residual_tolerance():
-    # Backward residual at the contract level; the shift must not vanish
-    # against ||J J^T|| or the kernel component of z amplifies rounding noise
-    # beyond what any double-precision solve can repair.
+    # Backward residual at the contract level, at the roots for several q on
+    # a tall J whose residual has a part outside range(J)
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 3))
-    model = linear_model(a)
-    r = rng.standard_normal(4)
-    for alpha in (1e-2, 1.0, 1e4):
-        z = _spectrum(model, np.zeros(3)).solve(alpha, r)
+    spec = _spectrum(linear_model(a), np.zeros(3))
+    r = a @ rng.standard_normal(3) + 0.1 * rng.standard_normal(4)
+    alphas = []
+    for q in (0.2, 0.5, 0.9):
+        alpha, z = _select_alpha(spec, r, q, 1e-10, float(np.linalg.norm(r)))[:2]
         defect = np.linalg.norm((a @ a.T + alpha * np.eye(4)) @ z - r)
         assert defect <= 1e-12 * np.linalg.norm(r)
+        alphas.append(alpha)
+    assert alphas[0] < 1.0 < alphas[-1]
 
 
 def test_solve_shifted_rejects_nonpositive_alpha():
-    model = linear_model([[2.0]])
-    with pytest.raises(FactorizationFailure):
-        _spectrum(model, [0.0]).solve(0.0, [1.0])
-    with pytest.raises(FactorizationFailure):
-        _spectrum(model, [0.0]).solve(-1.0, [1.0])
+    # q lam_max underflows to 0 for J = 1e-160: no positive shift exists
+    model = linear_model([[1e-160]])
+    with pytest.raises(NonConvergence, match="underflows to alpha = 0"):
+        _select_alpha(_spectrum(model, [0.0]), np.ones(1), 1e-5, 1e-10, 1.0)
 
 
 def test_broken_adjoint_gives_asymmetric_gram():
@@ -74,8 +93,10 @@ def test_broken_adjoint_gives_asymmetric_gram():
         jacobian_apply=lambda x, v: a @ v,
         jacobian_adjoint_apply=lambda x, w: wrong.T @ w,
     )
-    with pytest.raises(FactorizationFailure):
-        _spectrum(model, [0.0, 0.0]).solve(1.0, [1.0, 1.0])
+    with pytest.raises(FactorizationFailure, match="asymmetry"):
+        _spectrum(model, [0.0, 0.0])
+    with pytest.raises(FactorizationFailure, match="asymmetry"):
+        lm_step(model, [0.0, 0.0], [1.0, 1.0], 0.5)
 
 
 def test_sign_flipped_adjoint_gives_indefinite_gram():
@@ -87,45 +108,54 @@ def test_sign_flipped_adjoint_gives_indefinite_gram():
         jacobian_apply=lambda x, v: a @ v,
         jacobian_adjoint_apply=lambda x, w: -a.T @ w,
     )
-    with pytest.raises(FactorizationFailure):
-        _spectrum(model, [0.0, 0.0]).solve(1.0, [1.0, 1.0])
-    with pytest.raises(FactorizationFailure):
+    with pytest.raises(FactorizationFailure, match="eigenvalue"):
+        _spectrum(model, [0.0, 0.0])
+    with pytest.raises(FactorizationFailure, match="eigenvalue"):
         lm_step(model, [0.0, 0.0], [1.0, 1.0], 0.5)
 
 
 def test_morozov_scalar_value():
-    model = linear_model([[2.0]])
-    assert abs(_spectrum(model, [0.0]).phi(4.0, [1.0]) - 0.5) <= 1e-14
+    # J = 2, q = 1/2: phi(alpha) = alpha / (4 + alpha) meets 1/2 at 4
+    _, diag = lm_step(linear_model([[2.0]]), [0.0], [1.0], 0.5)
+    assert abs(diag.morozov_lhs - 0.5) <= 1e-10
+    assert abs(diag.morozov_lhs - diag.alpha / (4.0 + diag.alpha)) <= 1e-15
 
 
 def test_morozov_large_alpha_limit():
-    model = linear_model([[2.0]])
-    assert abs(_spectrum(model, [0.0]).phi(1e12, [1.0]) - 1.0) <= 1e-6
+    # phi tends to ||r|| as alpha grows; q near 1 needs a shift above 1e9
+    _, diag = lm_step(linear_model([[2.0]]), [0.0], [1.0], 1.0 - 1e-9)
+    assert diag.alpha > 1e9
+    assert abs(diag.morozov_lhs - 1.0) <= 1e-6
 
 
 def test_morozov_diagonal_hand_value():
-    model = linear_model(np.diag([1.0, 3.0]))
-    value = _spectrum(model, [0.0, 0.0]).phi(1.0, [1.0, 1.0])
-    # hand evaluation: 1 * ||(1/2, 1/10)|| = sqrt(0.26); cross-check by a
-    # brute-force dense solve
-    hand = math.sqrt(0.26)
+    # hand evaluation at alpha = 1: 1 * ||(1/2, 1/10)|| = sqrt(0.26), which
+    # q = sqrt(0.13) asks for; cross-check by a brute-force dense solve
     a = np.diag([1.0, 3.0])
-    brute = np.linalg.solve(a @ a.T + np.eye(2), np.ones(2))
-    assert abs(value - hand) <= 1e-14
-    assert abs(value - np.linalg.norm(brute)) <= 1e-14
+    r = np.ones(2)
+    _, diag = lm_step(linear_model(a), [0.0, 0.0], r, math.sqrt(0.13),
+                      tol_alpha=1e-12)
+    brute = diag.alpha * np.linalg.norm(_dense_z(a, diag.alpha, r))
+    assert abs(diag.alpha - 1.0) <= 1e-10
+    assert abs(diag.morozov_lhs - math.sqrt(0.26)) <= 1e-11
+    assert abs(diag.morozov_lhs - brute) <= 1e-14
 
 
 def test_morozov_strictly_increasing():
+    # phi increases in alpha, so its root for the target q ||r|| increases
+    # with q, and the dense phi at each root is q ||r||
     rng = np.random.default_rng(3)
     a = rng.standard_normal((3, 2))
-    model = linear_model(a)
-    r = rng.standard_normal(3)
-    x = np.zeros(2)
-    alphas = np.sort(rng.uniform(1e-4, 1e4, 30))
-    spec = _spectrum(model, x)
-    values = [spec.phi(al, r) for al in alphas]
-    for lo, hi in zip(values, values[1:]):
-        assert hi > lo - 1e-13
+    r = a @ rng.standard_normal(2) + 0.05 * rng.standard_normal(3)
+    rnorm = float(np.linalg.norm(r))
+    spec = _spectrum(linear_model(a), np.zeros(2))
+    qs = np.sort(rng.uniform(0.1, 0.99, 30))
+    alphas = [_select_alpha(spec, r, q, 1e-12, rnorm)[0] for q in qs]
+    for q, alpha in zip(qs, alphas):
+        dense = alpha * np.linalg.norm(_dense_z(a, alpha, r))
+        assert abs(dense - q * rnorm) <= 1e-10 * rnorm
+    for lo, hi in zip(alphas, alphas[1:]):
+        assert hi > lo
 
 
 def test_select_alpha_scalar_closed_form():
@@ -203,9 +233,7 @@ def test_lm_step_non_finite_residual():
 def test_spectral_kernel_non_finite_output(part):
     model = non_finite_model(part)
     with pytest.raises(NonFiniteOutput):
-        _select_alpha(_spectrum(model, [0.0]), [1.0], 0.5, 1e-10, 1.0)
-    with pytest.raises(NonFiniteOutput):
-        _spectrum(model, [0.0]).solve(1.0, [1.0])
+        _spectrum(model, [0.0])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -336,25 +364,19 @@ def test_root_infeasible_iff_null_component_dominates(problem, q, null_share):
             _select_alpha(spec, r, q, 1e-10, rnorm)
     else:
         alpha = _select_alpha(spec, r, q, 1e-10, rnorm)[0]
-        assert abs(spec.phi(alpha, r) - q) <= 1e-9
+        phi = alpha * np.linalg.norm(_dense_z(a, alpha, r))
+        assert abs(phi - q) <= 1e-9
 
 
 @settings(max_examples=80, deadline=None)
 @given(problem=tall_linear_problems(), q=st.floats(0.05, 0.95),
-       null_share=st.floats(0.0, 0.9), log_alpha=st.floats(-3.0, 3.0))
-def test_tall_kernel_matches_full_decomposition(problem, q, null_share,
-                                                log_alpha):
+       null_share=st.floats(0.0, 0.9))
+def test_tall_kernel_matches_full_decomposition(problem, q, null_share):
     # the residual's part orthogonal to range(A) has norm null_share * q
     a, range_basis, null_basis, rng = problem
-    m = a.shape[0]
     model = linear_model(a)
     x = rng.standard_normal(a.shape[1])
     r = _mixed_residual(range_basis, null_basis, rng, null_share * q)
-
-    alpha = 10.0**log_alpha
-    z = _spectrum(model, x).solve(alpha, r)
-    dense = np.linalg.solve(a @ a.T + alpha * np.eye(m), r)
-    assert np.linalg.norm(z - dense) <= 1e-10 * np.linalg.norm(dense)
 
     # reference root of the Morozov equation on the full dim_y x dim_y
     # spectrum: phi is increasing, phi(0+) = null_share * q ||r||, and phi
@@ -366,9 +388,11 @@ def test_tall_kernel_matches_full_decomposition(problem, q, null_share,
     reference = brentq(
         lambda al: np.linalg.norm(al / (lam + al) * c) - target,
         1e-12 * ceiling, 2.0 * ceiling, xtol=1e-300, rtol=1e-15)
-    chosen = _select_alpha(_spectrum(model, x), r, q, 1e-13,
-                           float(np.linalg.norm(r)))[0]
+    chosen, z = _select_alpha(_spectrum(model, x), r, q, 1e-13,
+                              float(np.linalg.norm(r)))[:2]
     assert abs(chosen - reference) <= 1e-9 * reference
+    dense = _dense_z(a, chosen, r)
+    assert np.linalg.norm(z - dense) <= 1e-10 * np.linalg.norm(dense)
     # the step's z carries the null-space part of r as well
     _, diag = lm_step(model, x, r, q, tol_alpha=1e-13)
     assert abs(diag.alpha - reference) <= 1e-9 * reference
@@ -401,10 +425,7 @@ def test_tall_inconsistent_adjoint_rejected(adjoint):
     y = a @ [1.0, 0.5] + 0.01
     r = y - a @ x
     with pytest.raises(FactorizationFailure):
-        _spectrum(model, x).solve(1.0, r)
-    with pytest.raises(FactorizationFailure):
-        _select_alpha(_spectrum(model, x), r, 0.5, 1e-10,
-                      float(np.linalg.norm(r)))
+        _spectrum(model, x)
     with pytest.raises(FactorizationFailure):
         lm_step(model, x, r, 0.5)
 
