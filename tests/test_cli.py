@@ -21,7 +21,7 @@ from lmrecon.cli import main
 from lmrecon.engine import SolverConfig, TraceRecord, run_exact
 from lmrecon.errors import ConfigInvalid, NonFiniteOutput
 from lmrecon.gallery import gallery_ids, get_problem
-from lmrecon.operators import STACK_BLOCK, forward_stack, row_norms
+from lmrecon.operators import STACK_BLOCK, forward_stack, jacobian_matrix, row_norms
 from lmrecon.operators import ForwardModel, estimate_jacobian_norm
 from lmrecon.recon import MEASUREMENTS
 from lmrecon.tracefile import COLUMNS, TraceFile, dumps, loads, read_trace
@@ -1067,6 +1067,36 @@ def test_main_returns_a_documented_exit_code(run):
     assert code in range(6)
 
 
+def _per_pair_sampler(model, eta, rad):
+    """The tangential-cone sampler one pair at a time: each block draws the
+    arrays the sampler draws (the radii by the same vectorized expression,
+    whose pow is the sampler's), then forms every point, takes F, J and the
+    ratio per pair, and keeps a Python maximum."""
+    rng = np.random.default_rng(17)
+    k, n = STACK_BLOCK, model.dim_x
+    worst, taken = 0.0, 0
+    while taken < checks.VERIFY_SAMPLES:
+        g = rng.standard_normal((2 * k, n))
+        radii = rad * rng.random(2 * k) ** (1.0 / n)
+        points = [model.center + (r / np.linalg.norm(row)) * row
+                  for r, row in zip(radii, g)]
+        in_block = 0
+        for x_a, x_b in zip(points[:k], points[k:]):
+            if taken == checks.VERIFY_SAMPLES:
+                break
+            fd = model.forward(x_a) - model.forward(x_b)
+            rhs = eta * float(np.linalg.norm(fd))
+            if rhs == 0.0:
+                continue
+            jd = jacobian_matrix(model, x_a) @ (x_a - x_b)
+            worst = max(worst, float(np.linalg.norm(fd - jd)) / rhs)
+            taken += 1
+            in_block += 1
+        if not in_block:
+            break
+    return worst if taken else math.nan
+
+
 def _ks_uniform(u):
     """Kolmogorov-Smirnov distance of a sample from the uniform law on [0, 1]."""
     u = np.sort(u)
@@ -1086,9 +1116,9 @@ def _relu_model(n):
 
 
 class TestStackedVerifyKeepsItsBits:
-    """`verify`'s alpha-ceiling row against per-matrix references, bit for
-    bit, and the tangential-cone sampler's draws against the uniform law on
-    the ball."""
+    """`verify`'s sampler and alpha-ceiling row against per-pair and
+    per-matrix references, bit for bit, and the sampler's draws against the
+    uniform law on the ball."""
 
     @pytest.mark.parametrize("n", [2, 3, 8, 12])
     def test_identity_model_samples_in_any_dimension(self, n):
@@ -1125,9 +1155,24 @@ class TestStackedVerifyKeepsItsBits:
             unit = (xs[:, 0] - center[0]) / dist
             assert _ks_uniform(0.5 * (unit + 1.0)) < 1.95 / math.sqrt(xs.shape[0])
 
+    @pytest.mark.parametrize("samples", [700, 10000])
+    def test_sampler_matches_per_pair_sampler(self, samples, monkeypatch,
+                                              gallery_problems):
+        # 700 pairs end inside the first block; the ReLU models skip pairs
+        # with F(a) = F(b), so their blocks are indexed, not sliced
+        monkeypatch.setattr(checks, "VERIFY_SAMPLES", samples)
+        cases = [(prob.model, 0.3, 0.2) for prob in gallery_problems.values()
+                 if prob.model.dim_x > 1]
+        cases += [(_relu_model(n), 0.5, 1.0) for n in (1, 2, 3)]
+        cases += [(gallery_problems["scalar-linear"].model, 0.7, 0.5)]
+        for model, eta, rad in cases:
+            got = checks._tangential_cone_worst(model, eta, rad)
+            assert type(got) is float
+            assert got.hex() == _per_pair_sampler(model, eta, rad).hex()
+
     def test_relu_blocks_skip_pairs(self, monkeypatch):
-        # the sampler's index path is reached: the first block F is taken
-        # on holds pairs with F(a) = F(b)
+        # the index path above is reached: the first block F is taken on
+        # holds pairs with F(a) = F(b)
         model, stacks = _relu_model(2), []
 
         def recording(model, xs):

@@ -150,6 +150,74 @@ class TestIterationsForAccuracy:
         assert m == scan
 
 
+def _reference_iterations_for_accuracy(target_gamma, tc, eps):
+    """The earlier search for the smallest M with rate_bound(M) <=
+    target_gamma: a closed-form estimate, corrected by a walk that doubles
+    its step away from it, then bisection."""
+    if target_gamma >= tc.rho:
+        return 0
+
+    def reached(k):
+        return rate_bound(k, tc, eps) <= target_gamma
+
+    try:
+        if eps == 1.0:
+            m = math.ceil(math.log(target_gamma / tc.rho) / math.log(1.0 - tc.c))
+        else:
+            p = (1.0 - eps) / (1.0 + eps)
+            m = math.ceil((target_gamma ** (-p) - tc.rho ** (-p)) / (tc.c * p))
+        lo = hi = max(m, 0)
+        step = 1
+        while not reached(hi):
+            lo, hi, step = hi + 1, hi + step, 2 * step
+        step = 1
+        while lo > 0 and reached(lo - 1):
+            hi, lo, step = lo - 1, max(lo - 1 - step, 0), 2 * step
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConditionViolated("out of range") from exc
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _budget_or_error(search, target, tc, eps):
+    try:
+        return search(target, tc, eps)
+    except ConditionViolated:
+        return "ConditionViolated"
+
+
+def test_iterations_for_accuracy_matches_the_earlier_search():
+    # seeded random constants, with c down to 1e-17, where 1 - c rounds to 1
+    from lmrecon.engine import TheoryConstantsExact
+
+    rng = np.random.default_rng(1818)
+    eps_choices = [1.0, 0.5, 1.0 / 3.0]
+    outcomes, rounded = set(), 0
+    for _ in range(3000):
+        rho = 10.0 ** rng.uniform(-12.0, 2.0)
+        c = (10.0 ** rng.uniform(-17.0, 0.0) if rng.random() < 0.8
+             else rng.uniform(0.0, 1.0))
+        c = min(max(c, 1e-17), math.nextafter(1.0, 0.0))
+        eps = (eps_choices[rng.integers(3)] if rng.random() < 0.75
+               else 1.0 - rng.random())
+        target = rho * 10.0 ** -rng.uniform(0.0, 14.0)
+        rounded += 1.0 - c == 1.0
+        tc = TheoryConstantsExact(rho=rho, c=c, q_condition_ok=True,
+                                  rho_lt_rho_prime=True)
+        expected = _budget_or_error(_reference_iterations_for_accuracy,
+                                    target, tc, eps)
+        got = _budget_or_error(iterations_for_accuracy, target, tc, eps)
+        assert got == expected, (rho, c, eps, target)
+        outcomes.add("raise" if expected == "ConditionViolated"
+                     else "large" if expected > 10**12 else "small")
+    assert outcomes == {"raise", "large", "small"} and rounded > 0
+
+
 def _float_range_ends_first(target_gamma, tc, eps):
     """Whether ``rate_bound`` at 1, 2, 4, ... leaves the float range (raises)
     before any of these counts reaches ``target_gamma``: then no count a

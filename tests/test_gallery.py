@@ -43,8 +43,11 @@ from lmrecon.operators import (
     ForwardModel,
     apply_forward,
     finite_difference_jacobian,
+    forward_stack,
     jacobian_matrix,
     jacobian_stack,
+    require_finite,
+    row_norms,
 )
 from lmrecon.recon import CompactBox
 
@@ -354,15 +357,44 @@ def _accumulated_spectral_norms(stack):
     return scale * np.sqrt(lam)
 
 
+def _masked_pair_quantities(model, pa, pb):
+    """The pair kernel with every block indexed by its pairs with a != b,
+    both stacks of a block checked as one array, and the accumulated screen."""
+    jac = np.empty((pa.shape[0], 2))
+    apart = np.empty((pa.shape[0], 3))
+    kept = 0
+    for start in range(0, pa.shape[0], STACK_BLOCK):
+        a = pa[start:start + STACK_BLOCK]
+        b = pb[start:start + STACK_BLOCK]
+        ja, jb = jacobian_stack(model, a), jacobian_stack(model, b)
+        require_finite((ja, jb), "Jacobian at a sample pair")
+        jac[start:start + a.shape[0]] = np.column_stack(
+            (_accumulated_spectral_norms(ja), _accumulated_spectral_norms(jb)))
+        d = row_norms(a - b)
+        keep = d != 0.0
+        a, b = a[keep], b[keep]
+        fa, fb = forward_stack(model, a), forward_stack(model, b)
+        require_finite((fa, fb), "forward value at a sample pair")
+        fd = row_norms(fa - fb)
+        if not fd.all():
+            i = np.flatnonzero(fd == 0.0)[0]
+            raise DegenerateModel(f"F({a[i]}) = F({b[i]}) with distinct arguments")
+        apart[kept:kept + fd.shape[0]] = np.column_stack(
+            (d[keep], _accumulated_spectral_norms(ja[keep] - jb[keep]), fd))
+        kept += fd.shape[0]
+    require_finite(apart[:kept], "pair difference norms")
+    return (jac.ravel(), *apart[:kept].T)
+
+
 def _listed_pow(values, exponent):
     # Python's pow on every entry, exponent 1 included
     return np.array([v ** exponent for v in values.tolist()])
 
 
 class TestKernelKeepsItsBits:
-    """The spectral screen against Gram entries read off
-    ``np.add.accumulate``, and ``_pow`` against Python's pow on every
-    entry, exponent 1 included."""
+    """The pair kernel against the array pass it replaced: Gram entries
+    from ``np.add.accumulate``, every block indexed by its pairs with
+    a != b, and Python's pow on every entry at exponent 1."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), k=st.integers(1, 4), m=st.integers(1, 4),
@@ -394,9 +426,48 @@ class TestKernelKeepsItsBits:
         assert gallery._pow(arr, 1.0).tobytes() == _listed_pow(arr, 1.0).tobytes()
         assert gallery._pow(arr, 0.75).tobytes() == _listed_pow(arr, 0.75).tobytes()
 
+    @staticmethod
+    def _oracle_outputs(model, box):
+        """Hex constants of estimates at eps = 1 and 0.5, and the violation
+        counts of each on fresh pairs, as estimated and divided by 1.5."""
+        out = []
+        for eps, seed in ((1.0, 5), (0.5, 6)):
+            cert = estimate_stability_constants(model, box, eps=eps, seed=seed)
+            out.append(_float_hex(cert))
+            for scale in (1.0, 1.5):
+                tight = dataclasses.replace(cert, **{
+                    name: getattr(cert, name) / scale for name in (
+                        "jac_bound", "lip_deriv", "holder_const", "forward_lip",
+                        "recon_const")})
+                out.append(verify_certificate(model, box, tight, seed=7).violations)
+        return out
+
+    def _assert_matches_replaced_kernel(self, model, box):
+        got = self._oracle_outputs(model, box)
+        assert any(any(counts.values()) for counts in got[2::3])
+        with mock.patch.multiple(gallery, _pair_quantities=_masked_pair_quantities,
+                                 _pow=_listed_pow):
+            want = self._oracle_outputs(model, box)
+        assert got == want
+
+    @pytest.mark.parametrize("pid", ["exp-decay", "exp-decay-2pt",
+                                     "quadratic-2d", "quadratic-3d"])
+    def test_oracle_matches_replaced_kernel(self, pid, gallery_problems):
+        prob = gallery_problems[pid]
+        self._assert_matches_replaced_kernel(prob.model, prob.default_box)
+
+    def test_coinciding_pairs_match_replaced_kernel(self, gallery_problems):
+        # x1 takes one of two adjacent floats, so about half of the random
+        # pairs and some grid pairs coincide within every block
+        box = CompactBox(np.array([1.0, 1.0]), np.array([np.nextafter(1.0, 2.0), 1.0]))
+        pa, pb = _pair_arrays(box, 10000, 7)
+        same = np.all(pa == pb, axis=1)
+        assert 0 < np.count_nonzero(same[:STACK_BLOCK]) < STACK_BLOCK
+        self._assert_matches_replaced_kernel(gallery_problems["exp-decay"].model, box)
+
     def test_one_point_box_has_no_pair_apart(self, gallery_problems):
-        # every pair coincides, so each block is indexed down to no pair
-        # and the screen of ||J(a) - J(b)|| gets an empty stack
+        # every pair coincides, so each block is indexed down to no pair;
+        # the replaced kernel failed here, screening an empty stack
         model = gallery_problems["exp-decay"].model
         point = CompactBox(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
         pa, pb = _pair_arrays(point, 10000, 7)
@@ -561,8 +632,78 @@ def test_reverification_catches_understated_certificate():
     assert report.violations["jac_bound"] > 0
 
 
+def _two_call_pair_quantities(model, pa, pb):
+    """The pair kernel with J, F and the screen of ||J(a)||, ||J(b)|| each
+    called once per side of a block, as before they were stacked."""
+    jac = np.empty((pa.shape[0], 2))
+    apart = np.empty((pa.shape[0], 3))
+    kept = 0
+    for start in range(0, pa.shape[0], STACK_BLOCK):
+        rows = slice(start, start + STACK_BLOCK)
+        a, b = pa[rows], pb[rows]
+        ja, jb = jacobian_stack(model, a), jacobian_stack(model, b)
+        require_finite(ja, "Jacobian at a sample pair")
+        require_finite(jb, "Jacobian at a sample pair")
+        jac[rows, 0] = _spectral_norms(ja)
+        jac[rows, 1] = _spectral_norms(jb)
+        d = row_norms(a - b)
+        if not d.all():
+            keep = d != 0.0
+            a, b, d, ja, jb = a[keep], b[keep], d[keep], ja[keep], jb[keep]
+        fa, fb = forward_stack(model, a), forward_stack(model, b)
+        require_finite(fa, "forward value at a sample pair")
+        require_finite(fb, "forward value at a sample pair")
+        fd = row_norms(fa - fb)
+        if not fd.all():
+            i = np.flatnonzero(fd == 0.0)[0]
+            raise DegenerateModel(f"F({a[i]}) = F({b[i]}) with distinct arguments")
+        out = apart[kept:kept + fd.shape[0]]
+        out[:, 0], out[:, 1], out[:, 2] = d, _spectral_norms(ja - jb), fd
+        kept += fd.shape[0]
+    require_finite(apart[:kept], "pair difference norms")
+    return (jac.ravel(), *apart[:kept].T)
+
+
 class TestStackedPairKernel:
-    """What the stacked pair kernel reports when it cannot estimate."""
+    """The pair kernel, which evaluates J and F once per block on the
+    stacked points (a; b), against the kernel that called each per side."""
+
+    @staticmethod
+    def _assert_same_arrays(model, box, seed):
+        pa, pb = _pair_arrays(box, 10000, seed)
+        got = _pair_quantities(model, pa, pb)
+        want = _two_call_pair_quantities(model, pa, pb)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def _assert_same_oracle(self, model, box):
+        outputs = TestKernelKeepsItsBits._oracle_outputs
+        got = outputs(model, box)
+        assert any(any(counts.values()) for counts in got[2::3])
+        with mock.patch.object(gallery, "_pair_quantities", _two_call_pair_quantities):
+            want = outputs(model, box)
+        assert got == want
+
+    @pytest.mark.parametrize("pid", ["exp-decay", "exp-decay-2pt", "quadratic-2d",
+                                     "quadratic-3d", "scalar-linear"])
+    def test_arrays_match_per_side_kernel(self, pid, gallery_problems):
+        prob = gallery_problems[pid]
+        for seed in (3, 977):
+            self._assert_same_arrays(prob.model, prob.default_box, seed)
+
+    @pytest.mark.parametrize("pid", ["exp-decay", "quadratic-3d"])
+    def test_oracle_at_both_exponents_matches_per_side_kernel(self, pid,
+                                                              gallery_problems):
+        # estimates at eps = 1 and 0.5 and the violation counts of each
+        prob = gallery_problems[pid]
+        self._assert_same_oracle(prob.model, prob.default_box)
+
+    def test_coinciding_pairs_match_per_side_kernel(self, gallery_problems):
+        # about half of the random pairs of every block coincide, so each
+        # block is indexed down to its pairs with a != b
+        box = CompactBox(np.array([1.0, 1.0]), np.array([np.nextafter(1.0, 2.0), 1.0]))
+        model = gallery_problems["exp-decay"].model
+        self._assert_same_arrays(model, box, 7)
+        self._assert_same_oracle(model, box)
 
     def test_degenerate_message_names_a_stacked_pair(self):
         # F(x) = (x1 + x2) is not injective; the first pair coincides and

@@ -17,7 +17,9 @@ from lmrecon.operators import (
     ForwardModel,
     apply_forward,
     finite_difference_jacobian,
+    forward_stack,
     jacobian_matrix,
+    jacobian_stack,
 )
 from lmrecon.recon import (
     DEFAULT_LATTICE_CAP,
@@ -197,7 +199,38 @@ class TestBuildLattice:
             assert d <= lat.covering_radius * (1.0 + 1e-12)
 
 
+def meshgrid_points(box: CompactBox, counts) -> np.ndarray:
+    """Every point of the cell-centered grid with ``counts`` cells per axis,
+    in C order, through meshgrid and column_stack."""
+    spacing = (box.upper - box.lower) / np.array(counts)
+    axes = [lo + (np.arange(cnt) + 0.5) * h
+            for lo, cnt, h in zip(box.lower, counts, spacing)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
+
+
 class TestLatticeBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_blocks_match_meshgrid_reference(self, data):
+        n = data.draw(st.integers(1, 3), label="dim_x")
+        lower = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n,
+                                            max_size=n), label="lower"))
+        extent = np.array(data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=n, max_size=n),
+            label="extent"))
+        box = CompactBox(lower, lower + extent)
+        lat = build_lattice(box, data.draw(st.floats(0.1, 1.0), label="r_cover"))
+        counts = [len(axis) for axis in lat.axes]
+        reference = meshgrid_points(box, counts)
+        assert lat.size == reference.shape[0] == np.prod(counts)
+        assert lat.points.tobytes() == reference.tobytes()
+        start = data.draw(st.integers(0, lat.size + 2), label="start")
+        stop = data.draw(st.integers(start, lat.size + STACK_BLOCK), label="stop")
+        block = lat.block(start, stop)
+        assert block.shape == (max(0, min(stop, lat.size) - start), n)
+        assert block.tobytes() == reference[start:stop].tobytes()
+
     def test_lattice_below_the_cap_holds_only_its_axes(self):
         # 3162 cells per axis: 9 998 244 points, just below the cap
         box = CompactBox(np.zeros(2), np.ones(2))
@@ -546,6 +579,80 @@ def test_reconstructions_are_pinned(pid, kind, gallery_problems):
     x_final = [float(x).hex() for x in trace.x_final]
     assert (summary, x_final, trace.terminal, trace.k_star, trace.warnings) == \
         PINNED_RECONSTRUCTIONS[pid, kind]
+
+
+def identity_reconstruction(prob, kind, model):
+    """The trace of an exact or noisy reconstruction on ``prob`` under the
+    identity measurement, with ``model`` as the forward model (the setup of
+    PINNED_RECONSTRUCTIONS)."""
+    cert = prob.certificate
+    if prob.id == "exp-decay":
+        cert = dataclasses.replace(cert, lip_deriv=0.5, holder_const=0.81,
+                                   recon_const=2.0, provenance="user")
+    q_op = MeasurementOperator.identity(prob.model.dim_y)
+    y = q_op(prob.y_exact)
+    if kind == "exact":
+        _, trace = reconstruct_exact(model, q_op, prob.default_box, cert,
+                                     0.5, 1e-10, y, x_dagger=prob.x_dagger)
+    else:
+        delta = 1e-3 if prob.id == "exp-decay" else 1e-6
+        _, trace = reconstruct_noisy(model, q_op, prob.default_box, cert,
+                                     0.5, 4.0, delta, make_noise(y, delta, 55),
+                                     200, x_dagger=prob.x_dagger)
+    return trace
+
+
+def explicitly_composed(model: ForwardModel, mat: np.ndarray) -> ForwardModel:
+    """Q o F through products with ``mat``, as the measured model was formed
+    for every Q before the identity returned the model itself."""
+    mat_t = mat.T.copy()
+
+    def forward_batch(xs):
+        return (mat @ forward_stack(model, xs)[:, :, None])[:, :, 0]
+
+    def jacobian_batch(xs):
+        cols = np.swapaxes(jacobian_stack(model, xs), 1, 2).copy()[:, :, :, None]
+        return np.swapaxes((mat @ cols)[:, :, :, 0], 1, 2)
+
+    return ForwardModel(
+        dim_x=model.dim_x, dim_y=mat.shape[0], center=model.center,
+        radius_sq=model.radius_sq,
+        forward=lambda x: mat @ model.forward(x),
+        jacobian_apply=lambda x, v: mat @ model.jacobian_apply(x, v),
+        jacobian_adjoint_apply=lambda x, w: model.jacobian_adjoint_apply(x, mat_t @ w),
+        forward_batch=forward_batch, jacobian_batch=jacobian_batch,
+    )
+
+
+def bits(value):
+    """``value`` with every float (also inside arrays, lists and dataclasses)
+    replaced by its ``float.hex``, so that equality means equal bits."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return (type(value).__name__,
+                {f.name: bits(getattr(value, f.name)) for f in dataclasses.fields(value)})
+    if isinstance(value, np.ndarray):
+        return bits(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+@pytest.mark.parametrize("pid, kind", list(PINNED_RECONSTRUCTIONS))
+def test_identity_measurement_matches_explicit_composition(pid, kind,
+                                                           gallery_problems):
+    # the model passed on its own, and wrapped in products with I; the wrapped
+    # model is itself returned by compose_measured_model, so the second run
+    # evaluates Q o F the way every measured model used to
+    prob = gallery_problems[pid]
+    composed = explicitly_composed(prob.model, np.eye(prob.model.dim_y))
+    trace = identity_reconstruction(prob, kind, prob.model)
+    reference = identity_reconstruction(prob, kind, composed)
+    assert bits(trace.recon) == bits(reference.recon)
+    assert bits(trace) == bits(reference)
 
 
 class TestLatticeBlockIndexing:
