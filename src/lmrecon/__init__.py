@@ -45,6 +45,7 @@ from .errors import (
 )
 from .gallery import (
     GalleryProblem,
+    certify,
     estimate_stability_constants,
     exp_decay,
     gallery_ids,

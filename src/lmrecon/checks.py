@@ -229,8 +229,8 @@ def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
         check("tangential-cone", worst_tcc <= 1.0,
               f"eta={eta:.4f} at rho'={rho_tc:.3e}, max lhs/rhs {worst_tcc:.4f}")
 
-    # Certificate re-verification on a fresh seed.
-    if cert.provenance == "oracle-estimated":
+    # Re-verification on a fresh seed, of a certificate that arms guarantees.
+    if operators.PROVENANCES[cert.provenance]:
         report = gallery.verify_certificate(model, prob.default_box, cert,
                                             samples=VERIFY_SAMPLES, seed=977)
         check("certificate-reverification", report.ok,

@@ -5,16 +5,18 @@ primary artifact to the configured output path and prints a short summary.
 The module only wires: every command's runs go through one run path,
 ``_run``; the reconstruction pipeline lives in recon.py and the verification
 checks in checks.py.
-Exit codes are a fixed function of the outcome:
+``main`` maps each ``SolverError`` to its exit code by class (``_EXITS``):
 
     0  clean termination
-    1  invalid configuration, or a mode or key the command does not handle
-    2  root-finding infeasible, domain violation, non-finite model output,
-       budget exhausted before the discrepancy criterion, or a covering
-       lattice too large to build
-    3  a theorem hypothesis failed for the supplied constants (never from
-       verify, which reports a failed hypothesis as a NOT ARMED row)
-    4  no lattice candidate passed the measured-data test
+    1  ConfigInvalid: invalid configuration, or a mode or key the command
+       does not handle
+    2  RootInfeasible, DomainViolation, NonFiniteOutput, NonConvergence,
+       ZeroResidual, DivergenceDetected, FactorizationFailure,
+       DimensionMismatch, DegenerateModel, CertificationFailed,
+       LatticeTooLarge; or a run that ends on no clean terminal
+    3  ConditionViolated: a theorem hypothesis failed for the supplied
+       constants (never from verify, which reports it as a NOT ARMED row)
+    4  NoCandidateFound: no lattice candidate passed the measured-data test
     5  a verification check failed
 """
 
@@ -94,13 +96,11 @@ def counting_model(model: ForwardModel):
 def _resolve_certificate(prob, cfg: RunConfig) -> StabilityCertificate:
     cert = prob.certificate
     if cfg.eps != cert.holder_eps:
-        # a different stability exponent needs freshly estimated constants
-        cert = gallery.estimate_stability_constants(
-            prob.model, prob.default_box, eps=cfg.eps, samples=10000, seed=303,
-        )
-    if cfg.measurement not in (None, "identity"):
-        # only the reconstruct modes accept a measurement; the oracle
-        # certified F, not the Q o F that reconstruction runs on
+        # a different stability exponent needs its own certificate
+        cert = gallery.certify(prob.model, prob.default_box, cfg.eps, seed=303)
+    if not _resolve_measurement(cfg, prob.model.dim_y).is_identity:
+        # only the reconstruct modes accept a measurement; the certificate
+        # is for F, not for the Q o F that reconstruction runs on
         cert = dataclasses.replace(cert, provenance="user")
     if cfg.constants_override:
         fields = dict(cfg.constants_override)
@@ -179,20 +179,18 @@ def _exit(trace, cfg: RunConfig) -> int:
     return 2
 
 
-def _run(cfg: RunConfig, prob, cert: StabilityCertificate, model: ForwardModel,
-         method: str):
+def _run(cfg: RunConfig, prob, cert: StabilityCertificate, method: str):
     """Run LM, Landweber or the reconstruction pipeline (``method`` "lm",
-    "landweber" or "reconstruct") on ``model`` as ``cfg`` says and return
+    "landweber" or "reconstruct") on ``prob`` as ``cfg`` says and return
     the trace, which keeps every iterate; an LM trace carries its theory
-    constants for ``cert``.
+    constants for ``cert``, and its theory flags when ``prob`` has a truth.
 
     The stopping rule is the discrepancy principle when tau is set, else the
     accuracy target when target_gamma is set, else the budget.
     """
-    x0 = _resolve_x0(cfg, prob)
-    y_obs = prob.y_exact
+    model, x0, y_obs = prob.model, _resolve_x0(cfg, prob), prob.y_exact
     if method == "reconstruct":
-        q_op = _resolve_measurement(cfg, prob.model.dim_y)
+        q_op = _resolve_measurement(cfg, model.dim_y)
         box = _resolve_box(cfg, prob)
         y_obs = q_op(y_obs)
     if cfg.tau is not None:
@@ -228,7 +226,7 @@ def _run_to_trace(cfg: RunConfig, method: str) -> int:
     line and return the exit code."""
     prob = _get_problem(cfg)
     cert = _resolve_certificate(prob, cfg)
-    trace = _run(cfg, prob, cert, prob.model, method)
+    trace = _run(cfg, prob, cert, method)
     tf = TraceFile.from_trace(trace, _header(cfg, prob, cert, trace))
     write_trace(cfg.output_path, tf)
     rs = trace.recon
@@ -249,26 +247,20 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     return _run_to_trace(cfg, "reconstruct")
 
 
-def _render(rows) -> str:
-    """The verification table: one ``name  STATUS (detail)`` line per
-    ``(name, status, detail)`` row."""
-    width = max(len(name) for name, _, _ in rows) + 2
-    return "".join(f"{name:<{width}}{status} ({detail})\n"
-                   for name, status, detail in rows)
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     cfg = dataclasses.replace(cfg, **{k: v for k, v in VERIFY_DEFAULTS.items()
                                       if getattr(cfg, k) is None})
     prob = _get_problem(cfg)
     cert = _resolve_certificate(prob, cfg)
-    trace = _run(dataclasses.replace(cfg, tau=None), prob, cert, prob.model,
-                 "lm")
+    trace = _run(dataclasses.replace(cfg, tau=None), prob, cert, "lm")
     ntrace = _run(dataclasses.replace(cfg, max_iters=max(cfg.max_iters, 200)),
-                  prob, cert, prob.model, "lm")
+                  prob, cert, "lm")
     rows = checks.verify_rows(prob, cert, trace, ntrace, cfg.q, cfg.tol_alpha,
                               cfg.tau, cfg.delta)
-    text = _render(rows)
+    # one "name  STATUS (detail)" line per row
+    width = max(len(name) for name, _, _ in rows) + 2
+    text = "".join(f"{name:<{width}}{status} ({detail})\n"
+                   for name, status, detail in rows)
     print(text, end="")
     with open(cfg.output_path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -286,8 +278,10 @@ def cmd_compare(cfg: RunConfig) -> int:
     cert = _resolve_certificate(prob, cfg)
     rows = []
     for method in ("lm", "landweber"):
-        wrapped, counts = counting_model(prob.model)
-        trace = _run(cfg, prob, cert, wrapped, method)
+        # no truth, which the table never reads: the counts are solver work
+        model, counts = counting_model(prob.model)
+        trace = _run(cfg, dataclasses.replace(prob, model=model, x_dagger=None),
+                     cert, method)
         iters = max(trace.iterations, 1)
         cost = (counts["forward"] + counts["jacobian"] + counts["adjoint"]) / iters
         rows.append((
@@ -321,6 +315,17 @@ _COMMANDS = {
     "compare": cmd_compare,
 }
 
+# (error class, exit code, stderr label): main reports an error by the first
+# entry whose class it is an instance of
+_EXITS = (
+    (ConfigInvalid, 1, "config error"),
+    (ConditionViolated, 3, "hypothesis violated"),
+    (NoCandidateFound, 4, "scan failed"),
+    ((RootInfeasible, DomainViolation), 2, "solver stopped"),
+    (SolverError, 2, "error"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lmrecon",
@@ -352,23 +357,11 @@ def main(argv=None) -> int:
         check_command(cfg, args.command)
         if args.output is not None:
             cfg.output_path = args.output
-        code = _COMMANDS[args.command](cfg)
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ConditionViolated as exc:
-        print(f"hypothesis violated: {exc}", file=sys.stderr)
-        return 3
-    except NoCandidateFound as exc:
-        print(f"scan failed: {exc}", file=sys.stderr)
-        return 4
-    except (RootInfeasible, DomainViolation) as exc:
-        print(f"solver stopped: {exc}", file=sys.stderr)
-        return 2
+        return _COMMANDS[args.command](cfg)
     except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return code
+        code, label = next(pair for cls, *pair in _EXITS if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 import yaml
 
 from .errors import ConfigInvalid
-from .operators import StabilityCertificate
+from .operators import PROVENANCES, StabilityCertificate
 from .recon import MEASUREMENTS
 
 # mode -> (keys it requires, {command that runs it: the other keys it reads}).
@@ -141,8 +141,9 @@ def _check_override(override, field: str) -> dict:
     checked = {}
     for key, value in override.items():
         if key == "provenance":
-            _expect(value in ("user", "oracle-estimated"), f"{field}.provenance",
-                    "must be 'user' or 'oracle-estimated'")
+            _expect(isinstance(value, str) and value in PROVENANCES,
+                    f"{field}.provenance",
+                    f"must be {' or '.join(map(repr, PROVENANCES))}")
             checked[key] = value
         else:
             checked[key] = _check_number(value, f"{field}.{key}")

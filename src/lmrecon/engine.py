@@ -27,6 +27,7 @@ from .errors import (
     RootInfeasible,
 )
 from .operators import (
+    PROVENANCES,
     ForwardModel,
     StabilityCertificate,
     apply_forward,
@@ -559,7 +560,7 @@ def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
         hyp.rho_lt_rho_prime = tc.rho_lt_rho_prime
         hyp.cert_provenance = tc.cert_provenance
         hyp.armed = (tc.q_condition_ok and tc.rho_lt_rho_prime
-                     and tc.cert_provenance == "oracle-estimated")
+                     and PROVENANCES.get(tc.cert_provenance, False))
     return _iterate(model, y, x0, cfg, _lm_stepper(model, cfg),
                     x_dagger=x_dagger, hypothesis=hyp, constants=tc, omega=2.0)
 
@@ -584,7 +585,7 @@ def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
         if tc.nu_bound is not None:
             hyp.nu_additional_ok = cfg.q < tc.nu_bound
         hyp.armed = (tc.R > 0 and tc.rho_lt_rho_prime
-                     and tc.cert_provenance == "oracle-estimated")
+                     and PROVENANCES.get(tc.cert_provenance, False))
     omega = 1.0 / (1.0 - big_r) if big_r > 0 else None
     return _iterate(model, y_delta, x0, cfg, _lm_stepper(model, cfg),
                     x_dagger=x_dagger, hypothesis=hyp, constants=tc, omega=omega)

@@ -22,8 +22,8 @@ class NonFiniteOutput(SolverError):
 
 
 class FactorizationFailure(SolverError):
-    """The shift alpha is not positive, or the Gram matrix J J* is asymmetric or
-    indefinite (an adjoint action inconsistent with the Jacobian)."""
+    """The Gram matrix J J* is asymmetric or has a negative eigenvalue: the
+    adjoint action is inconsistent with the Jacobian."""
 
 
 class RootInfeasible(SolverError):

@@ -429,26 +429,33 @@ def _quadratic_model(a_mat: np.ndarray, eta: float, box: CompactBox) -> ForwardM
     )
 
 
-def _certified(problem_id: str, model: ForwardModel, box: CompactBox,
-               x_dagger: np.ndarray, x0: np.ndarray, seed: int) -> GalleryProblem:
-    """The gallery problem with the oracle's certificate for ``model`` on
-    ``box``, estimated on ``seed`` and re-verified on the fresh ``seed + 1``.
-
-    Raises :class:`CertificationFailed` when the model is not injective on
-    the box or the certificate fails re-verification.
-    """
+def certify(model: ForwardModel, box: CompactBox, eps: float,
+            seed: int) -> StabilityCertificate:
+    """The oracle's certificate for ``model`` on ``box`` at Hoelder exponent
+    ``eps``, estimated on ``seed`` and re-verified on the fresh ``seed + 1``,
+    the one guard on sampled maxima, which are only lower bounds.  Raises
+    :class:`CertificationFailed` when the model is not injective on the box
+    or the certificate fails re-verification."""
     try:
-        cert = estimate_stability_constants(model, box, eps=1.0, seed=seed)
+        cert = estimate_stability_constants(model, box, eps=eps, seed=seed)
         report = verify_certificate(model, box, cert, seed=seed + 1)
     except DegenerateModel as exc:
         raise CertificationFailed(
-            f"{problem_id} is not injective on the box: {exc}") from exc
+            f"the model is not injective on the box: {exc}") from exc
     if not report.ok:
-        raise CertificationFailed(f"{problem_id} certificate failed "
-                                  f"re-verification: {report.violations}")
+        raise CertificationFailed(
+            f"the certificate failed re-verification: {report.violations}")
+    return cert
+
+
+def _certified(problem_id: str, model: ForwardModel, box: CompactBox,
+               x_dagger: np.ndarray, x0: np.ndarray, seed: int) -> GalleryProblem:
+    """The gallery problem with :func:`certify`'s certificate for ``model``
+    on ``box`` at eps = 1."""
     return GalleryProblem(id=problem_id, model=model, x_dagger=x_dagger,
-                          certificate=cert, default_box=box,
-                          y_exact=model.forward(x_dagger), default_x0=x0)
+                          certificate=certify(model, box, 1.0, seed),
+                          default_box=box, y_exact=model.forward(x_dagger),
+                          default_x0=x0)
 
 
 def exp_decay(times, x_dagger) -> GalleryProblem:

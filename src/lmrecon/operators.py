@@ -380,6 +380,11 @@ def max_adjoint_defect(model: ForwardModel, points, samples: int = 100,
     return worst
 
 
+# Every certificate provenance -> whether it arms a guarantee: the oracle's
+# re-verified constants do, constants taken on trust (the default) do not.
+PROVENANCES = {"user": False, "oracle-estimated": True}
+
+
 @dataclass(frozen=True)
 class StabilityCertificate:
     """Constants under which the convergence theory applies.
@@ -418,5 +423,6 @@ class StabilityCertificate:
             raise ValueError("holder_eps must lie in (0, 1]")
         if self.q_norm < 0:
             raise ValueError("q_norm must be non-negative")
-        if self.provenance not in ("user", "oracle-estimated"):
-            raise ValueError("provenance must be 'user' or 'oracle-estimated'")
+        if not (isinstance(self.provenance, str) and self.provenance in PROVENANCES):
+            choices = " or ".join(map(repr, PROVENANCES))
+            raise ValueError(f"provenance must be {choices}")

@@ -65,6 +65,12 @@ class MeasurementOperator:
     def dim_out(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def is_identity(self) -> bool:
+        """Whether the matrix is the identity, entry for entry: Q o F is then
+        F itself, and a certificate for F holds for it."""
+        return np.array_equal(self.matrix, np.eye(self.dim_in))
+
     def __call__(self, y) -> np.ndarray:
         return self.matrix @ as_vector(y, self.dim_in, "y")
 
@@ -186,9 +192,9 @@ def compose_measured_model(model: ForwardModel,
         raise DimensionMismatch(
             f"measurement expects dimension {q_op.dim_in}, model produces {model.dim_y}"
         )
-    mat = q_op.matrix
-    if np.array_equal(mat, np.eye(q_op.dim_in)):
+    if q_op.is_identity:
         return model
+    mat = q_op.matrix
     mat_t = mat.T.copy()
 
     def forward_batch(xs):

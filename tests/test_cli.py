@@ -582,6 +582,35 @@ class TestReconstructCommand:
             constants_override={"provenance": "oracle-estimated"})
         assert header["certificate.provenance"] == "oracle-estimated"
 
+    def test_identity_matrix_literal_arms(self, tmp_path):
+        # the matrix decides whether Q o F is F, not the preset name
+        header = self._measured_header(
+            tmp_path, measurement=[[1.0, 0.0], [0.0, 1.0]])
+        assert header["certificate.provenance"] == "oracle-estimated"
+        assert header["hypothesis.armed"] == "true"
+        header = self._measured_header(
+            tmp_path, measurement=[[0.0, 1.0], [1.0, 0.0]])
+        assert header["certificate.provenance"] == "user"
+        assert header["hypothesis.armed"] == "false"
+
+    def test_other_exponent_certificate_is_reverified(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # eps != 1 certifies afresh on seed 303 and re-verifies on seed 304;
+        # a violation there ends the run with CertificationFailed, exit 2
+        get_problem("quadratic-2d")  # its shipped certificate passes
+        seeds = []
+
+        def violated(model, box, cert, samples=10000, seed=1):
+            seeds.append(seed)
+            return gallery.CertificateReport(False, {"recon": 1})
+
+        monkeypatch.setattr(gallery, "verify_certificate", violated)
+        path = write_config(tmp_path, problem_id="quadratic-2d", eps=0.5)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert seeds == [304]
+        assert capsys.readouterr().err == ("error: the certificate failed "
+                                           "re-verification: {'recon': 1}\n")
+
 
 # The rows of every verify report, in order.
 VERIFY_ROWS = (
@@ -847,6 +876,25 @@ class TestCompareCommand:
             idx = header.index("iters_to_1e-8")
             assert int(lm[idx]) < int(lw[idx])
 
+    def test_costs_count_only_solver_work(self, tmp_path):
+        # compare runs without the truth: LM's cost leaves out the
+        # omega-condition's J(x)(x_dagger - x), and its residuals are those
+        # of the run with the truth
+        prob = get_problem("quadratic-2d")
+        cfg = SolverConfig(q=0.2, max_iters=60)
+        runs = []
+        for truth in (prob.x_dagger, None):
+            model, counts = cli.counting_model(prob.model)
+            trace = run_exact(model, truth, prob.y_exact, prob.default_x0, cfg)
+            runs.append((trace.residuals(), sum(counts.values()) / trace.iterations))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        out = tmp_path / "table.txt"
+        main(["compare", "--config", f"{PRESETS}/c10a_compare_quadratic.yaml",
+              "--output", str(out)])
+        lm = out.read_text().splitlines()[2].split(",")
+        assert (lm[0], lm[4]) == ("lm", f"{runs[1][1]:.2f}")
+        assert runs[0][1] > runs[1][1]
+
     def test_table_is_deterministic(self, tmp_path):
         outs = []
         for i in range(2):
@@ -913,12 +961,12 @@ PINNED = {
         "bbfe53f2e33dbe1a7fafe9c68d9119ab1136595ae6ec450f05221060e0d9892f"),
     "c10a": (
         "compare", "c10a_compare_quadratic.yaml", 0,
-        "d8168dc19a129b87fa53b1726ca5c39b1b31b8bb0a0f7c7082dbd4b96b89e411",
-        "d8168dc19a129b87fa53b1726ca5c39b1b31b8bb0a0f7c7082dbd4b96b89e411"),
+        "810b247687bca5dc28e6c0f7caa24aa0abc22420727548e1a259f87eb4670a48",
+        "810b247687bca5dc28e6c0f7caa24aa0abc22420727548e1a259f87eb4670a48"),
     "c10b": (
         "compare", "c10b_compare_expdecay.yaml", 0,
-        "96bf8cd6ff2fe692b4a7743ae84f52f151a335d8715d059c8a71ada85a9b4e5f",
-        "96bf8cd6ff2fe692b4a7743ae84f52f151a335d8715d059c8a71ada85a9b4e5f"),
+        "fc05c33db0c1d327b2b41ddbfd91641122b1c9f1b12c6140ec7b6911a96d4657",
+        "fc05c33db0c1d327b2b41ddbfd91641122b1c9f1b12c6140ec7b6911a96d4657"),
     "compare-noisy": (
         "compare", {"problem_id": "quadratic-2d", "mode": "noisy", "q": 0.2,
                     "tau": 4.0, "delta": 1e-3, "max_iters": 200,
@@ -1232,6 +1280,37 @@ class TestStackedVerifyKeepsItsBits:
         assert main(["verify", "--config", str(path)]) == 2
         assert "Jacobian at a recorded iterate is not finite" in \
             capsys.readouterr().err
+
+
+class TestTangentialConeSampleCount:
+    """The sampler takes J at exactly ``VERIFY_SAMPLES`` pairs, and a sample
+    that stops short still reports the pairs it took."""
+
+    @pytest.mark.parametrize("model", [linear_model(np.eye(2)), _relu_model(2)],
+                             ids=["every-pair-taken", "some-pairs-skipped"])
+    def test_jacobian_taken_at_exactly_the_sample_count(self, model):
+        # without batched callables J at a pair's first point costs dim_x
+        # Jacobian actions; F(x) = x takes every pair, so its last block is
+        # sliced, and the ReLU model skips some, so its blocks are indexed
+        counted, counts = cli.counting_model(model)
+        checks._tangential_cone_worst(counted, 0.5, 1.0)
+        assert counts["jacobian"] == checks.VERIFY_SAMPLES * model.dim_x
+
+    def test_partial_sample_reports_the_pairs_taken(self):
+        # F(x) = x on the first block's points, then 0: the second block
+        # takes no pair and ends the sampling after STACK_BLOCK pairs; with
+        # J = 2 I every taken pair has ||(a - b) - 2 (a - b)|| / (0.5 ||a - b||)
+        calls = []
+
+        def forward(x):
+            calls.append(x)
+            return x.copy() if len(calls) <= 2 * STACK_BLOCK else np.zeros(2)
+
+        model = ForwardModel(dim_x=2, dim_y=2, center=np.zeros(2), radius_sq=1e6,
+                             forward=forward, jacobian_apply=lambda x, v: 2.0 * v,
+                             jacobian_adjoint_apply=lambda x, w: 2.0 * w)
+        assert checks._tangential_cone_worst(model, 0.5, 1.0) == pytest.approx(2.0)
+        assert len(calls) == 4 * STACK_BLOCK
 
 
 class TestLibyamlParsing:

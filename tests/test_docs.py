@@ -47,3 +47,36 @@ def test_readme_key_table_matches_schema():
             named = [part.split(" ", 1) for part in cell.split("; ")]
             assert {command.strip("`"): set(modes.split(", "))
                     for command, modes in named} == want[key], key
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_readme_exit_codes_name_every_error(tmp_path, monkeypatch, capsys):
+    # each SolverError subclass is named in exactly one row of the README's
+    # exit-code table, and main returns that row's code when a command
+    # raises it
+    from lmrecon import cli, errors
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    named = {}
+    for code, meaning in re.findall(r"^\| (\d) \| (.*) \|$", section, re.M):
+        for name in re.findall(r"`(\w+)`", meaning):
+            if isinstance(getattr(errors, name, None), type):
+                assert name not in named, name
+                named[name] = int(code)
+    classes = list(_subclasses(errors.SolverError))
+    assert sorted(named) == sorted(cls.__name__ for cls in classes)
+    preset = str(ROOT / "presets" / "c01_scalar_closed_form.yaml")
+    for cls in classes:
+        def raising(cfg, cls=cls):
+            raise cls("raised")
+        monkeypatch.setitem(cli._COMMANDS, "solve", raising)
+        code = cli.main(["solve", "--config", preset,
+                         "--output", str(tmp_path / "out")])
+        assert code == named[cls.__name__], cls.__name__
+        assert capsys.readouterr().err.endswith(": raised\n")

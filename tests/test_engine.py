@@ -34,8 +34,8 @@ from lmrecon.errors import (
 )
 from lmrecon.gallery import get_problem
 from lmrecon.step import lm_step
-from lmrecon.operators import (ForwardModel, StabilityCertificate, check_domain,
-                               recenter, vector_norm)
+from lmrecon.operators import (PROVENANCES, ForwardModel, StabilityCertificate,
+                               check_domain, recenter, vector_norm)
 from lmrecon.recon import MeasurementOperator, reconstruct_exact, reconstruct_noisy
 
 
@@ -1087,3 +1087,21 @@ def test_trace_of_infeasible_first_step():
     assert trace.terminal == "root_infeasible"
     _assert_record(trace)
     assert trace.iterates == [np.zeros(1)]
+
+
+@pytest.mark.parametrize("provenance", PROVENANCES)
+def test_provenance_table_decides_arming(provenance):
+    # on quadratic-2d every other hypothesis of both drivers holds, so the
+    # certificate's provenance alone decides whether a guarantee arms
+    prob = get_problem("quadratic-2d")
+    cert = dataclasses.replace(prob.certificate, provenance=provenance)
+    exact = run_exact(prob.model, prob.x_dagger, prob.y_exact, prob.default_x0,
+                      SolverConfig(q=0.5, max_iters=5),
+                      compute_constants_exact(cert, 0.5))
+    noisy = run_noisy(prob.model, prob.x_dagger, prob.y_exact, prob.default_x0,
+                      SolverConfig(q=0.5, max_iters=5, tau=4.0, delta=1e-3,
+                                   stop_mode="discrepancy"),
+                      compute_constants_noisy(cert, 0.5, 4.0, delta=1e-3))
+    for trace in (exact, noisy):
+        assert trace.hypothesis.cert_provenance == provenance
+        assert trace.hypothesis.armed is PROVENANCES[provenance]

@@ -30,6 +30,7 @@ from lmrecon.gallery import (
     _pair_quantities,
     _quadratic_model,
     _spectral_norms,
+    certify,
     estimate_stability_constants,
     exp_decay,
     get_problem,
@@ -630,6 +631,35 @@ def test_reverification_catches_understated_certificate():
                                 samples=10000, seed=12)
     assert not report.ok
     assert report.violations["jac_bound"] > 0
+
+
+class TestCertify:
+    def test_estimates_on_the_seed_and_reverifies_on_the_next(self, monkeypatch):
+        # the shipped quadratic-2d certificate is certify's on seed 202
+        prob = get_problem("quadratic-2d")
+        seeds = []
+
+        def recording(model, box, cert, samples=10000, seed=1):
+            seeds.append(seed)
+            return verify_certificate(model, box, cert, samples, seed)
+
+        monkeypatch.setattr(gallery, "verify_certificate", recording)
+        assert certify(prob.model, prob.default_box, 1.0, 202) == prob.certificate
+        assert seeds == [203]
+
+    def test_failed_reverification_raises(self, monkeypatch):
+        prob = get_problem("quadratic-2d")
+        monkeypatch.setattr(gallery, "verify_certificate", lambda *args, **kw:
+                            gallery.CertificateReport(False, {"recon": 3}))
+        with pytest.raises(CertificationFailed,
+                           match=re.escape("re-verification: {'recon': 3}")):
+            certify(prob.model, prob.default_box, 0.5, 303)
+
+    def test_non_injective_model_raises(self):
+        # F(x) = x1 + x2 maps the anti-diagonal of the box to one value
+        box = CompactBox(np.zeros(2), np.ones(2))
+        with pytest.raises(CertificationFailed, match="not injective on the box"):
+            certify(linear_model([[1.0, 1.0]]), box, 1.0, 0)
 
 
 def _two_call_pair_quantities(model, pa, pb):

@@ -42,6 +42,14 @@ class TestMeasurementOperator:
         sel = MeasurementOperator.row_selector(3, [0])
         assert np.array_equal(sel(np.array([5.0, 6.0, 7.0])), [5.0])
 
+    def test_identity_is_decided_by_the_matrix(self):
+        # however it is spelled; -0.0 equals 0.0 entry for entry
+        for mat in (np.eye(3), [[1.0, -0.0], [0.0, 1.0]], [[1.0]]):
+            assert MeasurementOperator(np.array(mat)).is_identity
+        for mat in ([[1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 2.0]],
+                    [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]):
+            assert not MeasurementOperator(np.array(mat)).is_identity
+
 
 class TestComposition:
     def test_identity_composition_is_identity(self):
