@@ -8,8 +8,8 @@ checks in checks.py.
 ``main`` maps each ``SolverError`` to its exit code by class (``_EXITS``):
 
     0  clean termination
-    1  ConfigInvalid: invalid configuration, or a mode or key the command
-       does not handle
+    1  ConfigInvalid: invalid configuration, a mode or key the command
+       does not handle, or an output file that cannot be written
     2  RootInfeasible, DomainViolation, NonFiniteOutput, NonConvergence,
        ZeroResidual, DivergenceDetected, FactorizationFailure,
        DimensionMismatch, DegenerateModel, CertificationFailed,
@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import checks, gallery
-from .config import RunConfig, check_command, load_config
+from .config import _CHECKS, RunConfig, check_command, load_config
 from .engine import (
     SolverConfig,
     compute_constants_exact,
@@ -54,7 +54,7 @@ from .recon import (
     reconstruct_exact,
     reconstruct_noisy,
 )
-from .tracefile import TraceFile, flatten_header, write_trace
+from .tracefile import TraceFile, dumps, flatten_header
 
 CLEAN_TERMINALS = ("zero_residual", "discrepancy_stop", "target_reached")
 
@@ -98,15 +98,13 @@ def _resolve_certificate(prob, cfg: RunConfig) -> StabilityCertificate:
     if cfg.eps != cert.holder_eps:
         # a different stability exponent needs its own certificate
         cert = gallery.certify(prob.model, prob.default_box, cfg.eps, seed=303)
-    if not _resolve_measurement(cfg, prob.model.dim_y).is_identity:
-        # only the reconstruct modes accept a measurement; the certificate
-        # is for F, not for the Q o F that reconstruction runs on
-        cert = dataclasses.replace(cert, provenance="user")
-    if cfg.constants_override:
-        fields = dict(cfg.constants_override)
-        fields.setdefault("provenance", "user")
+    # the certificate is for F, not for the Q o F of a measurement other than
+    # the identity, and no config can vouch for the constants it overrides
+    if (not _resolve_measurement(cfg, prob.model.dim_y).is_identity
+            or cfg.constants_override):
         try:
-            cert = dataclasses.replace(cert, **fields)
+            cert = dataclasses.replace(cert, **(cfg.constants_override or {}),
+                                       provenance="user")
         except ValueError as exc:
             raise ConfigInvalid(f"config field 'constants_override': {exc}") from exc
     return cert
@@ -144,6 +142,15 @@ def _resolve_x0(cfg: RunConfig, prob) -> np.ndarray:
         return prob.default_x0
     _check_dim("x0", cfg.x0, prob)
     return np.array(cfg.x0, dtype=float)
+
+
+def _write(path, text: str) -> None:
+    """Write an output file; one that cannot be written is a config error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write output file {path}: {exc}") from exc
 
 
 def _get_problem(cfg: RunConfig):
@@ -228,7 +235,7 @@ def _run_to_trace(cfg: RunConfig, method: str) -> int:
     cert = _resolve_certificate(prob, cfg)
     trace = _run(cfg, prob, cert, method)
     tf = TraceFile.from_trace(trace, _header(cfg, prob, cert, trace))
-    write_trace(cfg.output_path, tf)
+    _write(cfg.output_path, dumps(tf))
     rs = trace.recon
     run = (f"terminal={trace.terminal} iters={trace.iterations}" if rs is None
            else f"lattice={rs.lattice_size} scanned={rs.scanned} "
@@ -262,8 +269,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     text = "".join(f"{name:<{width}}{status} ({detail})\n"
                    for name, status, detail in rows)
     print(text, end="")
-    with open(cfg.output_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(cfg.output_path, text)
     return 5 if any(status == "FAIL" for _, status, _ in rows) else 0
 
 
@@ -284,27 +290,18 @@ def cmd_compare(cfg: RunConfig) -> int:
                      cert, method)
         iters = max(trace.iterations, 1)
         cost = (counts["forward"] + counts["jacobian"] + counts["adjoint"]) / iters
-        rows.append((
-            method,
-            _iterations_to(trace, 1e-4),
-            _iterations_to(trace, 1e-6),
-            _iterations_to(trace, 1e-8),
-            f"{cost:.2f}",
-            trace.k_star,
-            trace.iterations,
-        ))
+        rows.append((method, *(_iterations_to(trace, t) for t in (1e-4, 1e-6, 1e-8)),
+                     f"{cost:.2f}", trace.k_star, trace.iterations))
 
     lines = [
         f"# lmrecon-compare problem={cfg.problem_id} q={cfg.q} mode={cfg.mode}",
         "method,iters_to_1e-4,iters_to_1e-6,iters_to_1e-8,"
         "evals_per_iteration,k_star,iterations",
     ]
-    for row in rows:
-        lines.append(",".join("" if v is None else str(v) for v in row))
+    lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    with open(cfg.output_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(cfg.output_path, text)
     return 0
 
 
@@ -353,7 +350,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.noise_seed = args.seed
+            cfg.noise_seed = _CHECKS["noise_seed"](args.seed, "noise_seed")
         check_command(cfg, args.command)
         if args.output is not None:
             cfg.output_path = args.output

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 import yaml
 
 from .errors import ConfigInvalid
-from .operators import PROVENANCES, StabilityCertificate
+from .operators import StabilityCertificate
 from .recon import MEASUREMENTS
 
 # mode -> (keys it requires, {command that runs it: the other keys it reads}).
@@ -40,7 +40,9 @@ READS = {
 }
 MODES = tuple(READS)
 
-CERT_FIELDS = tuple(f.name for f in fields(StabilityCertificate))
+# what constants_override may set: neither the exponent (eps) nor the trust
+CERT_FIELDS = tuple(f.name for f in fields(StabilityCertificate)
+                    if f.name not in ("holder_eps", "provenance"))
 
 # libyaml parses a config some ten times faster than pure Python
 _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -86,6 +88,12 @@ def _check_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(field, f"expected a number, got {value!r}")
     return float(value)
+
+
+def _check_string(value, field: str) -> str:
+    if not isinstance(value, str):
+        _fail(field, f"expected a string, got {value!r}")
+    return value
 
 
 def _check_integer(value, field: str) -> int:
@@ -138,19 +146,12 @@ def _check_override(override, field: str) -> dict:
         _fail(field, "expected a mapping of certificate fields")
     bad = set(override) - set(CERT_FIELDS)
     _expect(not bad, field, f"unknown certificate fields {sorted(bad)}")
-    checked = {}
-    for key, value in override.items():
-        if key == "provenance":
-            _expect(isinstance(value, str) and value in PROVENANCES,
-                    f"{field}.provenance",
-                    f"must be {' or '.join(map(repr, PROVENANCES))}")
-            checked[key] = value
-        else:
-            checked[key] = _check_number(value, f"{field}.{key}")
-    return checked
+    return {key: _check_number(value, f"{field}.{key}")
+            for key, value in override.items()}
 
 
 _POSITIVE = _ranged(_check_number, lambda v: v > 0, "must be positive")
+_NON_NEGATIVE_INT = _ranged(_check_integer, lambda v: v >= 0, "must be >= 0")
 
 # key -> the check of its value, in RunConfig's field order, which is the
 # order parse checks them in
@@ -158,12 +159,12 @@ _CHECKS = {
     "eps": _ranged(_check_number, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
     "tau": _ranged(_check_number, lambda v: v > 1.0, "must be > 1"),
     "delta": _ranged(_check_number, lambda v: v >= 0.0, "must be >= 0"),
-    "max_iters": _ranged(_check_integer, lambda v: v >= 0, "must be >= 0"),
+    "max_iters": _NON_NEGATIVE_INT,
     "target_gamma": _POSITIVE,
     "tol_alpha": _POSITIVE,
     "box": _check_box,
     "measurement": _check_measurement,
-    "noise_seed": _check_integer,
+    "noise_seed": _NON_NEGATIVE_INT,
     "constants_override": _check_override,
     "x0": _check_vector,
     "step_scale": _POSITIVE,
@@ -191,10 +192,10 @@ def parse(raw: dict) -> RunConfig:
             _fail(key, "required")
 
     cfg = RunConfig(
-        problem_id=str(raw["problem_id"]),
-        mode=str(raw["mode"]),
+        problem_id=_check_string(raw["problem_id"], "problem_id"),
+        mode=_check_string(raw["mode"], "mode"),
         q=_check_number(raw["q"], "q"),
-        output_path=str(raw["output_path"]),
+        output_path=_check_string(raw["output_path"], "output_path"),
     )
     _expect(cfg.mode in MODES, "mode", f"must be one of {MODES}")
     _expect(0.0 < cfg.q < 1.0, "q",

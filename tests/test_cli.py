@@ -243,6 +243,32 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="not valid YAML"):
             cfgmod.parse_text("q: [unclosed\n")
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        # the flag takes the config key's check, and neither reaches numpy
+        for flag, key in ((["--seed", "-1"], {}), ([], {"noise_seed": -1})):
+            config = mode_config(tmp_path, "noisy", **key)
+            assert main(["solve", "--config", str(config), *flag]) == 1
+            assert capsys.readouterr().err == \
+                "config error: config field 'noise_seed': must be >= 0\n"
+
+    @pytest.mark.parametrize("value", [None, [1, 2], 3, True])
+    @pytest.mark.parametrize("key", ["problem_id", "mode", "output_path"])
+    def test_required_string_keys_reject_other_types(self, key, value):
+        assert parse_outcome({**mode_raw("exact"), key: value}) == \
+            f"config field '{key}': expected a string, got {value!r}"
+
+    def test_null_output_path_writes_nothing(self, tmp_path, capsys,
+                                             monkeypatch):
+        # a null output path once became a file named "None"
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, output_path=None)
+        path.write_text(path.read_text() + "output_path: null\n")
+        assert main(["solve", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == ("config error: config field "
+                                           "'output_path': expected a string, "
+                                           "got None\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
 
 class TestTraceFile:
     def trace(self):
@@ -345,10 +371,8 @@ def run_configs(draw):
 
     matrix = st.integers(1, 3).flatmap(lambda n: st.lists(
         st.lists(FINITE, min_size=n, max_size=n), min_size=1, max_size=3))
-    override = st.fixed_dictionaries({}, optional={
-        **{name: FINITE for name in cfgmod.CERT_FIELDS if name != "provenance"},
-        "provenance": st.sampled_from(("user", "oracle-estimated")),
-    })
+    override = st.fixed_dictionaries(
+        {}, optional={name: FINITE for name in cfgmod.CERT_FIELDS})
     return cfgmod.RunConfig(
         problem_id=draw(st.text()),
         mode=mode,
@@ -363,7 +387,7 @@ def run_configs(draw):
         box=field("box", boxes()),
         measurement=field(
             "measurement", st.sampled_from(list(MEASUREMENTS)) | matrix),
-        noise_seed=draw(st.integers(-2**63, 2**63 - 1)),
+        noise_seed=draw(st.integers(0, 2**63 - 1)),
         constants_override=field("constants_override", override),
         x0=field("x0", st.lists(FINITE, min_size=1, max_size=4)),
         step_scale=field("step_scale", POSITIVE),
@@ -568,19 +592,22 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--config", str(path)]) == 0
         return dict(read_trace(tmp_path / "out.trace").header)
 
-    def test_non_identity_measurement_runs_on_user_constants(self, tmp_path):
-        # the oracle certified F, not Q o F: no guarantee may arm, unless an
-        # override states the provenance
+    def test_non_identity_measurement_runs_on_user_constants(self, tmp_path,
+                                                             capsys):
+        # the oracle certified F, not Q o F: no guarantee may arm, and no
+        # override may state a provenance
         header = self._measured_header(tmp_path, measurement="first-coordinate")
         assert header["certificate.provenance"] == "user"
         assert header["hypothesis.armed"] == "false"
         header = self._measured_header(tmp_path, measurement="identity")
         assert header["certificate.provenance"] == "oracle-estimated"
         assert header["hypothesis.armed"] == "true"
-        header = self._measured_header(
-            tmp_path, measurement="first-coordinate",
+        path = write_config(
+            tmp_path, problem_id="quadratic-2d", mode="reconstruct_exact",
+            max_iters=None, target_gamma=1e-10, measurement="first-coordinate",
             constants_override={"provenance": "oracle-estimated"})
-        assert header["certificate.provenance"] == "oracle-estimated"
+        assert main(["reconstruct", "--config", str(path)]) == 1
+        assert "unknown certificate fields ['provenance']" in capsys.readouterr().err
 
     def test_identity_matrix_literal_arms(self, tmp_path):
         # the matrix decides whether Q o F is F, not the preset name
@@ -1029,11 +1056,83 @@ def test_verify_reports_pinned(tmp_path, capsys, preset):
     assert pinned_run(tmp_path, capsys, "verify", preset) == (code, digest, digest)
 
 
+# A config per command that runs to its output file on quadratic-2d.
+WRITING_RUNS = {
+    "solve": {"mode": "exact"},
+    "reconstruct": {"mode": "reconstruct_exact", "max_iters": None,
+                    "target_gamma": 1e-10},
+    "verify": {"mode": "verify", "max_iters": None},
+    "compare": {"mode": "exact"},
+}
+
+
+@pytest.mark.parametrize("override, named", [
+    ({"lip_deriv": 0.4, "provenance": "oracle-estimated"}, ["provenance"]),
+    ({"holder_eps": 0.5, "provenance": "oracle-estimated"},
+     ["holder_eps", "provenance"]),
+])
+def test_a_config_cannot_state_trust_or_the_exponent(tmp_path, capsys,
+                                                     override, named):
+    # lip_deriv 0.4 fails re-verification on quadratic-2d, and holder_eps
+    # 0.5 would disagree with eps 1, at which the constants were sampled
+    path = write_config(tmp_path, problem_id="quadratic-2d", eps=1.0,
+                        constants_override=override)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: config field 'constants_override': "
+        f"unknown certificate fields {named}\n")
+    assert not (tmp_path / "out.trace").exists()
+
+
+@settings(max_examples=15, deadline=None)
+@given(scales=st.dictionaries(st.sampled_from(cfgmod.CERT_FIELDS),
+                              st.floats(0.5, 1.5), min_size=1))
+def test_overridden_constants_arm_nothing(scales):
+    # any override, here of the shipped constants by factors that keep the
+    # lattice at desk scale, makes a user certificate that arms no guarantee
+    # and that verify does not re-verify
+    cert = dataclasses.asdict(get_problem("quadratic-2d").certificate)
+    override = {name: scale * cert[name] for name, scale in scales.items()}
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        out = Path(tmp) / "out.trace"
+        for command in ("solve", "reconstruct", "verify"):
+            path = write_config(Path(tmp), problem_id="quadratic-2d",
+                                constants_override=override,
+                                **WRITING_RUNS[command])
+            code = main([command, "--config", str(path)])
+            if code in (3, 4):
+                # constants that fail a hypothesis of the theory, or whose
+                # lattice holds no candidate, end reconstruct with no trace
+                assert command == "reconstruct"
+                continue
+            assert code in (0, 5)
+            if command == "verify":
+                assert report_rows(out)["certificate-reverification"] == \
+                    "NOT ARMED (user-supplied certificate)"
+            else:
+                header = dict(read_trace(out).header)
+                assert header["certificate.provenance"] == "user"
+                assert header["hypothesis.armed"] == "false"
+
+
+@pytest.mark.parametrize("command", sorted(WRITING_RUNS))
+def test_unwritable_output_exits_one(tmp_path, capsys, command):
+    # a missing directory and a directory are config errors, as an
+    # unreadable config is, and no traceback escapes
+    path = write_config(tmp_path, problem_id="quadratic-2d",
+                        **WRITING_RUNS[command])
+    for out in (tmp_path / "missing" / "out", tmp_path):
+        assert main([command, "--config", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output file {out}: ")
+        assert err.count("\n") == 1
+
+
 # Any float but NaN, infinities included; cli_runs mixes it with values near
 # a problem's own scale.
 ANY_FLOAT = st.floats(allow_nan=False)
-# The certificate constants a config may override with any positive float.
-OVERRIDABLE = [f for f in cfgmod.CERT_FIELDS if f not in ("holder_eps", "provenance")]
 
 
 def _positive(draw, label):
@@ -1084,8 +1183,9 @@ def cli_runs(draw):
                      min_size=1, max_size=3)), label="measurement"),
         "constants_override": lambda: {
             name: _positive(draw, name)
-            for name in draw(st.lists(st.sampled_from(OVERRIDABLE), unique=True,
-                                      max_size=3), label="override fields")},
+            for name in draw(st.lists(st.sampled_from(cfgmod.CERT_FIELDS),
+                                      unique=True, max_size=3),
+                             label="override fields")},
     }
     raw = {"problem_id": pid, "mode": mode,
            "q": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
