@@ -98,10 +98,14 @@ def _resolve_certificate(prob, cfg: RunConfig) -> StabilityCertificate:
     if cfg.eps != cert.holder_eps:
         # a different stability exponent needs its own certificate
         cert = gallery.certify(prob.model, prob.default_box, cfg.eps, seed=303)
-    # the certificate is for F, not for the Q o F of a measurement other than
-    # the identity, and no config can vouch for the constants it overrides
-    if (not _resolve_measurement(cfg, prob.model.dim_y).is_identity
-            or cfg.constants_override):
+    # the certificate is for F on the problem's box: not for the Q o F of a
+    # measurement other than the identity, nor on a box that reaches outside
+    # that one (on a sub-box each constant, a supremum, still holds), and no
+    # config can vouch for the constants it overrides
+    q_op = _resolve_measurement(cfg, prob.model.dim_y)
+    box, home = _resolve_box(cfg, prob), prob.default_box
+    if (not q_op.is_identity or cfg.constants_override
+            or not (np.all(box.lower >= home.lower) and np.all(box.upper <= home.upper))):
         try:
             cert = dataclasses.replace(cert, **(cfg.constants_override or {}),
                                        provenance="user")

@@ -8,6 +8,7 @@ constraint.  ``parse(serialize(cfg))`` returns an equal config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import yaml
@@ -108,6 +109,13 @@ def _check_vector(value, field: str) -> list:
     return [_check_number(v, field) for v in value]
 
 
+def _check_finite_vector(value, field: str) -> list:
+    values = _check_vector(value, field)
+    _expect(all(map(math.isfinite, values)), field,
+            f"expected finite numbers, got {values}")
+    return values
+
+
 def _ranged(kind, ok, message: str):
     """The check of a scalar: ``kind`` checks its type, ``ok`` its value."""
     def check(value, field: str):
@@ -135,7 +143,7 @@ def _check_measurement(meas, field: str):
         return meas
     if not isinstance(meas, list):
         _fail(field, "expected a preset name or a matrix literal")
-    rows = [_check_vector(row, field) for row in meas]
+    rows = [_check_finite_vector(row, field) for row in meas]
     _expect(len({len(r) for r in rows}) == 1, field,
             "matrix rows must have equal length")
     return rows
@@ -166,7 +174,7 @@ _CHECKS = {
     "measurement": _check_measurement,
     "noise_seed": _NON_NEGATIVE_INT,
     "constants_override": _check_override,
-    "x0": _check_vector,
+    "x0": _check_finite_vector,
     "step_scale": _POSITIVE,
 }
 

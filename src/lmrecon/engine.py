@@ -450,7 +450,7 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
         trace.omega_ok = True
 
     def residual_at(point):
-        r = y_obs - apply_forward(model, point, check=False)
+        r = y_obs - apply_forward(model, point)
         return r, _residual_norm(r, "residual y - F(x)")
 
     r, residual = residual_at(x)

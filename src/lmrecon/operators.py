@@ -6,9 +6,10 @@ adjoint action ``J(x)^T``.  The admissible set is the ball
 
     B = { x : 0.5 * ||x - center||^2 <= radius_sq },
 
-and every operation checks membership unless the caller opts out.  Models are
-immutable and all operations here are pure functions of their inputs, so
-instances can be shared freely across threads.
+and the iteration loop of ``engine`` is its one owner: it tests every
+iterate with :func:`check_domain`, and the operations here evaluate wherever
+they are asked to.  Models are immutable and all operations here are pure
+functions of their inputs, so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ Vector = np.ndarray
 # that per-block Python overhead vanishes, small enough that peak memory does
 # not grow with the sample count.
 STACK_BLOCK = 1024
+
+# Step of the central differences in finite_difference_jacobian.
+FD_STEP = 1e-5
 
 
 def as_vector(v, dim: int, name: str = "vector") -> Vector:
@@ -163,20 +167,15 @@ def finite_norm(v: np.ndarray, what: str) -> float:
     return vector_norm(v)
 
 
-def apply_forward(model: ForwardModel, x, check: bool = True) -> Vector:
-    """Evaluate F(x), optionally verifying the ball constraint first."""
+def apply_forward(model: ForwardModel, x) -> Vector:
+    """Evaluate F(x), inside the ball or not."""
     x = as_vector(x, model.dim_x, "x")
-    if check:
-        require_in_domain(model, x)
-    y = as_vector(model.forward(x), model.dim_y, "F(x)")
-    return y
+    return as_vector(model.forward(x), model.dim_y, "F(x)")
 
 
-def recenter(model: ForwardModel, center, radius_sq: float | None = None) -> ForwardModel:
-    """New model with the admissible ball moved to ``center``."""
+def recenter(model: ForwardModel, center, radius_sq: float) -> ForwardModel:
+    """New model whose admissible ball has ``center`` and ``radius_sq``."""
     center = as_vector(center, model.dim_x, "center")
-    if radius_sq is None:
-        radius_sq = model.radius_sq
     return dataclasses.replace(model, center=center, radius_sq=radius_sq)
 
 
@@ -321,19 +320,17 @@ def estimate_jacobian_norm(model: ForwardModel, x, iters: int = 100,
     return float(_spectral_norm(j))
 
 
-def finite_difference_jacobian(model: ForwardModel, x, h: float = 1e-5,
-                               check: bool = True) -> np.ndarray:
-    """Central-difference Jacobian: column i is (F(x+h e_i) - F(x-h e_i)) / 2h."""
+def finite_difference_jacobian(model: ForwardModel, x) -> np.ndarray:
+    """Central-difference Jacobian: column i is (F(x+h e_i) - F(x-h e_i)) / 2h
+    with h = ``FD_STEP``."""
     x = as_vector(x, model.dim_x, "x")
-    if h <= 0:
-        raise ValueError("h must be positive")
     cols = []
     for i in range(model.dim_x):
         e = np.zeros(model.dim_x)
-        e[i] = h
-        fp = apply_forward(model, x + e, check=check)
-        fm = apply_forward(model, x - e, check=check)
-        cols.append((fp - fm) / (2.0 * h))
+        e[i] = FD_STEP
+        fp = apply_forward(model, x + e)
+        fm = apply_forward(model, x - e)
+        cols.append((fp - fm) / (2.0 * FD_STEP))
     return np.column_stack(cols)
 
 
@@ -421,7 +418,7 @@ class StabilityCertificate:
                 raise ValueError(f"{name} must be strictly positive")
         if not 0.0 < self.holder_eps <= 1.0:
             raise ValueError("holder_eps must lie in (0, 1]")
-        if self.q_norm < 0:
+        if not self.q_norm >= 0:
             raise ValueError("q_norm must be non-negative")
         if not (isinstance(self.provenance, str) and self.provenance in PROVENANCES):
             choices = " or ".join(map(repr, PROVENANCES))

@@ -28,7 +28,7 @@ from .engine import (
     run_exact,
     run_noisy,
 )
-from .errors import DimensionMismatch, LatticeTooLarge, NoCandidateFound
+from .errors import ConditionViolated, DimensionMismatch, LatticeTooLarge, NoCandidateFound
 from .operators import (
     STACK_BLOCK,
     ForwardModel,
@@ -41,6 +41,9 @@ from .operators import (
 )
 
 DEFAULT_LATTICE_CAP = 10**7
+# Most LM steps reconstruct_exact takes: its budget comes from the target
+# accuracy alone, and every step keeps its iterate on the trace.
+BUDGET_CAP = 10**5
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,10 +355,15 @@ def reconstruct_exact(model: ForwardModel, q_op: MeasurementOperator,
 
     The certificate must describe the composed operator Q o F.  The admissible
     ball is re-centered at the scanned initial guess before the local
-    iteration starts.
+    iteration starts.  Raises :class:`ConditionViolated`, before the scan,
+    when the budget that reaches ``target_gamma`` exceeds ``BUDGET_CAP``.
     """
     tc = compute_constants_exact(cert, q)
     budget = iterations_for_accuracy(target_gamma, tc, cert.holder_eps)
+    if budget > BUDGET_CAP:
+        raise ConditionViolated(
+            f"the rate bound reaches target_gamma = {target_gamma:.6g} only "
+            f"after {budget} iterations (cap {BUDGET_CAP})")
     cfg = SolverConfig(q=q, max_iters=budget, tol_alpha=tol_alpha,
                        stop_mode="fixed_budget")
     trace = _reconstruct(

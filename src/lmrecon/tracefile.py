@@ -146,11 +146,6 @@ def loads(text: str) -> TraceFile:
     return tf
 
 
-def write_trace(path, tf: TraceFile) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(tf))
-
-
 def read_trace(path) -> TraceFile:
     with open(path, encoding="utf-8") as fh:
         return loads(fh.read())

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_model, non_finite_model
-from lmrecon import checks, cli, gallery
+from lmrecon import checks, cli, gallery, recon
 from lmrecon import config as cfgmod
 from lmrecon.cli import main
 from lmrecon.engine import SolverConfig, TraceRecord, run_exact
@@ -609,6 +609,40 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--config", str(path)]) == 1
         assert "unknown certificate fields ['provenance']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("box, provenance, armed", [
+        # the truth is (0.25, -0.2) and the certified box [-0.5, 0.5]^2
+        ({"lower": [-0.9, -0.9], "upper": [0.9, 0.9]}, "user", "false"),
+        ({"lower": [-0.5, -0.5], "upper": [0.6, 0.5]}, "user", "false"),
+        ({"lower": [-0.5, -0.5], "upper": [0.5, 0.5]}, "oracle-estimated", "true"),
+        ({"lower": [0.0, -0.5], "upper": [0.5, 0.0]}, "oracle-estimated", "true"),
+    ])
+    def test_box_outside_the_certified_box_runs_on_user_constants(
+            self, tmp_path, box, provenance, armed):
+        # each constant is a supremum over the certified box: it holds on a
+        # sub-box, but not on a box that reaches outside it
+        header = self._measured_header(tmp_path, box=box)
+        assert header["certificate.provenance"] == provenance
+        assert header["hypothesis.armed"] == armed
+
+    def test_budget_above_the_cap_exits_three_before_the_scan(
+            self, tmp_path, capsys, monkeypatch):
+        # q near 1 takes the rate bound to target_gamma only after some
+        # 10^7 steps, each of which the trace would keep
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the lattice was scanned")
+
+        monkeypatch.setattr(recon, "scan_for_initial_guess", no_scan)
+        path = write_config(
+            tmp_path, problem_id="exp-decay", mode="reconstruct_exact",
+            max_iters=None, q=0.99999, target_gamma=1e-12,
+            constants_override={"lip_deriv": 0.5, "holder_const": 0.81,
+                                "recon_const": 2.0, "domain_rho_prime": 1.0})
+        assert main(["reconstruct", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "hypothesis violated: the rate bound reaches target_gamma = 1e-12 "
+            "only after 10685360 iterations (cap 100000)\n")
+        assert not (tmp_path / "out.trace").exists()
+
     def test_identity_matrix_literal_arms(self, tmp_path):
         # the matrix decides whether Q o F is F, not the preset name
         header = self._measured_header(
@@ -627,7 +661,7 @@ class TestReconstructCommand:
         get_problem("quadratic-2d")  # its shipped certificate passes
         seeds = []
 
-        def violated(model, box, cert, samples=10000, seed=1):
+        def violated(model, box, cert, seed=1):
             seeds.append(seed)
             return gallery.CertificateReport(False, {"recon": 1})
 
@@ -1115,6 +1149,32 @@ def test_overridden_constants_arm_nothing(scales):
                 header = dict(read_trace(out).header)
                 assert header["certificate.provenance"] == "user"
                 assert header["hypothesis.armed"] == "false"
+
+
+C07A = {"problem_id": "exp-decay", "mode": "reconstruct_exact",
+        "max_iters": None, "target_gamma": 1e-10,
+        "constants_override": {"lip_deriv": 0.5, "holder_const": 0.81,
+                               "recon_const": 2.0}}
+
+
+@pytest.mark.parametrize("command, config, error", [
+    # a NaN q_norm once dropped the hit radius, and the scan failed (exit 4)
+    ("reconstruct",
+     {**C07A, "constants_override": {**C07A["constants_override"],
+                                     "q_norm": float("nan")}},
+     "config field 'constants_override': q_norm must be non-negative"),
+    # a NaN start once failed in the first residual (exit 2)
+    ("solve", {"problem_id": "quadratic-2d", "x0": [float("nan"), 0.5]},
+     "config field 'x0': expected finite numbers, got [nan, 0.5]"),
+    # a NaN measurement entry once failed the scan (exit 4)
+    ("reconstruct", {**C07A, "measurement": [[1.0, float("nan")]]},
+     "config field 'measurement': expected finite numbers, got [1.0, nan]"),
+], ids=["q_norm", "x0", "measurement"])
+def test_non_finite_inputs_are_config_errors(tmp_path, capsys, command, config,
+                                             error):
+    path = write_config(tmp_path, **config)
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {error}\n"
 
 
 @pytest.mark.parametrize("command", sorted(WRITING_RUNS))

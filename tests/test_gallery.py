@@ -119,7 +119,7 @@ class TestEstimator:
             estimate_stability_constants(model, box, eps=1.0, samples=10000)
         cert = scalar_linear(2.0, 0.0).certificate
         with pytest.raises(NonFiniteOutput):
-            verify_certificate(model, box, cert, samples=10000)
+            verify_certificate(model, box, cert)
 
 
 # float.hex of every constant of the sampled gallery certificates; the
@@ -249,8 +249,7 @@ class TestBatchedModels:
         with pytest.raises(NonFiniteOutput):
             estimate_stability_constants(model, box, eps=1.0, samples=10000)
         with pytest.raises(NonFiniteOutput):
-            verify_certificate(model, box, scalar_linear(2.0, 0.0).certificate,
-                               samples=10000)
+            verify_certificate(model, box, scalar_linear(2.0, 0.0).certificate)
 
 
 def _lapack_norms(stack):
@@ -529,7 +528,7 @@ class TestScalarLinear:
 class TestExpDecay:
     def test_zero_decay_rate_is_constant(self):
         prob = exp_decay((0.0, 1.0, 2.0), (1.0, 1.0))
-        out = apply_forward(prob.model, [1.0, 0.0], check=False)
+        out = apply_forward(prob.model, [1.0, 0.0])
         assert np.allclose(out, 1.0, rtol=0, atol=0)
 
     def test_closed_form_value(self):
@@ -542,7 +541,7 @@ class TestExpDecay:
         jac = jacobian_matrix(prob.model, x)
         assert np.allclose(jac[1], [math.exp(-1.0), -math.exp(-1.0)],
                            rtol=0, atol=1e-15)
-        fd = finite_difference_jacobian(prob.model, x, 1e-5, check=False)
+        fd = finite_difference_jacobian(prob.model, x)
         assert np.max(np.abs(fd - jac)) <= 1e-6
 
     def test_needs_two_distinct_times(self):
@@ -577,7 +576,7 @@ class TestQuadraticPerturbation:
     def test_zero_maps_to_zero(self, gallery_problems):
         prob = gallery_problems["quadratic-2d"]
         assert np.array_equal(
-            apply_forward(prob.model, [0.0, 0.0], check=False), [0.0, 0.0]
+            apply_forward(prob.model, [0.0, 0.0]), [0.0, 0.0]
         )
 
     def test_large_eta_fails_certification(self):
@@ -592,7 +591,7 @@ class TestQuadraticPerturbation:
 @pytest.mark.parametrize("pid", GALLERY_IDS)
 def test_exact_data_reproduced(pid, gallery_problems):
     prob = gallery_problems[pid]
-    out = apply_forward(prob.model, prob.x_dagger, check=False)
+    out = apply_forward(prob.model, prob.x_dagger)
     assert np.max(np.abs(out - prob.y_exact)) <= 1e-14
 
 
@@ -627,8 +626,7 @@ def test_reverification_catches_understated_certificate():
     prob = get_problem("quadratic-2d")
     bad = dataclasses.replace(prob.certificate,
                               jac_bound=prob.certificate.jac_bound / 2.0)
-    report = verify_certificate(prob.model, prob.default_box, bad,
-                                samples=10000, seed=12)
+    report = verify_certificate(prob.model, prob.default_box, bad, seed=12)
     assert not report.ok
     assert report.violations["jac_bound"] > 0
 
@@ -639,9 +637,9 @@ class TestCertify:
         prob = get_problem("quadratic-2d")
         seeds = []
 
-        def recording(model, box, cert, samples=10000, seed=1):
+        def recording(model, box, cert, seed=1):
             seeds.append(seed)
-            return verify_certificate(model, box, cert, samples, seed)
+            return verify_certificate(model, box, cert, seed)
 
         monkeypatch.setattr(gallery, "verify_certificate", recording)
         assert certify(prob.model, prob.default_box, 1.0, 202) == prob.certificate

@@ -25,6 +25,7 @@ from lmrecon.operators import (
     jacobian_matrix,
     max_adjoint_defect,
     recenter,
+    require_in_domain,
     vector_norm,
 )
 
@@ -49,12 +50,12 @@ def test_apply_forward_exp_decay_closed_form(gallery_problems):
     assert np.allclose(out, [1.0, math.exp(-1.0)], rtol=0, atol=1e-15)
 
 
-def test_apply_forward_outside_ball_raises():
+def test_require_in_domain_raises_outside_ball():
     model = linear_model([[2.0]], radius_sq=0.5)
-    with pytest.raises(DomainViolation):
-        apply_forward(model, [10.0])
-    # explicit opt-out skips the check
-    assert apply_forward(model, [10.0], check=False)[0] == 20.0
+    with pytest.raises(DomainViolation, match=r"= 50 > radius_sq = 0\.5"):
+        require_in_domain(model, [10.0], "x0")
+    # the ball is the iteration loop's: F is evaluated there all the same
+    assert apply_forward(model, [10.0])[0] == 20.0
 
 
 def test_dimension_mismatch():
@@ -82,10 +83,11 @@ def test_check_domain_examples(x, expected):
 
 def test_recenter_moves_ball():
     model = linear_model([[1.0]], radius_sq=0.5)
-    moved = recenter(model, [3.0])
+    moved = recenter(model, [3.0], 2.0)
     assert check_domain(moved, [3.0])
+    assert check_domain(moved, [1.0])
     assert not check_domain(moved, [0.0])
-    assert moved.radius_sq == model.radius_sq
+    assert moved.radius_sq == 2.0
 
 
 def test_jacobian_norm_scalar():
@@ -149,7 +151,7 @@ def test_jacobian_norm_rejects_nan_jacobian_and_no_iterations():
 
 def test_finite_difference_linear_exact():
     model = linear_model([[2.0]])
-    fd = finite_difference_jacobian(model, [0.0], 1e-5)
+    fd = finite_difference_jacobian(model, [0.0])
     assert abs(fd[0, 0] - 2.0) <= 1e-9
 
 
@@ -160,7 +162,7 @@ def test_finite_difference_square_map():
         jacobian_apply=lambda x, v: 2.0 * x * v,
         jacobian_adjoint_apply=lambda x, w: 2.0 * x * w,
     )
-    fd = finite_difference_jacobian(model, [3.0], 1e-5)
+    fd = finite_difference_jacobian(model, [3.0])
     assert abs(fd[0, 0] - 6.0) <= 1e-6
 
 
@@ -169,7 +171,7 @@ def test_finite_difference_matches_analytic_quadratic(gallery_problems):
     rng = np.random.default_rng(5)
     x = sample_ball(prob.model.center, prob.model.radius_sq, rng)
     jac = jacobian_matrix(prob.model, x)
-    fd = finite_difference_jacobian(prob.model, x, 1e-5, check=False)
+    fd = finite_difference_jacobian(prob.model, x)
     assert np.linalg.norm(fd - jac) <= 1e-6 * (1.0 + np.linalg.norm(jac))
 
 
@@ -234,7 +236,7 @@ def test_finite_difference_jacobian_sampled(pid, gallery_problems):
     for _ in range(10):
         x = sample_ball(model.center, 0.8 * model.radius_sq, rng)
         jac = jacobian_matrix(model, x)
-        fd = finite_difference_jacobian(model, x, 1e-5, check=False)
+        fd = finite_difference_jacobian(model, x)
         assert (np.linalg.norm(fd - jac)
                 <= 1e-5 * (1.0 + np.linalg.norm(jac)))
 
@@ -260,8 +262,8 @@ def test_holder_witness(pid, gallery_problems):
     for _ in range(200):
         x, y = sample_ball(model.center, model.radius_sq, rng, count=2)
         lhs = np.linalg.norm(x - y) / math.sqrt(2.0)
-        fd = np.linalg.norm(apply_forward(model, x, check=False)
-                            - apply_forward(model, y, check=False))
+        fd = np.linalg.norm(apply_forward(model, x)
+                            - apply_forward(model, y))
         assert lhs <= cert.holder_const * fd**exponent * WITNESS_SLACK
 
 

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from conftest import assert_stacks_match_per_point, linear_model
 from lmrecon.cli import make_noise
 from lmrecon.engine import compute_constants_exact
-from lmrecon.errors import DimensionMismatch, LatticeTooLarge, NoCandidateFound
+from lmrecon import recon
+from lmrecon.errors import (
+    ConditionViolated,
+    DimensionMismatch,
+    LatticeTooLarge,
+    NoCandidateFound,
+)
 from lmrecon.gallery import get_problem
 from lmrecon.operators import (
     STACK_BLOCK,
@@ -59,8 +65,8 @@ class TestComposition:
         rng = np.random.default_rng(2)
         for _ in range(10):
             x = prob.model.center + 0.2 * rng.standard_normal(2)
-            assert np.array_equal(apply_forward(comp, x, check=False),
-                                  apply_forward(prob.model, x, check=False))
+            assert np.array_equal(apply_forward(comp, x),
+                                  apply_forward(prob.model, x))
 
     def test_identity_returns_the_model(self, gallery_problems):
         for prob in gallery_problems.values():
@@ -80,7 +86,7 @@ class TestComposition:
         q = MeasurementOperator.row_selector(2, [0])
         comp = compose_measured_model(model, q)
         assert comp.dim_y == 1
-        assert apply_forward(comp, [3.0], check=False)[0] == 6.0
+        assert apply_forward(comp, [3.0])[0] == 6.0
 
     def test_averaging_jacobian_matches_finite_differences(self):
         prob = get_problem("exp-decay")
@@ -88,7 +94,7 @@ class TestComposition:
         comp = compose_measured_model(prob.model, q)
         x = np.array([1.1, 0.9])
         jac = jacobian_matrix(comp, x)
-        fd = finite_difference_jacobian(comp, x, 1e-5, check=False)
+        fd = finite_difference_jacobian(comp, x)
         assert np.linalg.norm(fd - jac) <= 1e-6 * (1.0 + np.linalg.norm(jac))
 
     def test_composition_preserves_adjoint(self):
@@ -268,7 +274,7 @@ class TestScan:
         # lattice {0.25, 0.75} on [0,1]: plant the truth at a node
         lat = build_lattice(prob.default_box, 0.25)
         truth = lat.points[0]
-        y = apply_forward(prob.model, truth, check=False)
+        y = apply_forward(prob.model, truth)
         x0 = scan_for_initial_guess(lat, prob.model, y, 1e-12)
         assert np.array_equal(x0, truth)
 
@@ -284,7 +290,7 @@ class TestScan:
                                             eps=1.0, samples=10000, seed=5)
         r_cover = lattice_radius(cert, rho)
         lat = build_lattice(prob.default_box, r_cover)
-        y = apply_forward(prob.model, prob.x_dagger, check=False)
+        y = apply_forward(prob.model, prob.x_dagger)
         x0 = scan_for_initial_guess(lat, prob.model, y,
                                     rho / (2.0 * cert.recon_const))
         assert abs(x0[0] - 0.5) < rho
@@ -292,7 +298,7 @@ class TestScan:
     def test_zero_threshold_fails(self):
         prob = get_problem("scalar-linear")
         lat = build_lattice(prob.default_box, 0.25)
-        y = apply_forward(prob.model, prob.x_dagger, check=False)
+        y = apply_forward(prob.model, prob.x_dagger)
         with pytest.raises(NoCandidateFound):
             scan_for_initial_guess(lat, prob.model, y, 0.0)
 
@@ -432,7 +438,7 @@ class TestScanGuarantees:
         box = prob.default_box
         for _ in range(20):
             truth = box.lower + rng.random(box.dim) * (box.upper - box.lower)
-            y = apply_forward(comp, truth, check=False)
+            y = apply_forward(comp, truth)
             x0 = scan_for_initial_guess(lat, comp, y, threshold)
             # proximity bound: a hit is within rho of the truth
             assert np.linalg.norm(x0 - truth) < rho
@@ -443,7 +449,7 @@ class TestScanGuarantees:
         rho = 0.1
         bad_box = CompactBox(np.array([0.5, 1.0]), np.array([1.0, 1.5]))
         lat = build_lattice(bad_box, lattice_radius(cert, rho))
-        y = apply_forward(prob.model, prob.x_dagger, check=False)
+        y = apply_forward(prob.model, prob.x_dagger)
         with pytest.raises(NoCandidateFound):
             scan_for_initial_guess(lat, prob.model, y,
                                    rho / (2.0 * cert.recon_const))
@@ -587,6 +593,20 @@ def test_reconstructions_are_pinned(pid, kind, gallery_problems):
     x_final = [float(x).hex() for x in trace.x_final]
     assert (summary, x_final, trace.terminal, trace.k_star, trace.warnings) == \
         PINNED_RECONSTRUCTIONS[pid, kind]
+
+
+def test_budget_cap_admits_budgets_up_to_the_cap(monkeypatch, gallery_problems):
+    # quadratic-2d's pinned exact reconstruction takes a budget of 259
+    # steps: a cap of 259 runs it, and a cap of 258 refuses it
+    prob = gallery_problems["quadratic-2d"]
+    q_op = MeasurementOperator.identity(prob.model.dim_y)
+    args = (prob.model, q_op, prob.default_box, prob.certificate, 0.5, 1e-10,
+            q_op(prob.y_exact))
+    monkeypatch.setattr(recon, "BUDGET_CAP", 259)
+    assert reconstruct_exact(*args)[1].recon.budget == 259
+    monkeypatch.setattr(recon, "BUDGET_CAP", 258)
+    with pytest.raises(ConditionViolated, match=r"after 259 iterations \(cap 258\)"):
+        reconstruct_exact(*args)
 
 
 def identity_reconstruction(prob, kind, model):
