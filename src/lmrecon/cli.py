@@ -102,7 +102,7 @@ def _resolve_certificate(prob, cfg: RunConfig) -> StabilityCertificate:
     # measurement other than the identity, nor on a box that reaches outside
     # that one (on a sub-box each constant, a supremum, still holds), and no
     # config can vouch for the constants it overrides
-    q_op = _resolve_measurement(cfg, prob.model.dim_y)
+    q_op = _resolve_measurement(cfg, prob)
     box, home = _resolve_box(cfg, prob), prob.default_box
     if (not q_op.is_identity or cfg.constants_override
             or not (np.all(box.lower >= home.lower) and np.all(box.upper <= home.upper))):
@@ -114,16 +114,25 @@ def _resolve_certificate(prob, cfg: RunConfig) -> StabilityCertificate:
     return cert
 
 
-def _resolve_measurement(cfg: RunConfig, dim_y: int) -> MeasurementOperator:
-    meas = cfg.measurement or "identity"
+def _resolve_measurement(cfg: RunConfig, prob) -> MeasurementOperator:
+    """The configured Q on the problem's data; one whose rank is below the
+    problem's unknowns is a config error, since Q o F cannot be injective."""
+    meas, dim_y = cfg.measurement or "identity", prob.model.dim_y
     if isinstance(meas, str):
-        return MEASUREMENTS[meas](dim_y)
-    matrix = np.asarray(meas, dtype=float)
-    if matrix.shape[1] != dim_y:
+        q_op = MEASUREMENTS[meas](dim_y)
+    elif len(meas[0]) != dim_y:
         raise ConfigInvalid(
-            f"measurement matrix has {matrix.shape[1]} columns, data dimension is {dim_y}"
+            f"measurement matrix has {len(meas[0])} columns, data dimension is {dim_y}"
         )
-    return MeasurementOperator(matrix)
+    else:
+        q_op = MeasurementOperator(meas)
+    rank = int(np.linalg.matrix_rank(q_op.matrix))
+    if rank < prob.model.dim_x:
+        raise ConfigInvalid(
+            f"config field 'measurement': rank {rank} is below the "
+            f"{prob.model.dim_x} unknowns of problem '{prob.id}', so Q o F "
+            "cannot be injective")
+    return q_op
 
 
 def _check_dim(field: str, values: list, prob) -> None:
@@ -201,7 +210,7 @@ def _run(cfg: RunConfig, prob, cert: StabilityCertificate, method: str):
     """
     model, x0, y_obs = prob.model, _resolve_x0(cfg, prob), prob.y_exact
     if method == "reconstruct":
-        q_op = _resolve_measurement(cfg, model.dim_y)
+        q_op = _resolve_measurement(cfg, prob)
         box = _resolve_box(cfg, prob)
         y_obs = q_op(y_obs)
     if cfg.tau is not None:

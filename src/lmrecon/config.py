@@ -15,7 +15,7 @@ import yaml
 
 from .errors import ConfigInvalid
 from .operators import StabilityCertificate
-from .recon import MEASUREMENTS
+from .recon import BUDGET_CAP, MEASUREMENTS
 
 # mode -> (keys it requires, {command that runs it: the other keys it reads}).
 # parse rejects a key no command reads in the mode, and main one its command
@@ -167,7 +167,9 @@ _CHECKS = {
     "eps": _ranged(_check_number, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
     "tau": _ranged(_check_number, lambda v: v > 1.0, "must be > 1"),
     "delta": _ranged(_check_number, lambda v: v >= 0.0, "must be >= 0"),
-    "max_iters": _NON_NEGATIVE_INT,
+    # every iterate stays on the trace, so a run is as long as recon's cap
+    "max_iters": _ranged(_check_integer, lambda v: 0 <= v <= BUDGET_CAP,
+                         f"must lie in [0, {BUDGET_CAP}]"),
     "target_gamma": _POSITIVE,
     "tol_alpha": _POSITIVE,
     "box": _check_box,

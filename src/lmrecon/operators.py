@@ -334,35 +334,16 @@ def finite_difference_jacobian(model: ForwardModel, x) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def adjoint_defect(model: ForwardModel, x, v, w) -> float:
-    """|<J v, w> - <v, J^T w>| for one test pair.
-
-    Raises :class:`NonFiniteOutput` when ``J v`` or ``J^T w`` holds NaN or
-    inf."""
-    x = as_vector(x, model.dim_x, "x")
-    v = as_vector(v, model.dim_x, "v")
-    w = as_vector(w, model.dim_y, "w")
-    jv = as_vector(model.jacobian_apply(x, v), model.dim_y, "J v")
-    require_finite(jv, "Jacobian action J v")
-    return _adjoint_gap(model, x, v, w, jv)
-
-
-def _adjoint_gap(model: ForwardModel, x, v, w, jv) -> float:
-    """:func:`adjoint_defect` with ``J v`` already applied and checked."""
-    jtw = as_vector(model.jacobian_adjoint_apply(x, w), model.dim_x, "J* w")
-    require_finite(jtw, "adjoint action J* w")
-    return abs(float(np.dot(jv, w)) - float(np.dot(v, jtw)))
-
-
 def max_adjoint_defect(model: ForwardModel, points, samples: int = 100,
                        seed: int = 0) -> float:
     """Largest relative adjoint defect over random (x, v, w) triples.
 
-    The defect at each triple is normalized by ``1 + ||J v|| * ||w||`` so the
-    result compares directly against an absolute tolerance like 1e-10.  The
-    norms are :func:`vector_norm`'s, the bits of ``np.linalg.norm``.  Raises
-    :class:`NonFiniteOutput` when ``J v`` or ``J* w`` holds NaN or inf, which
-    would otherwise give a NaN defect that the running maximum drops.
+    The defect ``|<J v, w> - <v, J* w>|`` at each triple is normalized by
+    ``1 + ||J v|| * ||w||`` so the result compares directly against an
+    absolute tolerance like 1e-10.  The norms are :func:`vector_norm`'s, the
+    bits of ``np.linalg.norm``.  Raises :class:`NonFiniteOutput` when ``J v``
+    or ``J* w`` holds NaN or inf, which would otherwise give a NaN defect
+    that the running maximum drops.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -373,7 +354,10 @@ def max_adjoint_defect(model: ForwardModel, points, samples: int = 100,
         w = rng.standard_normal(model.dim_y)
         jv = as_vector(model.jacobian_apply(x, v), model.dim_y, "J v")
         scale = 1.0 + finite_norm(jv, "Jacobian action J v") * vector_norm(w)
-        worst = max(worst, _adjoint_gap(model, x, v, w, jv) / scale)
+        jtw = as_vector(model.jacobian_adjoint_apply(x, w), model.dim_x, "J* w")
+        require_finite(jtw, "adjoint action J* w")
+        gap = abs(float(np.dot(jv, w)) - float(np.dot(v, jtw)))
+        worst = max(worst, gap / scale)
     return worst
 
 
@@ -420,6 +404,11 @@ class StabilityCertificate:
             raise ValueError("holder_eps must lie in (0, 1]")
         if not self.q_norm >= 0:
             raise ValueError("q_norm must be non-negative")
+        # only the ball may be the whole space
+        for name in ("lip_deriv", "jac_bound", "holder_const", "forward_lip",
+                     "recon_const", "q_norm"):
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite")
         if not (isinstance(self.provenance, str) and self.provenance in PROVENANCES):
             choices = " or ".join(map(repr, PROVENANCES))
             raise ValueError(f"provenance must be {choices}")

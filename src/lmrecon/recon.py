@@ -41,8 +41,9 @@ from .operators import (
 )
 
 DEFAULT_LATTICE_CAP = 10**7
-# Most LM steps reconstruct_exact takes: its budget comes from the target
-# accuracy alone, and every step keeps its iterate on the trace.
+# Most steps a run takes, since every step keeps its iterate on the trace:
+# the cap on reconstruct_exact's budget, which comes from the target accuracy
+# alone, and on a config's max_iters.
 BUDGET_CAP = 10**5
 
 
@@ -81,24 +82,11 @@ class MeasurementOperator:
     def identity(cls, m: int) -> "MeasurementOperator":
         return cls(np.eye(m))
 
-    @classmethod
-    def averaging(cls, m: int) -> "MeasurementOperator":
-        return cls(np.full((1, m), 1.0 / m))
 
-    @classmethod
-    def row_selector(cls, m: int, rows) -> "MeasurementOperator":
-        mat = np.zeros((len(rows), m))
-        for i, r in enumerate(rows):
-            mat[i, r] = 1.0
-        return cls(mat)
-
-
-# config preset name -> the measurement on data of a given dimension
-MEASUREMENTS = {
-    "identity": MeasurementOperator.identity,
-    "average": MeasurementOperator.averaging,
-    "first-coordinate": lambda m: MeasurementOperator.row_selector(m, [0]),
-}
+# config preset name -> the measurement on data of a given dimension; any
+# other measurement is a matrix, which the CLI refuses unless its rank reaches
+# the problem's unknowns
+MEASUREMENTS = {"identity": MeasurementOperator.identity}
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,12 +217,19 @@ def lattice_radius(cert: StabilityCertificate, rho: float) -> float:
     The first term is the radius under which some lattice point is guaranteed
     to pass the measured-data test; the second keeps any accepted point inside
     the entry ball of the local convergence theory, which is stated for the
-    squared norm (the two radii cross at rho = 2).
+    squared norm (the two radii cross at rho = 2).  Raises
+    :class:`ConditionViolated` when the product of the certificate's
+    constants overflows, which would leave no hit radius.
     """
     if not rho >= 0:
         raise ValueError("rho must be non-negative")
     # a product that underflows to 0 puts no limit on the hit radius
     den = 2.0 * cert.forward_lip * cert.recon_const * cert.q_norm
+    if den == math.inf:
+        raise ConditionViolated(
+            f"2*forward_lip*recon_const*q_norm overflows (forward_lip = "
+            f"{cert.forward_lip:.6g}, recon_const = {cert.recon_const:.6g}, "
+            f"q_norm = {cert.q_norm:.6g}): no lattice radius")
     hit_radius = rho / den if den > 0.0 else math.inf
     return min(hit_radius, math.sqrt(2.0 * rho))
 

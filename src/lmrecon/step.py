@@ -10,12 +10,11 @@ principle for the regularization parameter).  The step never evaluates F and
 never checks the admissible ball; the iteration loop in
 :mod:`lmrecon.engine` does both, once per iterate.  Each step builds J densely
 from ``dim_x`` Jacobian actions and takes one eigendecomposition
-``G = U diag(lam) U^T`` of the data-space Gram matrix ``G = J J*``.  When
-``dim_y <= dim_x``, J* comes densely from ``dim_y`` adjoint actions and G is
-their one product.  When ``dim_y > dim_x``, G lives on range(J) and is zero
-on its complement, so only its projection on range(J) is formed: with the
-reduced QR ``J = Q R``, ``Q^T G Q = R (J* Q)``, from ``dim_x`` adjoint
-actions on the columns of Q and no ``dim_y x dim_y`` array.  That one
+``G = U diag(lam) U^T`` of the data-space Gram matrix ``G = J J*``.  G is
+zero on the complement of range(J), so only its projection on range(J) is
+formed: with ``J = Q R`` for an orthonormal Q whose span holds range(J)
+(the identity when ``dim_y <= dim_x``, the reduced QR's otherwise),
+``Q^T G Q = R (J* Q)``, from one adjoint action per column of Q.  That one
 spectrum is a :class:`Spectrum`; the Morozov function, its root, the ceiling
 ``alpha_bound``, the feasibility test and the solve for ``z`` all follow from
 it in closed form, and the update ``J* z`` and its linearized residual reuse
@@ -77,40 +76,31 @@ class StepDiagnostics:
 
 
 def gram_matrix(model: ForwardModel, x):
-    """Assemble the Gram matrix ``G = J J*`` from dense factors, restricted
-    to range(J) when ``dim_y > dim_x``; returns ``(gram, J, adj, basis)``.
+    """Assemble the Gram matrix ``G = J J*`` on range(J) from dense factors;
+    returns ``(gram, J, adj, basis)``.
 
     J is built from ``dim_x`` Jacobian actions on the unit vectors of the
-    parameter space.  When ``dim_y <= dim_x``, ``basis`` is None, ``adj`` is
-    the ``dim_x x dim_y`` matrix J* from ``dim_y`` adjoint actions on the unit
-    vectors of the data space, and ``gram`` is ``J @ J*``.  When
-    ``dim_y > dim_x``, ``basis`` is the orthonormal Q of the reduced QR
-    ``J = Q R``, ``adj`` is the ``dim_x x dim_x`` matrix ``J* Q`` from
-    ``dim_x`` adjoint actions on the columns of Q, and ``gram`` is
-    ``R @ J* Q = Q^T G Q``; Q and R are :func:`_reduced_qr`'s, the bits of
-    ``np.linalg.qr(J)``.  Either way the adjoint enters ``gram`` exactly as
-    the model supplies it.  Raises :class:`NonFiniteOutput` when J or the
-    adjoint's matrix holds NaN or inf, before either enters a product.
+    parameter space.  With an orthonormal Q whose span holds range(J) and
+    the ``R`` of ``J = Q R``, ``adj`` is the matrix ``J* Q`` from one adjoint
+    action per column of Q and ``gram`` is ``R @ J* Q = Q^T G Q``.  When
+    ``dim_y <= dim_x`` that Q is the identity, R is J, ``gram`` is G itself
+    and ``basis`` is None.  When ``dim_y > dim_x``, ``basis`` is the Q of the
+    reduced QR, :func:`_reduced_qr`'s, the bits of ``np.linalg.qr(J)``.
+    Either way the adjoint enters ``gram`` exactly as the model supplies it.
+    Raises :class:`NonFiniteOutput` when J or the adjoint's matrix holds NaN
+    or inf, before either enters a product.
     """
     x = as_vector(x, model.dim_x, "x")
     j = jacobian_matrix(model, x)
     require_finite(j, "Jacobian J(x)")
     m, n = j.shape
-    if m > n:
-        basis, upper = _reduced_qr(j)
-        adj = np.empty((n, n))
-        for i in range(n):
-            adj[:, i] = as_vector(
-                model.jacobian_adjoint_apply(x, basis[:, i].copy()), n, "J* q_i")
-        require_finite(adj, "adjoint J* Q")
-        return upper @ adj, j, adj, basis
-    adj = np.empty((n, m))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        adj[:, i] = as_vector(model.jacobian_adjoint_apply(x, e), n, "J* e_i")
-    require_finite(adj, "adjoint J*")
-    return j @ adj, j, adj, None
+    basis, upper = _reduced_qr(j) if m > n else (np.eye(m), j)
+    adj = np.empty((n, basis.shape[1]))
+    for i in range(basis.shape[1]):
+        adj[:, i] = as_vector(
+            model.jacobian_adjoint_apply(x, basis[:, i].copy()), n, "J* q_i")
+    require_finite(adj, "adjoint J* Q")
+    return upper @ adj, j, adj, basis if m > n else None
 
 
 class Spectrum(NamedTuple):

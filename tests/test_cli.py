@@ -152,7 +152,7 @@ class TestConfig:
     @pytest.mark.parametrize("mode", ["exact", "noisy", "landweber", "verify"])
     @pytest.mark.parametrize("field, value", [
         ("box", {"lower": [0.5, 0.5], "upper": [1.5, 1.5]}),
-        ("measurement", "average"),
+        ("measurement", "identity"),
     ])
     def test_reconstruct_only_keys_rejected(self, tmp_path, capsys, mode, field, value):
         path = mode_config(tmp_path, mode, **{field: value})
@@ -237,7 +237,21 @@ class TestConfig:
     def test_unknown_measurement_names_the_presets(self):
         assert parse_outcome(mode_raw("reconstruct_exact", measurement="median")) == (
             "config field 'measurement': unknown preset; use one of "
-            "('identity', 'average', 'first-coordinate') or a matrix")
+            "('identity',) or a matrix")
+
+    def test_max_iters_is_capped(self, tmp_path, capsys, monkeypatch):
+        # every iterate stays on the trace: a Landweber run with a 10^9
+        # budget and a tiny step once ran until it was stopped
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "landweber_run", no_run)
+        cap = recon.BUDGET_CAP
+        assert parse_outcome(mode_raw("landweber", max_iters=cap)).max_iters == cap
+        path = mode_config(tmp_path, "landweber", step_scale=1e-9, max_iters=10**9)
+        assert main(["solve", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: config field 'max_iters': must lie in [0, {cap}]\n")
 
     def test_bad_yaml(self):
         with pytest.raises(ConfigInvalid, match="not valid YAML"):
@@ -381,7 +395,7 @@ def run_configs(draw):
         eps=draw(st.floats(0.0, 1.0, exclude_min=True)),
         tau=tau,
         delta=delta,
-        max_iters=field("max_iters", st.integers(0, 10**9)),
+        max_iters=field("max_iters", st.integers(0, recon.BUDGET_CAP)),
         target_gamma=field("target_gamma", POSITIVE),
         tol_alpha=draw(POSITIVE),
         box=field("box", boxes()),
@@ -596,7 +610,8 @@ class TestReconstructCommand:
                                                              capsys):
         # the oracle certified F, not Q o F: no guarantee may arm, and no
         # override may state a provenance
-        header = self._measured_header(tmp_path, measurement="first-coordinate")
+        header = self._measured_header(tmp_path,
+                                       measurement=[[1.0, 1.0], [0.0, 1.0]])
         assert header["certificate.provenance"] == "user"
         assert header["hypothesis.armed"] == "false"
         header = self._measured_header(tmp_path, measurement="identity")
@@ -604,10 +619,31 @@ class TestReconstructCommand:
         assert header["hypothesis.armed"] == "true"
         path = write_config(
             tmp_path, problem_id="quadratic-2d", mode="reconstruct_exact",
-            max_iters=None, target_gamma=1e-10, measurement="first-coordinate",
+            max_iters=None, target_gamma=1e-10, measurement=[[1.0, 1.0], [0.0, 1.0]],
             constants_override={"provenance": "oracle-estimated"})
         assert main(["reconstruct", "--config", str(path)]) == 1
         assert "unknown certificate fields ['provenance']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("measurement, error", [
+        ("average", "unknown preset; use one of ('identity',) or a matrix"),
+        ("first-coordinate", "unknown preset; use one of ('identity',) or a matrix"),
+        ([[1 / 3, 1 / 3, 1 / 3]], "rank 1 is below the 2 unknowns"),
+        # rank 1 with two rows: it once ran to an error of 1.9e-01, exit 0
+        ([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], "rank 1 is below the 2 unknowns"),
+    ], ids=["average", "first-coordinate", "one-row", "rank-one"])
+    def test_measurement_that_cannot_be_injective_exits_one(
+            self, tmp_path, capsys, measurement, error):
+        path = write_config(tmp_path, **{**C07A, "measurement": measurement})
+        assert main(["reconstruct", "--config", str(path)]) == 1
+        assert f"config field 'measurement': {error}" in capsys.readouterr().err
+
+    def test_full_rank_measurement_reconstructs(self, tmp_path, capsys):
+        path = write_config(tmp_path, **{**C07A, "measurement": [[1.0, 0.0, 0.0],
+                                                               [0.0, 1.0, 0.0]]})
+        assert main(["reconstruct", "--config", str(path)]) == 0
+        header = dict(read_trace(tmp_path / "out.trace").header)
+        assert header["certificate.provenance"] == "user"
+        assert float(capsys.readouterr().out.split("final_error=")[1].split()[0]) < 1e-10
 
     @pytest.mark.parametrize("box, provenance, armed", [
         # the truth is (0.25, -0.2) and the certified box [-0.5, 0.5]^2
@@ -1169,12 +1205,28 @@ C07A = {"problem_id": "exp-decay", "mode": "reconstruct_exact",
     # a NaN measurement entry once failed the scan (exit 4)
     ("reconstruct", {**C07A, "measurement": [[1.0, float("nan")]]},
      "config field 'measurement': expected finite numbers, got [1.0, nan]"),
-], ids=["q_norm", "x0", "measurement"])
+    # an infinite q_norm once took the hit radius to 0 (exit 2)
+    ("reconstruct",
+     {**C07A, "constants_override": {**C07A["constants_override"],
+                                     "q_norm": float("inf")}},
+     "config field 'constants_override': q_norm must be finite"),
+], ids=["q_norm", "x0", "measurement", "q_norm_inf"])
 def test_non_finite_inputs_are_config_errors(tmp_path, capsys, command, config,
                                              error):
     path = write_config(tmp_path, **config)
     assert main([command, "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+def test_overflowing_constants_exit_three(tmp_path, capsys):
+    # the product once overflowed, the hit radius underflowed to 0, and the
+    # lattice blamed the target accuracy (exit 2)
+    override = {**C07A["constants_override"], "recon_const": 1e200,
+                "forward_lip": 1e200}
+    path = write_config(tmp_path, **{**C07A, "constants_override": override})
+    assert main(["reconstruct", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "hypothesis violated: 2*forward_lip*recon_const*q_norm overflows")
 
 
 @pytest.mark.parametrize("command", sorted(WRITING_RUNS))

@@ -16,7 +16,6 @@ from lmrecon.operators import (
     _reduced_qr,
     _spectral_norm,
     StabilityCertificate,
-    adjoint_defect,
     apply_forward,
     check_domain,
     estimate_jacobian_norm,
@@ -175,6 +174,12 @@ def test_finite_difference_matches_analytic_quadratic(gallery_problems):
     assert np.linalg.norm(fd - jac) <= 1e-6 * (1.0 + np.linalg.norm(jac))
 
 
+def _adjoint_defect(model, x, v, w) -> float:
+    """``|<J v, w> - <v, J* w>|`` for one test pair, with J applied afresh."""
+    jtw = model.jacobian_adjoint_apply(x, w)
+    return abs(float(np.dot(model.jacobian_apply(x, v), w)) - float(np.dot(v, jtw)))
+
+
 @pytest.mark.parametrize("pid", GALLERY_IDS)
 def test_adjoint_identity_sampled(pid, gallery_problems):
     prob = gallery_problems[pid]
@@ -186,7 +191,7 @@ def test_adjoint_identity_sampled(pid, gallery_problems):
         w = rng.standard_normal(model.dim_y)
         jv = model.jacobian_apply(x, v)
         scale = 1.0 + float(np.linalg.norm(jv)) * float(np.linalg.norm(w))
-        assert adjoint_defect(model, x, v, w) <= 1e-10 * scale
+        assert _adjoint_defect(model, x, v, w) <= 1e-10 * scale
 
 
 def test_max_adjoint_defect_applies_j_once_per_sample():
@@ -198,7 +203,7 @@ def test_max_adjoint_defect_applies_j_once_per_sample():
     points = [prob.default_x0, prob.x_dagger]
     got = max_adjoint_defect(model, points, samples=40, seed=3)
     assert counts == {"forward": 0, "jacobian": 40, "adjoint": 40}
-    # the same draws and arithmetic, with adjoint_defect applying J again
+    # the same draws and arithmetic, with the reference applying J again
     rng = np.random.default_rng(3)
     want = 0.0
     for _ in range(40):
@@ -207,7 +212,7 @@ def test_max_adjoint_defect_applies_j_once_per_sample():
         w = rng.standard_normal(model.dim_y)
         jv = model.jacobian_apply(x, v)
         scale = 1.0 + float(np.linalg.norm(jv)) * float(np.linalg.norm(w))
-        want = max(want, adjoint_defect(model, x, v, w) / scale)
+        want = max(want, _adjoint_defect(model, x, v, w) / scale)
     assert got == want > 1e-3
 
 
@@ -277,6 +282,13 @@ def test_certificate_validation():
         StabilityCertificate(**{**good, "lip_deriv": 0.0})
     with pytest.raises(ValueError):
         StabilityCertificate(**{**good, "provenance": "guessed"})
+    # an infinite q_norm once took the hit radius to 0, and the lattice
+    # blamed the target accuracy; only the ball may be the whole space
+    StabilityCertificate(**{**good, "domain_rho_prime": math.inf})
+    for name in ("lip_deriv", "jac_bound", "holder_const", "forward_lip",
+                 "recon_const", "q_norm"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            StabilityCertificate(**{**good, name: math.inf})
 
 
 @st.composite

@@ -43,9 +43,12 @@ from lmrecon.recon import (
 
 class TestMeasurementOperator:
     def test_presets(self):
-        avg = MeasurementOperator.averaging(4)
+        # the identity is the one preset; every other Q is a matrix
+        assert list(recon.MEASUREMENTS) == ["identity"]
+        assert recon.MEASUREMENTS["identity"](3).is_identity
+        avg = MeasurementOperator(np.full((1, 4), 0.25))
         assert avg(np.array([1.0, 2.0, 3.0, 4.0]))[0] == 2.5
-        sel = MeasurementOperator.row_selector(3, [0])
+        sel = MeasurementOperator(np.array([[1.0, 0.0, 0.0]]))
         assert np.array_equal(sel(np.array([5.0, 6.0, 7.0])), [5.0])
 
     def test_identity_is_decided_by_the_matrix(self):
@@ -83,14 +86,15 @@ class TestComposition:
 
     def test_row_selector_projection(self):
         model = linear_model(np.array([[2.0], [5.0]]))
-        q = MeasurementOperator.row_selector(2, [0])
+        q = MeasurementOperator(np.array([[1.0, 0.0]]))
         comp = compose_measured_model(model, q)
         assert comp.dim_y == 1
         assert apply_forward(comp, [3.0])[0] == 6.0
 
     def test_averaging_jacobian_matches_finite_differences(self):
         prob = get_problem("exp-decay")
-        q = MeasurementOperator.averaging(prob.model.dim_y)
+        m = prob.model.dim_y
+        q = MeasurementOperator(np.full((1, m), 1.0 / m))
         comp = compose_measured_model(prob.model, q)
         x = np.array([1.1, 0.9])
         jac = jacobian_matrix(comp, x)
@@ -99,7 +103,8 @@ class TestComposition:
 
     def test_composition_preserves_adjoint(self):
         prob = get_problem("exp-decay")
-        q = MeasurementOperator.averaging(prob.model.dim_y)
+        m = prob.model.dim_y
+        q = MeasurementOperator(np.full((1, m), 1.0 / m))
         comp = compose_measured_model(prob.model, q)
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -147,6 +152,13 @@ class TestLatticeRadius:
 
     def test_crossover_with_entry_radius(self):
         assert lattice_radius(self.cert(), 8.0) == 4.0
+
+    def test_overflowing_product_violates_a_hypothesis(self):
+        # the product once overflowed to inf, the hit radius to 0, and the
+        # lattice blamed the target accuracy
+        with pytest.raises(ConditionViolated,
+                           match=r"2\*forward_lip\*recon_const\*q_norm overflows"):
+            lattice_radius(self.cert(forward_lip=1e200, recon_const=1e200), 0.03125)
 
     def test_zero_rho_is_a_zero_radius(self):
         # rho underflows to 0 at extreme constants: only a degenerate box has
