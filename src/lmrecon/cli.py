@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import checks, gallery
-from .config import _CHECKS, RunConfig, check_command, load_config
+from .config import _CHECKS, READS, RunConfig, check_command, load_config
 from .engine import (
     SolverConfig,
     compute_constants_exact,
@@ -93,7 +93,10 @@ def counting_model(model: ForwardModel):
     return wrapped, counts
 
 
-def _resolve_certificate(prob, cfg: RunConfig) -> StabilityCertificate:
+def _resolve_certificate(prob, cfg: RunConfig, q_op: MeasurementOperator | None = None,
+                         box: CompactBox | None = None) -> StabilityCertificate:
+    """The certificate a run on ``prob`` uses under ``cfg``, given the
+    resolved measurement and search box of a mode that reads them."""
     cert = prob.certificate
     if cfg.eps != cert.holder_eps:
         # a different stability exponent needs its own certificate
@@ -102,10 +105,10 @@ def _resolve_certificate(prob, cfg: RunConfig) -> StabilityCertificate:
     # measurement other than the identity, nor on a box that reaches outside
     # that one (on a sub-box each constant, a supremum, still holds), and no
     # config can vouch for the constants it overrides
-    q_op = _resolve_measurement(cfg, prob)
-    box, home = _resolve_box(cfg, prob), prob.default_box
-    if (not q_op.is_identity or cfg.constants_override
-            or not (np.all(box.lower >= home.lower) and np.all(box.upper <= home.upper))):
+    home = prob.default_box
+    if (cfg.constants_override or (q_op is not None and not q_op.is_identity)
+            or (box is not None and not (np.all(box.lower >= home.lower)
+                                         and np.all(box.upper <= home.upper)))):
         try:
             cert = dataclasses.replace(cert, **(cfg.constants_override or {}),
                                        provenance="user")
@@ -199,19 +202,19 @@ def _exit(trace, cfg: RunConfig) -> int:
     return 2
 
 
-def _run(cfg: RunConfig, prob, cert: StabilityCertificate, method: str):
+def _run(cfg: RunConfig, prob, cert: StabilityCertificate, method: str,
+         q_op: MeasurementOperator | None = None, box: CompactBox | None = None):
     """Run LM, Landweber or the reconstruction pipeline (``method`` "lm",
-    "landweber" or "reconstruct") on ``prob`` as ``cfg`` says and return
-    the trace, which keeps every iterate; an LM trace carries its theory
-    constants for ``cert``, and its theory flags when ``prob`` has a truth.
+    "landweber" or "reconstruct", which measures through ``q_op`` and scans
+    ``box``) on ``prob`` as ``cfg`` says and return the trace, which keeps
+    every iterate; an LM trace carries its theory constants for ``cert``, and
+    its theory flags when ``prob`` has a truth.
 
     The stopping rule is the discrepancy principle when tau is set, else the
     accuracy target when target_gamma is set, else the budget.
     """
     model, x0, y_obs = prob.model, _resolve_x0(cfg, prob), prob.y_exact
     if method == "reconstruct":
-        q_op = _resolve_measurement(cfg, prob)
-        box = _resolve_box(cfg, prob)
         y_obs = q_op(y_obs)
     if cfg.tau is not None:
         stop = "discrepancy"
@@ -245,8 +248,12 @@ def _run_to_trace(cfg: RunConfig, method: str) -> int:
     """Run ``method`` (see :func:`_run`), write the trace, print a summary
     line and return the exit code."""
     prob = _get_problem(cfg)
-    cert = _resolve_certificate(prob, cfg)
-    trace = _run(cfg, prob, cert, method)
+    q_op = box = None
+    if any("measurement" in keys for keys in READS[cfg.mode][1].values()):
+        # the measurement and the search box, once, for the modes that read them
+        q_op, box = _resolve_measurement(cfg, prob), _resolve_box(cfg, prob)
+    cert = _resolve_certificate(prob, cfg, q_op, box)
+    trace = _run(cfg, prob, cert, method, q_op, box)
     tf = TraceFile.from_trace(trace, _header(cfg, prob, cert, trace))
     _write(cfg.output_path, dumps(tf))
     rs = trace.recon

@@ -376,14 +376,16 @@ def qtilde(q: float, cert: StabilityCertificate, initial_error: float) -> float:
 
 def kstar_log_estimate(q_tilde: float, r0_norm: float, tau: float,
                        delta: float) -> int:
-    """ceil(1 + log(||r0|| / (tau delta)) / log(1 / q_tilde))."""
+    """ceil(1 + log(||r0|| / (tau delta)) / log(1 / q_tilde)); where the
+    quotient overflows, its log is taken as a difference of logs."""
     if not 0.0 < q_tilde < 1.0:
         raise ConditionViolated("q_tilde must lie in (0, 1) for a finite estimate")
     if r0_norm <= tau * delta:
         return 0
-    return int(math.ceil(
-        1.0 + math.log(r0_norm / (tau * delta)) / math.log(1.0 / q_tilde)
-    ))
+    ratio = r0_norm / (tau * delta)
+    log_ratio = (math.log(ratio) if ratio < math.inf
+                 else math.log(r0_norm) - math.log(tau * delta))
+    return int(math.ceil(1.0 + log_ratio / math.log(1.0 / q_tilde)))
 
 
 def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,

@@ -241,10 +241,20 @@ def jacobian_stack(model: ForwardModel, xs) -> np.ndarray:
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row of a 2-D array.
 
-    Each entry has the bits of ``np.linalg.norm(row)``: both take the square
-    root of one dot product per row.
+    Each entry has the bits of ``np.linalg.norm(row)`` (both take the square
+    root of one dot product per row), except where that norm underflows to 0
+    on a row with a nonzero entry: such a row gets ``m * ||row / m||`` with
+    ``m = max|row|``, so that only an all-zero row has norm 0.  The rescue
+    costs one reduction on a call whose norms are all nonzero.
     """
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    if not norms.all():
+        at = np.flatnonzero(norms == 0.0)
+        scale = np.abs(rows[at]).max(axis=1, initial=0.0)
+        at, scale = at[scale > 0.0], scale[scale > 0.0]
+        # a scaled row has an entry of size 1, so its norm does not underflow
+        norms[at] = scale * row_norms(rows[at] / scale[:, None])
+    return norms
 
 
 def _lapack_errstate(routine: str):

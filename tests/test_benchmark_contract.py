@@ -1,13 +1,20 @@
-"""The benchmark's tracer patches lmrecon functions by name.
+"""The benchmark's tracer patches lmrecon functions by name, and its
+workloads call lmrecon functions.
 
 ``benchmarks/tracing.py`` lists them in ``TARGETS``; a name it cannot find is
-reported as missing and its spans vanish from a ``--trace 1`` run.  This test
-pins the names that are missing on purpose, so that a refactor that drops a
-traced name fails here.
+reported as missing and its spans vanish from a ``--trace 1`` run.  The first
+test pins the names that are missing on purpose, so that a refactor that
+drops a traced name fails here.  The second binds every library call of
+``benchmarks/run.py`` and ``benchmarks/workloads.py`` to the signature it
+calls, so that a refactor that drops a parameter a benchmark passes fails
+here rather than in a benchmark run.
 """
 
+import ast
+import functools
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -37,3 +44,44 @@ def test_traced_names_exist():
                if getattr(importlib.import_module(f"lmrecon.{module}"), name,
                           None) is None}
     assert missing == KNOWN_MISSING
+
+
+def _library_calls(path: Path):
+    """``(name, line, positional count, keywords)`` of every call of an
+    lmrecon object in a benchmark source, spelled ``lm.<name>(...)`` or
+    ``self.lm.<name>(...)``; ``*args`` and ``**kwargs`` are not counted."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        chain, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            chain.append(func.attr)
+            func = func.value
+        if isinstance(func, ast.Name) and func.id == "self" and chain[-1:] == ["lm"]:
+            chain.pop()
+        elif not (isinstance(func, ast.Name) and func.id == "lm"):
+            continue
+        yield (".".join(reversed(chain)), node.lineno,
+               sum(not isinstance(arg, ast.Starred) for arg in node.args),
+               [kw.arg for kw in node.keywords if kw.arg is not None])
+
+
+def test_benchmark_calls_bind_to_the_library():
+    # a library signature change that would break a benchmark run fails
+    # here: each call's positional count and explicit keywords must bind
+    import lmrecon
+    for module in ("cli", "config", "gallery", "tracefile"):
+        importlib.import_module(f"lmrecon.{module}")
+    unbound, calls = [], 0
+    for name in ("run.py", "workloads.py"):
+        path = TRACING.parent / name
+        for dotted, line, positional, keywords in _library_calls(path):
+            calls += 1
+            target = functools.reduce(getattr, dotted.split("."), lmrecon)
+            try:
+                inspect.signature(target).bind(*[None] * positional,
+                                               **dict.fromkeys(keywords))
+            except TypeError as exc:
+                unbound.append(f"{name}:{line} lm.{dotted}: {exc}")
+    assert calls > 30
+    assert unbound == []

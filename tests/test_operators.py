@@ -25,6 +25,7 @@ from lmrecon.operators import (
     max_adjoint_defect,
     recenter,
     require_in_domain,
+    row_norms,
     vector_norm,
 )
 
@@ -337,6 +338,26 @@ def test_finite_norm_is_the_checked_norm(v):
     else:
         assert _norm_and_warnings(lambda u: finite_norm(u, "v"), v) == \
             _norm_and_warnings(np.linalg.norm, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 8), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_row_norms_are_numpys_unless_they_underflow(k, n, seed):
+    # rows at scales from 1e-320 to 1e150, some of them zero: a row whose
+    # np.linalg.norm is nonzero keeps its bits, and one whose norm
+    # underflows to 0 gets the accurate norm of math.hypot (to the last
+    # subnormal step where it is subnormal), 0 only when every entry is
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-320.0, 150.0, (k, 1))
+    rows[rng.random(k) < 0.2] = 0.0
+    got = row_norms(rows)
+    for norm, row in zip(got.tolist(), rows):
+        want = float(np.linalg.norm(row))
+        if want != 0.0:
+            assert norm.hex() == want.hex()
+        else:
+            assert norm == pytest.approx(math.hypot(*row), rel=1e-14, abs=5e-324)
+            assert (norm == 0.0) == (not row.any())
 
 
 @st.composite
