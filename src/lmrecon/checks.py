@@ -69,17 +69,6 @@ def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float
     return worst if needed < VERIFY_SAMPLES else math.nan
 
 
-def _jacobian_norms(model: ForwardModel, xs: np.ndarray) -> list[float]:
-    """``estimate_jacobian_norm(model, x)`` at every row of ``xs``, bit for
-    bit: J by one :func:`jacobian_stack` (its rows are those of
-    ``jacobian_matrix`` by the ``ForwardModel`` batch contract) and the
-    spectral norms by one stacked LAPACK SVD.  Raises
-    :class:`NonFiniteOutput` when a Jacobian holds NaN or inf."""
-    jacs = jacobian_stack(model, xs)
-    require_finite(jacs, "Jacobian at a recorded iterate")
-    return operators._spectral_norm(jacs).tolist()
-
-
 def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
                 tau: float, delta: float) -> list[tuple[str, str, str]]:
     """The verify rows for ``prob`` under ``cert``, from the exact-data run
@@ -87,7 +76,7 @@ def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
     ``prob.default_x0`` and carry their theory constants.
 
     The ``alpha-ceiling`` row takes ``||J(x_k)||`` at every iterate that
-    took a step with one :func:`_jacobian_norms` call.
+    took a step with one :func:`operators.jacobian_norms` call.
     """
     model = prob.model
     rows = []
@@ -124,7 +113,9 @@ def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
         mdp_tol = max(1e-8, 2.0 * tol_alpha * q)
         check("mdp-prime-identity", worst_mdp <= mdp_tol,
               f"max rel err {worst_mdp:.3e} over {len(steps)} steps")
-        dense_norms = _jacobian_norms(model, np.array(trace.iterates[:len(steps)]))
+        dense_norms = operators.jacobian_norms(
+            model, np.array(trace.iterates[:len(steps)]),
+            "Jacobian at a recorded iterate").tolist()
         worst_ceiling = 0.0
         for diag, dense in zip(steps, dense_norms):
             ceiling = q / (1.0 - q) * dense**2

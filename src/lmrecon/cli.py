@@ -48,7 +48,6 @@ from .errors import (
 )
 from .operators import ForwardModel, StabilityCertificate
 from .recon import (
-    MEASUREMENTS,
     CompactBox,
     MeasurementOperator,
     reconstruct_exact,
@@ -122,7 +121,7 @@ def _resolve_measurement(cfg: RunConfig, prob) -> MeasurementOperator:
     problem's unknowns is a config error, since Q o F cannot be injective."""
     meas, dim_y = cfg.measurement or "identity", prob.model.dim_y
     if isinstance(meas, str):
-        q_op = MEASUREMENTS[meas](dim_y)
+        q_op = MeasurementOperator.identity(dim_y)
     elif len(meas[0]) != dim_y:
         raise ConfigInvalid(
             f"measurement matrix has {len(meas[0])} columns, data dimension is {dim_y}"

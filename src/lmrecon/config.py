@@ -15,7 +15,7 @@ import yaml
 
 from .errors import ConfigInvalid
 from .operators import StabilityCertificate
-from .recon import BUDGET_CAP, MEASUREMENTS
+from .recon import BUDGET_CAP
 
 # mode -> (keys it requires, {command that runs it: the other keys it reads}).
 # parse rejects a key no command reads in the mode, and main one its command
@@ -138,8 +138,8 @@ def _check_box(box, field: str) -> dict:
 
 def _check_measurement(meas, field: str):
     if isinstance(meas, str):
-        _expect(meas in MEASUREMENTS, field,
-                f"unknown preset; use one of {tuple(MEASUREMENTS)} or a matrix")
+        _expect(meas == "identity", field,
+                "unknown preset; use one of ('identity',) or a matrix")
         return meas
     if not isinstance(meas, list):
         _fail(field, "expected a preset name or a matrix literal")

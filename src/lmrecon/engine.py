@@ -34,7 +34,7 @@ from .operators import (
     as_vector,
     check_domain,
     domain_violation,
-    estimate_jacobian_norm,
+    jacobian_norms,
     require_finite,
     require_in_domain,
     vector_norm,
@@ -613,7 +613,7 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
     """
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
-    jn = estimate_jacobian_norm(model, x, check=False)
+    jn = float(jacobian_norms(model, x[None], "Jacobian J(x)")[0])
     jn_sq = _power(jn, 2)
     if step_scale is None:
         if jn == 0.0:

@@ -103,15 +103,11 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     matrix from underflowing or overflowing; a zero matrix gets exactly 0,
     and an empty stack an empty array.
     The matrices are laid out batch-last, so that every operation acts on
-    rows of k values, and each Gram entry is summed row by row, in row
-    order, one addition of k values at a time: each norm has the same bits
-    whatever the stack's k.  The row loop makes m - 1 numpy calls per entry
-    where ``np.add.accumulate`` makes one, but writes no m partial sums.
-    On x86-64 with numpy 2.4 it is the faster of the two on a full block
-    (k = 1024) at every shape tried, up to 100 x 12 (57 against 90 ms a
-    stack), and the slower on a 100-matrix stack of 100 x 12 (10 against
-    5 ms).  The shipped problems have m <= 3; re-measure before a wider
-    problem leans on this screen.
+    rows of k values, and each Gram entry is one ``np.add.reduce`` over the
+    rows.  It sums row by row, in row order, one addition of k values at a
+    time, so each norm has the same bits whatever the stack's k, except on
+    a single matrix (k = 1) whose larger dimension is 8 or more, which
+    numpy sums pairwise and so can round differently.
     """
     if stack.shape[1] < stack.shape[2]:
         stack = stack.transpose(0, 2, 1)
@@ -120,12 +116,9 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     unit = cols / np.where(scale > 0.0, scale, 1.0)
 
     def gram(i, j):
-        # sequential sums; np.sum may sum pairwise when k = 1
-        ui, uj = unit[i], unit[j]
-        total = ui[0] * uj[0]
-        for row in range(1, ui.shape[0]):
-            total = total + ui[row] * uj[row]
-        return total
+        # -0.0 adds exactly, so a sum of negative zeros stays -0.0 as it
+        # does row by row; numpy's default start, +0.0, would flip its sign
+        return np.add.reduce(unit[i] * unit[j], axis=0, initial=-0.0)
 
     n = unit.shape[0]
     if n == 1:
@@ -196,13 +189,15 @@ def _pair_quantities(model: ForwardModel, pa: np.ndarray, pb: np.ndarray):
     norms are taken by :func:`row_norms` (the bits of the per-pair
     ``np.linalg.norm``).  Every row is computed on its own, by the
     ``ForwardModel`` batch contract and the screen's independence of the
-    stack size, so the results do not depend on the block size, on the
-    stacking or on whether the model has batched callables.  A block is
-    indexed down to its pairs with a != b, before F is taken, only when it
-    has a pair with a == b, which random pairs and the pairs of distinct
-    grid points never are.  The spectral norms are screened: pass them
-    through :func:`_settle` before comparing them with a peak or a
-    threshold.
+    stack size, so the results do not depend on the stacking or on whether
+    the model has batched callables.  They depend on the block size only
+    where a block keeps a single pair apart and J's larger dimension is 8
+    or more: :func:`_spectral_norms` then screens that pair's
+    ``||J(a) - J(b)||`` as a single matrix.  A block is indexed down to its
+    pairs with a != b, before F is taken, only when it has a pair with
+    a == b, which random pairs and the pairs of distinct grid points never
+    are.  The spectral norms are screened: pass them through :func:`_settle`
+    before comparing them with a peak or a threshold.
     """
     jac = np.empty((pa.shape[0], 2))
     apart = np.empty((pa.shape[0], 3))

@@ -242,17 +242,20 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row of a 2-D array.
 
     Each entry has the bits of ``np.linalg.norm(row)`` (both take the square
-    root of one dot product per row), except where that norm underflows to 0
-    on a row with a nonzero entry: such a row gets ``m * ||row / m||`` with
-    ``m = max|row|``, so that only an all-zero row has norm 0.  The rescue
-    costs one reduction on a call whose norms are all nonzero.
+    root of one dot product per row), except where the squared norm is
+    subnormal, and so lost bits or underflowed to 0, on a row with a nonzero
+    entry: such a row gets ``m * ||row / m||`` with ``m = max|row|``, so that
+    only an all-zero row has norm 0.  A NaN row keeps its NaN and rescues no
+    other.  The rescue costs one reduction on a call that needs none.
     """
     norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
-    if not norms.all():
-        at = np.flatnonzero(norms == 0.0)
+    # 2**-511 is the square root of the smallest normal float; fmin skips
+    # the NaN of a NaN row, which min would return
+    if np.fmin.reduce(norms, initial=math.inf) < 2.0**-511:
+        at = np.flatnonzero(norms < 2.0**-511)
         scale = np.abs(rows[at]).max(axis=1, initial=0.0)
         at, scale = at[scale > 0.0], scale[scale > 0.0]
-        # a scaled row has an entry of size 1, so its norm does not underflow
+        # a scaled row has an entry of size 1, so its squared norm is normal
         norms[at] = scale * row_norms(rows[at] / scale[:, None])
     return norms
 
@@ -309,25 +312,34 @@ def _spectral_norm(a: np.ndarray) -> np.ndarray:
     return s.max(axis=-1, initial=0.0)
 
 
-def estimate_jacobian_norm(model: ForwardModel, x, iters: int = 100,
-                           check: bool = True) -> float:
-    """The spectral norm ||J(x)||, exactly: the largest singular value of the
-    dense Jacobian from :func:`jacobian_matrix`, with the bits of
-    ``np.linalg.norm(J, 2)`` from one LAPACK call (:func:`_spectral_norm`).
-
-    ``iters`` has no effect and must be >= 1; it stays for existing callers
-    that pass it.  Raises :class:`NonFiniteOutput` when J(x) holds NaN or
+def jacobian_norms(model: ForwardModel, xs, what: str) -> np.ndarray:
+    """The exact spectral norm ||J(x)|| at every row of the (k, dim_x) array
+    ``xs``: J by one :func:`jacobian_stack`, and the bits of
+    ``np.linalg.norm(J, 2)`` by one stacked LAPACK call
+    (:func:`_spectral_norm`); no ball check.  Raises
+    :class:`NonFiniteOutput` naming ``what`` when a Jacobian holds NaN or
     inf, before the SVD sees it, and :class:`NonConvergence` when the SVD
     fails.
+    """
+    jacs = jacobian_stack(model, xs)
+    require_finite(jacs, what)
+    return _spectral_norm(jacs)
+
+
+def estimate_jacobian_norm(model: ForwardModel, x, iters: int = 100,
+                           check: bool = True) -> float:
+    """:func:`jacobian_norms` at the one point ``x``, checked against the
+    ball unless ``check`` is false.
+
+    ``iters`` has no effect and must be >= 1; it stays for existing callers
+    that pass it.
     """
     x = as_vector(x, model.dim_x, "x")
     if check:
         require_in_domain(model, x)
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    j = jacobian_matrix(model, x)
-    require_finite(j, "Jacobian J(x)")
-    return float(_spectral_norm(j))
+    return float(jacobian_norms(model, x[None], "Jacobian J(x)")[0])
 
 
 def finite_difference_jacobian(model: ForwardModel, x) -> np.ndarray:
@@ -353,7 +365,9 @@ def max_adjoint_defect(model: ForwardModel, points, samples: int = 100,
     absolute tolerance like 1e-10.  The norms are :func:`vector_norm`'s, the
     bits of ``np.linalg.norm``.  Raises :class:`NonFiniteOutput` when ``J v``
     or ``J* w`` holds NaN or inf, which would otherwise give a NaN defect
-    that the running maximum drops.
+    that the running maximum drops, and :class:`NonConvergence` when a
+    sample's scale overflows to inf, which would otherwise divide every gap,
+    however wrong the adjoint, down to 0.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -364,6 +378,10 @@ def max_adjoint_defect(model: ForwardModel, points, samples: int = 100,
         w = rng.standard_normal(model.dim_y)
         jv = as_vector(model.jacobian_apply(x, v), model.dim_y, "J v")
         scale = 1.0 + finite_norm(jv, "Jacobian action J v") * vector_norm(w)
+        if scale == math.inf:
+            raise NonConvergence(
+                "adjoint check: the scale 1 + ||J v|| ||w|| of a sample "
+                "overflows to inf, so its defect cannot be measured")
         jtw = as_vector(model.jacobian_adjoint_apply(x, w), model.dim_x, "J* w")
         require_finite(jtw, "adjoint action J* w")
         gap = abs(float(np.dot(jv, w)) - float(np.dot(v, jtw)))

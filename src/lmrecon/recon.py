@@ -83,12 +83,6 @@ class MeasurementOperator:
         return cls(np.eye(m))
 
 
-# config preset name -> the measurement on data of a given dimension; any
-# other measurement is a matrix, which the CLI refuses unless its rank reaches
-# the problem's unknowns
-MEASUREMENTS = {"identity": MeasurementOperator.identity}
-
-
 @dataclass(frozen=True, eq=False)
 class CompactBox:
     """Axis-aligned box of candidate parameters."""

@@ -7,6 +7,27 @@ from lmrecon.operators import ForwardModel, forward_stack, jacobian_matrix, jaco
 GALLERY_IDS = gallery_ids()
 
 
+def _not_run(config) -> str:
+    """The counts of skipped, xfailed and xpassed tests, or ''."""
+    reporter = config.pluginmanager.get_plugin("terminalreporter")
+    stats = reporter.stats if reporter is not None else {}
+    return ", ".join(f"{len(stats[kind])} {kind}"
+                     for kind in ("skipped", "xfailed", "xpassed") if stats.get(kind))
+
+
+def pytest_sessionfinish(session, exitstatus):
+    # every test here must run, and pass: a session that would pass but
+    # skipped, xfailed or xpassed a test fails
+    if exitstatus == pytest.ExitCode.OK and _not_run(session.config):
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if counts := _not_run(config):
+        terminalreporter.write_sep("=", f"every test must run and pass: {counts}",
+                                   red=True)
+
+
 @pytest.fixture(scope="session")
 def gallery_problems():
     """All shipped problems, built once per session (estimation is sampled)."""

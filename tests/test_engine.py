@@ -140,6 +140,18 @@ class TestIterationsForAccuracy:
         assert m == 11
         assert rate_bound(11, tc, 1.0) <= 0.008 < rate_bound(10, tc, 1.0)
 
+    def test_zero_base_of_the_holder_rate_is_a_condition_violation(self):
+        # rho = inf and c = 0 make the Hoelder rate's base c k p + rho^(-p)
+        # exactly 0, which Python's pow refuses to raise to -1/p
+        from lmrecon.engine import TheoryConstantsExact
+
+        tc = TheoryConstantsExact(rho=math.inf, c=0.0, q_condition_ok=True,
+                                  rho_lt_rho_prime=True)
+        with pytest.raises(ZeroDivisionError):
+            rate_bound(1, tc, 0.5)
+        with pytest.raises(ConditionViolated, match="^no iteration count"):
+            iterations_for_accuracy(1.0, tc, 0.5)
+
     def test_holder_case_matches_scan(self):
         tc = compute_constants_exact(unit_cert(eps=0.5), 0.5)
         target = 1e-7

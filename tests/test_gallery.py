@@ -280,6 +280,22 @@ class TestScreenedNorms:
         got = _spectral_norms(stack)
         assert np.all(np.abs(got - want) <= 1e-14 * want), (got, want)
 
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 100), n=st.integers(1, 12), k=st.integers(1, 4),
+           wide=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           exponent=st.integers(-200, 200))
+    def test_screen_matches_lapack_tall_and_wide(self, m, n, k, wide, seed,
+                                                 exponent):
+        # up to 100 x 12 and 12 x 100: numpy sums the Gram entries of a
+        # single matrix (k = 1) with 8 or more rows pairwise, and those of a
+        # stack row by row; both stay within the bound of the small shapes
+        stack = np.random.default_rng(seed).standard_normal((k, m, n)) * 10.0**exponent
+        if wide:
+            stack = stack.transpose(0, 2, 1)
+        want = _lapack_norms(stack)
+        got = _spectral_norms(stack)
+        assert np.all(np.abs(got - want) <= 1e-14 * want), (got, want)
+
     @staticmethod
     def _assert_oracle_matches_lapack(model, box, seed, level):
         # verify draws its pairs from seed + 1; put its violation threshold

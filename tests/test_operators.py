@@ -234,6 +234,32 @@ def test_max_adjoint_defect_rejects_non_finite_actions(part, value):
         max_adjoint_defect(broken, [np.zeros(2), bad_x], samples=20, seed=1)
 
 
+def test_max_adjoint_defect_refuses_an_overflowing_scale():
+    # a 2x adjoint shows at scale 1; at 1e160, ||J v||^2 overflows, every
+    # sample's scale 1 + ||J v|| ||w|| is inf and would divide its gap to 0
+    def doubled(scale):
+        model = linear_model(scale * np.eye(2))
+        return dataclasses.replace(
+            model, jacobian_adjoint_apply=lambda x, w: 2.0 * scale * w)
+
+    assert max_adjoint_defect(doubled(1.0), [np.zeros(2)], samples=100,
+                              seed=11) > 0.5
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonConvergence, match="^adjoint check: the scale"):
+            max_adjoint_defect(doubled(1e160), [np.zeros(2)], samples=100,
+                               seed=11)
+    assert [str(w.message) for w in caught] == ["overflow encountered in dot"]
+    # an infinite gap over a finite scale is an infinite defect, which fails
+    # any tolerance
+    huge = dataclasses.replace(linear_model([[1.0]]),
+                               jacobian_adjoint_apply=lambda x, w: np.full(1, 1.7e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert max_adjoint_defect(huge, [np.zeros(1)], samples=100,
+                                  seed=11) == math.inf
+
+
 @pytest.mark.parametrize("pid", GALLERY_IDS)
 def test_finite_difference_jacobian_sampled(pid, gallery_problems):
     prob = gallery_problems[pid]
@@ -344,20 +370,46 @@ def test_finite_norm_is_the_checked_norm(v):
 @given(k=st.integers(1, 8), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_row_norms_are_numpys_unless_they_underflow(k, n, seed):
     # rows at scales from 1e-320 to 1e150, some of them zero: a row whose
-    # np.linalg.norm is nonzero keeps its bits, and one whose norm
-    # underflows to 0 gets the accurate norm of math.hypot (to the last
-    # subnormal step where it is subnormal), 0 only when every entry is
+    # squared norm is normal keeps np.linalg.norm's bits, and one whose
+    # squared norm is subnormal (its norm is below 2**-511) gets the
+    # accurate norm of math.hypot (to the last subnormal step where it is
+    # subnormal), 0 only when every entry is
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-320.0, 150.0, (k, 1))
     rows[rng.random(k) < 0.2] = 0.0
     got = row_norms(rows)
     for norm, row in zip(got.tolist(), rows):
         want = float(np.linalg.norm(row))
-        if want != 0.0:
+        if want >= 2.0**-511:
             assert norm.hex() == want.hex()
         else:
             assert norm == pytest.approx(math.hypot(*row), rel=1e-14, abs=5e-324)
             assert (norm == 0.0) == (not row.any())
+
+
+def test_row_norms_rescue_subnormal_squares_beside_nan_rows():
+    # 3e-161**2 and 4e-161**2 are subnormal, so their dot product keeps few
+    # bits (np.linalg.norm gives 4.99997e-161); a NaN row in the same call
+    # keeps its NaN and does not stop the rescue
+    rows = np.array([[3e-161, 4e-161], [np.nan, 1.0], [0.0, 0.0], [3.0, 4.0]])
+    got = row_norms(rows)
+    assert got[0] == pytest.approx(math.hypot(3e-161, 4e-161), rel=1e-15, abs=0.0)
+    assert math.isnan(got[1]) and got[2] == 0.0 and got[3] == 5.0
+
+
+@pytest.mark.parametrize("s", [1e-158, 1e-300])
+def test_oracle_constants_of_a_tiny_linear_map(s):
+    # F(x) = s x on [0, 1]: every ||F(a) - F(b)|| has a subnormal square,
+    # yet the oracle's forward_lip is s and its recon_const 1/(2 s), up to
+    # the rounding of s a - s b; the root of a subnormal square is off by
+    # up to 40 % here
+    from lmrecon.gallery import INFLATION, estimate_stability_constants
+    from lmrecon.recon import CompactBox
+
+    box = CompactBox(np.zeros(1), np.ones(1))
+    cert = estimate_stability_constants(linear_model([[s]]), box, eps=1.0, seed=3)
+    assert cert.forward_lip / INFLATION == pytest.approx(s, rel=1e-12, abs=0.0)
+    assert cert.recon_const / INFLATION == pytest.approx(0.5 / s, rel=1e-12, abs=0.0)
 
 
 @st.composite

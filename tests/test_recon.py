@@ -42,8 +42,7 @@ from lmrecon.recon import (
 class TestMeasurementOperator:
     def test_presets(self):
         # the identity is the one preset; every other Q is a matrix
-        assert list(recon.MEASUREMENTS) == ["identity"]
-        assert recon.MEASUREMENTS["identity"](3).is_identity
+        assert MeasurementOperator.identity(3).is_identity
         avg = MeasurementOperator(np.full((1, 4), 0.25))
         assert avg(np.array([1.0, 2.0, 3.0, 4.0]))[0] == 2.5
         sel = MeasurementOperator(np.array([[1.0, 0.0, 0.0]]))
