@@ -34,12 +34,14 @@ from .operators import (
     as_vector,
     check_domain,
     domain_violation,
+    finite_norm,
     jacobian_norms,
     require_finite,
     require_in_domain,
+    row_norms,
     vector_norm,
 )
-from .step import StepDiagnostics, _residual_norm, lm_step
+from .step import StepDiagnostics, lm_step
 
 STOP_MODES = ("fixed_budget", "target_error", "discrepancy")
 
@@ -410,8 +412,8 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     which the trace keeps.
 
     The loop computes each quantity of an iterate once: ``||r||`` by
-    :func:`lmrecon.step._residual_norm` in ``residual_at``, which reads r's
-    finiteness off that norm and raises :class:`NonConvergence` when it
+    :func:`lmrecon.operators.finite_norm` in ``residual_at``, which reads
+    r's finiteness off that norm and raises :class:`NonConvergence` when it
     overflows, as :func:`lm_step` does; ``gamma`` and the step norm once per
     update; and the ball test once per update, with the violation's message
     built only for an update outside the ball.  ``step`` receives
@@ -453,11 +455,12 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
 
     def residual_at(point):
         r = y_obs - apply_forward(model, point)
-        return r, _residual_norm(r, "residual y - F(x)")
+        return r, finite_norm(r, "residual y - F(x)")
 
     r, residual = residual_at(x)
     trace.records.append(TraceRecord(0, None, residual, gamma, None, None))
-    floor = _FLOOR_EPS * (1.0 + vector_norm(y_obs))
+    # ||y|| by row_norms, which stays finite where ||y||^2 overflows
+    floor = _FLOOR_EPS * (1.0 + float(row_norms(y_obs[None])[0]))
 
     k = 0
     while True:

@@ -149,22 +149,21 @@ def vector_norm(v: np.ndarray) -> float:
 
 
 def finite_norm(v: np.ndarray, what: str) -> float:
-    """:func:`vector_norm` of ``v``, raising :class:`NonFiniteOutput` as
-    ``require_finite(v, what)`` does when ``v`` holds NaN or inf.
+    """The checked Euclidean norm of ``v``: :func:`vector_norm`'s bits when
+    they are finite.  Otherwise raises :class:`NonFiniteOutput` as
+    ``require_finite(v, what)`` does when ``v`` holds NaN or inf, and
+    :class:`NonConvergence` naming ``what`` when a finite ``v`` has a norm
+    that overflows to inf, which no step, stopping test or scale can use.
 
-    The entries are checked one by one only when the norm is not finite,
-    which any NaN or inf entry makes it.  The first dot product is taken by
-    ``np.vdot``, which gives the same bits on the same contiguous array but
-    raises no floating-point warning, so a non-finite ``v`` raises without
-    one, as when the check came first; a finite ``v`` whose squared norm
-    overflows passes the check and gets its inf norm, with numpy's warning,
-    from :func:`vector_norm`.
+    The dot product is taken once, by ``np.vdot``, which gives the same bits
+    on the same contiguous array but raises no floating-point warning; the
+    entries are checked one by one only when the norm is not finite.
     """
     v = v.ravel(order="K")
     if math.isfinite(norm := math.sqrt(np.vdot(v, v))):
         return norm
     require_finite(v, what)
-    return vector_norm(v)
+    raise NonConvergence(f"{what} has a norm that overflows to inf")
 
 
 def apply_forward(model: ForwardModel, x) -> Vector:
@@ -242,21 +241,29 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row of a 2-D array.
 
     Each entry has the bits of ``np.linalg.norm(row)`` (both take the square
-    root of one dot product per row), except where the squared norm is
-    subnormal, and so lost bits or underflowed to 0, on a row with a nonzero
-    entry: such a row gets ``m * ||row / m||`` with ``m = max|row|``, so that
-    only an all-zero row has norm 0.  A NaN row keeps its NaN and rescues no
-    other.  The rescue costs one reduction on a call that needs none.
+    root of one dot product per row), except where the squared norm is not
+    a normal float on a row of finite entries that are not all zero: where
+    it is subnormal, and so lost bits or underflowed to 0, or where it
+    overflows to inf.  Such a row gets the rescaled norm ``m * ||row / m||``
+    with ``m = max|row|`` (Blue 1978), so that only an all-zero row has
+    norm 0 and only a norm past the float range is inf.  A NaN row keeps
+    its NaN and a row with an inf entry its inf; neither stops the rescue
+    of another.  No floating-point warning is raised.  A call that needs no
+    rescue pays for an ``np.errstate`` and two reductions.
     """
-    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
-    # 2**-511 is the square root of the smallest normal float; fmin skips
-    # the NaN of a NaN row, which min would return
-    if np.fmin.reduce(norms, initial=math.inf) < 2.0**-511:
-        at = np.flatnonzero(norms < 2.0**-511)
-        scale = np.abs(rows[at]).max(axis=1, initial=0.0)
-        at, scale = at[scale > 0.0], scale[scale > 0.0]
-        # a scaled row has an entry of size 1, so its squared norm is normal
-        norms[at] = scale * row_norms(rows[at] / scale[:, None])
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+        # 2**-511 is the square root of the smallest normal float; fmin and
+        # fmax skip the NaN of a NaN row, which min and max would return
+        if (np.fmin.reduce(norms, initial=math.inf) < 2.0**-511
+                or np.fmax.reduce(norms, initial=0.0) == math.inf):
+            at = np.flatnonzero((norms < 2.0**-511) | (norms == math.inf))
+            scale = np.abs(rows[at]).max(axis=1, initial=0.0)
+            keep = (scale > 0.0) & (scale < math.inf)
+            at, scale = at[keep], scale[keep]
+            # a scaled row has an entry of size 1, so its squared norm is
+            # normal; the product overflows only where the norm does
+            norms[at] = scale * row_norms(rows[at] / scale[:, None])
     return norms
 
 
@@ -362,12 +369,16 @@ def max_adjoint_defect(model: ForwardModel, points, samples: int = 100,
 
     The defect ``|<J v, w> - <v, J* w>|`` at each triple is normalized by
     ``1 + ||J v|| * ||w||`` so the result compares directly against an
-    absolute tolerance like 1e-10.  The norms are :func:`vector_norm`'s, the
-    bits of ``np.linalg.norm``.  Raises :class:`NonFiniteOutput` when ``J v``
-    or ``J* w`` holds NaN or inf, which would otherwise give a NaN defect
-    that the running maximum drops, and :class:`NonConvergence` when a
-    sample's scale overflows to inf, which would otherwise divide every gap,
-    however wrong the adjoint, down to 0.
+    absolute tolerance like 1e-10.  The norms have the bits of
+    ``np.linalg.norm``, and the inner products are ``np.vdot``'s, which
+    raise no floating-point warning: a gap that overflows gives an infinite
+    defect, which fails any tolerance.  Raises :class:`NonFiniteOutput` when
+    ``J v`` or ``J* w`` holds NaN or inf, which would otherwise give a NaN
+    defect that the running maximum drops, and :class:`NonConvergence`
+    (from :func:`finite_norm`) when ``||J v||`` overflows.  Otherwise
+    ``||J v||`` is below ``2**512``, as is the ``||w||`` of a standard
+    normal ``w``, so the scale is finite and never divides a gap, however
+    wrong the adjoint, down to 0.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -378,13 +389,9 @@ def max_adjoint_defect(model: ForwardModel, points, samples: int = 100,
         w = rng.standard_normal(model.dim_y)
         jv = as_vector(model.jacobian_apply(x, v), model.dim_y, "J v")
         scale = 1.0 + finite_norm(jv, "Jacobian action J v") * vector_norm(w)
-        if scale == math.inf:
-            raise NonConvergence(
-                "adjoint check: the scale 1 + ||J v|| ||w|| of a sample "
-                "overflows to inf, so its defect cannot be measured")
         jtw = as_vector(model.jacobian_adjoint_apply(x, w), model.dim_x, "J* w")
         require_finite(jtw, "adjoint action J* w")
-        gap = abs(float(np.dot(jv, w)) - float(np.dot(v, jtw)))
+        gap = abs(float(np.vdot(jv, w)) - float(np.vdot(v, jtw)))
         worst = max(worst, gap / scale)
     return worst
 

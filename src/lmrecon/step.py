@@ -187,30 +187,12 @@ def _spectrum(model: ForwardModel, x) -> Spectrum:
     return Spectrum(lam, u, j, adj, basis)
 
 
-def _residual_norm(r: np.ndarray, what: str) -> float:
-    """``||r||`` by :func:`finite_norm`, which raises :class:`NonFiniteOutput`
-    naming ``what`` when ``r`` holds NaN or inf.
-
-    Raises :class:`NonConvergence` when a finite ``r`` has a norm that
-    overflows to inf: no shift meets the infinite Morozov target
-    ``q * ||r||``, and no stopping test or step size can use it.  The LM step
-    and the iteration loop of :mod:`lmrecon.engine` both take ``||r||``
-    here, so every driver stops on such a residual with the same error.
-    """
-    rnorm = finite_norm(r, what)
-    if rnorm == math.inf:
-        raise NonConvergence(
-            "residual norm ||r|| overflows to inf, so no step or stopping "
-            "test can use it")
-    return rnorm
-
-
 def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float,
                   rnorm: float):
     """Safeguarded Newton on the Morozov equation for the Gram spectrum
     ``spec`` from :func:`_spectrum`; returns
     (alpha, z, Newton iterations, alpha_bound).  ``rnorm`` is ``||r||``,
-    which the caller has taken by :func:`_residual_norm`, so it is finite.
+    which the caller has taken by :func:`finite_norm`, so it is finite.
 
     With ``(c, rest) = spec.split(r)``,
     ``phi(alpha)^2 = ||alpha / (lam + alpha) * c||^2 + ||rest||^2``.  The
@@ -290,17 +272,18 @@ def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10):
     when ``r`` vanishes (the caller should declare convergence),
     :class:`NonFiniteOutput` when ``r``, J, the adjoint's matrix or the Gram
     matrix holds NaN or inf, and :class:`NonConvergence` when ``||r||``
-    overflows.
+    overflows, since no shift meets an infinite Morozov target ``q * ||r||``.
 
-    ``||r||`` is taken once, by :func:`_residual_norm`, and r's finiteness is
-    read off it; the shift selection and the diagnostics reuse it.  The
+    ``||r||`` is taken once, by :func:`finite_norm`, the rule the iteration
+    loop of :mod:`lmrecon.engine` takes it by, and r's finiteness is read
+    off it; the shift selection and the diagnostics reuse it.  The
     finiteness of J and of the adjoint's matrix is checked in
     :func:`gram_matrix`, before either enters a product, and the Gram
     matrix's is read off ``max|G|`` in :func:`_spectrum`.
     """
     x = as_vector(x, model.dim_x, "x")
     r = as_vector(r, model.dim_y, "r")
-    rnorm = _residual_norm(r, "residual r")
+    rnorm = finite_norm(r, "residual r")
     spec = _spectrum(model, x)
     alpha, z, iters, alpha_bound = _select_alpha(spec, r, q, tol_alpha, rnorm)
     s = spec.adjoint(z)

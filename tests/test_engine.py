@@ -924,14 +924,15 @@ def _offset_model(dim):
 def test_overflowing_residual_norm(dim, driver):
     # ||r|| = inf from finite entries: every driver stops on the first
     # residual, before any step, and lm_step before its shift search, since
-    # no shift meets an infinite target.  The one warning is numpy's on the
-    # squared norm that overflows.
+    # no shift meets an infinite target; the error names the residual, and
+    # no floating-point warning is raised
     model, y, x0 = _offset_model(dim), np.zeros(dim), np.zeros(dim)
     cfg = SolverConfig(q=0.5, max_iters=3)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(NonConvergence, match=r"^residual norm \|\|r\|\| "
-                           "overflows to inf"):
+    what = "residual r" if driver == "lm_step" else r"residual y - F\(x\)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence,
+                           match=f"^{what} has a norm that overflows to inf$"):
             if driver == "exact":
                 run_exact(model, None, y, x0, cfg)
             elif driver == "noisy":
@@ -941,8 +942,35 @@ def test_overflowing_residual_norm(dim, driver):
                 landweber_run(model, y, x0, 0.5, cfg)
             else:
                 lm_step(model, x0, -np.full(dim, 1e200), 0.5)
-    assert {str(w.message) for w in caught} == {"overflow encountered in dot"}
-    assert {w.category for w in caught} == {RuntimeWarning}
+
+
+@pytest.mark.parametrize("driver", ["exact", "landweber"])
+def test_floor_of_data_whose_squared_norm_overflows(driver):
+    # F(x) = x + 1e155 (J = I): ||y||^2 overflows, yet the machine-precision
+    # floor 100 eps (1 + ||y||), about 3.1e141, stays finite, so a run that
+    # starts at a residual of 1.41e143 steps until it falls below the floor
+    shift = np.full(2, 1e155)
+    model = ForwardModel(dim_x=2, dim_y=2, center=np.zeros(2),
+                         radius_sq=math.inf, forward=lambda x: x + shift,
+                         jacobian_apply=lambda x, v: 1.0 * v,
+                         jacobian_adjoint_apply=lambda x, w: 1.0 * w)
+    truth = np.array([3e142, -2e142])
+    y, x0 = truth + shift, truth + 1e143
+    cfg = SolverConfig(q=0.5, max_iters=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if driver == "exact":
+            trace = run_exact(model, truth, y, x0, cfg)
+        else:
+            trace = landweber_run(model, y, x0, None, cfg, x_dagger=truth)
+    floor = 100.0 * np.finfo(float).eps * (1.0 + math.hypot(*y))
+    residuals = trace.residuals()
+    assert trace.terminal == "zero_residual"
+    # y - F(x) rounds at the 2e139 spacing of floats near 1e155
+    assert residuals[0] == pytest.approx(math.sqrt(2.0) * 1e143, rel=1e-3)
+    assert trace.iterations >= 2
+    assert residuals[-1] <= floor < residuals[-2]
+    assert floor == pytest.approx(3.14e141, rel=1e-2)
 
 
 def _assert_record(trace, x_dagger=None):

@@ -235,27 +235,29 @@ def test_max_adjoint_defect_rejects_non_finite_actions(part, value):
 
 
 def test_max_adjoint_defect_refuses_an_overflowing_scale():
-    # a 2x adjoint shows at scale 1; at 1e160, ||J v||^2 overflows, every
-    # sample's scale 1 + ||J v|| ||w|| is inf and would divide its gap to 0
+    # a 2x adjoint shows at scale 1 and at 1e153, where ||J v||^2 is still
+    # finite and so is every sample's scale 1 + ||J v|| ||w||; at 1e160,
+    # ||J v||^2 overflows, and an infinite scale would divide every gap to
+    # 0, so the check refuses it, naming J v; no case warns
     def doubled(scale):
         model = linear_model(scale * np.eye(2))
         return dataclasses.replace(
             model, jacobian_adjoint_apply=lambda x, w: 2.0 * scale * w)
 
-    assert max_adjoint_defect(doubled(1.0), [np.zeros(2)], samples=100,
-                              seed=11) > 0.5
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(NonConvergence, match="^adjoint check: the scale"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1.0, 1e153):
+            assert max_adjoint_defect(doubled(scale), [np.zeros(2)],
+                                      samples=100, seed=11) > 0.5
+        with pytest.raises(NonConvergence, match="^Jacobian action J v has a "
+                           "norm that overflows to inf$"):
             max_adjoint_defect(doubled(1e160), [np.zeros(2)], samples=100,
                                seed=11)
-    assert [str(w.message) for w in caught] == ["overflow encountered in dot"]
-    # an infinite gap over a finite scale is an infinite defect, which fails
-    # any tolerance
-    huge = dataclasses.replace(linear_model([[1.0]]),
-                               jacobian_adjoint_apply=lambda x, w: np.full(1, 1.7e308))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        # an infinite gap over a finite scale is an infinite defect, which
+        # fails any tolerance
+        huge = dataclasses.replace(
+            linear_model([[1.0]]),
+            jacobian_adjoint_apply=lambda x, w: np.full(1, 1.7e308))
         assert max_adjoint_defect(huge, [np.zeros(1)], samples=100,
                                   seed=11) == math.inf
 
@@ -353,48 +355,64 @@ def test_vector_norm_is_numpys_norm(v):
 @settings(max_examples=300, deadline=None)
 @given(v=norm_vectors())
 def test_finite_norm_is_the_checked_norm(v):
-    # finite_norm(v) behaves as require_finite(v) followed by the norm: a NaN
-    # or inf entry raises, with no warning; otherwise the norm's bits, with
-    # numpy's warning when the squared norm overflows
-    if not np.isfinite(v).all():
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+    # finite_norm(v) is np.linalg.norm's bits wherever the squared norm is
+    # finite; a NaN or inf entry raises NonFiniteOutput and a squared norm
+    # that overflows NonConvergence, each naming v; nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not np.isfinite(v).all():
             with pytest.raises(NonFiniteOutput, match="^v is not finite"):
                 finite_norm(v, "v")
-    else:
-        assert _norm_and_warnings(lambda u: finite_norm(u, "v"), v) == \
-            _norm_and_warnings(np.linalg.norm, v)
+        elif math.isfinite(np.vdot(v, v)):
+            assert float.hex(finite_norm(v, "v")) == \
+                float.hex(float(np.linalg.norm(v)))
+        else:
+            with pytest.raises(NonConvergence,
+                               match="^v has a norm that overflows to inf$"):
+                finite_norm(v, "v")
 
 
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(1, 8), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-def test_row_norms_are_numpys_unless_they_underflow(k, n, seed):
-    # rows at scales from 1e-320 to 1e150, some of them zero: a row whose
+def test_row_norms_are_numpys_unless_their_squares_leave_the_normal_range(k, n, seed):
+    # rows at scales from 1e-320 to 1e308, some of them zero: a row whose
     # squared norm is normal keeps np.linalg.norm's bits, and one whose
-    # squared norm is subnormal (its norm is below 2**-511) gets the
-    # accurate norm of math.hypot (to the last subnormal step where it is
-    # subnormal), 0 only when every entry is
+    # squared norm is subnormal (its norm is below 2**-511) or overflows
+    # gets the accurate norm of math.hypot (to the last subnormal step where
+    # it is subnormal, inf where it overflows), 0 only when every entry is;
+    # nothing warns
     rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-320.0, 150.0, (k, 1))
+    rows = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-320.0, 308.0, (k, 1))
     rows[rng.random(k) < 0.2] = 0.0
-    got = row_norms(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = row_norms(rows)
     for norm, row in zip(got.tolist(), rows):
-        want = float(np.linalg.norm(row))
-        if want >= 2.0**-511:
-            assert norm.hex() == want.hex()
+        # 2**-1022 is the smallest normal float
+        if 2.0**-1022 <= float(np.vdot(row, row)) < math.inf:
+            assert norm.hex() == float(np.linalg.norm(row)).hex()
         else:
             assert norm == pytest.approx(math.hypot(*row), rel=1e-14, abs=5e-324)
             assert (norm == 0.0) == (not row.any())
 
 
-def test_row_norms_rescue_subnormal_squares_beside_nan_rows():
+def test_row_norms_rescue_both_ends_beside_nan_and_inf_rows():
     # 3e-161**2 and 4e-161**2 are subnormal, so their dot product keeps few
-    # bits (np.linalg.norm gives 4.99997e-161); a NaN row in the same call
-    # keeps its NaN and does not stop the rescue
-    rows = np.array([[3e-161, 4e-161], [np.nan, 1.0], [0.0, 0.0], [3.0, 4.0]])
-    got = row_norms(rows)
+    # bits (np.linalg.norm gives 4.99997e-161), and (3e154)**2 + (4e154)**2
+    # overflows, yet the norm 5e154 is finite; a NaN row keeps its NaN and a
+    # row with an inf entry its inf without stopping the rescue, a norm past
+    # the float range is inf, and nothing warns
+    rows = np.array([[3e-161, 4e-161], [3e154, 4e154], [np.nan, 1.0],
+                     [np.inf, 1.0], [1.7e308, 1.7e308], [0.0, 0.0], [3.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = row_norms(rows)
+        # nor does a NaN row hide an overflow when no square is subnormal
+        assert row_norms(rows[1:3])[0] == got[1]
     assert got[0] == pytest.approx(math.hypot(3e-161, 4e-161), rel=1e-15, abs=0.0)
-    assert math.isnan(got[1]) and got[2] == 0.0 and got[3] == 5.0
+    assert got[1] == pytest.approx(5e154, rel=1e-15, abs=0.0)
+    assert math.isnan(got[2]) and got[3] == got[4] == math.inf
+    assert got[5] == 0.0 and got[6] == 5.0
 
 
 @pytest.mark.parametrize("s", [1e-158, 1e-300])
@@ -410,6 +428,28 @@ def test_oracle_constants_of_a_tiny_linear_map(s):
     cert = estimate_stability_constants(linear_model([[s]]), box, eps=1.0, seed=3)
     assert cert.forward_lip / INFLATION == pytest.approx(s, rel=1e-12, abs=0.0)
     assert cert.recon_const / INFLATION == pytest.approx(0.5 / s, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [1e154, 1e160, 1e300])
+def test_oracle_constants_of_a_huge_batched_linear_map(s):
+    # F(x) = s x on [0, 1]^2, with batched callables: every ||F(a) - F(b)||
+    # may have a squared norm that overflows, yet every F value is finite,
+    # and the oracle's forward_lip and jac_bound are s and its recon_const
+    # 1/(2 s)
+    from lmrecon.gallery import INFLATION, estimate_stability_constants
+    from lmrecon.recon import CompactBox
+
+    a = s * np.eye(2)
+    model = dataclasses.replace(
+        linear_model(a), forward_batch=lambda xs: xs @ a.T,
+        jacobian_batch=lambda xs: np.broadcast_to(a, (xs.shape[0], 2, 2)).copy())
+    box = CompactBox(np.zeros(2), np.ones(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = estimate_stability_constants(model, box, eps=1.0, seed=3)
+    assert cert.forward_lip / INFLATION == pytest.approx(s, rel=2e-14, abs=0.0)
+    assert cert.jac_bound / INFLATION == pytest.approx(s, rel=2e-14, abs=0.0)
+    assert cert.recon_const / INFLATION == pytest.approx(0.5 / s, rel=2e-14, abs=0.0)
 
 
 @st.composite
