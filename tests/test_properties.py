@@ -275,6 +275,10 @@ def reconstructions(draw, noisy: bool):
     lo, hi = max(0.3, q_lo), min(0.7, q_hi)
     assume(lo < hi)
     q = lo + draw(st.floats(0.0, 1.0, exclude_max=True)) * (hi - lo)
+    # q rounds to q_hi when the draw is within an ulp of 1, and rho(q_hi)
+    # rounds to rho' itself, so the bound is checked at the q drawn
+    rho = compute_constants_exact(prob.cert, q, strict=False).rho / (4.0 if noisy else 1.0)
+    assume(rho < prob.cert.domain_rho_prime)
     truth = np.array(draw(st.lists(st.floats(-B / 2, B / 2), min_size=n, max_size=n)))
     return prob, q, truth
 
