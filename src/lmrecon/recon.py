@@ -10,6 +10,11 @@ A lattice is kept as its per-axis coordinates.  The scan forms
 ``STACK_BLOCK`` of its points at a time, evaluates them in one array pass, in
 index order, and takes the first point that passes the measured-data test, so
 the chosen initial guess is a fixed function of the lattice and the data.
+Each block is screened by one pass of squared norms: a point is skipped only
+when its screened square is at least ``threshold**2 (1 + 4 (dim_y + 2)
+2**-53)``, which bounds the screen's rounding against the exact norm, and
+only the other points take the exact norm that the test compares, so the
+first hit is the one that exact norms on every point would give.
 """
 
 from __future__ import annotations
@@ -275,28 +280,80 @@ def build_lattice(box: CompactBox, r_cover: float) -> Lattice:
     return Lattice(axes=axes, covering_radius=0.5 * float(np.linalg.norm(spacing)))
 
 
+def _screen_bound(threshold: float, dim_y: int) -> float | None:
+    """The squared norm ``threshold**2 (1 + 4 (dim_y + 2) 2**-53)`` that a
+    row's screened square must reach to prove ``row_norms(row) >= threshold``,
+    or None where the screen is off.
+
+    The screened square and the square under :func:`row_norms` sum the same
+    ``dim_y`` squares in some order, so each lies within ``dim_y`` roundings
+    of ``2**-53`` (relative) of the true sum, plus half a subnormal step for
+    each square that underflows, which against a normal ``threshold**2`` is
+    less than one more rounding per square.  The exact norm's square root,
+    its rescue from under- or overflow and the rounding of the bound itself
+    add a few more; ``4 (dim_y + 2)`` covers them all.  A screened sum that
+    overflows lies above any finite bound before it rounds to inf.  The
+    screen is off where ``threshold**2`` is not a normal float (there its
+    rounding is not relative, or it is inf) or the bound overflows.
+    """
+    square = threshold * threshold
+    bound = square * (1.0 + 4.0 * (dim_y + 2) * 2.0**-53)
+    return bound if 2.0**-1022 <= square and bound < math.inf else None
+
+
 def scan_for_initial_guess(lattice: Lattice, measured_model: ForwardModel,
                            y_obs, threshold: float, details: bool = False):
     """First lattice point (in index order) within ``threshold`` of the data.
 
     Candidates are compared in measured-data space: the point ``x_j`` is
-    accepted iff ``||Q(F(x_j)) - y_obs|| < threshold``.  The points are
-    formed by :meth:`Lattice.block` and evaluated ``STACK_BLOCK`` at a time in
-    one array pass, and the scan stops at the first block with a hit, so it
-    may evaluate up to ``STACK_BLOCK - 1`` points past the chosen one; the
-    chosen point is still the first in index order, since each stacked row
-    has the bits of the per-point evaluation.  A point whose data are not
-    finite fails the test and is skipped.  With ``details`` the result is
-    ``(x0, index, points scanned)``, where the count is the points the result
-    needed (``index + 1``), not the points evaluated.
+    accepted iff ``||Q(F(x_j)) - y_obs|| < threshold``, the norm taken by
+    :func:`row_norms`.  The points are formed by :meth:`Lattice.block` and
+    evaluated ``STACK_BLOCK`` at a time in one array pass, and the scan stops
+    at the first block with a hit, so it may evaluate up to
+    ``STACK_BLOCK - 1`` points past the chosen one; the chosen point is still
+    the first in index order, since each stacked row has the bits of the
+    per-point evaluation.
+
+    Each block is screened by one pass of squared norms, ``(d * d) @ ones``.
+    A row is skipped only when its screened square is at least
+    ``threshold**2 (1 + 4 (dim_y + 2) 2**-53)``, a slack that covers the
+    rounding of the screen against :func:`row_norms` (see
+    :func:`_screen_bound`), so no skipped row could have passed.  The other
+    rows, NaN rows included, take :func:`row_norms`' exact norm, which has
+    the same bits row by row as on the whole block, and the first of them
+    below ``threshold`` is the hit.  The screen is off, and every row takes
+    the exact norm, when ``threshold**2`` is not a finite normal float.  A
+    point whose data are not finite fails the test and is skipped.  A
+    threshold that is not positive (or NaN) admits no point and raises
+    :class:`NoCandidateFound` before any point is formed.  With ``details``
+    the result is ``(x0, index, points scanned)``, where the count is the
+    points the result needed (``index + 1``), not the points evaluated.
     """
     y_obs = as_vector(y_obs, measured_model.dim_y, "y_obs")
-    for start in range(0, lattice.size, STACK_BLOCK):
+    # no norm is below 0, nor below NaN: such a threshold scans no point
+    size = lattice.size if threshold > 0 else 0
+    # a Python float: a square that overflows is inf, not a warning
+    bound = _screen_bound(float(threshold), measured_model.dim_y)
+    ones = np.ones(measured_model.dim_y)
+    # y_obs in every row of a block: subtracting arrays of one shape is a
+    # single pass, where a broadcast y_obs costs a pass per row
+    y_rows = np.tile(y_obs, (min(size, STACK_BLOCK), 1))
+    for start in range(0, size, STACK_BLOCK):
         block = lattice.block(start, start + STACK_BLOCK)
-        passed = row_norms(forward_stack(measured_model, block) - y_obs) < threshold
-        if passed.any():
-            hit = start + int(np.argmax(passed))
-            break
+        values = forward_stack(measured_model, block)
+        if bound is None:
+            near = np.arange(values.shape[0])
+        else:
+            # squared in place: no second temporary of the block's size
+            squares = values - y_rows[:values.shape[0]]
+            with np.errstate(over="ignore"):
+                np.square(squares, out=squares)
+                near = np.flatnonzero(~(squares @ ones >= bound))
+        if near.shape[0]:
+            passed = near[row_norms(values[near] - y_obs) < threshold]
+            if passed.shape[0]:
+                hit = start + int(passed[0])
+                break
     else:
         raise NoCandidateFound(
             f"no lattice point within threshold {threshold:.6g} of the data; "

@@ -375,14 +375,18 @@ def test_finite_norm_is_the_checked_norm(v):
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(1, 8), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_row_norms_are_numpys_unless_their_squares_leave_the_normal_range(k, n, seed):
-    # rows at scales from 1e-320 to 1e308, some of them zero: a row whose
-    # squared norm is normal keeps np.linalg.norm's bits, and one whose
-    # squared norm is subnormal (its norm is below 2**-511) or overflows
-    # gets the accurate norm of math.hypot (to the last subnormal step where
-    # it is subnormal, inf where it overflows), 0 only when every entry is;
-    # nothing warns
+    # rows whose largest entry has a size from 1e-320 to 1e308, some of
+    # them zero: a row whose squared norm is normal keeps np.linalg.norm's
+    # bits, and one whose squared norm is subnormal (its norm is below
+    # 2**-511) or overflows gets the accurate norm of math.hypot (to the
+    # last subnormal step where it is subnormal, inf where it overflows), 0
+    # only when every entry is; nothing warns.  Each row is scaled from a
+    # normal draw divided by its largest entry, so the draw itself never
+    # overflows
     rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-320.0, 308.0, (k, 1))
+    rows = rng.standard_normal((k, n))
+    rows /= np.abs(rows).max(axis=1, keepdims=True)
+    rows *= 10.0 ** rng.uniform(-320.0, 308.0, (k, 1))
     rows[rng.random(k) < 0.2] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")

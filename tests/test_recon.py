@@ -24,6 +24,7 @@ from lmrecon.operators import (
     apply_forward,
     finite_difference_jacobian,
     jacobian_matrix,
+    row_norms,
 )
 from lmrecon.recon import (
     DEFAULT_LATTICE_CAP,
@@ -397,6 +398,105 @@ class TestScan:
         assert np.array_equal(x0, [float(first)])
         with pytest.raises(NoCandidateFound):
             scan_for_initial_guess(lat, model, np.array([-1.0, first]), 0.5)
+
+    @staticmethod
+    def _table_scan(table):
+        """The lattice 0, 1, ..., k - 1 and a model whose data at point i
+        is row i of ``table``."""
+        lat = Lattice(axes=(np.arange(table.shape[0], dtype=float),),
+                      covering_radius=0.5)
+        model = ForwardModel(
+            dim_x=1, dim_y=table.shape[1], center=np.zeros(1), radius_sq=np.inf,
+            forward=lambda x: table[int(x[0])],
+            jacobian_apply=lambda x, v: np.zeros(table.shape[1]),
+            jacobian_adjoint_apply=lambda x, w: np.zeros(1),
+            forward_batch=lambda xs: table[xs[:, 0].astype(int)],
+        )
+        return lat, model
+
+    # rows of each kind, for a (count, dim_y) draw g of standard normals
+    ROWS = {
+        "normal": lambda rng, g: g * 10.0 ** rng.uniform(-3.0, 3.0, (len(g), 1)),
+        # one entry a power of two s, the others with squares of 1 to 1.5
+        # times 2**-53 s**2, each of which rounds a running sum from s**2
+        # up: summed in different orders, the screen's squares and the
+        # exact norm's round apart by a number of units that grows with
+        # dim_y
+        "absorbed": lambda rng, g: np.where(
+            np.arange(g.shape[1]) == 0, 1.0,
+            np.sqrt(rng.uniform(1.0, 1.5, g.shape) * 2.0**-53),
+        ) * 2.0 ** rng.integers(-10, 11, (len(g), 1)),
+        # finite rows whose squares overflow, and rows whose squares are
+        # subnormal or underflow
+        "overflowing": lambda rng, g: g / np.abs(g).max(axis=1, keepdims=True)
+        * 10.0 ** rng.uniform(155.0, 308.0, (len(g), 1)),
+        "subnormal": lambda rng, g: g / np.abs(g).max(axis=1, keepdims=True)
+        * 10.0 ** rng.uniform(-320.0, -155.0, (len(g), 1)),
+        "zero": lambda rng, g: 0.0 * g,
+        "nan": lambda rng, g: np.where(g == g.max(axis=1, keepdims=True), np.nan, g),
+        "inf": lambda rng, g: np.where(g == g.max(axis=1, keepdims=True),
+                                       rng.choice([-np.inf, np.inf]), g),
+    }
+    THRESHOLDS = [0.0, -0.0, -1.0, -np.inf, np.nan, np.inf, 1e155, 1e200,
+                  1.7976931348623157e308, 1e-155, 1e-200, 5e-324]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_screened_scan_takes_the_first_exact_hit(self, data):
+        # whatever the rows and the threshold, the screened scan returns the
+        # first row whose row_norms norm, taken over all rows at once, is
+        # below the threshold, and refuses when there is none; nothing warns
+        dim_y = data.draw(st.integers(1, 1000), label="dim_y")
+        k = data.draw(st.integers(1, min(3 * STACK_BLOCK, 200_000 // dim_y)),
+                      label="points")
+        kinds = sorted(data.draw(st.sets(st.sampled_from(sorted(self.ROWS)),
+                                         min_size=1, max_size=3), label="kinds"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+        g = rng.standard_normal((k, dim_y))
+        kind = rng.integers(len(kinds), size=k)
+        table = np.empty((k, dim_y))
+        for j, name in enumerate(kinds):
+            table[kind == j] = self.ROWS[name](rng, g[kind == j])
+        y = (rng.standard_normal(dim_y) if data.draw(st.booleans(), label="y")
+             else np.zeros(dim_y))
+        norms = row_norms(table - y)
+        # at a row's norm (which fails the strict test), at the next float
+        # above it, just above the smallest norm, or a value at an edge
+        rule = data.draw(st.sampled_from(["at", "above", "above least", "edge"]),
+                         label="rule")
+        row = data.draw(st.integers(0, k - 1), label="row")
+        threshold = {
+            "at": norms[row],
+            "above": np.nextafter(norms[row], np.inf),
+            "above least": np.nextafter(np.fmin.reduce(norms, initial=np.inf),
+                                        np.inf),
+            "edge": data.draw(st.sampled_from(self.THRESHOLDS), label="edge"),
+        }[rule]
+        lat, model = self._table_scan(table)
+        hits = np.flatnonzero(norms < threshold)
+        if not hits.shape[0]:
+            with pytest.raises(NoCandidateFound):
+                scan_for_initial_guess(lat, model, y, threshold)
+            return
+        x0, hit, scanned = scan_for_initial_guess(lat, model, y, threshold,
+                                                  details=True)
+        assert (hit, scanned) == (hits[0], hits[0] + 1)
+        assert x0.tolist() == [float(hits[0])]
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.0, -1e-300, -np.inf, np.nan])
+    def test_no_positive_threshold_refuses_before_any_block(self, threshold):
+        # no norm is below 0 or NaN: the scan refuses without forming a
+        # single point, however large the lattice
+
+        class Unformed(Lattice):
+            def block(self, start, stop):
+                raise AssertionError("a block was formed")
+
+        lat = Unformed(axes=(np.arange(3 * STACK_BLOCK, dtype=float),),
+                       covering_radius=0.5)
+        with pytest.raises(NoCandidateFound, match="no lattice point within"):
+            scan_for_initial_guess(lat, linear_model(np.eye(1)), [0.0], threshold)
 
 
 class TestScanGuarantees:
