@@ -11,10 +11,11 @@ A lattice is kept as its per-axis coordinates.  The scan forms
 index order, and takes the first point that passes the measured-data test, so
 the chosen initial guess is a fixed function of the lattice and the data.
 Each block is screened by one pass of squared norms: a point is skipped only
-when its screened square is at least ``threshold**2 (1 + 4 (dim_y + 2)
-2**-53)``, which bounds the screen's rounding against the exact norm, and
-only the other points take the exact norm that the test compares, so the
-first hit is the one that exact norms on every point would give.
+when its screened square exceeds ``threshold**2 (1 + 4 (dim_y + 2)
+2**-53)``, which bounds the screen's rounding against the exact norm, or is
+NaN, as its exact norm is then, and only the other points take the exact
+norm that the test compares, so the first hit is the one that exact norms on
+every point would give.
 """
 
 from __future__ import annotations
@@ -280,10 +281,10 @@ def build_lattice(box: CompactBox, r_cover: float) -> Lattice:
     return Lattice(axes=axes, covering_radius=0.5 * float(np.linalg.norm(spacing)))
 
 
-def _screen_bound(threshold: float, dim_y: int) -> float | None:
+def _screen_bound(threshold: float, dim_y: int) -> float:
     """The squared norm ``threshold**2 (1 + 4 (dim_y + 2) 2**-53)`` that a
-    row's screened square must reach to prove ``row_norms(row) >= threshold``,
-    or None where the screen is off.
+    row's screened square must pass to prove ``row_norms(row) >= threshold``
+    for a positive ``threshold``, or inf where the screen is off.
 
     The screened square and the square under :func:`row_norms` sum the same
     ``dim_y`` squares in some order, so each lies within ``dim_y`` roundings
@@ -297,8 +298,9 @@ def _screen_bound(threshold: float, dim_y: int) -> float | None:
     rounding is not relative, or it is inf) or the bound overflows.
     """
     square = threshold * threshold
-    bound = square * (1.0 + 4.0 * (dim_y + 2) * 2.0**-53)
-    return bound if 2.0**-1022 <= square and bound < math.inf else None
+    if square < 2.0**-1022:
+        return math.inf
+    return square * (1.0 + 4.0 * (dim_y + 2) * 2.0**-53)
 
 
 def scan_for_initial_guess(lattice: Lattice, measured_model: ForwardModel,
@@ -315,15 +317,19 @@ def scan_for_initial_guess(lattice: Lattice, measured_model: ForwardModel,
     per-point evaluation.
 
     Each block is screened by one pass of squared norms, ``(d * d) @ ones``.
-    A row is skipped only when its screened square is at least
+    A row is skipped only when its screened square exceeds
     ``threshold**2 (1 + 4 (dim_y + 2) 2**-53)``, a slack that covers the
     rounding of the screen against :func:`row_norms` (see
-    :func:`_screen_bound`), so no skipped row could have passed.  The other
-    rows, NaN rows included, take :func:`row_norms`' exact norm, which has
-    the same bits row by row as on the whole block, and the first of them
-    below ``threshold`` is the hit.  The screen is off, and every row takes
-    the exact norm, when ``threshold**2`` is not a finite normal float.  A
-    point whose data are not finite fails the test and is skipped.  A
+    :func:`_screen_bound`), or is NaN, which it is exactly when the row
+    holds a NaN and so has a NaN norm; no skipped row could have passed.
+    The other rows take :func:`row_norms`' exact norm, which has the same
+    bits row by row as on the whole block, and the first of them below
+    ``threshold`` is the hit.  The screen is off, and every row without a
+    NaN takes the exact norm, when ``threshold**2`` is not a finite normal
+    float.  A finite row reaches the exact norm only when it passes or lies
+    within the slack of the threshold, so on a scan whose threshold is
+    normal that cost is paid for few rows.  A point whose data are not
+    finite fails the test and is skipped.  A
     threshold that is not positive (or NaN) admits no point and raises
     :class:`NoCandidateFound` before any point is formed.  With ``details``
     the result is ``(x0, index, points scanned)``, where the count is the
@@ -338,19 +344,16 @@ def scan_for_initial_guess(lattice: Lattice, measured_model: ForwardModel,
     # y_obs in every row of a block: subtracting arrays of one shape is a
     # single pass, where a broadcast y_obs costs a pass per row
     y_rows = np.tile(y_obs, (min(size, STACK_BLOCK), 1))
+    squares = np.empty_like(y_rows)
     for start in range(0, size, STACK_BLOCK):
         block = lattice.block(start, start + STACK_BLOCK)
-        values = forward_stack(measured_model, block)
-        if bound is None:
-            near = np.arange(values.shape[0])
-        else:
-            # squared in place: no second temporary of the block's size
-            squares = values - y_rows[:values.shape[0]]
-            with np.errstate(over="ignore"):
-                np.square(squares, out=squares)
-                near = np.flatnonzero(~(squares @ ones >= bound))
+        diff = forward_stack(measured_model, block) - y_rows[:block.shape[0]]
+        with np.errstate(over="ignore"):
+            screened = np.square(diff, out=squares[:diff.shape[0]]) @ ones
+        # a row holding NaN has a NaN square and norm and cannot pass
+        near = np.flatnonzero(screened <= bound)
         if near.shape[0]:
-            passed = near[row_norms(values[near] - y_obs) < threshold]
+            passed = near[row_norms(diff[near]) < threshold]
             if passed.shape[0]:
                 hit = start + int(passed[0])
                 break
