@@ -12,10 +12,11 @@ import numpy as np
 # The oracle and the operator suites are called through their modules, so a
 # profiler that wraps a module's functions sees the calls made from here.
 from . import gallery, operators
-from .engine import kstar_log_estimate, qtilde, rate_bound, tangential_cone_eta
+from .engine import (_REL_SLACK, kstar_log_estimate, qtilde, rate_bound,
+                     tangential_cone_eta)
 from .errors import ConditionViolated
-from .operators import (STACK_BLOCK, ForwardModel, forward_stack, jacobian_stack,
-                        require_finite, row_norms)
+from .operators import (STACK_BLOCK, ForwardModel, apply_forward, forward_stack,
+                        jacobian_stack, require_finite, row_norms, vector_norm)
 
 VERIFY_SAMPLES = 10000
 
@@ -67,6 +68,23 @@ def _tangential_cone_worst(model: ForwardModel, eta: float, rad: float) -> float
         worst = float(np.fmax.reduce(row_norms(fd - jd) / rhs, initial=worst))
         needed -= rhs.shape[0]
     return worst if needed < VERIFY_SAMPLES else math.nan
+
+
+def omega_condition_holds(model: ForwardModel, trace, x_dagger, q: float,
+                          omega: float) -> bool:
+    """Whether the omega-condition, the linearization bound under which the
+    error decreases (Hanke 1997),
+    ``||r_k - J(x_k)(x_dagger - x_k)|| <= (q/omega) ||r_k||``, holds up to a
+    relative ``_REL_SLACK`` at every iterate ``x_k`` of ``trace`` that took
+    a recorded step, with ``r_k = trace.y_obs - F(x_k)`` and ``||r_k||`` the
+    record's residual; a NaN side does not fail it."""
+    def holds(x, residual):
+        r = trace.y_obs - apply_forward(model, x)
+        lhs = vector_norm(r - model.jacobian_apply(x, x_dagger - x))
+        return not lhs > (q / omega) * residual * (1.0 + _REL_SLACK)
+
+    return all(holds(x, rec.residual)
+               for x, rec in zip(trace.iterates[:trace.iterations], trace.records))
 
 
 def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
@@ -130,7 +148,7 @@ def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
             check("residual-ratio-q", dev <= ratio_tol, f"max dev {dev:.3e}")
         else:
             rows.append(("residual-ratio-q", "NOT ARMED", "nonlinear problem"))
-        if trace.omega_ok:
+        if omega_condition_holds(model, trace, prob.x_dagger, q, 2.0):
             check("error-monotonicity",
                   bool(trace.error_monotonicity_ok), "Lyapunov decrease")
             check("gamma-monotone", bool(trace.gamma_monotone),
@@ -172,9 +190,14 @@ def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
         else:
             check("kstar-bound", k_star <= kstar_bound,
                   f"k_star={k_star} <= {kstar_bound}")
+    big_r = ntrace.constants.R
     if not ntrace.iterations:
         rows.append(("gamma-monotone-noisy", "NOT ARMED", "no steps taken"))
-    elif ntrace.omega_ok:
+    elif not big_r > 0:
+        rows.append(("gamma-monotone-noisy", "NOT ARMED",
+                     f"R = {big_r:.6g} is not positive: no omega-condition"))
+    elif omega_condition_holds(model, ntrace, prob.x_dagger, q,
+                               1.0 / (1.0 - big_r)):
         check("gamma-monotone-noisy", bool(ntrace.gamma_monotone),
               "up to the stopping index" if k_star is not None
               else f"over all {ntrace.iterations} steps; {no_stop}")

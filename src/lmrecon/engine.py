@@ -141,7 +141,8 @@ class TraceRecord:
 @dataclass
 class IterationTrace:
     """Complete record of one solver run; ``iterates[k]`` is the iterate of
-    ``records[k]``, and ``x_final`` the last of them."""
+    ``records[k]``, ``x_final`` the last of them, and ``y_obs`` the data
+    the run fitted."""
 
     records: list[TraceRecord]
     terminal: str
@@ -151,7 +152,7 @@ class IterationTrace:
     hypothesis: HypothesisReport | None = None
     gamma_monotone: bool | None = None
     error_monotonicity_ok: bool | None = None
-    omega_ok: bool | None = None
+    y_obs: np.ndarray | None = None
     warnings: list[str] = field(default_factory=list)
     recon: object | None = None
     constants: TheoryConstantsExact | TheoryConstantsNoisy | None = None
@@ -392,7 +393,7 @@ def kstar_log_estimate(q_tilde: float, r0_norm: float, tau: float,
 
 def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
              x_dagger=None, hypothesis: HypothesisReport | None = None,
-             constants=None, omega: float | None = None) -> IterationTrace:
+             constants=None) -> IterationTrace:
     """The one iteration loop behind every driver.
 
     ``step(x, r, residual)`` takes the iterate, its residual
@@ -405,11 +406,14 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     outside the ball ends the run with terminal ``domain_violation`` and is
     not recorded; under ``"warn"`` it adds a warning and is recorded.  The
     trace keeps one iterate per record: a copy of ``x0``, then each recorded
-    ``x_next``, which a step returns as a fresh array.  The theory
-    bookkeeping (entry condition, omega-condition, gamma and
-    error-monotonicity flags) runs when the truth is known and a hypothesis
-    report is passed; the entry condition needs the theory ``constants``,
-    which the trace keeps.
+    ``x_next``, which a step returns as a fresh array, and the data
+    ``y_obs``.  The theory bookkeeping (entry condition, gamma and
+    error-monotonicity flags, whose failures are warnings of the trace)
+    runs when the truth is known and a hypothesis report is passed; the
+    entry condition needs the theory ``constants``, which the trace keeps.
+    The omega-condition is not the loop's: only ``verify`` reads it, and
+    :func:`lmrecon.checks.omega_condition_holds` evaluates it on the
+    recorded iterates.
 
     The loop computes each quantity of an iterate once: ``||r||`` by
     :func:`lmrecon.operators.finite_norm` in ``residual_at``, which reads
@@ -430,7 +434,7 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
 
     trace = IterationTrace(records=[], terminal="budget_exhausted",
                            iterates=[x.copy()], hypothesis=hypothesis,
-                           constants=constants)
+                           y_obs=y_obs, constants=constants)
     if cfg.domain_mode == "error":
         require_in_domain(model, x, "x0")
     elif not check_domain(model, x):
@@ -451,7 +455,6 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     if theory:
         trace.gamma_monotone = True
         trace.error_monotonicity_ok = True
-        trace.omega_ok = True
 
     def residual_at(point):
         r = y_obs - apply_forward(model, point)
@@ -501,12 +504,6 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
                 trace.terminal = "domain_violation"
                 break
 
-        if theory and omega is not None:
-            # omega-condition ||r - J(x)(x_dagger - x)|| <= (q/omega) ||r||
-            lhs = vector_norm(r - model.jacobian_apply(x, x_dagger - x))
-            if lhs > (cfg.q / omega) * residual * (1.0 + _REL_SLACK):
-                trace.omega_ok = False
-
         step_norm = vector_norm(x_next - x)
         r_next, residual_next = residual_at(x_next)
         gamma_next = gamma_at(x_next) if truth else None
@@ -550,10 +547,11 @@ def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
               tc: TheoryConstantsExact | None = None) -> IterationTrace:
     """Drive the LM iteration on exact data until budget, target, or x = x_truth.
 
-    When the ground truth is supplied, gamma_k is recorded per row, the
-    omega-condition is verified per step (with omega = 2, as in the exact-data
-    analysis) and monotonicity violations are flagged on the trace.  The
-    trace keeps the iterates, at which ``verify`` checks the shift ceiling.
+    When the ground truth is supplied, gamma_k is recorded per row and
+    monotonicity violations are flagged on the trace; the run makes the
+    same model calls with the truth as without it.  The trace keeps the
+    data and the iterates, at which ``verify`` checks the shift ceiling and
+    the omega-condition (with omega = 2, as in the exact-data analysis).
     """
     if cfg.stop_mode == "discrepancy":
         raise ConfigInvalid("use run_noisy for discrepancy stopping")
@@ -567,7 +565,7 @@ def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
         hyp.armed = (tc.q_condition_ok and tc.rho_lt_rho_prime
                      and PROVENANCES.get(tc.cert_provenance, False))
     return _iterate(model, y, x0, cfg, _lm_stepper(model, cfg),
-                    x_dagger=x_dagger, hypothesis=hyp, constants=tc, omega=2.0)
+                    x_dagger=x_dagger, hypothesis=hyp, constants=tc)
 
 
 def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
@@ -578,12 +576,13 @@ def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
     that index as ``k_star`` (0 is allowed).  If the budget runs out first the
     trace is still returned, with terminal status ``budget_exhausted``.
     ``delta = 0`` degenerates to exact data with stopping threshold 0.
+    ``verify`` checks the omega-condition on the trace, with
+    ``omega = 1/(1 - R)``, where R is positive.
     """
     if cfg.stop_mode != "discrepancy":
         raise ConfigInvalid("run_noisy requires stop_mode = 'discrepancy'")
     hyp = HypothesisReport()
-    big_r = _big_r(cfg.q, cfg.tau)
-    hyp.r_positive = big_r > 0
+    hyp.r_positive = _big_r(cfg.q, cfg.tau) > 0
     if tc is not None:
         hyp.rho_lt_rho_prime = tc.rho_lt_rho_prime
         hyp.cert_provenance = tc.cert_provenance
@@ -591,9 +590,8 @@ def run_noisy(model: ForwardModel, x_dagger, y_delta, x0, cfg: SolverConfig,
             hyp.nu_additional_ok = cfg.q < tc.nu_bound
         hyp.armed = (tc.R > 0 and tc.rho_lt_rho_prime
                      and PROVENANCES.get(tc.cert_provenance, False))
-    omega = 1.0 / (1.0 - big_r) if big_r > 0 else None
     return _iterate(model, y_delta, x0, cfg, _lm_stepper(model, cfg),
-                    x_dagger=x_dagger, hypothesis=hyp, constants=tc, omega=omega)
+                    x_dagger=x_dagger, hypothesis=hyp, constants=tc)
 
 
 def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,

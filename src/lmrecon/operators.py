@@ -100,9 +100,10 @@ class ForwardModel:
 
 
 def _half_dist_sq(model: ForwardModel, x) -> float:
-    """``0.5 * ||x - center||^2``."""
+    """``0.5 * ||x - center||^2``, inf where the square overflows; the dot
+    product is ``np.vdot``'s, which raises no floating-point warning."""
     d = as_vector(x, model.dim_x, "x") - model.center
-    return 0.5 * float(np.dot(d, d))
+    return 0.5 * float(np.vdot(d, d))
 
 
 def check_domain(model: ForwardModel, x) -> bool:
@@ -141,11 +142,16 @@ def require_finite(values, what: str) -> None:
 
 def vector_norm(v: np.ndarray) -> float:
     """``float(np.linalg.norm(v))`` of a real float array, bit for bit,
-    without numpy's Python wrapper: the square root of the same dot product
-    of ``v.ravel(order="K")`` with itself, with the same overflow warning
-    when that product overflows to inf."""
+    without numpy's Python wrapper, wherever the squared norm does not
+    overflow: the square root of the same dot product of
+    ``v.ravel(order="K")`` with itself, taken by ``np.vdot``.  Where it
+    overflows to inf, the norm is :func:`row_norms`' rescaled one, finite
+    unless the norm itself is past the float range.  No floating-point
+    warning is raised."""
     v = v.ravel(order="K")
-    return math.sqrt(v.dot(v))
+    if (norm := math.sqrt(np.vdot(v, v))) != math.inf:
+        return norm
+    return float(row_norms(v[None])[0])
 
 
 def finite_norm(v: np.ndarray, what: str) -> float:

@@ -58,8 +58,9 @@ class StepDiagnostics:
     ``q * ||r||`` identically for the exact Morozov parameter.  ``alpha_bound``
     is the ceiling ``q/(1-q) * ||J||^2``.  ``bracket_iters`` counts the
     Newton iterations of the shift selection (0 when ``alpha_bound`` itself
-    meets the tolerance).  Every field is set by :func:`lm_step`; the
-    omega-condition and the ball check are the loop's and leave no mark here.
+    meets the tolerance).  Every field is set by :func:`lm_step`; the ball
+    check is the loop's and the omega-condition ``verify``'s, and neither
+    leaves a mark here.
     """
 
     alpha: float

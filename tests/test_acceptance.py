@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import GALLERY_IDS
+from lmrecon.checks import omega_condition_holds
 from lmrecon.cli import main
 from lmrecon.engine import (
     SolverConfig,
+    TheoryConstantsExact,
     compute_constants_exact,
     compute_constants_noisy,
     kstar_upper_bound,
@@ -35,6 +37,7 @@ from lmrecon.operators import (
 )
 from lmrecon.recon import CompactBox, MeasurementOperator, reconstruct_exact, \
     reconstruct_noisy
+from lmrecon.tracefile import read_trace
 
 PRESETS = str(Path(__file__).resolve().parent.parent / "presets")
 
@@ -89,8 +92,10 @@ def test_c02_mdp_prime_identity(gallery_problems):
 
 def test_c03_error_monotonicity(gallery_problems):
     for pid in GALLERY_IDS:
-        trace = _exact_gallery_run(gallery_problems[pid])
-        assert trace.omega_ok, f"{pid}: omega-condition not verified"
+        prob = gallery_problems[pid]
+        trace = _exact_gallery_run(prob)
+        assert omega_condition_holds(prob.model, trace, prob.x_dagger, 0.5, 2.0), \
+            f"{pid}: omega-condition not verified"
         assert trace.error_monotonicity_ok, pid
     _report("criterion 3: error monotonicity under the verified omega-condition")
 
@@ -195,6 +200,32 @@ def test_c07_global_reconstruction(gallery_problems):
         reconstruct_exact(prob.model, q_op, bad_box, cert, 0.5, 1e-10,
                           y_measured)
     _report("criterion 7: global reconstruction on K = [0.5, 1.5]^2")
+
+
+def test_c07_armed_reconstruction_presets(tmp_path):
+    # quadratic-2d's shipped certificate, with no constants_override, arms
+    # both reconstructions; each trace then meets the paper's bound
+    runs = {}
+    for preset in ("c07c_reconstruct_exact_armed", "c07d_reconstruct_noisy_armed"):
+        out = tmp_path / f"{preset}.trace"
+        assert main(["reconstruct", "--config", f"{PRESETS}/{preset}.yaml",
+                     "--output", str(out)]) == 0
+        tf = read_trace(out)
+        header = dict(tf.header)
+        assert header["hypothesis.armed"] == "true", preset
+        runs[preset] = tf, header
+
+    tf, header = runs["c07c_reconstruct_exact_armed"]
+    tc = TheoryConstantsExact(rho=float(header["constants.rho"]),
+                              c=float(header["constants.c"]),
+                              q_condition_ok=True, rho_lt_rho_prime=True)
+    eps = float(header["certificate.holder_eps"])
+    for rec in tf.rows:
+        assert rec.gamma <= rate_bound(rec.k, tc, eps), rec.k
+    tf, header = runs["c07d_reconstruct_noisy_armed"]
+    assert tf.k_star is not None
+    assert tf.k_star <= int(header["constants.kstar_bound"])
+    _report("criterion 7: armed reconstructions on quadratic-2d meet their bounds")
 
 
 def test_c08_oracle_suites(gallery_problems):

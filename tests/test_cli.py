@@ -294,6 +294,8 @@ class TestTraceFile:
         tf = TraceFile.from_trace(self.trace(), {"config.q": 0.5,
                                                  "note": "hello"})
         assert loads(dumps(tf)) == tf
+        # blank lines are skipped
+        assert loads(dumps(tf).replace("\n", "\n\n")) == tf
 
     def test_row_count(self):
         tf = TraceFile.from_trace(self.trace(), {})
@@ -301,14 +303,26 @@ class TestTraceFile:
         assert tf.rows[0].alpha is None
         assert tf.rows[1].alpha is not None
 
-    def test_empty_residual_cell_rejected(self):
-        text = dumps(TraceFile.from_trace(self.trace(), {}))
-        lines = text.splitlines(keepends=True)
-        row = next(i for i, line in enumerate(lines) if line.startswith("3,"))
-        cells = lines[row].split(",")
+    @staticmethod
+    def _empty_residual(row):
+        cells = row.split(",")
         cells[COLUMNS.index("residual")] = ""
-        lines[row] = ",".join(cells)
-        with pytest.raises(ValueError):
+        return ",".join(cells)
+
+    @pytest.mark.parametrize("edit, match", [
+        (_empty_residual, "the residual cell is empty"),
+        (lambda row: row.rsplit(",", 1)[0] + "\n", "expected 6 cells, got 5"),
+        (lambda row: "# no separator\n" + row, "malformed comment line"),
+        (lambda row: row + "# note: after the rows\n", "unexpected footer key 'note'"),
+        (lambda row: "# columns: k,residual\n" + row, "unexpected column set"),
+    ], ids=["empty-residual", "short-row", "no-separator", "late-header",
+            "columns"])
+    def test_malformed_line_rejected(self, edit, match):
+        # ``edit`` rewrites the row of k = 3, its line break included
+        lines = dumps(TraceFile.from_trace(self.trace(), {})).splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("3,"))
+        lines[row] = edit(lines[row])
+        with pytest.raises(ValueError, match=f"^line [0-9]+: {match}"):
             loads("".join(lines))
 
     def test_seventeen_digit_floats_reparse_exactly(self):
@@ -984,6 +998,19 @@ class TestVerifyCommand:
         # with k_star = 0 no residual ratio is observed
         assert rows["qtilde-contraction"] == "NOT ARMED (no steps taken)"
 
+    def test_noisy_monotonicity_needs_positive_r(self, tmp_path):
+        # tau = 2 gives R = 3/4 - (2 + 1/4)/2 = -0.375 at q = 0.5: there is
+        # no omega = 1/(1 - R) and so no omega-condition to arm the row on,
+        # although the noisy run takes steps
+        path = write_config(tmp_path, mode="verify", problem_id="quadratic-2d",
+                            tau=2.0, max_iters=None,
+                            output_path=str(tmp_path / "r.report"))
+        assert main(["verify", "--config", str(path)]) == 0
+        rows = report_rows(tmp_path / "r.report")
+        assert rows["discrepancy-soundness"] == "PASS (k_star=6)"
+        assert rows["gamma-monotone-noisy"] == \
+            "NOT ARMED (R = -0.375 is not positive: no omega-condition)"
+
 
 class TestCompareCommand:
     def test_lm_beats_landweber_on_presets(self, tmp_path):
@@ -999,9 +1026,9 @@ class TestCompareCommand:
             assert int(lm[idx]) < int(lw[idx])
 
     def test_costs_count_only_solver_work(self, tmp_path):
-        # compare runs without the truth: LM's cost leaves out the
-        # omega-condition's J(x)(x_dagger - x), and its residuals are those
-        # of the run with the truth
+        # compare runs without the truth; the run with the truth makes the
+        # same model calls, since only verify evaluates the omega-condition,
+        # and has the same residuals
         prob = get_problem("quadratic-2d")
         cfg = SolverConfig(q=0.2, max_iters=60)
         runs = []
@@ -1015,7 +1042,7 @@ class TestCompareCommand:
               "--output", str(out)])
         lm = out.read_text().splitlines()[2].split(",")
         assert (lm[0], lm[4]) == ("lm", f"{runs[1][1]:.2f}")
-        assert runs[0][1] > runs[1][1]
+        assert runs[0][1] == runs[1][1]
 
     def test_table_is_deterministic(self, tmp_path):
         outs = []
@@ -1103,6 +1130,18 @@ PINNED = {
         "reconstruct", "c07b_reconstruct_noisy.yaml", 0,
         "42c4b5dba8a5fc195d7c8969f1d2460fa154cb5c99d48c047369c353ab442212",
         "19aacafa29e2b7ae5510f7b6e8bfc8fcd7ba87e2a05d2b90c153628c934ceb59"),
+    "c07c": (
+        "reconstruct", "c07c_reconstruct_exact_armed.yaml", 0,
+        "07cfd6dcf6aae422efe6abf6835df6bf019d7a6a39c2971ce0dd643d1aa7e5af",
+        "2fa80d07066bf77f84d8551802ac301ca92590ce11d025554d97e03e6d11f5cb"),
+    "c07d": (
+        "reconstruct", "c07d_reconstruct_noisy_armed.yaml", 0,
+        "0313ceafde2f7370d6b3f3584d08c738c8a88bd2793cc6989d0b4dff9d1b12cf",
+        "0912bff6b2c37ce064e145e4d297c50ff02907e5587aa2aa98fad9efd23eb8d1"),
+    "c11": (
+        "reconstruct", "c11_determinism.yaml", 0,
+        "c8bb5b234d2f61bc62042b3eb90730810c80d8c19eaf0da604b7a969b96d5e1f",
+        "a54312405608356cb4da9901bfc2850066ec3c0354c5aeec784b67c34ca763e4"),
 }
 
 
@@ -1149,6 +1188,11 @@ PINNED_VERIFY = {
 def test_verify_reports_pinned(tmp_path, capsys, preset):
     code, digest = PINNED_VERIFY[preset]
     assert pinned_run(tmp_path, capsys, "verify", preset) == (code, digest, digest)
+
+
+def test_every_preset_is_pinned():
+    pinned = {source for _, source, *_ in PINNED.values() if isinstance(source, str)}
+    assert {p.name for p in Path(PRESETS).glob("*.yaml")} == pinned | set(PINNED_VERIFY)
 
 
 # A config per command that runs to its output file on quadratic-2d.

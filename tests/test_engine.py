@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_model, non_finite_model
+from lmrecon.checks import omega_condition_holds
 from lmrecon.cli import counting_model, make_noise
 from lmrecon.engine import (
     SolverConfig,
@@ -356,6 +357,24 @@ class TestRunExact:
         with pytest.raises(NonFiniteOutput):
             run_exact(model, None, np.array([1.0]), np.array([0.0]), cfg)
 
+    def test_step_whose_square_overflows_has_a_finite_norm(self):
+        # F(x) = 1e-10 x with y = (1e150, 1e150): at q = 0.5 each step is
+        # 5e9 r, whose squared length overflows, as do the squares of the
+        # step's Morozov norm and of the iterates' distance to the center;
+        # every step norm is still finite, and nothing warns
+        model = linear_model(1e-10 * np.eye(2), radius_sq=math.inf)
+        cfg = SolverConfig(q=0.5, max_iters=3, domain_mode="warn")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_exact(model, None, np.full(2, 1e150), np.zeros(2), cfg)
+        assert trace.terminal == "budget_exhausted" and not trace.warnings
+        norms = [rec.step_norm for rec in trace.records[1:]]
+        assert norms == pytest.approx(
+            [math.sqrt(2.0) * 5e159 / 2**k for k in range(3)], rel=1e-14)
+        for k, norm in enumerate(norms):
+            step = trace.iterates[k + 1] - trace.iterates[k]
+            assert norm == math.hypot(*step)
+
 
 class TestRunNoisy:
     def test_kstar_zero_when_data_good_enough(self):
@@ -549,6 +568,19 @@ class TestSolverConfigValidation:
         with pytest.raises(ConfigInvalid):
             SolverConfig(q=0.5, max_iters=1, stop_mode="target_error")
 
+    @pytest.mark.parametrize("fields, match", [
+        ({"max_iters": -1}, "max_iters must be >= 0"),
+        ({"tol_alpha": 0.0}, "tol_alpha must be positive"),
+        ({"tol_alpha": math.nan}, "tol_alpha must be positive"),
+        ({"stop_mode": "forever"}, "stop_mode must be one of"),
+        ({"stop_mode": "discrepancy", "tau": 4.0, "delta": -1e-3},
+         "delta must be >= 0"),
+        ({"domain_mode": "clip"}, "domain_mode must be 'error' or 'warn'"),
+    ])
+    def test_invalid_field(self, fields, match):
+        with pytest.raises(ConfigInvalid, match=match):
+            SolverConfig(**{"q": 0.5, "max_iters": 1, **fields})
+
 
 def test_tangential_cone_eta_shrinks_with_ball():
     cert = unit_cert()
@@ -683,10 +715,11 @@ def _hex(value) -> str:
     return float.hex(value) if isinstance(value, float) else repr(value)
 
 
-def trace_digest(trace) -> str:
+def trace_digest(trace, omega_ok) -> str:
     """sha256 of everything a driver reports: the terminal, k_star, every
     record, every step's diagnostics, x_final and the warnings, with each
-    float as ``float.hex``, and the theory flags."""
+    float as ``float.hex``, and the theory flags, with ``omega_ok`` the
+    run's omega-condition flag (None for a Landweber run)."""
     lines = [f"{trace.terminal} {trace.k_star}"]
     lines += [" ".join(_hex(v) for v in dataclasses.astuple(rec))
               for rec in trace.records]
@@ -695,14 +728,16 @@ def trace_digest(trace) -> str:
     lines.append(" ".join(_hex(float(v)) for v in trace.x_final))
     lines += trace.warnings
     lines.append(repr((trace.gamma_monotone, trace.error_monotonicity_ok,
-                       trace.omega_ok, trace.hypothesis)))
+                       omega_ok, trace.hypothesis)))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def pinned_trace(prob, driver):
     """One run of ``driver`` on ``prob`` from its default start, 60 steps at
     most, with the theory constants of its certificate and the ball policy
-    "warn"; the noisy data lie at distance 1e-3 from the exact data.  The
+    "warn", and its omega-condition flag as ``verify`` takes it: omega = 2
+    for the exact run, ``1/(1 - R)`` for the noisy one and None for
+    Landweber.  The noisy data lie at distance 1e-3 from the exact data.  The
     "-ball" runs move the ball to the start and shrink it to a quarter of the
     start's ``gamma``, so the iterates leave it: under "warn" for LM, under
     "error" for Landweber."""
@@ -715,8 +750,9 @@ def pinned_trace(prob, driver):
     cfg = SolverConfig(q=0.5, max_iters=60, domain_mode=domain_mode)
     if driver == "exact":
         tc = compute_constants_exact(prob.certificate, 0.5, strict=False)
-        return run_exact(model, prob.x_dagger, prob.y_exact, prob.default_x0,
-                         cfg, tc)
+        trace = run_exact(model, prob.x_dagger, prob.y_exact, prob.default_x0,
+                          cfg, tc)
+        return trace, omega_condition_holds(model, trace, prob.x_dagger, 0.5, 2.0)
     if driver == "noisy":
         delta = 1e-3
         cfg = dataclasses.replace(cfg, tau=4.0, delta=delta,
@@ -725,9 +761,11 @@ def pinned_trace(prob, driver):
                                      strict=False)
         u = np.random.default_rng(5).standard_normal(model.dim_y)
         y_delta = prob.y_exact + delta * u / np.linalg.norm(u)
-        return run_noisy(model, prob.x_dagger, y_delta, prob.default_x0, cfg, tc)
+        trace = run_noisy(model, prob.x_dagger, y_delta, prob.default_x0, cfg, tc)
+        return trace, omega_condition_holds(model, trace, prob.x_dagger, 0.5,
+                                            1.0 / (1.0 - tc.R))
     return landweber_run(model, prob.y_exact, prob.default_x0, None, cfg,
-                         x_dagger=prob.x_dagger)
+                         x_dagger=prob.x_dagger), None
 
 
 PINNED_DRIVERS = ("exact", "noisy", "landweber", "exact-ball", "landweber-ball")
@@ -776,7 +814,7 @@ PINNED_TRACES = {
 @pytest.mark.parametrize("pid", PINNED_TRACES)
 def test_driver_traces_pinned(pid, gallery_problems):
     prob = gallery_problems[pid]
-    digests = tuple(trace_digest(pinned_trace(prob, driver))
+    digests = tuple(trace_digest(*pinned_trace(prob, driver))
                     for driver in PINNED_DRIVERS)
     assert digests == PINNED_TRACES[pid]
 
@@ -809,19 +847,24 @@ def _tall_model(m, n, seed):
 def tall_trace(shape, driver):
     """One run of ``driver`` on the tall model of ``shape``: exact LM for 8
     steps, noisy LM with discrepancy stopping on data at distance 1e-3, or
-    Landweber for 60 steps with the step size from ``||J(x0)||``."""
+    Landweber for 60 steps with the step size from ``||J(x0)||``, and its
+    omega-condition flag as in :func:`pinned_trace` (tau = 4 gives
+    R = 0.1875 at q = 0.5)."""
     m, n = shape
     model, truth, x0, rng = _tall_model(m, n, seed=m + n)
     y = model.forward(truth)
     if driver == "exact":
-        return run_exact(model, truth, y, x0, SolverConfig(q=0.5, max_iters=8))
+        trace = run_exact(model, truth, y, x0, SolverConfig(q=0.5, max_iters=8))
+        return trace, omega_condition_holds(model, trace, truth, 0.5, 2.0)
     if driver == "noisy":
         u = rng.standard_normal(m)
         cfg = SolverConfig(q=0.5, max_iters=60, tau=4.0, delta=1e-3,
                            stop_mode="discrepancy")
-        return run_noisy(model, truth, y + 1e-3 * u / np.linalg.norm(u), x0, cfg)
+        trace = run_noisy(model, truth, y + 1e-3 * u / np.linalg.norm(u), x0, cfg)
+        return trace, omega_condition_holds(model, trace, truth, 0.5,
+                                            1.0 / (1.0 - 0.1875))
     return landweber_run(model, y, x0, None, SolverConfig(q=0.5, max_iters=60),
-                         x_dagger=truth)
+                         x_dagger=truth), None
 
 
 # (dim_y, dim_x) -> the ``trace_digest`` of the exact, noisy and Landweber
@@ -841,7 +884,7 @@ PINNED_TALL_TRACES = {
 
 @pytest.mark.parametrize("shape", PINNED_TALL_TRACES)
 def test_tall_traces_pinned(shape):
-    digests = tuple(trace_digest(tall_trace(shape, driver))
+    digests = tuple(trace_digest(*tall_trace(shape, driver))
                     for driver in ("exact", "noisy", "landweber"))
     assert digests == PINNED_TALL_TRACES[shape]
 

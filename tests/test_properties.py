@@ -27,7 +27,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lmrecon.checks import _tangential_cone_worst
+from lmrecon.checks import _tangential_cone_worst, omega_condition_holds
 from lmrecon.cli import make_noise
 from lmrecon.engine import (SolverConfig, compute_constants_exact, compute_constants_noisy,
                             iterations_for_accuracy, kstar_log_estimate, qtilde, rate_bound,
@@ -168,7 +168,8 @@ def test_exact_run_is_monotone(s):
     """Property 3: the omega-condition holds, and the error and gamma do
     not increase."""
     trace = armed_run(s)
-    assert trace.omega_ok and trace.error_monotonicity_ok and trace.gamma_monotone
+    assert omega_condition_holds(s.prob.model, trace, s.truth, s.q, 2.0)
+    assert trace.error_monotonicity_ok and trace.gamma_monotone
 
 
 @settings(max_examples=40, deadline=None)

@@ -204,13 +204,16 @@ class TestBuildLattice:
         with pytest.raises(LatticeTooLarge, match="infinitely many.*underflows"):
             build_lattice(CompactBox(np.zeros(2), np.ones(2)), 0.0)
 
-    @pytest.mark.parametrize("lower, upper, name", [
-        ([np.nan], [1.0], "lower"),
-        ([0.0, 0.0], [1.0, np.nan], "upper"),
-    ])
-    def test_nan_bound_rejected(self, lower, upper, name):
+    @pytest.mark.parametrize("lower, upper, error, match", [
         # np.any(lo > up) is False for NaN, so the order check cannot see it
-        with pytest.raises(ValueError, match=f"box {name} bound .* holds NaN"):
+        ([np.nan], [1.0], ValueError, "box lower bound .* holds NaN"),
+        ([0.0, 0.0], [1.0, np.nan], ValueError, "box upper bound .* holds NaN"),
+        ([0.0, 2.0], [1.0, 1.0], ValueError, "lower bound exceeds upper bound"),
+        ([0.0], [1.0, 1.0], DimensionMismatch, "1-D arrays of equal length"),
+        ([[0.0]], [[1.0]], DimensionMismatch, "1-D arrays of equal length"),
+    ])
+    def test_invalid_bounds_rejected(self, lower, upper, error, match):
+        with pytest.raises(error, match=match):
             CompactBox(np.array(lower), np.array(upper))
 
     def test_covering_property_sampled(self):
