@@ -171,7 +171,9 @@ _CHECKS = {
     "max_iters": _ranged(_check_integer, lambda v: 0 <= v <= BUDGET_CAP,
                          f"must lie in [0, {BUDGET_CAP}]"),
     "target_gamma": _POSITIVE,
-    "tol_alpha": _POSITIVE,
+    # an infinite tolerance would accept alpha_bound at every step
+    "tol_alpha": _ranged(_check_number, lambda v: 0.0 < v < math.inf,
+                         "must be positive and finite"),
     "box": _check_box,
     "measurement": _check_measurement,
     "noise_seed": _NON_NEGATIVE_INT,

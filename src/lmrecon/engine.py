@@ -73,14 +73,14 @@ class SolverConfig:
             raise ConfigInvalid(f"q = {self.q} must lie in the open interval (0, 1)")
         if self.max_iters < 0:
             raise ConfigInvalid("max_iters must be >= 0")
-        if not self.tol_alpha > 0:
-            raise ConfigInvalid("tol_alpha must be positive")
+        if not 0.0 < self.tol_alpha < math.inf:
+            raise ConfigInvalid("tol_alpha must be positive and finite")
         if self.stop_mode not in STOP_MODES:
             raise ConfigInvalid(f"stop_mode must be one of {STOP_MODES}")
         if self.stop_mode == "discrepancy":
             if self.tau is None or not self.tau > 1.0:
                 raise ConfigInvalid("discrepancy stopping requires tau > 1")
-            if self.delta < 0:
+            if not self.delta >= 0:
                 raise ConfigInvalid("delta must be >= 0")
         if self.stop_mode == "target_error":
             if self.target_gamma is None or not self.target_gamma > 0:
@@ -380,7 +380,11 @@ def qtilde(q: float, cert: StabilityCertificate, initial_error: float) -> float:
 def kstar_log_estimate(q_tilde: float, r0_norm: float, tau: float,
                        delta: float) -> int:
     """ceil(1 + log(||r0|| / (tau delta)) / log(1 / q_tilde)); where the
-    quotient overflows, its log is taken as a difference of logs."""
+    quotient overflows, its log is taken as a difference of logs.  Raises
+    ``ValueError`` unless ``delta`` is positive, as
+    :func:`kstar_upper_bound` does."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
     if not 0.0 < q_tilde < 1.0:
         raise ConditionViolated("q_tilde must lie in (0, 1) for a finite estimate")
     if r0_norm <= tau * delta:
@@ -421,8 +425,8 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     overflows, as :func:`lm_step` does; ``gamma`` and the step norm once per
     update; and the ball test once per update, with the violation's message
     built only for an update outside the ball.  ``step`` receives
-    ``||r||``, but an LM step takes it a second time: the public
-    :func:`lm_step` receives only ``r``.
+    ``||r||``, and neither step takes it again: an LM step hands it to
+    :func:`lm_step` as ``rnorm``.
     """
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
@@ -540,7 +544,7 @@ def _lm_stepper(model: ForwardModel, cfg: SolverConfig):
     # ``lm_step`` is looked up at call time, so a profiler that wraps this
     # module's global sees every step.
     return lambda x, r, residual: lm_step(model, x, r, cfg.q,
-                                          tol_alpha=cfg.tol_alpha)
+                                          tol_alpha=cfg.tol_alpha, rnorm=residual)
 
 
 def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
@@ -606,9 +610,10 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
     call; the gradient ``J^T r`` is checked entry by entry only when
     ``g . g`` is not finite.  Raises
     :class:`DivergenceDetected` if the residual grows tenfold over its
-    running minimum, :class:`ConditionViolated` if the step size violates
-    ``step_scale * ||J||^2 <= 1`` at the starting point (or is left to the
-    default while ``J(x0) = 0``), :class:`NonFiniteOutput` when the
+    running minimum, :class:`ConditionViolated` if the step size is not
+    positive and finite or violates ``step_scale * ||J||^2 <= 1`` at the
+    starting point (or is left to the default while ``J(x0) = 0``), before
+    any step, :class:`NonFiniteOutput` when the
     residual, ``J(x0)`` or ``J^T r`` holds NaN or inf, and
     :class:`NonConvergence` when the residual's norm overflows.
     """
@@ -625,6 +630,9 @@ def landweber_run(model: ForwardModel, y_obs, x0, step_scale: float | None,
                 "default step size exists"
             )
         step_scale = 0.9 / jn_sq
+    if not 0.0 < step_scale < math.inf:
+        raise ConditionViolated(
+            f"step_scale = {step_scale!r} must be positive and finite")
     if step_scale * jn_sq > 1.0 + 1e-9:
         raise ConditionViolated(
             f"step_scale * ||J||^2 = {step_scale * jn_sq:.6g} exceeds 1"

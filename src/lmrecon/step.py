@@ -87,6 +87,8 @@ def gram_matrix(model: ForwardModel, x):
     ``dim_y <= dim_x`` that Q is the identity, R is J, ``gram`` is G itself
     and ``basis`` is None.  When ``dim_y > dim_x``, ``basis`` is the Q of the
     reduced QR, :func:`_reduced_qr`'s, the bits of ``np.linalg.qr(J)``.
+    Each column of Q reaches the adjoint as a fresh array: a unit vector
+    built for the call when Q is the identity, which is never formed.
     Either way the adjoint enters ``gram`` exactly as the model supplies it.
     Raises :class:`NonFiniteOutput` when J or the adjoint's matrix holds NaN
     or inf, before either enters a product.
@@ -95,13 +97,17 @@ def gram_matrix(model: ForwardModel, x):
     j = jacobian_matrix(model, x)
     require_finite(j, "Jacobian J(x)")
     m, n = j.shape
-    basis, upper = _reduced_qr(j) if m > n else (np.eye(m), j)
-    adj = np.empty((n, basis.shape[1]))
-    for i in range(basis.shape[1]):
-        adj[:, i] = as_vector(
-            model.jacobian_adjoint_apply(x, basis[:, i].copy()), n, "J* q_i")
+    basis, upper = _reduced_qr(j) if m > n else (None, j)
+    adj = np.empty((n, min(m, n)))
+    for i in range(adj.shape[1]):
+        if basis is None:
+            q_i = np.zeros(m)
+            q_i[i] = 1.0
+        else:
+            q_i = basis[:, i].copy()
+        adj[:, i] = as_vector(model.jacobian_adjoint_apply(x, q_i), n, "J* q_i")
     require_finite(adj, "adjoint J* Q")
-    return upper @ adj, j, adj, basis if m > n else None
+    return upper @ adj, j, adj, basis
 
 
 class Spectrum(NamedTuple):
@@ -126,18 +132,18 @@ class Spectrum(NamedTuple):
         """``(c, rest)``: the coordinates ``c = U^T r`` of ``r`` on the
         eigenvectors and the part ``rest = r - U c`` outside their span, in
         the null space of G (exactly 0.0 when ``u`` is square)."""
-        c = self.u.T @ r
+        c = self.u.T.dot(r)
         if self.u.shape[1] == self.u.shape[0]:
             return c, 0.0
-        return c, r - self.u @ c
+        return c, r - self.u.dot(c)
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """``J* z``: ``adj @ z``, or ``(J* Q)(Q^T z)`` when ``dim_y > dim_x``,
         where a consistent adjoint annihilates the part of ``z`` outside
         range(J)."""
         if self.basis is None:
-            return self.adj @ z
-        return self.adj @ (self.basis.T @ z)
+            return self.adj.dot(z)
+        return self.adj.dot(self.basis.T.dot(z))
 
 
 def _spectrum(model: ForwardModel, x) -> Spectrum:
@@ -163,13 +169,14 @@ def _spectrum(model: ForwardModel, x) -> Spectrum:
     ``max|G|`` is taken once: it scales the asymmetry gate, and the matrix's
     finiteness is read off it, since a NaN or inf entry makes it NaN or inf.
     Only then are the entries checked one by one, before ``G - G^T`` could
-    warn on ``inf - inf``.
+    warn on ``inf - inf``.  Both maxima reduce the flat view of a fresh
+    array, the same exact maximum for less than ``axis=None`` costs.
     """
     gram, j, adj, basis = gram_matrix(model, x)
-    scale = float(np.maximum.reduce(np.abs(gram), axis=None))
+    scale = float(np.maximum.reduce(np.abs(gram).ravel()))
     if not math.isfinite(scale):
         require_finite(gram, "Gram matrix J J*")
-    asym = float(np.maximum.reduce(np.abs(gram - gram.T), axis=None))
+    asym = float(np.maximum.reduce(np.abs(gram - gram.T).ravel()))
     if asym > 1e-8 * (1.0 + scale):
         raise FactorizationFailure(
             f"Gram matrix asymmetry {asym:.3e}: the adjoint action is inconsistent"
@@ -216,12 +223,12 @@ def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float,
         raise ZeroResidual("residual is zero; nothing to regularize")
     lam, u = spec.lam, spec.u
     c, rest = spec.split(r)
-    rest_sq = float(np.dot(rest, rest))
+    rest_sq = 0.0 if isinstance(rest, float) else float(rest.dot(rest))
     target = q * rnorm
     null_sq = rest_sq
     if lam[0] == 0.0:
         null = c[lam == 0.0]
-        null_sq += float(null @ null)
+        null_sq += float(null.dot(null))
     if math.sqrt(null_sq) >= target:
         raise RootInfeasible(
             "Morozov target q*||r|| unreachable: the residual has a dominant "
@@ -240,15 +247,15 @@ def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float,
         shifted = lam + alpha
         w = alpha / shifted
         wc = w * c
-        phi = math.sqrt(float(wc @ wc) + rest_sq)
+        phi = math.sqrt(float(wc.dot(wc)) + rest_sq)
         if abs(phi - target) <= tol_alpha * target:
-            return alpha, u @ (c / shifted) + rest / alpha, it, alpha_bound
+            return alpha, u.dot(c / shifted) + rest / alpha, it, alpha_bound
         if phi < target:
             lo = alpha
         else:
             hi = alpha
         # d(1/phi)/dt = slope / phi**3 in t = 1/alpha
-        slope = float(lam_c2 @ (w * w * w))
+        slope = float(lam_c2.dot(w * w * w))
         try:
             alpha = 1.0 / (1.0 / alpha + phi**2 * (phi - target) / (target * slope))
         except ZeroDivisionError as exc:
@@ -264,7 +271,8 @@ def _select_alpha(spec: Spectrum, r: np.ndarray, q: float, tol_alpha: float,
     )
 
 
-def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10):
+def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10, *,
+            rnorm: float | None = None):
     """One Levenberg-Marquardt update from ``x``, given its residual
     ``r = y - F(x)``.
 
@@ -277,14 +285,19 @@ def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10):
 
     ``||r||`` is taken once, by :func:`finite_norm`, the rule the iteration
     loop of :mod:`lmrecon.engine` takes it by, and r's finiteness is read
-    off it; the shift selection and the diagnostics reuse it.  The
-    finiteness of J and of the adjoint's matrix is checked in
-    :func:`gram_matrix`, before either enters a product, and the Gram
-    matrix's is read off ``max|G|`` in :func:`_spectrum`.
+    off it; the shift selection and the diagnostics reuse it.  A caller
+    that has already taken ``finite_norm(r)`` passes its value as
+    ``rnorm``, as that loop does, and the step takes no norm of ``r`` and
+    makes no check of it: the result has the same bits, and a wrong
+    ``rnorm`` gives a wrong step.  The finiteness of J and of the adjoint's
+    matrix is checked in :func:`gram_matrix`, before either enters a
+    product, and the Gram matrix's is read off ``max|G|`` in
+    :func:`_spectrum`.
     """
     x = as_vector(x, model.dim_x, "x")
     r = as_vector(r, model.dim_y, "r")
-    rnorm = finite_norm(r, "residual r")
+    if rnorm is None:
+        rnorm = finite_norm(r, "residual r")
     spec = _spectrum(model, x)
     alpha, z, iters, alpha_bound = _select_alpha(spec, r, q, tol_alpha, rnorm)
     s = spec.adjoint(z)
@@ -293,9 +306,8 @@ def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10):
         residual_norm=rnorm,
         morozov_lhs=alpha * vector_norm(z),
         morozov_rhs=q * rnorm,
-        mdp_prime_lhs=vector_norm(r - spec.j @ s),
+        mdp_prime_lhs=vector_norm(r - spec.j.dot(s)),
         alpha_bound=alpha_bound,
         bracket_iters=iters,
     )
     return x + s, diag
-

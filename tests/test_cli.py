@@ -221,6 +221,13 @@ class TestConfig:
         assert parse_outcome(mode_raw(mode, **{field: None})) == \
             f"config field '{field}': expected {kind}, got None"
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_tol_alpha_must_be_positive_and_finite(self, value):
+        # an infinite tolerance would take alpha_bound at every step and
+        # never meet the Morozov equation
+        assert parse_outcome(mode_raw("exact", tol_alpha=value)) == \
+            "config field 'tol_alpha': must be positive and finite"
+
     @pytest.mark.parametrize("field", [
         key for key, default in cfgmod.DEFAULTS.items() if default is None])
     @pytest.mark.parametrize("mode", cfgmod.MODES)
@@ -1349,7 +1356,8 @@ def cli_runs(draw):
         "eps": lambda: draw(st.one_of(st.just(1.0),
                                       st.floats(0.0, 1.0, exclude_min=True)),
                             label="eps"),
-        "tol_alpha": lambda: _positive(draw, "tol_alpha"),
+        "tol_alpha": lambda: draw(st.one_of(POSITIVE, st.floats(1e-3, 1e3)),
+                                  label="tol_alpha"),
         "noise_seed": lambda: draw(st.integers(0, 2**32), label="noise_seed"),
         "step_scale": lambda: _positive(draw, "step_scale"),
         "x0": lambda: [draw(st.one_of(axis, ANY_FLOAT), label="x0")

@@ -287,6 +287,13 @@ class TestQtilde:
             math.ceil(1.0 + math.log(250.0) / math.log(2.0))
         assert kstar_log_estimate(0.5, 1e-4, 4.0, 1e-3) == 0
 
+    @pytest.mark.parametrize("delta", [0.0, -1e-3, math.nan])
+    def test_log_estimate_needs_a_positive_noise_level(self, delta):
+        # the error kstar_upper_bound raises, not a ZeroDivisionError at 0
+        # or int(nan)'s ValueError at NaN
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            kstar_log_estimate(0.5, 1.0, 4.0, delta)
+
     def test_log_estimate_of_a_quotient_beyond_the_float_range(self):
         # ||r0|| / (tau delta) = 2^1073 overflows, its log does not
         assert kstar_log_estimate(1.0 / 7.0, 1.0, 2.0, 5e-324) == \
@@ -457,6 +464,18 @@ class TestLandweber:
         with pytest.raises(ConditionViolated):
             landweber_run(prob.model, prob.y_exact, np.array([0.0]), 1.0, cfg)
 
+    @pytest.mark.parametrize("step_scale", [math.nan, 0.0, -1.0, math.inf])
+    def test_step_scale_must_be_positive_and_finite(self, step_scale):
+        # a NaN step would end in domain_violation, 0 would never move and
+        # a negative step would climb the residual: each fails before the
+        # loop evaluates F
+        prob = get_problem("quadratic-2d")
+        model, counts = counting_model(prob.model)
+        cfg = SolverConfig(q=0.5, max_iters=5, domain_mode="warn")
+        with pytest.raises(ConditionViolated, match="must be positive and finite"):
+            landweber_run(model, prob.y_exact, prob.default_x0, step_scale, cfg)
+        assert counts["forward"] == counts["adjoint"] == 0
+
     def test_divergence_detected(self):
         # gradient step fine at x0 but explosive once iterates grow
         model = ForwardModel(
@@ -576,6 +595,9 @@ class TestSolverConfigValidation:
         ({"stop_mode": "discrepancy", "tau": 4.0, "delta": -1e-3},
          "delta must be >= 0"),
         ({"domain_mode": "clip"}, "domain_mode must be 'error' or 'warn'"),
+        ({"tol_alpha": math.inf}, "tol_alpha must be positive and finite"),
+        ({"stop_mode": "discrepancy", "tau": 4.0, "delta": math.nan},
+         "delta must be >= 0"),
     ])
     def test_invalid_field(self, fields, match):
         with pytest.raises(ConfigInvalid, match=match):

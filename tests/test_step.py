@@ -10,16 +10,20 @@ from scipy.optimize import brentq
 
 from conftest import linear_model, non_finite_model
 from lmrecon import gallery
+from lmrecon import step as stepmod
 from lmrecon.cli import counting_model, main
 from lmrecon.errors import (
     FactorizationFailure,
     NonConvergence,
     NonFiniteOutput,
     RootInfeasible,
+    SolverError,
     ZeroResidual,
 )
 from lmrecon.gallery import get_problem
-from lmrecon.operators import ForwardModel, jacobian_matrix, max_adjoint_defect
+from lmrecon.engine import SolverConfig, run_exact
+from lmrecon.operators import (ForwardModel, finite_norm, jacobian_matrix,
+                               max_adjoint_defect)
 from lmrecon.step import _select_alpha, _spectrum, lm_step
 
 
@@ -274,6 +278,80 @@ def test_lm_step_model_calls_square_and_wide(shape):
     x = np.linspace(0.1, 0.5, shape[1])
     lm_step(model, x, a @ (x + 0.3), 0.5)
     assert counts == {"forward": 0, "jacobian": shape[1], "adjoint": shape[0]}
+
+
+@st.composite
+def quadratic_step_problems(draw):
+    """``F(x) = A x + eta x_0 (x . x) 1`` with a random square, tall or wide
+    A, a random point x and a residual ``J(x) v + noise * e`` for random v
+    and e: J depends on x, and some tall draws have a residual the shift
+    selection cannot fit."""
+    shape = draw(st.sampled_from(["square", "tall", "wide"]), label="shape")
+    k = draw(st.integers(1, 6), label="size")
+    extra = draw(st.integers(1, 6), label="extra")
+    m, n = {"square": (k, k), "tall": (k + extra, k), "wide": (k, k + extra)}[shape]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = rng.standard_normal((m, n))
+    eta = draw(st.floats(0.0, 1.0), label="eta")
+    ones = np.ones(m)
+
+    def jac(x, v):
+        return a @ v + eta * (v[0] * (x @ x) + 2.0 * x[0] * (x @ v)) * ones
+
+    def jac_adj(x, w):
+        g = eta * w.sum()
+        out = a.T @ w + 2.0 * g * x[0] * x
+        out[0] += g * (x @ x)
+        return out
+
+    model = ForwardModel(
+        dim_x=n, dim_y=m, center=np.zeros(n), radius_sq=1e6,
+        forward=lambda x: a @ x + eta * x[0] * (x @ x) * ones,
+        jacobian_apply=jac, jacobian_adjoint_apply=jac_adj)
+    x = rng.standard_normal(n)
+    noise = draw(st.floats(0.0, 1.0), label="noise")
+    r = jac(x, rng.standard_normal(n)) + noise * rng.standard_normal(m)
+    return model, x, r
+
+
+def _step_outcome(model, x, r, q, **kwargs):
+    """``lm_step``'s update and every diagnostic field as bytes and
+    ``float.hex``, or the type and message of what it raised."""
+    try:
+        x_next, diag = lm_step(model, x, r, q, **kwargs)
+    except SolverError as exc:
+        return type(exc), str(exc)
+    return x_next.tobytes(), [float(v).hex() for v in dataclasses.astuple(diag)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=quadratic_step_problems(), q=st.floats(0.05, 0.95),
+       tol=st.sampled_from([1e-13, 1e-10, 1e-3]))
+def test_given_rnorm_gives_the_same_bits(problem, q, tol):
+    # the loop's ||r|| handed in as rnorm changes no bit of the update, of
+    # any diagnostic, or of the error a failing step raises
+    model, x, r = problem
+    assert _step_outcome(model, x, r, q, tol_alpha=tol) == _step_outcome(
+        model, x, r, q, tol_alpha=tol, rnorm=finite_norm(r, "residual r"))
+
+
+def test_given_rnorm_is_not_taken_again(monkeypatch):
+    # with rnorm the step takes no norm of r, and the LM drivers pass it
+    a = np.random.default_rng(6).standard_normal((3, 2))
+    model = linear_model(a)
+    x, r = np.array([0.1, -0.2]), a @ [0.9, 0.7]
+    want = lm_step(model, x, r, 0.5)
+
+    def no_norm(*args):
+        raise AssertionError("finite_norm called")
+
+    monkeypatch.setattr(stepmod, "finite_norm", no_norm)
+    with pytest.raises(AssertionError, match="finite_norm called"):
+        lm_step(model, x, r, 0.5)
+    got = lm_step(model, x, r, 0.5, rnorm=float(np.linalg.norm(r)))
+    assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+    trace = run_exact(model, None, a @ [1.0, 1.0], x, SolverConfig(q=0.5, max_iters=3))
+    assert trace.iterations == 3
 
 
 def _linear_problem(draw, m, n):
