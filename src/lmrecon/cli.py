@@ -206,8 +206,8 @@ def _run(cfg: RunConfig, prob, cert: StabilityCertificate, method: str,
     """Run LM, Landweber or the reconstruction pipeline (``method`` "lm",
     "landweber" or "reconstruct", which measures through ``q_op`` and scans
     ``box``) on ``prob`` as ``cfg`` says and return the trace, which keeps
-    every iterate; an LM trace carries its theory constants for ``cert``, and
-    its theory flags when ``prob`` has a truth.
+    every iterate; an LM trace carries its theory constants for ``cert`` and
+    its hypothesis report.
 
     The stopping rule is the discrepancy principle when tau is set, else the
     accuracy target when target_gamma is set, else the budget.

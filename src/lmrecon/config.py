@@ -9,6 +9,7 @@ constraint.  ``parse(serialize(cfg))`` returns an equal config.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict, dataclass, fields
 
 import yaml
@@ -47,6 +48,9 @@ CERT_FIELDS = tuple(f.name for f in fields(StabilityCertificate)
 
 # libyaml parses a config some ten times faster than pure Python
 _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# exponent notation that YAML 1.1 reads as text: 1e-3 (no decimal point) or
+# 1.0e3 (an unsigned exponent)
+_EXPONENT_TEXT = re.compile(r"(?=[-+]?\.?\d)([-+]?\d*)(\.\d*)?[eE]([-+]?)(\d+)", re.A)
 
 
 @dataclass
@@ -87,7 +91,10 @@ def _expect(cond: bool, field: str, message: str):
 
 def _check_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(field, f"expected a number, got {value!r}")
+        fix = isinstance(value, str) and _EXPONENT_TEXT.fullmatch(value)
+        _fail(field, f"expected a number, got {value!r}" + (
+            "; write it with a decimal point and a signed exponent, as "
+            f"{fix[1]}{fix[2] or '.0'}e{fix[3] or '+'}{fix[4]}" if fix else ""))
     return float(value)
 
 
@@ -158,22 +165,26 @@ def _check_override(override, field: str) -> dict:
             for key, value in override.items()}
 
 
-_POSITIVE = _ranged(_check_number, lambda v: v > 0, "must be positive")
+_POSITIVE = _ranged(_check_number, lambda v: 0.0 < v < math.inf,
+                    "must be positive and finite")
 _NON_NEGATIVE_INT = _ranged(_check_integer, lambda v: v >= 0, "must be >= 0")
 
 # key -> the check of its value, in RunConfig's field order, which is the
 # order parse checks them in
 _CHECKS = {
     "eps": _ranged(_check_number, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-    "tau": _ranged(_check_number, lambda v: v > 1.0, "must be > 1"),
-    "delta": _ranged(_check_number, lambda v: v >= 0.0, "must be >= 0"),
+    # an infinite threshold tau delta stops every run at k = 0
+    "tau": _ranged(_check_number, lambda v: 1.0 < v < math.inf,
+                   "must be > 1 and finite"),
+    "delta": _ranged(_check_number, lambda v: 0.0 <= v < math.inf,
+                     "must be >= 0 and finite"),
     # every iterate stays on the trace, so a run is as long as recon's cap
     "max_iters": _ranged(_check_integer, lambda v: 0 <= v <= BUDGET_CAP,
                          f"must lie in [0, {BUDGET_CAP}]"),
+    # an infinite target is reached at k = 0
     "target_gamma": _POSITIVE,
     # an infinite tolerance would accept alpha_bound at every step
-    "tol_alpha": _ranged(_check_number, lambda v: 0.0 < v < math.inf,
-                         "must be positive and finite"),
+    "tol_alpha": _POSITIVE,
     "box": _check_box,
     "measurement": _check_measurement,
     "noise_seed": _NON_NEGATIVE_INT,

@@ -45,10 +45,6 @@ from .step import StepDiagnostics, lm_step
 
 STOP_MODES = ("fixed_budget", "target_error", "discrepancy")
 
-# Slack used when confirming identities that hold exactly in the analysis but
-# are evaluated in floating point.
-_REL_SLACK = 1e-12
-
 # Residuals below this multiple of machine epsilon (times the data scale) are
 # dominated by rounding noise in y - F(x); the iteration stops there.
 _FLOOR_EPS = 100.0 * np.finfo(float).eps
@@ -78,13 +74,14 @@ class SolverConfig:
         if self.stop_mode not in STOP_MODES:
             raise ConfigInvalid(f"stop_mode must be one of {STOP_MODES}")
         if self.stop_mode == "discrepancy":
-            if self.tau is None or not self.tau > 1.0:
-                raise ConfigInvalid("discrepancy stopping requires tau > 1")
-            if not self.delta >= 0:
-                raise ConfigInvalid("delta must be >= 0")
+            if self.tau is None or not 1.0 < self.tau < math.inf:
+                raise ConfigInvalid("discrepancy stopping requires tau > 1 and finite")
+            if not 0.0 <= self.delta < math.inf:
+                raise ConfigInvalid("delta must be >= 0 and finite")
         if self.stop_mode == "target_error":
-            if self.target_gamma is None or not self.target_gamma > 0:
-                raise ConfigInvalid("target_error stopping requires target_gamma > 0")
+            if self.target_gamma is None or not 0.0 < self.target_gamma < math.inf:
+                raise ConfigInvalid(
+                    "target_error stopping requires target_gamma > 0 and finite")
         if self.domain_mode not in ("error", "warn"):
             raise ConfigInvalid("domain_mode must be 'error' or 'warn'")
 
@@ -142,7 +139,7 @@ class TraceRecord:
 class IterationTrace:
     """Complete record of one solver run; ``iterates[k]`` is the iterate of
     ``records[k]``, ``x_final`` the last of them, and ``y_obs`` the data
-    the run fitted."""
+    the run fitted; :mod:`lmrecon.checks` judges the guarantees off it."""
 
     records: list[TraceRecord]
     terminal: str
@@ -150,8 +147,6 @@ class IterationTrace:
     k_star: int | None = None
     step_diagnostics: list[StepDiagnostics] = field(default_factory=list)
     hypothesis: HypothesisReport | None = None
-    gamma_monotone: bool | None = None
-    error_monotonicity_ok: bool | None = None
     y_obs: np.ndarray | None = None
     warnings: list[str] = field(default_factory=list)
     recon: object | None = None
@@ -242,8 +237,8 @@ def compute_constants_noisy(cert: StabilityCertificate, q: float, tau: float,
     """Evaluate the noisy-data guarantee constants; errors if R <= 0."""
     if not 0.0 < q < 1.0:
         raise ConfigInvalid("q must lie in (0, 1)")
-    if not tau > 1.0:
-        raise ConfigInvalid("tau must be > 1")
+    if not 1.0 < tau < math.inf:
+        raise ConfigInvalid("tau must be > 1 and finite")
     lip, jac, cf, eps = (cert.lip_deriv, cert.jac_bound,
                          cert.holder_const, cert.holder_eps)
     big_r = _big_r(q, tau)
@@ -411,13 +406,12 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     not recorded; under ``"warn"`` it adds a warning and is recorded.  The
     trace keeps one iterate per record: a copy of ``x0``, then each recorded
     ``x_next``, which a step returns as a fresh array, and the data
-    ``y_obs``.  The theory bookkeeping (entry condition, gamma and
-    error-monotonicity flags, whose failures are warnings of the trace)
-    runs when the truth is known and a hypothesis report is passed; the
-    entry condition needs the theory ``constants``, which the trace keeps.
-    The omega-condition is not the loop's: only ``verify`` reads it, and
-    :func:`lmrecon.checks.omega_condition_holds` evaluates it on the
-    recorded iterates.
+    ``y_obs``.  Given the truth, a hypothesis report and the theory
+    ``constants``, which the trace keeps, it checks the entry condition
+    ``gamma_0 <= rho``, whose failure disarms the report and is a warning
+    of the trace.  It judges no guarantee: :mod:`lmrecon.checks` reads the
+    omega-condition and the monotonicity of gamma and of the error off the
+    trace.
 
     The loop computes each quantity of an iterate once: ``||r||`` by
     :func:`lmrecon.operators.finite_norm` in ``residual_at``, which reads
@@ -433,7 +427,6 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     truth = x_dagger is not None
     if truth:
         x_dagger = as_vector(x_dagger, model.dim_x, "x_dagger")
-    theory = truth and hypothesis is not None
     threshold = cfg.tau * cfg.delta if cfg.stop_mode == "discrepancy" else None
 
     trace = IterationTrace(records=[], terminal="budget_exhausted",
@@ -449,16 +442,12 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
         return 0.5 * float(np.add.reduce(d * d))
 
     gamma = gamma_at(x) if truth else None
-    if theory and constants is not None:
-        ok = gamma <= constants.rho
-        hypothesis.x0_condition_ok = ok
+    if truth and hypothesis is not None and constants is not None:
+        hypothesis.x0_condition_ok = ok = gamma <= constants.rho
         if not ok:
             trace.warnings.append(f"entry condition fails: gamma_0 = "
                                   f"{gamma:.6g} > rho = {constants.rho:.6g}")
         hypothesis.armed = hypothesis.armed and ok
-    if theory:
-        trace.gamma_monotone = True
-        trace.error_monotonicity_ok = True
 
     def residual_at(point):
         r = y_obs - apply_forward(model, point)
@@ -509,33 +498,17 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
                 break
 
         step_norm = vector_norm(x_next - x)
-        r_next, residual_next = residual_at(x_next)
-        gamma_next = gamma_at(x_next) if truth else None
-
-        record = TraceRecord(k + 1, None, residual_next, gamma_next,
-                             step_norm, None)
+        x = x_next
+        r, residual = residual_at(x)
+        gamma = gamma_at(x) if truth else None
+        k += 1
+        record = TraceRecord(k, None, residual, gamma, step_norm, None)
         if diag is not None:
             record.alpha = diag.alpha
             record.mdp_prime_rel_err = diag.mdp_prime_rel_err
             trace.step_diagnostics.append(diag)
         trace.records.append(record)
-        trace.iterates.append(x_next)
-
-        if theory:
-            if gamma_next > gamma + _REL_SLACK * max(gamma, 1.0):
-                trace.gamma_monotone = False
-                trace.warnings.append(
-                    f"gamma increased at step {k}: {gamma:.6g} -> {gamma_next:.6g}"
-                )
-            decrease = 2.0 * gamma - 2.0 * gamma_next
-            if not decrease > step_norm**2 - 1e-12:
-                trace.error_monotonicity_ok = False
-                trace.warnings.append(
-                    f"error-monotonicity inequality failed at step {k}"
-                )
-
-        x, r, residual, gamma = x_next, r_next, residual_next, gamma_next
-        k += 1
+        trace.iterates.append(x)
 
     return trace
 
@@ -551,9 +524,9 @@ def run_exact(model: ForwardModel, x_dagger, y, x0, cfg: SolverConfig,
               tc: TheoryConstantsExact | None = None) -> IterationTrace:
     """Drive the LM iteration on exact data until budget, target, or x = x_truth.
 
-    When the ground truth is supplied, gamma_k is recorded per row and
-    monotonicity violations are flagged on the trace; the run makes the
-    same model calls with the truth as without it.  The trace keeps the
+    When the ground truth is supplied, gamma_k is recorded per row, for
+    ``verify`` to judge; the run makes the same model calls with the truth
+    as without it.  The trace keeps the
     data and the iterates, at which ``verify`` checks the shift ceiling and
     the omega-condition (with omega = 2, as in the exact-data analysis).
     """

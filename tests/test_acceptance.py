@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import GALLERY_IDS
-from lmrecon.checks import omega_condition_holds
+from lmrecon.checks import monotonicity, omega_condition_holds
 from lmrecon.cli import main
 from lmrecon.engine import (
     SolverConfig,
@@ -96,7 +96,7 @@ def test_c03_error_monotonicity(gallery_problems):
         trace = _exact_gallery_run(prob)
         assert omega_condition_holds(prob.model, trace, prob.x_dagger, 0.5, 2.0), \
             f"{pid}: omega-condition not verified"
-        assert trace.error_monotonicity_ok, pid
+        assert monotonicity(trace.records)[1], pid
     _report("criterion 3: error monotonicity under the verified omega-condition")
 
 
@@ -137,7 +137,7 @@ def test_c05_noisy_guarantees(gallery_problems):
         assert trace.terminal == "discrepancy_stop"
         bound = kstar_upper_bound(tc, prob.certificate, 0.5, 4.0, delta)
         assert trace.k_star <= bound
-        assert trace.gamma_monotone
+        assert monotonicity(trace.records)[0]
         errors.append(float(np.linalg.norm(trace.x_final - prob.x_dagger)))
     slope = np.polyfit(np.log10(deltas), np.log10(errors), 1)[0]
     assert slope >= 0.8

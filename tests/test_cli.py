@@ -228,6 +228,53 @@ class TestConfig:
         assert parse_outcome(mode_raw("exact", tol_alpha=value)) == \
             "config field 'tol_alpha': must be positive and finite"
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("mode, key, message", [
+        ("noisy", "tau", "must be > 1 and finite"),
+        ("noisy", "delta", "must be >= 0 and finite"),
+        ("exact", "target_gamma", "must be positive and finite"),
+        ("landweber", "step_scale", "must be positive and finite"),
+    ])
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, mode,
+                                                 key, message, value):
+        # inf once stopped a run at k = 0 (tau, target_gamma), sent it to the
+        # budget (tau with delta = 0) or blamed the model (delta), and
+        # Landweber refused it as a hypothesis (step_scale, exit 3)
+        path = mode_config(tmp_path, mode, **{key: value})
+        assert main(["solve", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"config error: config field '{key}': {message}\n"
+
+    @pytest.mark.parametrize("delta", [1e-3, 0.0])
+    def test_verify_with_infinite_tau_prints_no_rows(self, tmp_path, capsys,
+                                                     delta):
+        path = write_config(tmp_path, problem_id="quadratic-2d", mode="verify",
+                            tau=math.inf, delta=delta)
+        assert main(["verify", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: config field 'tau': ")
+
+    @pytest.mark.parametrize("text, fixed", [
+        ("1e-3", "1.0e-3"), ("1.0e3", "1.0e+3"), ("+2E5", "+2.0e+5"),
+        (".5e3", ".5e+3"), ("3e+2", "3.0e+2")])
+    def test_exponent_read_as_text_names_the_fix(self, text, fixed):
+        # YAML 1.1 reads a float only with a decimal point and a signed
+        # exponent; the message gives the number written that way
+        body = ("problem_id: exp-decay\nmode: noisy\nq: 0.5\n"
+                "output_path: out\ntau: 4.0\nmax_iters: 5\ndelta: {}\n")
+        with pytest.raises(ConfigInvalid) as info:
+            cfgmod.parse_text(body.format(text))
+        assert str(info.value) == (
+            f"config field 'delta': expected a number, got '{text}'; write it "
+            f"with a decimal point and a signed exponent, as {fixed}")
+        assert cfgmod.parse_text(body.format(fixed)).delta == float(text)
+
+    @pytest.mark.parametrize("value", ["abc", "inf", "1_0e3", "0x10"])
+    def test_text_that_is_no_exponent_gets_no_hint(self, value):
+        assert parse_outcome(mode_raw("noisy", delta=value)) == \
+            f"config field 'delta': expected a number, got '{value}'"
+
     @pytest.mark.parametrize("field", [
         key for key, default in cfgmod.DEFAULTS.items() if default is None])
     @pytest.mark.parametrize("mode", cfgmod.MODES)
@@ -432,6 +479,36 @@ def run_configs(draw):
 @given(cfg=run_configs())
 def test_config_round_trip(cfg):
     assert cfgmod.parse_text(cfgmod.serialize(cfg)) == cfg
+
+
+# SolverConfig's fields besides the one drawn, in the stopping mode that
+# reads it, and the config mode whose schema reads it
+SOLVER_FIELDS = {
+    "tau": ({"stop_mode": "discrepancy", "delta": 1e-3}, "noisy"),
+    "delta": ({"stop_mode": "discrepancy", "tau": 4.0}, "noisy"),
+    "tol_alpha": ({}, "exact"),
+    "target_gamma": ({"stop_mode": "target_error"}, "exact"),
+}
+EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0,
+    math.nextafter(1.0, math.inf), math.nextafter(1.0, 0.0),
+    math.nextafter(0.0, 1.0), math.nextafter(0.0, -1.0),
+    sys.float_info.max, -sys.float_info.max])
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(SOLVER_FIELDS)),
+       value=st.one_of(EDGE_FLOATS, st.floats()))
+def test_schema_and_solver_config_accept_the_same_values(key, value):
+    # the config layer refuses exactly what the solver layer refuses
+    fields, mode = SOLVER_FIELDS[key]
+    schema_ok = not isinstance(parse_outcome(mode_raw(mode, **{key: value})), str)
+    try:
+        SolverConfig(q=0.5, max_iters=1, **fields, **{key: value})
+        solver_ok = True
+    except ConfigInvalid:
+        solver_ok = False
+    assert schema_ok == solver_ok
 
 
 class TestSolveCommand:

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_model, non_finite_model
-from lmrecon.checks import omega_condition_holds
+from lmrecon import tracefile
+from lmrecon.checks import _REL_SLACK, monotonicity, omega_condition_holds
 from lmrecon.cli import counting_model, make_noise
 from lmrecon.engine import (
     SolverConfig,
+    TraceRecord,
     compute_constants_exact,
     compute_constants_noisy,
     iterations_for_accuracy,
@@ -109,6 +111,12 @@ class TestConstantsNoisy:
     def test_c_prime_coefficient(self):
         tc = compute_constants_noisy(unit_cert(), 0.5, 4.0)
         assert abs(tc.c_prime_coeff - 0.25 * 16 * 0.1875) <= 1e-13
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_tau_must_be_finite(self, tau):
+        # an infinite tau once gave R = 3/4 and kstar_bound = 0
+        with pytest.raises(ConfigInvalid, match="^tau must be > 1 and finite$"):
+            compute_constants_noisy(unit_cert(), 0.5, tau, delta=1e-3)
 
 
 class TestRateBound:
@@ -603,6 +611,21 @@ class TestSolverConfigValidation:
         with pytest.raises(ConfigInvalid, match=match):
             SolverConfig(**{"q": 0.5, "max_iters": 1, **fields})
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("key, fields, message", [
+        ("tau", {"stop_mode": "discrepancy", "delta": 1e-3},
+         "discrepancy stopping requires tau > 1 and finite"),
+        ("delta", {"stop_mode": "discrepancy", "tau": 4.0},
+         "delta must be >= 0 and finite"),
+        ("target_gamma", {"stop_mode": "target_error"},
+         "target_error stopping requires target_gamma > 0 and finite"),
+    ])
+    def test_non_finite_value_rejected(self, key, fields, message, value):
+        # an infinite threshold or target stops every run at k = 0
+        with pytest.raises(ConfigInvalid) as info:
+            SolverConfig(q=0.5, max_iters=1, **fields, **{key: value})
+        assert str(info.value) == message
+
 
 def test_tangential_cone_eta_shrinks_with_ball():
     cert = unit_cert()
@@ -740,8 +763,10 @@ def _hex(value) -> str:
 def trace_digest(trace, omega_ok) -> str:
     """sha256 of everything a driver reports: the terminal, k_star, every
     record, every step's diagnostics, x_final and the warnings, with each
-    float as ``float.hex``, and the theory flags, with ``omega_ok`` the
-    run's omega-condition flag (None for a Landweber run)."""
+    float as ``float.hex``, and the theory flags: the gamma and
+    error-monotonicity flags by ``monotonicity`` for a run with the truth
+    and a hypothesis report (None otherwise), and ``omega_ok``, the run's
+    omega-condition flag (None for a Landweber run)."""
     lines = [f"{trace.terminal} {trace.k_star}"]
     lines += [" ".join(_hex(v) for v in dataclasses.astuple(rec))
               for rec in trace.records]
@@ -749,8 +774,9 @@ def trace_digest(trace, omega_ok) -> str:
               for diag in trace.step_diagnostics]
     lines.append(" ".join(_hex(float(v)) for v in trace.x_final))
     lines += trace.warnings
-    lines.append(repr((trace.gamma_monotone, trace.error_monotonicity_ok,
-                       omega_ok, trace.hypothesis)))
+    theory = trace.hypothesis is not None and trace.records[0].gamma is not None
+    flags = monotonicity(trace.records) if theory else (None, None)
+    lines.append(repr((*flags, omega_ok, trace.hypothesis)))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -1147,3 +1173,62 @@ def test_provenance_table_decides_arming(provenance):
     for trace in (exact, noisy):
         assert trace.hypothesis.cert_provenance == provenance
         assert trace.hypothesis.armed is PROVENANCES[provenance]
+
+
+def _rows(*cells):
+    """Trace rows with the given ``(gamma, step_norm)``."""
+    return [TraceRecord(k, None, 1.0, gamma, step_norm, None)
+            for k, (gamma, step_norm) in enumerate(cells)]
+
+
+class TestMonotonicity:
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.5, 1.0, 3.0, 1e6])
+    def test_gamma_rise_at_the_slack_passes_one_ulp_more_fails(self, gamma):
+        edge = gamma + _REL_SLACK * max(gamma, 1.0)
+        assert monotonicity(_rows((gamma, None), (edge, 0.0)))[0]
+        above = math.nextafter(edge, math.inf)
+        assert not monotonicity(_rows((gamma, None), (above, 0.0)))[0]
+
+    @pytest.mark.parametrize("step_norm", [1e-5, 1e-3, 0.5, 2.0])
+    def test_error_decrease_equal_to_the_bound_fails(self, step_norm):
+        # from gamma to 0 the decrease is 2 gamma, exactly the bound
+        bound = step_norm**2 - 1e-12
+        gamma = bound / 2.0
+        assert not monotonicity(_rows((gamma, None), (0.0, step_norm)))[1]
+        above = math.nextafter(gamma, math.inf)
+        assert monotonicity(_rows((above, None), (0.0, step_norm))) == (True, True)
+
+    def test_every_step_is_judged(self):
+        rows = _rows((1.0, None), (0.5, 0.1), (0.75, 0.1), (0.5, 0.1))
+        assert monotonicity(rows) == (False, False)
+        assert monotonicity(rows[:2]) == (True, True)
+        assert monotonicity(rows[2:]) == (True, True)
+        assert monotonicity(rows[:1]) == (True, True)
+
+    def test_nan_fails_only_the_error_decrease(self):
+        assert monotonicity(_rows((1.0, None), (math.nan, 0.1))) == (True, False)
+        assert monotonicity(_rows((math.nan, None), (0.5, 0.1))) == (True, False)
+        assert monotonicity(_rows((1.0, None), (0.5, math.nan))) == (True, False)
+
+
+def _assert_read_off_the_trace_file(trace):
+    text = tracefile.dumps(tracefile.TraceFile.from_trace(trace, {}))
+    rows = tracefile.loads(text).rows
+    columns = [(rec.gamma, rec.step_norm) for rec in trace.records]
+    assert [(row.gamma, row.step_norm) for row in rows] == columns
+    assert columns[0][0] is not None
+    assert monotonicity(rows) == monotonicity(trace.records)
+
+
+# every pinned driver trace has the truth, and its verdict on the rows a trace
+# file reads back is the verdict on the run's own records
+@pytest.mark.parametrize("driver", PINNED_DRIVERS)
+@pytest.mark.parametrize("pid", PINNED_TRACES)
+def test_monotonicity_is_read_off_the_trace_file(pid, driver, gallery_problems):
+    _assert_read_off_the_trace_file(pinned_trace(gallery_problems[pid], driver)[0])
+
+
+@pytest.mark.parametrize("driver", ["exact", "noisy", "landweber"])
+@pytest.mark.parametrize("shape", PINNED_TALL_TRACES)
+def test_tall_monotonicity_is_read_off_the_trace_file(shape, driver):
+    _assert_read_off_the_trace_file(tall_trace(shape, driver)[0])

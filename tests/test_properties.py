@@ -27,7 +27,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lmrecon.checks import _tangential_cone_worst, omega_condition_holds
+from lmrecon.checks import _tangential_cone_worst, monotonicity, omega_condition_holds
 from lmrecon.cli import make_noise
 from lmrecon.engine import (SolverConfig, compute_constants_exact, compute_constants_noisy,
                             iterations_for_accuracy, kstar_log_estimate, qtilde, rate_bound,
@@ -169,7 +169,7 @@ def test_exact_run_is_monotone(s):
     not increase."""
     trace = armed_run(s)
     assert omega_condition_holds(s.prob.model, trace, s.truth, s.q, 2.0)
-    assert trace.error_monotonicity_ok and trace.gamma_monotone
+    assert monotonicity(trace.records) == (True, True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,7 +225,7 @@ def test_residuals_contract_by_qtilde(s):
         assume(False)
     assert np.all(res[1:] / res[:-1] <= qt + 1e-9)
     assert trace.k_star <= log_bound
-    assert trace.gamma_monotone
+    assert monotonicity(trace.records)[0]
 
 
 @settings(max_examples=15, deadline=None)
