@@ -28,6 +28,7 @@ from .errors import (
 )
 from .operators import (
     PROVENANCES,
+    STACK_BLOCK,
     ForwardModel,
     StabilityCertificate,
     apply_forward,
@@ -39,7 +40,6 @@ from .operators import (
     require_finite,
     require_in_domain,
     row_norms,
-    vector_norm,
 )
 from .step import StepDiagnostics, lm_step
 
@@ -139,7 +139,9 @@ class TraceRecord:
 class IterationTrace:
     """Complete record of one solver run; ``iterates[k]`` is the iterate of
     ``records[k]``, ``x_final`` the last of them, and ``y_obs`` the data
-    the run fitted; :mod:`lmrecon.checks` judges the guarantees off it."""
+    the run fitted; :mod:`lmrecon.checks` judges the guarantees off it.
+    The records' gamma and step-norm columns are read off the iterates once
+    the run has ended, with the bits a per-step evaluation gives them."""
 
     records: list[TraceRecord]
     terminal: str
@@ -413,14 +415,19 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     omega-condition and the monotonicity of gamma and of the error off the
     trace.
 
-    The loop computes each quantity of an iterate once: ``||r||`` by
+    Per update the loop computes only what a stopping rule or the ball
+    policy reads: the step, the ball test (with the violation's message
+    built only for an update outside the ball), F and ``||r||``, by
     :func:`lmrecon.operators.finite_norm` in ``residual_at``, which reads
     r's finiteness off that norm and raises :class:`NonConvergence` when it
-    overflows, as :func:`lm_step` does; ``gamma`` and the step norm once per
-    update; and the ball test once per update, with the violation's message
-    built only for an update outside the ball.  ``step`` receives
-    ``||r||``, and neither step takes it again: an LM step hands it to
-    :func:`lm_step` as ``rnorm``.
+    overflows, as :func:`lm_step` does.  ``step`` receives ``||r||``, and
+    neither step takes it again: an LM step hands it to :func:`lm_step` as
+    ``rnorm``.  Given the truth, gamma is taken once for ``gamma_0`` and
+    then per update only under a ``target_error`` stop, which reads it.
+    The loop keeps ``||r_k||``, those gammas and the step diagnostics in
+    lists; :func:`_records` builds the records from them after the run and
+    fills the record-only columns, the other gammas and every step norm,
+    in one array pass over the kept iterates.
     """
     x = as_vector(x0, model.dim_x, "x0")
     y_obs = as_vector(y_obs, model.dim_y, "y_obs")
@@ -448,13 +455,18 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
             trace.warnings.append(f"entry condition fails: gamma_0 = "
                                   f"{gamma:.6g} > rho = {constants.rho:.6g}")
         hypothesis.armed = hypothesis.armed and ok
+    # gamma of a later iterate only where a stopping rule reads it
+    target = (cfg.target_gamma if cfg.stop_mode == "target_error" and truth
+              else None)
 
     def residual_at(point):
         r = y_obs - apply_forward(model, point)
         return r, finite_norm(r, "residual y - F(x)")
 
     r, residual = residual_at(x)
-    trace.records.append(TraceRecord(0, None, residual, gamma, None, None))
+    residuals = [residual]
+    gammas = [gamma]
+    diags = []
     # ||y|| by row_norms, which stays finite where ||y||^2 overflows
     floor = _FLOOR_EPS * (1.0 + float(row_norms(y_obs[None])[0]))
 
@@ -472,8 +484,7 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
                     "treated as converged"
                 )
             break
-        if (cfg.stop_mode == "target_error" and truth
-                and gamma <= cfg.target_gamma):
+        if target is not None and gamma <= target:
             trace.terminal = "target_reached"
             break
         if k >= cfg.max_iters:
@@ -497,20 +508,64 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
                 trace.terminal = "domain_violation"
                 break
 
-        step_norm = vector_norm(x_next - x)
         x = x_next
         r, residual = residual_at(x)
-        gamma = gamma_at(x) if truth else None
+        if target is not None:
+            gamma = gamma_at(x)
+            gammas.append(gamma)
         k += 1
-        record = TraceRecord(k, None, residual, gamma, step_norm, None)
-        if diag is not None:
-            record.alpha = diag.alpha
-            record.mdp_prime_rel_err = diag.mdp_prime_rel_err
-            trace.step_diagnostics.append(diag)
-        trace.records.append(record)
+        residuals.append(residual)
+        diags.append(diag)
         trace.iterates.append(x)
 
+    trace.records = _records(trace.iterates, residuals, gammas, diags, x_dagger)
+    trace.step_diagnostics = [diag for diag in diags if diag is not None]
     return trace
+
+
+@np.errstate(over="ignore")
+def _step_norms(steps: np.ndarray) -> list[float]:
+    """:func:`lmrecon.operators.vector_norm` of every row of ``steps``: the
+    square root of one ddot per row, the one ``np.vdot`` takes, and
+    :func:`row_norms`' rescued norm where that square overflows.  Overflow
+    is ignored under a state built once, at import: ``np.vecdot`` would
+    warn on it where ``np.vdot`` does not."""
+    norms = np.sqrt(np.vecdot(steps, steps)).tolist()
+    if math.inf in norms:
+        over = [i for i, norm in enumerate(norms) if norm == math.inf]
+        for i, norm in zip(over, row_norms(steps[over]).tolist()):
+            norms[i] = norm
+    return norms
+
+
+def _records(iterates, residuals, gammas, diags, x_dagger) -> list[TraceRecord]:
+    """The trace rows of a finished run, one per iterate.
+
+    The loop keeps ``||r_k||``, the step diagnostics and the gammas it
+    computed: gamma_0, and under a ``target_error`` stop every later one.
+    The record-only columns are filled here in one array pass over at most
+    ``STACK_BLOCK + 1`` stacked iterates at a time, with the bits a per-row
+    evaluation gives them: each step norm ``vector_norm(x_{k+1} - x_k)``'s,
+    by :func:`_step_norms`, and each missing gamma
+    ``0.5 * np.add.reduce(d * d)``'s with ``d = x_k - x_dagger``, which the
+    reduction along a row takes by the same pairwise sum.  A run of no step
+    stacks nothing.
+    """
+    if x_dagger is None:
+        gammas = [None] * len(iterates)
+    fill_gamma = len(gammas) < len(iterates)
+    steps = [None]
+    for start in range(0, len(iterates) - 1, STACK_BLOCK):
+        xs = np.array(iterates[start:start + STACK_BLOCK + 1])
+        steps += _step_norms(xs[1:] - xs[:-1])
+        if fill_gamma:
+            d = xs[1:] - x_dagger
+            gammas += (0.5 * np.add.reduce(d * d, axis=1)).tolist()
+    alphas = [None] + [None if diag is None else diag.alpha for diag in diags]
+    mdp_errs = [None] + [None if diag is None else diag.mdp_prime_rel_err
+                         for diag in diags]
+    return [TraceRecord(*row) for row in zip(
+        range(len(iterates)), alphas, residuals, gammas, steps, mdp_errs)]
 
 
 def _lm_stepper(model: ForwardModel, cfg: SolverConfig):

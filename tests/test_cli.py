@@ -543,6 +543,18 @@ class TestSolveCommand:
     def test_missing_config_exits_one(self):
         assert main(["solve", "--config", "/does/not/exist.yaml"]) == 1
 
+    @pytest.mark.parametrize("command, mode", [
+        ("solve", "exact"), ("compare", "noisy"), ("reconstruct", "reconstruct_exact"),
+        ("verify", "verify")])
+    def test_unknown_problem_exits_one_and_lists_the_known_ids(
+            self, tmp_path, capsys, command, mode):
+        path = mode_config(tmp_path, mode, problem_id="no-such-problem")
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown problem 'no-such-problem'" in err
+        for pid in gallery_ids():
+            assert f"'{pid}'" in err
+
     def test_budget_before_discrepancy_exits_two(self, tmp_path):
         # both drivers: a discrepancy run that ends on its budget failed
         for mode in ("noisy", "landweber"):
@@ -733,6 +745,16 @@ class TestReconstructCommand:
         path = write_config(tmp_path, **{**C07A, "measurement": measurement})
         assert main(["reconstruct", "--config", str(path)]) == 1
         assert f"config field 'measurement': {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("columns", [1, 2, 4])
+    def test_measurement_with_the_wrong_column_count_exits_one(
+            self, tmp_path, capsys, columns):
+        # exp-decay's data has 3 entries, so Q needs 3 columns
+        measurement = [[1.0] * columns, [0.5] * columns]
+        path = write_config(tmp_path, **{**C07A, "measurement": measurement})
+        assert main(["reconstruct", "--config", str(path)]) == 1
+        assert (f"measurement matrix has {columns} columns, data dimension is 3"
+                in capsys.readouterr().err)
 
     def test_full_rank_measurement_reconstructs(self, tmp_path, capsys):
         path = write_config(tmp_path, **{**C07A, "measurement": [[1.0, 0.0, 0.0],
@@ -1396,13 +1418,15 @@ def test_unwritable_output_exits_one(tmp_path, capsys, command):
 
 
 # Any float but NaN, infinities included; cli_runs mixes it with values near
-# a problem's own scale.
+# a problem's own scale for the boxes, and FINITE for x0.
 ANY_FLOAT = st.floats(allow_nan=False)
 
 
-def _positive(draw, label):
-    """A positive float: small, moderate or huge, or inf."""
-    return draw(st.one_of(st.floats(min_value=0.0, exclude_min=True),
+def _positive(draw, label, infinite=False):
+    """A positive float: small, moderate or huge, and inf only where
+    ``infinite``."""
+    return draw(st.one_of(st.floats(min_value=0.0, exclude_min=True,
+                                    allow_infinity=infinite),
                           st.floats(1e-3, 1e3)), label=label)
 
 
@@ -1426,8 +1450,8 @@ def cli_runs(draw):
     near = [st.floats(t - 2.0, t + 2.0) for t in prob.x_dagger]
     values = {
         "tau": lambda: draw(st.floats(1.0, 100.0, exclude_min=True), label="tau"),
-        "delta": lambda: draw(st.one_of(st.just(0.0), st.floats(min_value=0.0)),
-                              label="delta"),
+        "delta": lambda: draw(st.one_of(st.just(0.0), st.floats(
+            min_value=0.0, allow_infinity=False)), label="delta"),
         "max_iters": lambda: draw(st.integers(0, 40), label="max_iters"),
         "target_gamma": lambda: _positive(draw, "target_gamma"),
         "eps": lambda: draw(st.one_of(st.just(1.0),
@@ -1437,7 +1461,7 @@ def cli_runs(draw):
                                   label="tol_alpha"),
         "noise_seed": lambda: draw(st.integers(0, 2**32), label="noise_seed"),
         "step_scale": lambda: _positive(draw, "step_scale"),
-        "x0": lambda: [draw(st.one_of(axis, ANY_FLOAT), label="x0")
+        "x0": lambda: [draw(st.one_of(axis, FINITE), label="x0")
                        for axis in near],
         "box": lambda: dict(zip(("lower", "upper"), map(list, zip(*[
             sorted(draw(st.lists(st.one_of(axis, ANY_FLOAT), min_size=2,
@@ -1448,7 +1472,8 @@ def cli_runs(draw):
                               max_size=prob.model.dim_y),
                      min_size=1, max_size=3)), label="measurement"),
         "constants_override": lambda: {
-            name: _positive(draw, name)
+            # of the constants only the ball may be the whole space
+            name: _positive(draw, name, infinite=name == "domain_rho_prime")
             for name in draw(st.lists(st.sampled_from(cfgmod.CERT_FIELDS),
                                       unique=True, max_size=3),
                              label="override fields")},

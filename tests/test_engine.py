@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_model, non_finite_model
-from lmrecon import tracefile
+from lmrecon import engine, tracefile
 from lmrecon.checks import _REL_SLACK, monotonicity, omega_condition_holds
 from lmrecon.cli import counting_model, make_noise
 from lmrecon.engine import (
@@ -64,6 +64,14 @@ class TestConstantsExact:
     def test_eps_half_exponent(self):
         tc = compute_constants_exact(unit_cert(eps=0.5), 0.5)
         assert abs(tc.rho - 0.001953125) <= 1e-15
+
+    def test_q_condition_violated(self):
+        # q(1 - q) = 0.25 against 2 L-hat^2 C_F^(4/(1+eps)) = 0.02
+        with pytest.raises(ConditionViolated,
+                           match=r"q\(1-q\) = 0\.25 must be < 0\.02; adjust q"):
+            compute_constants_exact(unit_cert(jac=0.1), 0.5)
+        tc = compute_constants_exact(unit_cert(jac=0.1), 0.5, strict=False)
+        assert not tc.q_condition_ok and tc.rho_lt_rho_prime
 
     def test_condition_violated_on_small_ball(self):
         with pytest.raises(ConditionViolated):
@@ -1145,6 +1153,76 @@ def test_trace_keeps_no_rejected_iterate(pid, gallery_problems):
     assert trace.iterations > 0
     _assert_record(trace, prob.x_dagger)
     assert all(check_domain(model, x) for x in trace.iterates)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_record_columns_keep_their_bits_across_stack_blocks(block, monkeypatch,
+                                                            gallery_problems):
+    # gamma and the step norm are filled after the run, STACK_BLOCK + 1
+    # stacked iterates at a time; blocks of 1, 2 and 7 put block edges all
+    # over these runs, and every row keeps the bits its iterates give it
+    monkeypatch.setattr(engine, "STACK_BLOCK", block)
+    prob = gallery_problems["quadratic-2d"]
+    cfg = SolverConfig(q=0.5, max_iters=40, domain_mode="warn")
+    trace = landweber_run(prob.model, prob.y_exact, prob.default_x0, None, cfg,
+                          x_dagger=prob.x_dagger)
+    assert trace.iterations > 2 * block
+    _assert_record(trace, prob.x_dagger)
+    target = dataclasses.replace(cfg, stop_mode="target_error", target_gamma=1e-20)
+    trace = run_exact(prob.model, prob.x_dagger, prob.y_exact, prob.default_x0,
+                      target)
+    assert trace.iterations > 2 * block
+    _assert_record(trace, prob.x_dagger)
+    # F(x) = 1e-10 x with y = (1e150, 1e150): the squares of the first 20
+    # step norms overflow and those of the rest do not
+    model = linear_model(1e-10 * np.eye(2), radius_sq=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_exact(model, None, np.full(2, 1e150), np.zeros(2),
+                          dataclasses.replace(cfg, max_iters=30))
+    norms = [rec.step_norm for rec in trace.records[1:]]
+    assert norms[19] * norms[19] == math.inf > norms[20] * norms[20]
+    _assert_record(trace)
+
+
+NARROW = ("scalar-linear", "exp-decay", "exp-decay-2pt", "quadratic-2d",
+          "quadratic-3d")
+
+
+@settings(max_examples=60, deadline=None)
+@given(pid=st.sampled_from(NARROW), seed=st.integers(0, 2**32 - 1),
+       distance=st.floats(1e-3, 0.3), exponent=st.floats(-30.0, -2.0),
+       q=st.floats(0.1, 0.9))
+def test_target_stop_reads_the_columns_a_budget_run_records(pid, seed, distance,
+                                                            exponent, q):
+    # the loop takes gamma per update only under a target_error stop; the
+    # other runs get theirs after the run.  From one start both record the
+    # same bits on their common rows, and the target run stops at the first
+    # row whose recorded gamma reaches the target
+    prob = get_problem(pid)
+    direction = np.random.default_rng(seed).standard_normal(prob.model.dim_x)
+    x0 = prob.x_dagger + distance * direction / np.linalg.norm(direction)
+    target_gamma = 10.0 ** exponent
+    budget = SolverConfig(q=q, max_iters=30, domain_mode="warn")
+    target = dataclasses.replace(budget, stop_mode="target_error",
+                                 target_gamma=target_gamma)
+
+    def columns(cfg):
+        trace = run_exact(prob.model, prob.x_dagger, prob.y_exact, x0, cfg)
+        return trace.terminal, [
+            (rec.k, rec.residual.hex(), rec.gamma.hex(),
+             None if rec.step_norm is None else rec.step_norm.hex())
+            for rec in trace.records]
+
+    _, budget_rows = columns(budget)
+    terminal, target_rows = columns(target)
+    assert target_rows == budget_rows[:len(target_rows)]
+    gammas = [float.fromhex(row[2]) for row in target_rows]
+    assert all(gamma > target_gamma for gamma in gammas[:-1])
+    if terminal == "target_reached":
+        assert gammas[-1] <= target_gamma
+    elif terminal == "budget_exhausted":
+        assert gammas[-1] > target_gamma
 
 
 def test_trace_of_infeasible_first_step():

@@ -608,6 +608,25 @@ class TestReconstructNoisy:
         assert trace.terminal == "budget_exhausted"
         assert trace.k_star is None
 
+    def test_noise_level_at_the_scan_threshold_is_recorded(self, gallery_problems):
+        # noise-free data, so the scan still hits; a delta at the threshold
+        # voids the hit guarantee, one just below it does not
+        prob = gallery_problems["scalar-linear"]
+        q_op = MeasurementOperator.identity(1)
+
+        def run(delta):
+            return reconstruct_noisy(
+                prob.model, q_op, prob.default_box, prob.certificate, 0.5, 4.0,
+                delta, q_op(prob.y_exact), 50, x_dagger=prob.x_dagger)[1]
+
+        threshold = run(1e-2).recon.scan_threshold
+        trace = run(threshold)
+        assert trace.terminal == "discrepancy_stop"
+        assert trace.warnings == [
+            f"noise level {threshold:.6g} is not small against the scan "
+            f"threshold {threshold:.6g}; the hit guarantee does not apply"]
+        assert run(np.nextafter(threshold, 0.0)).warnings == []
+
 
 # Reconstruction results recorded before the exact and noisy pipelines shared
 # one body: the ReconSummary, x_final (floats as float.hex), the terminal,

@@ -240,6 +240,18 @@ def test_spectral_kernel_non_finite_output(part):
         _spectrum(model, [0.0])
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (2, 3)],
+                         ids=["scalar", "square", "tall", "wide"])
+def test_gram_matrix_that_overflows_raises(shape):
+    # J = 1e200 E is finite and so is its adjoint, but J J* overflows to inf
+    # (numpy warns on the product's overflow, as it always has)
+    model = linear_model(1e200 * np.eye(*shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NonFiniteOutput, match="Gram matrix J J\\* is not finite"):
+            _spectrum(model, np.zeros(shape[1]))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("part", ["jacobian_apply", "jacobian_adjoint_apply"])
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3)],
