@@ -129,8 +129,7 @@ def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
         # a NaN defect would drop out of the running maximum
         require_finite(jac, "Jacobian at a verify point")
         require_finite(fd, "finite-difference Jacobian at a verify point")
-        fd_worst = max(fd_worst, float(np.linalg.norm(fd - jac))
-                       / (1.0 + float(np.linalg.norm(jac))))
+        fd_worst = max(fd_worst, vector_norm(fd - jac) / (1.0 + vector_norm(jac)))
     check("jacobian-finite-difference", fd_worst <= 1e-5,
           f"max rel defect {fd_worst:.3e}")
 
@@ -219,26 +218,29 @@ def verify_rows(prob, cert, trace, ntrace, q: float, tol_alpha: float,
         rows.append(("gamma-monotone-noisy", "NOT ARMED", "omega-condition failed"))
     kbound = None
     if k_star is not None and delta > 0:
-        e0 = float(np.linalg.norm(prob.default_x0 - prob.x_dagger))
+        e0 = vector_norm(prob.default_x0 - prob.x_dagger)
         try:
             qt = qtilde(q, cert, e0)
             kbound = kstar_log_estimate(qt, float(res[0]), tau, delta)
         except ConditionViolated:
             pass
-    if not ntrace.iterations:
-        rows.append(("qtilde-contraction", "NOT ARMED", "no steps taken"))
-    elif kbound is not None:
+    if ntrace.iterations and kbound is not None:
         ratios = res[1:] / res[:-1]
         ok = bool(np.all(ratios <= qt + 1e-9)) and k_star <= kbound
         check("qtilde-contraction", ok,
               f"q~={qt:.6f} max ratio {float(np.max(ratios)):.6f} "
               f"k_star={k_star} <= {kbound}")
-    elif k_star is None:
-        rows.append(("qtilde-contraction", "NOT ARMED", no_stop))
-    elif not delta > 0:
-        rows.append(("qtilde-contraction", "NOT ARMED", "delta = 0"))
     else:
-        rows.append(("qtilde-contraction", "NOT ARMED", "smallness condition not met"))
+        # the first cause that keeps the row from arming
+        nu = ntrace.constants.nu_bound
+        rows.append(("qtilde-contraction", "NOT ARMED",
+                     "no steps taken" if not ntrace.iterations
+                     else no_stop if k_star is None
+                     else "delta = 0" if not delta > 0
+                     else f"eps = {cert.holder_eps:g}: the estimate needs eps = 1"
+                     if nu is None
+                     else f"q = {q:g} >= nu = {nu:.6g}" if not q < nu
+                     else "smallness condition not met"))
 
     # Tangential cone on a ball small enough for eta < 1.
     rho_tc = cert.domain_rho_prime

@@ -46,7 +46,7 @@ from .errors import (
     RootInfeasible,
     SolverError,
 )
-from .operators import ForwardModel, StabilityCertificate
+from .operators import ForwardModel, StabilityCertificate, vector_norm
 from .recon import (
     CompactBox,
     MeasurementOperator,
@@ -66,7 +66,7 @@ def make_noise(y: np.ndarray, delta: float, seed: int) -> np.ndarray:
         return y.copy()
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(y.shape[0])
-    return y + delta * u / np.linalg.norm(u)
+    return y + delta * u / vector_norm(u)
 
 
 def counting_model(model: ForwardModel):
@@ -172,7 +172,7 @@ def _get_problem(cfg: RunConfig):
     try:
         return gallery.get_problem(cfg.problem_id)
     except KeyError as exc:
-        raise ConfigInvalid(str(exc)) from exc
+        raise ConfigInvalid(exc.args[0]) from exc
 
 
 def _header(cfg: RunConfig, prob, cert: StabilityCertificate, trace) -> dict:
@@ -259,7 +259,7 @@ def _run_to_trace(cfg: RunConfig, method: str) -> int:
     run = (f"terminal={trace.terminal} iters={trace.iterations}" if rs is None
            else f"lattice={rs.lattice_size} scanned={rs.scanned} "
            f"x0={np.array2string(rs.x0, precision=6)} terminal={trace.terminal}")
-    err = float(np.linalg.norm(trace.x_final - prob.x_dagger))
+    err = vector_norm(trace.x_final - prob.x_dagger)
     print(f"{cfg.mode}: {run} k_star={trace.k_star} final_error={err:.6e} "
           f"-> {cfg.output_path}")
     return _exit(trace, cfg)

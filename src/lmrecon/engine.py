@@ -40,6 +40,7 @@ from .operators import (
     require_finite,
     require_in_domain,
     row_norms,
+    vector_norm,
 )
 from .step import StepDiagnostics, lm_step
 
@@ -467,8 +468,7 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     residuals = [residual]
     gammas = [gamma]
     diags = []
-    # ||y|| by row_norms, which stays finite where ||y||^2 overflows
-    floor = _FLOOR_EPS * (1.0 + float(row_norms(y_obs[None])[0]))
+    floor = _FLOOR_EPS * (1.0 + vector_norm(y_obs))
 
     k = 0
     while True:
@@ -523,21 +523,6 @@ def _iterate(model: ForwardModel, y_obs, x0, cfg: SolverConfig, step,
     return trace
 
 
-@np.errstate(over="ignore")
-def _step_norms(steps: np.ndarray) -> list[float]:
-    """:func:`lmrecon.operators.vector_norm` of every row of ``steps``: the
-    square root of one ddot per row, the one ``np.vdot`` takes, and
-    :func:`row_norms`' rescued norm where that square overflows.  Overflow
-    is ignored under a state built once, at import: ``np.vecdot`` would
-    warn on it where ``np.vdot`` does not."""
-    norms = np.sqrt(np.vecdot(steps, steps)).tolist()
-    if math.inf in norms:
-        over = [i for i, norm in enumerate(norms) if norm == math.inf]
-        for i, norm in zip(over, row_norms(steps[over]).tolist()):
-            norms[i] = norm
-    return norms
-
-
 def _records(iterates, residuals, gammas, diags, x_dagger) -> list[TraceRecord]:
     """The trace rows of a finished run, one per iterate.
 
@@ -546,7 +531,7 @@ def _records(iterates, residuals, gammas, diags, x_dagger) -> list[TraceRecord]:
     The record-only columns are filled here in one array pass over at most
     ``STACK_BLOCK + 1`` stacked iterates at a time, with the bits a per-row
     evaluation gives them: each step norm ``vector_norm(x_{k+1} - x_k)``'s,
-    by :func:`_step_norms`, and each missing gamma
+    by :func:`row_norms`, whose rule it is, and each missing gamma
     ``0.5 * np.add.reduce(d * d)``'s with ``d = x_k - x_dagger``, which the
     reduction along a row takes by the same pairwise sum.  A run of no step
     stacks nothing.
@@ -557,7 +542,7 @@ def _records(iterates, residuals, gammas, diags, x_dagger) -> list[TraceRecord]:
     steps = [None]
     for start in range(0, len(iterates) - 1, STACK_BLOCK):
         xs = np.array(iterates[start:start + STACK_BLOCK + 1])
-        steps += _step_norms(xs[1:] - xs[:-1])
+        steps += row_norms(xs[1:] - xs[:-1]).tolist()
         if fill_gamma:
             d = xs[1:] - x_dagger
             gammas += (0.5 * np.add.reduce(d * d, axis=1)).tolist()

@@ -141,33 +141,31 @@ def require_finite(values, what: str) -> None:
 
 
 def vector_norm(v: np.ndarray) -> float:
-    """``float(np.linalg.norm(v))`` of a real float array, bit for bit,
-    without numpy's Python wrapper, wherever the squared norm does not
-    overflow: the square root of the same dot product of
-    ``v.ravel(order="K")`` with itself, taken by ``np.vdot``.  Where it
-    overflows to inf, the norm is :func:`row_norms`' rescaled one, finite
-    unless the norm itself is past the float range.  No floating-point
-    warning is raised."""
+    """The Euclidean norm of a real float array by the one norm rule,
+    :func:`row_norms`': ``row_norms(v.ravel()[None])[0]`` bit for bit, NaN
+    and inf included, and no floating-point warning.  Where the squared norm
+    is a normal float, that is the square root of one dot product of
+    ``v.ravel(order="K")`` with itself, taken here by ``np.vdot`` without
+    stacking ``v``; any other square goes to :func:`row_norms`' rescale."""
     v = v.ravel(order="K")
-    if (norm := math.sqrt(np.vdot(v, v))) != math.inf:
+    # 2**-511 is the square root of the smallest normal float
+    if 2.0**-511 <= (norm := math.sqrt(np.vdot(v, v))) < math.inf:
         return norm
     return float(row_norms(v[None])[0])
 
 
 def finite_norm(v: np.ndarray, what: str) -> float:
-    """The checked Euclidean norm of ``v``: :func:`vector_norm`'s bits when
-    they are finite.  Otherwise raises :class:`NonFiniteOutput` as
-    ``require_finite(v, what)`` does when ``v`` holds NaN or inf, and
-    :class:`NonConvergence` naming ``what`` when a finite ``v`` has a norm
-    that overflows to inf, which no step, stopping test or scale can use.
-
-    The dot product is taken once, by ``np.vdot``, which gives the same bits
-    on the same contiguous array but raises no floating-point warning; the
-    entries are checked one by one only when the norm is not finite.
+    """The checked Euclidean norm of ``v``: :func:`vector_norm`'s bits
+    wherever the squared norm does not overflow.  Otherwise raises
+    :class:`NonFiniteOutput` as ``require_finite(v, what)`` does when ``v``
+    holds NaN or inf, and :class:`NonConvergence` naming ``what`` when a
+    finite ``v`` has a squared norm that overflows to inf, which no step,
+    stopping test or scale can use.  The entries are checked one by one only
+    then.
     """
     v = v.ravel(order="K")
-    if math.isfinite(norm := math.sqrt(np.vdot(v, v))):
-        return norm
+    if (norm := math.sqrt(np.vdot(v, v))) < math.inf:
+        return norm if norm >= 2.0**-511 else float(row_norms(v[None])[0])
     require_finite(v, what)
     raise NonConvergence(f"{what} has a norm that overflows to inf")
 
@@ -244,7 +242,8 @@ def jacobian_stack(model: ForwardModel, xs) -> np.ndarray:
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row of a 2-D array.
+    """Euclidean norm of every row of a 2-D array, by the library's one norm
+    rule, which :func:`vector_norm` applies to a single vector.
 
     Each entry has the bits of ``np.linalg.norm(row)`` (both take the square
     root of one dot product per row), except where the squared norm is not
@@ -379,8 +378,8 @@ def max_adjoint_defect(model: ForwardModel, points, samples: int = 100,
 
     The defect ``|<J v, w> - <v, J* w>|`` at each triple is normalized by
     ``1 + ||J v|| * ||w||`` so the result compares directly against an
-    absolute tolerance like 1e-10.  The norms have the bits of
-    ``np.linalg.norm``, and the inner products are ``np.vdot``'s, which
+    absolute tolerance like 1e-10.  The norms are :func:`finite_norm`'s and
+    :func:`vector_norm`'s, and the inner products are ``np.vdot``'s, which
     raise no floating-point warning: a gap that overflows gives an infinite
     defect, which fails any tolerance.  Raises :class:`NonFiniteOutput` when
     ``J v`` or ``J* w`` holds NaN or inf, which would otherwise give a NaN

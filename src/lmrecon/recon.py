@@ -44,6 +44,7 @@ from .operators import (
     jacobian_stack,
     recenter,
     row_norms,
+    vector_norm,
 )
 
 DEFAULT_LATTICE_CAP = 10**7
@@ -278,7 +279,7 @@ def build_lattice(box: CompactBox, r_cover: float) -> Lattice:
     spacing = (box.upper - box.lower) / np.array(counts)
     axes = tuple(lo + (np.arange(cnt) + 0.5) * h
                  for lo, cnt, h in zip(box.lower, counts, spacing))
-    return Lattice(axes=axes, covering_radius=0.5 * float(np.linalg.norm(spacing)))
+    return Lattice(axes=axes, covering_radius=0.5 * vector_norm(spacing))
 
 
 def _screen_bound(threshold: float, dim_y: int) -> float:

@@ -47,6 +47,12 @@ NEWTON_MAX = 100
 
 _EPS = float(np.finfo(float).eps)
 
+# The Gram product ``upper @ adj`` of gram_matrix: an entry that overflows is
+# inf (or NaN, from inf - inf) without a floating-point warning, and
+# _spectrum reads it off max|G|.  The state is built once, at import, as
+# operators._lapack_errstate's is.
+_gram_product = np.errstate(over="ignore", invalid="ignore")(np.matmul)
+
 
 @dataclass
 class StepDiagnostics:
@@ -91,7 +97,8 @@ def gram_matrix(model: ForwardModel, x):
     built for the call when Q is the identity, which is never formed.
     Either way the adjoint enters ``gram`` exactly as the model supplies it.
     Raises :class:`NonFiniteOutput` when J or the adjoint's matrix holds NaN
-    or inf, before either enters a product.
+    or inf, before either enters a product.  The product of finite factors
+    is taken by :func:`_gram_product`, without a warning where it overflows.
     """
     x = as_vector(x, model.dim_x, "x")
     j = jacobian_matrix(model, x)
@@ -107,7 +114,7 @@ def gram_matrix(model: ForwardModel, x):
             q_i = basis[:, i].copy()
         adj[:, i] = as_vector(model.jacobian_adjoint_apply(x, q_i), n, "J* q_i")
     require_finite(adj, "adjoint J* Q")
-    return upper @ adj, j, adj, basis
+    return _gram_product(upper, adj), j, adj, basis
 
 
 class Spectrum(NamedTuple):
@@ -152,30 +159,32 @@ def _spectrum(model: ForwardModel, x) -> Spectrum:
     ``dim_y * eps * lam_max``) set to 0 and the factors from
     :func:`gram_matrix`.
 
-    Raises :class:`NonFiniteOutput` on NaN or inf entries (of J or the
-    adjoint's matrix, from :func:`gram_matrix`, or of their product when it
-    overflows) and :class:`FactorizationFailure` when the matrix
-    :func:`gram_matrix` returns is asymmetric or indefinite, both signs of an
-    inconsistent adjoint action.  When ``dim_y <= dim_x`` that matrix is the ``dim_y x dim_y`` G
-    itself.  When ``dim_y > dim_x`` it is the ``dim_x x dim_x`` projection
-    ``Q^T G Q = W diag(lam) W^T`` of G on range(J), and ``u = Q W`` has
-    ``dim_x`` columns; the columns of G are J times vectors, so the rest of
-    the spectrum of a symmetric G is exact zeros, on the complement of
-    range(J).  The eigenpairs are :func:`_eigh`'s, the bits of
-    ``np.linalg.eigh``.  ``lam`` is ascending, so the clip to 0 runs only
-    when ``lam[0]`` is at most the cutoff; otherwise it would copy ``lam``
-    unchanged.
+    Raises :class:`NonFiniteOutput` on NaN or inf entries of J or the
+    adjoint's matrix, from :func:`gram_matrix`, :class:`NonConvergence` when
+    their product overflows, and :class:`FactorizationFailure` when the
+    matrix :func:`gram_matrix` returns is asymmetric or indefinite, both
+    signs of an inconsistent adjoint action.  When ``dim_y <= dim_x`` that
+    matrix is the ``dim_y x dim_y`` G itself.  When ``dim_y > dim_x`` it is
+    the ``dim_x x dim_x`` projection ``Q^T G Q = W diag(lam) W^T`` of G on
+    range(J), and ``u = Q W`` has ``dim_x`` columns; the columns of G are J
+    times vectors, so the rest of the spectrum of a symmetric G is exact
+    zeros, on the complement of range(J).  The eigenpairs are
+    :func:`_eigh`'s, the bits of ``np.linalg.eigh``.  ``lam`` is ascending,
+    so the clip to 0 runs only when ``lam[0]`` is at most the cutoff;
+    otherwise it would copy ``lam`` unchanged.
 
     ``max|G|`` is taken once: it scales the asymmetry gate, and the matrix's
-    finiteness is read off it, since a NaN or inf entry makes it NaN or inf.
-    Only then are the entries checked one by one, before ``G - G^T`` could
-    warn on ``inf - inf``.  Both maxima reduce the flat view of a fresh
-    array, the same exact maximum for less than ``axis=None`` costs.
+    finiteness is read off it, since a NaN or inf entry makes it NaN or inf,
+    before ``G - G^T`` could warn on ``inf - inf``.  Both maxima reduce the
+    flat view of a fresh array, the same exact maximum for less than
+    ``axis=None`` costs.
     """
     gram, j, adj, basis = gram_matrix(model, x)
     scale = float(np.maximum.reduce(np.abs(gram).ravel()))
     if not math.isfinite(scale):
-        require_finite(gram, "Gram matrix J J*")
+        # J and the adjoint's matrix are finite, so only their product is not
+        raise NonConvergence("Gram matrix J J* overflows: the product of the "
+                             "finite J and adjoint is not finite")
     asym = float(np.maximum.reduce(np.abs(gram - gram.T).ravel()))
     if asym > 1e-8 * (1.0 + scale):
         raise FactorizationFailure(
@@ -279,9 +288,10 @@ def lm_step(model: ForwardModel, x, r, q: float, tol_alpha: float = 1e-10, *,
     Returns ``(x_next, StepDiagnostics)``.  Makes no forward call and applies
     no domain policy; the caller owns both.  Raises :class:`ZeroResidual`
     when ``r`` vanishes (the caller should declare convergence),
-    :class:`NonFiniteOutput` when ``r``, J, the adjoint's matrix or the Gram
-    matrix holds NaN or inf, and :class:`NonConvergence` when ``||r||``
-    overflows, since no shift meets an infinite Morozov target ``q * ||r||``.
+    :class:`NonFiniteOutput` when ``r``, J or the adjoint's matrix holds NaN
+    or inf, and :class:`NonConvergence` when J J* overflows, or when
+    ``||r||`` does, since no shift meets an infinite Morozov target
+    ``q * ||r||``.
 
     ``||r||`` is taken once, by :func:`finite_norm`, the rule the iteration
     loop of :mod:`lmrecon.engine` takes it by, and r's finiteness is read

@@ -551,7 +551,7 @@ class TestSolveCommand:
         path = mode_config(tmp_path, mode, problem_id="no-such-problem")
         assert main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "unknown problem 'no-such-problem'" in err
+        assert err.startswith("config error: unknown problem 'no-such-problem'")
         for pid in gallery_ids():
             assert f"'{pid}'" in err
 
@@ -1082,6 +1082,33 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(path)]) == 0
         rows = report_rows(tmp_path / "q.report")
         assert rows["qtilde-contraction"] == "NOT ARMED (smallness condition not met)"
+
+    @pytest.mark.parametrize("override, detail", [
+        ({"eps": 0.5}, "eps = 0.5: the estimate needs eps = 1"),
+        ({"q": 0.97}, "q = 0.97 >= nu = 0.783932"),
+    ], ids=["eps", "q"])
+    def test_log_stopping_estimate_names_its_failed_premise(self, tmp_path,
+                                                            override, detail):
+        # the noisy run stops, but the logarithmic estimate does not apply:
+        # the row names the premise that fails, not the smallness condition
+        path = write_config(tmp_path, mode="verify", problem_id="quadratic-2d",
+                            output_path=str(tmp_path / "q.report"), **override)
+        assert main(["verify", "--config", str(path)]) == 0
+        rows = report_rows(tmp_path / "q.report")
+        assert rows["discrepancy-soundness"].startswith("PASS (k_star=")
+        assert rows["qtilde-contraction"] == f"NOT ARMED ({detail})"
+
+    def test_failed_omega_condition_is_not_armed(self, tmp_path):
+        # at q = 0.1 on exp-decay the exact run breaks the omega-condition
+        # and the noisy run has R < 0, so it has none to check
+        path = write_config(tmp_path, mode="verify", problem_id="exp-decay",
+                            q=0.1, output_path=str(tmp_path / "o.report"))
+        assert main(["verify", "--config", str(path)]) == 0
+        rows = report_rows(tmp_path / "o.report")
+        for name in ("error-monotonicity", "gamma-monotone"):
+            assert rows[name] == "NOT ARMED (omega-condition failed)"
+        assert rows["gamma-monotone-noisy"] == \
+            "NOT ARMED (R = -1.8125 is not positive: no omega-condition)"
 
     def test_no_steps_keeps_every_row(self, tmp_path):
         path = write_config(tmp_path, mode="verify", max_iters=0,

@@ -347,23 +347,21 @@ def _norm_and_warnings(norm, v):
 @settings(max_examples=300, deadline=None)
 @given(v=norm_vectors())
 def test_vector_norm_is_numpys_norm(v):
-    # np.linalg.norm's bits, NaN and inf included, unless the squared norm
-    # of a finite v overflows, where numpy warns and gives inf; there it is
-    # row_norms' rescued norm.  Nothing warns
+    # the one norm rule: row_norms' bits for v as a single row, NaN and inf
+    # included, rescued where the squared norm is subnormal, zero or
+    # overflows.  Nothing warns
     norm, caught = _norm_and_warnings(vector_norm, v)
     assert caught == []
-    if np.isfinite(v).all() and np.vdot(v, v) == math.inf:
-        assert norm == float.hex(float(row_norms(v.ravel()[None])[0]))
-    else:
-        assert norm == _norm_and_warnings(np.linalg.norm, v)[0]
+    assert norm == _norm_and_warnings(lambda v: row_norms(v.ravel()[None])[0], v)[0]
 
 
 @settings(max_examples=300, deadline=None)
 @given(v=norm_vectors())
 def test_finite_norm_is_the_checked_norm(v):
-    # finite_norm(v) is np.linalg.norm's bits wherever the squared norm is
-    # finite; a NaN or inf entry raises NonFiniteOutput and a squared norm
-    # that overflows NonConvergence, each naming v; nothing warns
+    # finite_norm(v) is row_norms' bits for v as a single row wherever the
+    # squared norm does not overflow; a NaN or inf entry raises
+    # NonFiniteOutput and a squared norm that overflows NonConvergence, each
+    # naming v; nothing warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if not np.isfinite(v).all():
@@ -371,7 +369,7 @@ def test_finite_norm_is_the_checked_norm(v):
                 finite_norm(v, "v")
         elif math.isfinite(np.vdot(v, v)):
             assert float.hex(finite_norm(v, "v")) == \
-                float.hex(float(np.linalg.norm(v)))
+                float.hex(float(row_norms(v.ravel()[None])[0]))
         else:
             with pytest.raises(NonConvergence,
                                match="^v has a norm that overflows to inf$"):
